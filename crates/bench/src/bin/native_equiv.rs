@@ -34,7 +34,6 @@ struct Args {
     scale: Scale,
     scale_name: String,
     threads: usize,
-    pipeline_depth: usize,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -43,7 +42,6 @@ fn parse_args() -> Result<Args, String> {
         .map(|v| v == "1")
         .unwrap_or(false);
     let mut threads = 4usize;
-    let mut pipeline_depth = NativeConfig::default().pipeline_depth;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -74,18 +72,8 @@ fn parse_args() -> Result<Args, String> {
                     _ => return Err(format!("bad --threads '{v}'")),
                 };
             }
-            "--pipeline-depth" => {
-                let v = args.next().ok_or("--pipeline-depth requires a value")?;
-                pipeline_depth = match v.parse() {
-                    Ok(n) if n >= 1 => n,
-                    _ => return Err(format!("bad --pipeline-depth '{v}'")),
-                };
-            }
             "--help" | "-h" => {
-                println!(
-                    "usage: native_equiv [--quick|--paper] [--seed N] [--threads N] \
-                     [--pipeline-depth N]"
-                );
+                println!("usage: native_equiv [--quick|--paper] [--seed N] [--threads N]");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument '{other}'")),
@@ -95,7 +83,6 @@ fn parse_args() -> Result<Args, String> {
         scale,
         scale_name: if quick { "quick" } else { "paper" }.to_string(),
         threads,
-        pipeline_depth,
     })
 }
 
@@ -104,7 +91,6 @@ fn native_cfg(args: &Args) -> NativeConfig {
         client_threads: args.threads,
         server_threads: if args.threads == 1 { 1 } else { 2 },
         versions_per_box: args.scale.versions as usize,
-        pipeline_depth: args.pipeline_depth,
         ..Default::default()
     }
 }
@@ -279,8 +265,8 @@ fn main() -> std::process::ExitCode {
         }
     };
     println!(
-        "native_equiv: scale={} seed={} threads={} pipeline_depth={}",
-        args.scale_name, args.scale.seed, args.threads, args.pipeline_depth
+        "native_equiv: scale={} seed={} threads={}",
+        args.scale_name, args.scale.seed, args.threads
     );
     let mut failed = false;
     for check in [check_bank, check_list] {

@@ -8,35 +8,10 @@
 //! `bench::native_txs`), so the sweep measures scaling, not extra work.
 
 use bench::cli::BenchArgs;
-use bench::{
-    bank_native, bank_native_depth_batch, fmt_tput, list_native, native_txs, print_table, Row,
-};
+use bench::{bank_native, fmt_tput, list_native, native_txs, print_table, Row};
 
 /// %ROT for the bank lanes: a mixed update/read-only workload.
 const ROT_PCT: u8 = 20;
-
-/// The depth sweep's fixed shape: write-heavy (all-update) bank at the
-/// sweep's widest thread count, with `max_batch = 1` so every commit is
-/// its own GTS write-back turn — the turn-chain-dominated regime the
-/// pipeline targets. Under a frozen GTS the unpipelined worker re-executes
-/// a validation-rejected transaction at the same (necessarily still-stale)
-/// snapshot and is rejected again until its killer's turn publishes; the
-/// pipelined worker spends those same stalls executing *other*
-/// transactions, so its retries land after the GTS has moved. One server
-/// keeps validation serialized, and the account floor keeps contention
-/// moderate (conflicts common enough for the contrast to show, rare
-/// enough that both depths commit every transaction).
-const DEPTH_CLIENTS: usize = 8;
-const DEPTH_SERVERS: usize = 1;
-const DEPTH_MAX_BATCH: usize = 1;
-const DEPTH_MIN_ACCOUNTS: u64 = 4096;
-/// Extra transactions (×) for the depth lanes: the ratio is a headline
-/// number, so buy it more samples than the scaling sweep needs.
-const DEPTH_TX_MULT: usize = 4;
-/// Wall-clock reps per depth; the recorded row is the median by txn/sec
-/// (one-core CI hosts schedule noisily and the counts are identical
-/// across reps — only the timing varies).
-const DEPTH_REPS: usize = 3;
 
 fn main() {
     let mut args = BenchArgs::parse("native_suite");
@@ -61,36 +36,6 @@ fn main() {
         eprintln!("[native] list: {clients} client(s) x {servers} server(s)");
         rows.push(list_native(scale, clients, servers));
     }
-    // Pipeline-depth lanes: same workload at depth 1 (unpipelined) and
-    // depth 2, `x` is the depth. These are the rows the acceptance ratio
-    // and the `gts_stall_ns` comparison read.
-    let mut depth_scale = scale.clone();
-    depth_scale.accounts = depth_scale.accounts.max(DEPTH_MIN_ACCOUNTS);
-    depth_scale.bank_txs *= DEPTH_TX_MULT;
-    for depth in [1usize, 2] {
-        eprintln!(
-            "[native] bank write-heavy: {DEPTH_CLIENTS} client(s) x {DEPTH_SERVERS} server(s), \
-             batch {DEPTH_MAX_BATCH}, pipeline depth {depth}, median of {DEPTH_REPS}"
-        );
-        let mut reps: Vec<Row> = (0..DEPTH_REPS)
-            .map(|_| {
-                bank_native_depth_batch(
-                    &depth_scale,
-                    0,
-                    DEPTH_CLIENTS,
-                    DEPTH_SERVERS,
-                    depth,
-                    DEPTH_MAX_BATCH,
-                )
-            })
-            .collect();
-        reps.sort_by(|a, b| a.txn_per_sec.total_cmp(&b.txn_per_sec));
-        let mut row = reps.swap_remove(DEPTH_REPS / 2);
-        row.system = "Bank write-heavy (native)".into();
-        row.x = depth as u64;
-        rows.push(row);
-    }
-
     let cells: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -133,21 +78,4 @@ fn main() {
         tmax.0,
         tmax.1 / t1.max(1e-12)
     );
-
-    // Pipeline headline: depth-2 over depth-1 txn/sec on the write-heavy
-    // lanes, with the per-commit GTS stall each depth paid.
-    let depth_lane = |d: u64| {
-        rows.iter()
-            .find(|r| r.system == "Bank write-heavy (native)" && r.x == d)
-    };
-    if let (Some(d1), Some(d2)) = (depth_lane(1), depth_lane(2)) {
-        let stall = |r: &Row| r.metrics.gts_stall.sum() as f64 / (r.commits.max(1) as f64);
-        println!(
-            "Pipeline depth-2 vs depth-1 ({DEPTH_CLIENTS} threads, write-heavy): {:.2}x txn/s \
-             (gts_stall_ns/commit {:.0} -> {:.0})",
-            d2.txn_per_sec / d1.txn_per_sec.max(1e-12),
-            stall(d1),
-            stall(d2),
-        );
-    }
 }

@@ -466,12 +466,7 @@ pub fn native_txs(scale: &Scale, clients: usize) -> usize {
     (scale.bank_txs * gpu_threads / clients.max(1)).max(1)
 }
 
-fn native_config(
-    scale: &Scale,
-    clients: usize,
-    servers: usize,
-    depth: usize,
-) -> csmv_native::NativeConfig {
+fn native_config(scale: &Scale, clients: usize, servers: usize) -> csmv_native::NativeConfig {
     assert!(
         scale.faults.is_none(),
         "the native backend takes no simulator fault spec; run it fault-free"
@@ -480,7 +475,6 @@ fn native_config(
         client_threads: clients,
         server_threads: servers,
         versions_per_box: scale.versions as usize,
-        pipeline_depth: depth,
         ..Default::default()
     }
 }
@@ -518,47 +512,11 @@ pub fn native_row(system: &str, x: u64, res: &csmv_native::NativeRunResult) -> R
 /// servers. Every run's history passes the opacity oracle (the run panics
 /// otherwise — a protocol bug, not a measurement).
 pub fn bank_native(scale: &Scale, rot_pct: u8, clients: usize, servers: usize) -> Row {
-    bank_native_depth(
-        scale,
-        rot_pct,
-        clients,
-        servers,
-        csmv_native::NativeConfig::default().pipeline_depth,
-    )
-}
-
-/// [`bank_native`] at an explicit commit-pipeline depth (1 = the
-/// unpipelined pre-pipeline worker, byte-identical behavior; ≥2 overlaps
-/// execution with verdict waits and GTS stalls).
-pub fn bank_native_depth(
-    scale: &Scale,
-    rot_pct: u8,
-    clients: usize,
-    servers: usize,
-    depth: usize,
-) -> Row {
-    let max_batch = csmv_native::NativeConfig::default().max_batch;
-    bank_native_depth_batch(scale, rot_pct, clients, servers, depth, max_batch)
-}
-
-/// [`bank_native_depth`] at an explicit submit batch size. Small batches
-/// make the GTS turn chain (one write-back turn per batch) the dominant
-/// cost, which is exactly the stall the commit pipeline overlaps — the
-/// depth comparison lanes use `max_batch = 1` to isolate it.
-pub fn bank_native_depth_batch(
-    scale: &Scale,
-    rot_pct: u8,
-    clients: usize,
-    servers: usize,
-    depth: usize,
-    max_batch: usize,
-) -> Row {
     let bank = BankConfig {
         accounts: scale.accounts,
         ..BankConfig::paper(rot_pct)
     };
-    let mut cfg = native_config(scale, clients, servers, depth);
-    cfg.max_batch = max_batch;
+    let cfg = native_config(scale, clients, servers);
     let txs = native_txs(scale, clients);
     let res = csmv_native::run_checked(
         &cfg,
@@ -580,12 +538,7 @@ pub fn list_native(scale: &Scale, clients: usize, servers: usize) -> Row {
         pool_per_thread: txs as u64,
         threads: clients,
     };
-    let cfg = native_config(
-        scale,
-        clients,
-        servers,
-        csmv_native::NativeConfig::default().pipeline_depth,
-    );
+    let cfg = native_config(scale, clients, servers);
     let init = list.initial_state();
     let res = csmv_native::run_checked(
         &cfg,

@@ -98,7 +98,7 @@ pub struct ModelConfig {
     pub max_req_drops: u8,
     pub max_req_dups: u8,
     pub max_resp_drops: u8,
-    /// Model the native backend's depth-2 commit pipeline: while a
+    /// Model the native backend's commit pipeline: while a
     /// transaction is in flight (awaiting its verdict, its write-back, or
     /// its GTS turn) the client may speculatively read its *next*
     /// transaction's key at the current GTS, park the read, and begin that
@@ -129,7 +129,7 @@ impl ModelConfig {
         }
     }
 
-    /// The CI instance with the depth-2 commit pipeline enabled.
+    /// The CI instance with the commit pipeline enabled.
     pub fn small_with_pipeline() -> Self {
         ModelConfig {
             pipeline: true,
@@ -255,7 +255,7 @@ pub enum ClientPhase {
     GtsWait,
 }
 
-/// A parked speculative read (depth-2 pipeline): the next transaction's
+/// A parked speculative read (commit pipeline): the next transaction's
 /// key, read at `snapshot` while an earlier transaction was in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpecRead {
@@ -494,7 +494,7 @@ pub fn enabled_actions(s: &State, cfg: &ModelConfig) -> Vec<Action> {
                 }
             }
         }
-        // Depth-2 pipeline: with a transaction in flight, the client may
+        // Pipeline: with a transaction in flight, the client may
         // speculatively read its next transaction's key. Admission goes
         // through the same pure step as the native worker, with the
         // model's unit batch (`max_batch = 1`, one parked slot).
@@ -505,7 +505,7 @@ pub fn enabled_actions(s: &State, cfg: &ModelConfig) -> Vec<Action> {
         if cfg.pipeline
             && tx_in_flight
             && cl.tx_idx + 1 < cfg.programs[c].len()
-            && steps::pipeline_admissible(2, tx_in_flight, usize::from(cl.spec.is_some()), 1)
+            && steps::pipeline_admissible(tx_in_flight, usize::from(cl.spec.is_some()), 1)
         {
             out.push(Action::SpecExec { client: c });
         }

@@ -164,7 +164,7 @@ fn every_mutation_is_detected_and_named() {
 // pipelined commit path (speculation lives in the native backend), and the
 // native worker has no seeded-bug hooks — its pipelined path is instead
 // covered dynamically by `csmv-native/tests/pipeline_equivalence.rs`, which
-// runs the depth-2 pipeline under chaos faults against the same
+// runs the pipeline under chaos faults against the same
 // `stm_core::check_history` oracle the model's History violation uses.
 // ---------------------------------------------------------------------------
 

@@ -63,14 +63,12 @@ pub(crate) struct NativeAtr {
     next_cts: AtomicU64,
     /// The Global Timestamp: newest fully written-back commit.
     gts: AtomicU64,
-    /// Event-driven turn handoff for the pipelined commit path: a waiter
-    /// that has nothing left to speculate registers `(base, thread)` here
-    /// and parks; the publisher unparks exactly the waiter whose window
-    /// the bump unblocked ([`csmv::steps::gts_turn_reached`]) — one wake
-    /// per publish, no thundering herd. Unpipelined workers never
-    /// register (they keep the classic spin/yield/sleep ladder), and
-    /// scanning an empty list is a single uncontended lock, so depth 1 is
-    /// unaffected.
+    /// Event-driven turn handoff: a worker waiting for its write-back
+    /// turn with nothing left to speculate registers `(base, thread)`
+    /// here and parks; the publisher unparks exactly the waiter whose
+    /// window the bump unblocked ([`csmv::steps::gts_turn_reached`]) — one
+    /// wake per publish, no thundering herd. Scanning an empty list is a
+    /// single uncontended lock.
     turn_waiters: Mutex<Vec<(u64, std::thread::Thread)>>,
 }
 
@@ -103,7 +101,7 @@ impl NativeAtr {
     /// GTS bump, [`csmv::steps::gts_publish_value`]).
     pub(crate) fn publish_gts(&self, value: u64) {
         self.gts.store(value, Ordering::SeqCst);
-        // Wake the pipelined turn-waiter this bump unblocked (and, as a
+        // Wake the turn-waiter this bump unblocked (and, as a
         // defensive backstop, any waiter whose window the GTS has already
         // passed). Taking the lock after the store closes the lost-wakeup
         // race: a waiter that read the old GTS either still holds the
@@ -121,10 +119,9 @@ impl NativeAtr {
     }
 
     /// Block until it is (or may be) `base`'s write-back turn, or
-    /// `timeout` elapses — the pipelined waiter's alternative to the poll
-    /// ladder. Spurious wakeups are fine; callers re-check their turn
-    /// predicate in a loop, and the timeout backstops the run-deadline
-    /// watchdog.
+    /// `timeout` elapses. Spurious wakeups are fine; callers re-check
+    /// their turn predicate in a loop, and the timeout backstops the
+    /// run-deadline watchdog.
     pub(crate) fn wait_turn(&self, base: u64, timeout: Duration) {
         {
             let mut waiters = self.turn_waiters.lock();

@@ -16,19 +16,17 @@
 //! abort, or `ServerTimeout` when the run deadline drains the queue.
 
 use std::collections::HashMap;
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::mpsc::{self, Sender, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use stm_core::metrics::{AbortReason, MetricsReport};
-use stm_core::{SnapshotRegistry, TxLogic, TxOp};
+use stm_core::{TxLogic, TxOp};
 
-use crate::atr::NativeAtr;
-use crate::server::NativeServer;
-use crate::store::NativeStore;
-use crate::worker::{Finish, NativeWorker, WorkerOutput};
-use crate::{partition, NativeConfig, NativeConfigError, NativeRunError, NativeRunResult};
+use crate::pool::{self, Shared};
+use crate::worker::{Finish, WorkerOutput};
+use crate::{NativeConfig, NativeConfigError, NativeRunError, NativeRunResult};
 
 /// Terminal outcome of one submitted transaction, delivered on the
 /// submitter's completion channel.
@@ -48,6 +46,17 @@ pub(crate) struct EngineJob {
     tx: Box<dyn TxLogic>,
     accepted: Instant,
     done: Sender<Completion>,
+}
+
+impl EngineJob {
+    /// Stamp `tx` as accepted now; its terminal outcome goes to `done`.
+    pub(crate) fn new(tx: Box<dyn TxLogic>, done: Sender<Completion>) -> Self {
+        Self {
+            tx,
+            accepted: Instant::now(),
+            done,
+        }
+    }
 }
 
 impl TxLogic for EngineJob {
@@ -72,13 +81,6 @@ impl Finish for EngineJob {
             latency,
         });
     }
-}
-
-/// Lock the shared job queue. A poisoned lock only means another worker
-/// thread panicked mid-receive; the receiver itself is still sound, so
-/// recover the guard instead of propagating the panic.
-pub(crate) fn lock_jobs(jobs: &Mutex<Receiver<EngineJob>>) -> MutexGuard<'_, Receiver<EngineJob>> {
-    jobs.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Why [`NativeEngine::try_submit`] rejected a transaction. Both variants
@@ -108,9 +110,7 @@ pub struct NativeEngine {
     submit_tx: Option<SyncSender<EngineJob>>,
     workers: Vec<JoinHandle<WorkerOutput>>,
     servers: Vec<JoinHandle<MetricsReport>>,
-    store: Arc<NativeStore>,
-    atr: Arc<NativeAtr>,
-    start: Instant,
+    shared: Shared,
     initial: HashMap<u64, u64>,
 }
 
@@ -122,25 +122,13 @@ impl NativeEngine {
         num_items: u64,
         mut initial: impl FnMut(u64) -> u64,
     ) -> Result<NativeEngine, NativeConfigError> {
-        cfg.validate()?;
         let init: HashMap<u64, u64> = (0..num_items).map(|i| (i, initial(i))).collect();
-        let store = Arc::new(NativeStore::new(num_items, cfg.versions_per_box, |i| {
-            *init.get(&i).unwrap_or(&0)
-        }));
-        let atr = Arc::new(NativeAtr::new(cfg.atr_capacity, cfg.max_ws));
-        let registry = Arc::new(SnapshotRegistry::new(cfg.reader_slots));
-        let start = Instant::now();
-        let deadline = start + cfg.max_run;
-
-        let mut req_txs = Vec::with_capacity(cfg.server_threads);
-        let mut servers = Vec::with_capacity(cfg.server_threads);
-        for sid in 0..cfg.server_threads {
-            let (tx, rx) = mpsc::sync_channel(cfg.channel_depth);
-            req_txs.push(tx);
-            let server =
-                NativeServer::new(sid, atr.clone(), rx, cfg.faults.clone(), deadline, start);
-            servers.push(std::thread::spawn(move || server.run()));
-        }
+        let (shared, servers, workers) =
+            pool::build(cfg, num_items, |i| *init.get(&i).unwrap_or(&0))?;
+        let servers = servers
+            .into_iter()
+            .map(|server| std::thread::spawn(move || server.run()))
+            .collect();
 
         // The submit queue is the backpressure boundary: deep enough to keep
         // every worker's batch pipeline full, bounded so overload surfaces
@@ -148,41 +136,19 @@ impl NativeEngine {
         let depth = cfg.channel_depth * cfg.client_threads.max(1);
         let (submit_tx, submit_rx) = mpsc::sync_channel(depth);
         let jobs = Arc::new(Mutex::new(submit_rx));
-        let workers = (0..cfg.client_threads)
-            .map(|wid| {
-                let req_tx = req_txs[partition(wid, cfg.server_threads)].clone();
-                let (resp_tx, resp_rx) = mpsc::channel();
-                let w = NativeWorker::new(
-                    wid,
-                    store.clone(),
-                    atr.clone(),
-                    registry.clone(),
-                    req_tx,
-                    resp_tx,
-                    resp_rx,
-                    cfg.recovery.clone(),
-                    cfg.faults.clone(),
-                    deadline,
-                    start,
-                    cfg.max_batch,
-                    cfg.pipeline_depth,
-                    cfg.record_history,
-                );
+        let workers = workers
+            .into_iter()
+            .map(|w| {
                 let jobs = jobs.clone();
                 std::thread::spawn(move || w.serve(jobs))
             })
             .collect();
-        // Workers now own the only live request senders: when the last
-        // worker exits, the servers see a disconnect and exit too.
-        drop(req_txs);
 
         Ok(NativeEngine {
             submit_tx: Some(submit_tx),
             workers,
             servers,
-            store,
-            atr,
-            start,
+            shared,
             initial: init,
         })
     }
@@ -199,11 +165,7 @@ impl NativeEngine {
         let Some(sender) = &self.submit_tx else {
             return Err(SubmitError::Closed(tx));
         };
-        match sender.try_send(EngineJob {
-            tx,
-            accepted: Instant::now(),
-            done,
-        }) {
+        match sender.try_send(EngineJob::new(tx, done)) {
             Ok(()) => Ok(()),
             Err(TrySendError::Full(job)) => Err(SubmitError::Busy(job.tx)),
             Err(TrySendError::Disconnected(job)) => Err(SubmitError::Closed(job.tx)),
@@ -212,50 +174,35 @@ impl NativeEngine {
 
     /// Current Global Timestamp (counts committed update transactions).
     pub fn gts(&self) -> u64 {
-        self.atr.gts()
+        self.shared.atr.gts()
     }
 
     /// Close the submit queue, let the workers drain everything in flight,
     /// join every thread and return the aggregated run result.
     pub fn shutdown(mut self) -> NativeRunResult {
         self.submit_tx = None;
-        let mut result = NativeRunResult::default();
-        for h in self.workers.drain(..) {
-            // A worker that panicked (impossible by construction — the
-            // no-panic lint covers NativeWorker) contributes nothing.
-            if let Ok(out) = h.join() {
-                result.stats.merge(&out.stats);
-                result.records.extend(out.records);
-                result.metrics.merge(&out.metrics);
-            }
-        }
-        for h in self.servers.drain(..) {
-            if let Ok(m) = h.join() {
-                result.metrics.merge(&m);
-            }
-        }
-        result.gts = self.atr.gts();
-        result.elapsed = self.start.elapsed();
-        // Shared store GC counters merge exactly once, with a final
-        // footprint sample for the soak plateau checks.
-        result.metrics.gc.merge(&self.store.gc_stats());
-        result.metrics.footprint.push(
-            result.elapsed.as_nanos() as u64,
-            self.store.footprint_bytes(),
-        );
-        result.final_state = self.store.final_state();
-        result
+        // A thread that panicked (impossible by construction — the
+        // no-panic lint covers NativeWorker and NativeServer) contributes
+        // nothing.
+        let outputs: Vec<WorkerOutput> = self
+            .workers
+            .drain(..)
+            .filter_map(|h| h.join().ok())
+            .collect();
+        let server_metrics: Vec<MetricsReport> = self
+            .servers
+            .drain(..)
+            .filter_map(|h| h.join().ok())
+            .collect();
+        self.shared.collect(outputs, server_metrics)
     }
 
     /// [`NativeEngine::shutdown`], then validate the recorded history with
     /// [`stm_core::check_history`] (opacity + validity-at-commit). Only
     /// meaningful when the engine ran with `record_history` on.
-    pub fn shutdown_checked(self) -> Result<NativeRunResult, NativeRunError> {
-        let initial = self.initial.clone();
-        let result = self.shutdown();
-        stm_core::check_history(&result.records, &initial, true)
-            .map_err(NativeRunError::History)?;
-        Ok(result)
+    pub fn shutdown_checked(mut self) -> Result<NativeRunResult, NativeRunError> {
+        let initial = std::mem::take(&mut self.initial);
+        crate::checked(self.shutdown(), &initial)
     }
 }
 
@@ -376,6 +323,41 @@ mod tests {
         let total: u64 = result.final_state.values().sum();
         assert_eq!(total as usize, SUBMITTERS * PER_THREAD);
         assert_eq!(result.gts as usize, SUBMITTERS * PER_THREAD);
+    }
+
+    /// Intake starvation regression: one submitter keeping one job in
+    /// flight finds both workers idle every time. The worker that takes
+    /// the job must not then wait, job in hand, for the queue lock the
+    /// other idle worker holds while blocked on the empty queue — when it
+    /// did, each job cost several idle slices and this load completed a
+    /// few dozen jobs in half a second instead of thousands.
+    #[test]
+    fn a_worker_with_a_job_in_hand_never_waits_for_an_idle_one() {
+        let cfg = NativeConfig {
+            client_threads: 2,
+            server_threads: 1,
+            record_history: false,
+            ..Default::default()
+        };
+        let engine = NativeEngine::start(&cfg, 1, |_| 0).unwrap();
+        let (done_tx, done_rx) = mpsc::channel();
+        let window = Duration::from_millis(500);
+        let until = Instant::now() + window;
+        let mut completed = 0;
+        while Instant::now() < until {
+            engine
+                .try_submit(Box::new(IncTx::new(0)), done_tx.clone())
+                .expect("one job in flight cannot fill the queue");
+            let c = done_rx.recv().expect("accepted job must complete");
+            assert!(c.outcome.is_ok());
+            completed += 1;
+        }
+        let result = engine.shutdown();
+        assert_eq!(result.stats.update_commits, completed);
+        assert!(
+            completed >= 500,
+            "one job in flight at a time completed only {completed} jobs in {window:?}"
+        );
     }
 
     #[test]

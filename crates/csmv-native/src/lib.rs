@@ -34,27 +34,21 @@ pub mod fault;
 mod atr;
 mod engine;
 mod msg;
+mod pool;
 mod server;
 mod store;
 mod worker;
 
 use std::collections::HashMap;
-use std::sync::mpsc;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use stm_core::history::{HistoryError, TxRecord};
 use stm_core::metrics::MetricsReport;
 use stm_core::stats::CommitStats;
-use stm_core::{RetryPolicy, SnapshotRegistry, TxSource};
+use stm_core::{RetryPolicy, TxSource};
 
 pub use engine::{Completion, NativeEngine, SubmitError};
 pub use fault::{KillServer, NativeFaultPlan, NativeFaultSpec};
-
-use atr::NativeAtr;
-use server::NativeServer;
-use store::NativeStore;
-use worker::NativeWorker;
 
 /// Configuration of a native run.
 #[derive(Debug, Clone)]
@@ -70,16 +64,11 @@ pub struct NativeConfig {
     /// Largest write-set an ATR entry can hold.
     pub max_ws: usize,
     /// Transactions a worker executes and submits per batch (1..=32).
+    /// While a batch awaits its verdicts or its GTS turn the worker
+    /// speculatively executes up to one more batch at its current
+    /// snapshot ([`csmv::steps::pipeline_admissible`]); at most one batch
+    /// is ever *submitted* at a time.
     pub max_batch: usize,
-    /// Commit-pipeline depth. 1 = the classic blocking commit path
-    /// (execute → submit → wait → write back, strictly in sequence);
-    /// depth `d > 1` lets a worker speculatively execute up to
-    /// `(d-1) * max_batch` transactions of the *next* batch at its
-    /// current snapshot while the in-flight batch waits on its verdicts
-    /// or its GTS turn ([`csmv::steps::pipeline_admissible`]). At most
-    /// one batch is ever *submitted* at a time, so recovery semantics
-    /// (duplicate suppression, response certification) are unchanged.
-    pub pipeline_depth: usize,
     /// Bound of each server's request channel (backpressure depth).
     pub channel_depth: usize,
     /// Reader-snapshot registry slots (active-reader epochs the version GC
@@ -109,7 +98,6 @@ impl Default for NativeConfig {
             atr_capacity: 4096,
             max_ws: 16,
             max_batch: 8,
-            pipeline_depth: 2,
             channel_depth: 64,
             reader_slots: 64,
             record_history: true,
@@ -136,8 +124,6 @@ pub enum NativeConfigError {
     /// `max_batch` must be in `1..=32` (pre-validation uses a 32-lane
     /// mask, like a warp).
     BadBatch,
-    /// `pipeline_depth` must be at least 1 (1 = no pipelining).
-    BadPipelineDepth,
     /// `channel_depth` must be at least 1.
     NoChannelDepth,
     /// Fault injection needs an armed recovery policy: a response timeout
@@ -155,7 +141,6 @@ impl std::fmt::Display for NativeConfigError {
             NativeConfigError::NoAtrCapacity => write!(f, "atr_capacity must be >= 1"),
             NativeConfigError::NoWsCapacity => write!(f, "max_ws must be >= 1"),
             NativeConfigError::BadBatch => write!(f, "max_batch must be in 1..=32"),
-            NativeConfigError::BadPipelineDepth => write!(f, "pipeline_depth must be >= 1"),
             NativeConfigError::NoChannelDepth => write!(f, "channel_depth must be >= 1"),
             NativeConfigError::FaultsNeedRecovery => write!(
                 f,
@@ -187,9 +172,6 @@ impl NativeConfig {
         }
         if self.max_batch == 0 || self.max_batch > 32 {
             return Err(NativeConfigError::BadBatch);
-        }
-        if self.pipeline_depth == 0 {
-            return Err(NativeConfigError::BadPipelineDepth);
         }
         if self.channel_depth == 0 {
             return Err(NativeConfigError::NoChannelDepth);
@@ -283,83 +265,40 @@ where
     S::Tx: Send,
     F: Fn(usize) -> S + Sync,
 {
-    cfg.validate()?;
-    let store = Arc::new(NativeStore::new(num_items, cfg.versions_per_box, initial));
-    let atr = Arc::new(NativeAtr::new(cfg.atr_capacity, cfg.max_ws));
-    let registry = Arc::new(SnapshotRegistry::new(cfg.reader_slots));
-    let start = Instant::now();
-    let deadline = start + cfg.max_run;
-
+    let (shared, servers, workers) = pool::build(cfg, num_items, initial)?;
     let (outputs, server_metrics) = std::thread::scope(|scope| {
-        let mut req_txs = Vec::with_capacity(cfg.server_threads);
-        let mut server_handles = Vec::with_capacity(cfg.server_threads);
-        for sid in 0..cfg.server_threads {
-            let (tx, rx) = mpsc::sync_channel(cfg.channel_depth);
-            req_txs.push(tx);
-            let server =
-                NativeServer::new(sid, atr.clone(), rx, cfg.faults.clone(), deadline, start);
-            server_handles.push(scope.spawn(move || server.run()));
-        }
-        let worker_handles: Vec<_> = (0..cfg.client_threads)
-            .map(|wid| {
-                let req_tx = req_txs[partition(wid, cfg.server_threads)].clone();
-                let (resp_tx, resp_rx) = mpsc::channel();
-                let w = NativeWorker::new(
-                    wid,
-                    store.clone(),
-                    atr.clone(),
-                    registry.clone(),
-                    req_tx,
-                    resp_tx,
-                    resp_rx,
-                    cfg.recovery.clone(),
-                    cfg.faults.clone(),
-                    deadline,
-                    start,
-                    cfg.max_batch,
-                    cfg.pipeline_depth,
-                    cfg.record_history,
-                );
+        let servers: Vec<_> = servers
+            .into_iter()
+            .map(|server| scope.spawn(move || server.run()))
+            .collect();
+        let workers: Vec<_> = workers
+            .into_iter()
+            .enumerate()
+            .map(|(wid, w)| {
                 let make_source = &make_source;
                 scope.spawn(move || w.run(make_source(wid)))
             })
             .collect();
-        // Workers own the only live request senders from here on; once
-        // they all join, servers see a disconnect and exit.
-        drop(req_txs);
-        let outputs: Vec<worker::WorkerOutput> = worker_handles
+        let outputs: Vec<worker::WorkerOutput> = workers
             .into_iter()
             .map(|h| h.join().expect("native worker panicked"))
             .collect();
-        let server_metrics: Vec<MetricsReport> = server_handles
+        let server_metrics: Vec<MetricsReport> = servers
             .into_iter()
             .map(|h| h.join().expect("native server panicked"))
             .collect();
         (outputs, server_metrics)
     });
+    Ok(shared.collect(outputs, server_metrics))
+}
 
-    let elapsed = start.elapsed();
-    let mut result = NativeRunResult {
-        elapsed,
-        gts: atr.gts(),
-        ..Default::default()
-    };
-    for out in outputs {
-        result.stats.merge(&out.stats);
-        result.records.extend(out.records);
-        result.metrics.merge(&out.metrics);
-    }
-    for m in &server_metrics {
-        result.metrics.merge(m);
-    }
-    // The store's GC counters are shared by every worker: merge exactly
-    // once, plus a final footprint sample for the plateau checks.
-    result.metrics.gc.merge(&store.gc_stats());
-    result
-        .metrics
-        .footprint
-        .push(elapsed.as_nanos() as u64, store.footprint_bytes());
-    result.final_state = store.final_state();
+/// Apply the opacity oracle ([`stm_core::check_history`]: opacity +
+/// validity-at-commit) to a finished run's recorded history.
+pub(crate) fn checked(
+    result: NativeRunResult,
+    initial: &HashMap<u64, u64>,
+) -> Result<NativeRunResult, NativeRunError> {
+    stm_core::check_history(&result.records, initial, true).map_err(NativeRunError::History)?;
     Ok(result)
 }
 
@@ -383,8 +322,7 @@ where
     let result = run(&cfg, make_source, num_items, |i| {
         *init.get(&i).unwrap_or(&0)
     })?;
-    stm_core::check_history(&result.records, &init, true).map_err(NativeRunError::History)?;
-    Ok(result)
+    checked(result, &init)
 }
 
 #[cfg(test)]
@@ -444,13 +382,6 @@ mod tests {
                     ..ok.clone()
                 },
                 NativeConfigError::BadBatch,
-            ),
-            (
-                NativeConfig {
-                    pipeline_depth: 0,
-                    ..ok.clone()
-                },
-                NativeConfigError::BadPipelineDepth,
             ),
             (
                 NativeConfig {

@@ -300,8 +300,8 @@ impl NativeServer {
     /// Read one ATR entry, polling while its inserter is in flight. `None`
     /// means recycled (or the run deadline passed while polling).
     ///
-    /// The wait ladder matches the worker's GTS spin — brief spin, then
-    /// yield, then sleeps that *graduate* from 1µs up to a 50µs cap
+    /// The wait is a ladder — brief spin, then yield, then sleeps that
+    /// *graduate* from 1µs up to a 50µs cap
     /// instead of jumping straight to the full nap when the inserter is
     /// one store away. Any stall actually waited out is recorded into the
     /// `server_stall` series, so server-side waits are visible alongside

@@ -8,18 +8,24 @@
 //! response certification ([`csmv::steps::response_certified`]), batch
 //! windows ([`csmv::steps::batch_window`] / [`csmv::steps::window_is_dense`])
 //! and GTS turn-taking ([`csmv::steps::gts_turn_reached`] /
-//! [`csmv::steps::gts_publish_value`]). Commit pipelining (depth > 1)
-//! adds three more: admission of speculative work while a batch is in
-//! flight ([`csmv::steps::pipeline_admissible`]), the post-publish
-//! squash rule ([`csmv::steps::speculative_preval`]) that recycles any
-//! speculative execution whose footprint overlaps the writes the batch
-//! just published, and the carry-time freshness re-check
+//! [`csmv::steps::gts_publish_value`]). The commit path is pipelined —
+//! one batch in flight, at most one batch of speculation parked behind
+//! it — which adds three more: admission of speculative work while a
+//! batch is in flight ([`csmv::steps::pipeline_admissible`]), the
+//! post-publish squash rule ([`csmv::steps::speculative_preval`]) that
+//! recycles any speculative execution whose footprint overlaps the writes
+//! the batch just published, and the carry-time freshness re-check
 //! ([`csmv::steps::spec_carry_fresh`]) that squashes a parked execution
 //! any *other* client's commit has invalidated — and, when it passes,
 //! justifies promoting the execution to the round snapshot (see
-//! `round`'s carry loop). Pipelined turn waits park on the ATR's
-//! event-driven handoff ([`NativeAtr::wait_turn`]) once speculation runs
-//! dry; depth 1 keeps the classic spin/yield/sleep ladder untouched.
+//! `round`'s carry loop). Turn waits park on the ATR's event-driven
+//! handoff ([`crate::atr::NativeAtr::wait_turn`]) once speculation runs
+//! dry.
+//!
+//! Transactions reach the worker through one feed loop
+//! ([`NativeWorker::feed`]) with two intakes: a closed-loop `TxSource`
+//! ([`NativeWorker::run`]) or the engine's shared submit queue
+//! ([`NativeWorker::serve`]).
 //!
 //! Recovery follows `stm_core::recovery::RetryPolicy`; its cycle-valued
 //! fields (`resp_timeout`, backoff) are interpreted as **microseconds** on
@@ -31,22 +37,19 @@
 //! lint covers every `impl NativeWorker` block.
 
 use std::collections::VecDeque;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError};
+use std::sync::{Arc, Mutex, TryLockError};
 use std::time::{Duration, Instant};
 
 use csmv::steps;
-use stm_core::gc::SnapshotRegistry;
 use stm_core::history::TxRecord;
 use stm_core::metrics::{AbortReason, FaultEvent, MetricsReport};
 use stm_core::stats::CommitStats;
-use stm_core::{RetryPolicy, TxLogic, TxOp, TxSource};
+use stm_core::{TxLogic, TxOp, TxSource};
 
-use crate::atr::NativeAtr;
-use crate::engine::{lock_jobs, EngineJob};
-use crate::fault::NativeFaultPlan;
+use crate::engine::EngineJob;
 use crate::msg::{CommitRequest, CommitResponse, TxSubmit, Verdict};
-use crate::store::NativeStore;
+use crate::pool::Shared;
 
 /// Response-wait slice when the retry policy disables timeouts: long
 /// enough that a healthy server never triggers a resend, short enough to
@@ -57,10 +60,10 @@ const INERT_WAIT_SLICE: Duration = Duration::from_millis(100);
 /// re-checking the run deadline.
 const SERVE_SLICE: Duration = Duration::from_millis(5);
 
-/// Backstop timeout for a pipelined turn-waiter parked in
-/// [`NativeAtr::wait_turn`]: publishers unpark it long before this in a
-/// healthy run; the timeout only bounds how late the run-deadline
-/// watchdog can fire.
+/// Backstop timeout for a turn-waiter parked in
+/// [`crate::atr::NativeAtr::wait_turn`]: publishers unpark it long before
+/// this in a healthy run; the timeout only bounds how late the
+/// run-deadline watchdog can fire.
 const TURN_WAIT_SLICE: Duration = Duration::from_micros(200);
 
 /// How a transaction reports its terminal outcome. Closed-loop batch
@@ -147,10 +150,10 @@ enum Exec {
     Overflow,
 }
 
-/// A speculative execution produced while an earlier batch was in flight
-/// (pipeline depth > 1): an update transaction executed at `snapshot`,
-/// parked until the in-flight batch publishes. If the published write-set
-/// overlaps its footprint it is squashed
+/// A speculative execution produced while an earlier batch was in flight:
+/// an update transaction executed at `snapshot`, parked until the
+/// in-flight batch publishes. If the published write-set overlaps its
+/// footprint it is squashed
 /// ([`csmv::steps::speculative_preval`]); otherwise it joins the next
 /// batch — at its own, older snapshot — without re-executing.
 struct Spec<T> {
@@ -168,21 +171,21 @@ enum BatchOutcome {
     Abandoned,
 }
 
+/// What an intake hands the feed loop when asked for the next transaction.
+enum Next<T> {
+    Tx(T),
+    /// Nothing available right now; more may come.
+    Empty,
+    /// Nothing will ever come again.
+    Closed,
+}
+
 pub(crate) struct NativeWorker {
     id: usize,
-    store: Arc<NativeStore>,
-    atr: Arc<NativeAtr>,
-    registry: Arc<SnapshotRegistry>,
+    ctx: Shared,
     req_tx: SyncSender<CommitRequest>,
     resp_tx: Sender<CommitResponse>,
     resp_rx: Receiver<CommitResponse>,
-    policy: RetryPolicy,
-    faults: Option<NativeFaultPlan>,
-    deadline: Instant,
-    start: Instant,
-    max_batch: usize,
-    pipeline_depth: usize,
-    record_history: bool,
     seq: u64,
     rounds: u64,
     server_dead: bool,
@@ -196,38 +199,16 @@ pub(crate) struct NativeWorker {
 }
 
 impl NativeWorker {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        id: usize,
-        store: Arc<NativeStore>,
-        atr: Arc<NativeAtr>,
-        registry: Arc<SnapshotRegistry>,
-        req_tx: SyncSender<CommitRequest>,
-        resp_tx: Sender<CommitResponse>,
-        resp_rx: Receiver<CommitResponse>,
-        policy: RetryPolicy,
-        faults: Option<NativeFaultPlan>,
-        deadline: Instant,
-        start: Instant,
-        max_batch: usize,
-        pipeline_depth: usize,
-        record_history: bool,
-    ) -> Self {
+    /// Worker `id` of the pool `ctx` describes, submitting to the commit
+    /// server behind `req_tx`.
+    pub(crate) fn new(id: usize, ctx: Shared, req_tx: SyncSender<CommitRequest>) -> Self {
+        let (resp_tx, resp_rx) = mpsc::channel();
         Self {
             id,
-            store,
-            atr,
-            registry,
+            ctx,
             req_tx,
             resp_tx,
             resp_rx,
-            policy,
-            faults,
-            deadline,
-            start,
-            max_batch,
-            pipeline_depth,
-            record_history,
             seq: 0,
             rounds: 0,
             server_dead: false,
@@ -239,118 +220,92 @@ impl NativeWorker {
     }
 
     fn now_ns(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
+        self.ctx.start.elapsed().as_nanos() as u64
     }
 
     /// Drain the source to completion (or the run deadline), committing
     /// through the server in batches of up to `max_batch`.
-    pub(crate) fn run<S: TxSource>(mut self, mut source: S) -> WorkerOutput {
-        let mut pending: VecDeque<Pending<Fire<S::Tx>>> = VecDeque::new();
-        let mut spec: Vec<Spec<Fire<S::Tx>>> = Vec::new();
-        let mut exhausted = false;
-        // Keep enough pending work buffered that the pipeline has fodder
-        // to speculate on while a batch is in flight; at depth 1 this is
-        // exactly one batch, as before.
-        let target = self.pipeline_depth * self.max_batch;
-        loop {
-            while pending.len() + spec.len() < target && !exhausted {
-                match source.next_tx() {
-                    Some(tx) => pending.push_back(Pending::new(Fire(tx))),
-                    None => exhausted = true,
-                }
-            }
-            if pending.is_empty() && spec.is_empty() {
-                break;
-            }
-            if Instant::now() >= self.deadline {
-                // Watchdog: fail what's left cleanly instead of hanging.
-                for s in spec.drain(..) {
-                    self.fail(s.p, AbortReason::ServerTimeout);
-                }
-                for p in pending.drain(..) {
-                    self.fail(p, AbortReason::ServerTimeout);
-                }
-                // Anything still in the source is terminally failed too,
-                // so commits + failed always accounts for every
-                // transaction the source would have produced.
-                while let Some(tx) = source.next_tx() {
-                    self.fail(Pending::new(Fire(tx)), AbortReason::ServerTimeout);
-                }
-                break;
-            }
-            self.round(&mut pending, &mut spec);
-        }
-        WorkerOutput {
-            stats: self.stats,
-            records: self.records,
-            metrics: self.metrics,
-        }
+    pub(crate) fn run<S: TxSource>(self, mut source: S) -> WorkerOutput {
+        self.feed(|_idle| match source.next_tx() {
+            Some(tx) => Next::Tx(Fire(tx)),
+            None => Next::Closed,
+        })
     }
 
     /// Serve transactions submitted through a [`crate::NativeEngine`]:
-    /// pull jobs from the shared queue (blocking briefly when idle,
-    /// coalescing up to `max_batch` when traffic is queued) and commit
-    /// them through the same `round` loop the closed-loop path uses.
-    /// Exits once every submitter hung up and nothing is pending, or at
-    /// the run deadline — failing everything still queued so every
-    /// accepted job gets a terminal completion.
-    pub(crate) fn serve(mut self, jobs: Arc<Mutex<Receiver<EngineJob>>>) -> WorkerOutput {
-        let mut pending: VecDeque<Pending<EngineJob>> = VecDeque::new();
-        let mut spec: Vec<Spec<EngineJob>> = Vec::new();
-        let mut disconnected = false;
-        let target = self.pipeline_depth * self.max_batch;
-        loop {
-            while pending.len() + spec.len() < target && !disconnected {
-                let got = {
-                    let rx = lock_jobs(&jobs);
-                    if pending.is_empty() && spec.is_empty() {
-                        // Idle: block briefly so an arrival wakes us, but
-                        // keep noticing the deadline.
-                        match rx.recv_timeout(SERVE_SLICE) {
-                            Ok(job) => Some(job),
-                            Err(RecvTimeoutError::Timeout) => None,
-                            Err(RecvTimeoutError::Disconnected) => {
-                                disconnected = true;
-                                None
-                            }
-                        }
-                    } else {
-                        // Already have work: only coalesce what is queued
-                        // right now — latency beats batch fullness.
-                        match rx.try_recv() {
-                            Ok(job) => Some(job),
-                            Err(TryRecvError::Empty) => None,
-                            Err(TryRecvError::Disconnected) => {
-                                disconnected = true;
-                                None
-                            }
-                        }
-                    }
+    /// pull jobs from the queue every worker shares, until every
+    /// submitter hung up and nothing is pending, or the run deadline.
+    ///
+    /// Only an idle worker may wait — for the lock or for an arrival, in
+    /// slices that keep noticing the deadline. A worker with work in hand
+    /// coalesces what is queued right now and never waits for the lock:
+    /// if it is held, an idle worker is blocked on the queue and takes
+    /// the next arrival itself, whereas a busy worker queueing for the
+    /// lock loses it to the idle one's next slice again and again (the
+    /// mutex is not fair) while the job in its hand waits.
+    pub(crate) fn serve(self, jobs: Arc<Mutex<Receiver<EngineJob>>>) -> WorkerOutput {
+        // A poisoned lock only means another worker panicked mid-receive;
+        // the receiver itself is still sound.
+        self.feed(|idle| {
+            if idle {
+                let rx = jobs.lock().unwrap_or_else(|e| e.into_inner());
+                match rx.recv_timeout(SERVE_SLICE) {
+                    Ok(job) => Next::Tx(job),
+                    Err(RecvTimeoutError::Timeout) => Next::Empty,
+                    Err(RecvTimeoutError::Disconnected) => Next::Closed,
+                }
+            } else {
+                let rx = match jobs.try_lock() {
+                    Ok(rx) => rx,
+                    Err(TryLockError::Poisoned(e)) => e.into_inner(),
+                    Err(TryLockError::WouldBlock) => return Next::Empty,
                 };
-                match got {
-                    Some(job) => pending.push_back(Pending::new(job)),
-                    None => break,
+                match rx.try_recv() {
+                    Ok(job) => Next::Tx(job),
+                    Err(TryRecvError::Empty) => Next::Empty,
+                    Err(TryRecvError::Disconnected) => Next::Closed,
                 }
             }
-            if Instant::now() >= self.deadline {
-                // Watchdog: give every accepted job a terminal reply,
-                // then drain whatever is still queued the same way.
+        })
+    }
+
+    /// The feed loop: keep up to two batches of work buffered (one to
+    /// submit, one for the pipeline to speculate on while it is in
+    /// flight) and commit it round by round until the intake closes and
+    /// nothing is pending. `next(idle)` yields the next transaction;
+    /// `idle` tells it the worker holds no work and may block briefly.
+    ///
+    /// At the run deadline everything buffered *and* everything the intake
+    /// still holds is failed with `ServerTimeout`, so commits + failed
+    /// accounts for every transaction and every accepted engine job gets
+    /// a terminal completion.
+    fn feed<T: Finish>(mut self, mut next: impl FnMut(bool) -> Next<T>) -> WorkerOutput {
+        let mut pending: VecDeque<Pending<T>> = VecDeque::new();
+        let mut spec: Vec<Spec<T>> = Vec::new();
+        let mut closed = false;
+        let target = 2 * self.ctx.max_batch;
+        loop {
+            while !closed && pending.len() + spec.len() < target {
+                match next(pending.is_empty() && spec.is_empty()) {
+                    Next::Tx(tx) => pending.push_back(Pending::new(tx)),
+                    Next::Empty => break,
+                    Next::Closed => closed = true,
+                }
+            }
+            if Instant::now() >= self.ctx.deadline {
                 for s in spec.drain(..) {
                     self.fail(s.p, AbortReason::ServerTimeout);
                 }
                 for p in pending.drain(..) {
                     self.fail(p, AbortReason::ServerTimeout);
                 }
-                while let Ok(job) = {
-                    let rx = lock_jobs(&jobs);
-                    rx.try_recv()
-                } {
-                    self.fail(Pending::new(job), AbortReason::ServerTimeout);
+                while let Next::Tx(tx) = next(false) {
+                    self.fail(Pending::new(tx), AbortReason::ServerTimeout);
                 }
                 break;
             }
             if pending.is_empty() && spec.is_empty() {
-                if disconnected {
+                if closed {
                     break;
                 }
                 continue;
@@ -384,10 +339,10 @@ impl NativeWorker {
         if self.rounds % FOOTPRINT_SAMPLE_ROUNDS == 1 {
             self.metrics
                 .footprint
-                .push(self.now_ns(), self.store.footprint_bytes());
+                .push(self.now_ns(), self.ctx.store.footprint_bytes());
         }
-        let snapshot = self.atr.gts();
-        let round_slot = self.registry.register(snapshot);
+        let snapshot = self.ctx.atr.gts();
+        let round_slot = self.ctx.registry.register(snapshot);
         let mut retry: Vec<Pending<T>> = Vec::new();
         let mut execs: Vec<(Pending<T>, Executed, u64)> = Vec::new();
         // Unsquashed speculations first (they are the oldest work), then
@@ -400,19 +355,17 @@ impl NativeWorker {
         // timestamps see all of them. A stale speculation is recycled to
         // the front of `pending` so it re-executes at this very round's
         // fresh snapshot instead of burning a lane on a doomed submit.
-        let carry = spec.len().min(self.max_batch);
-        for mut s in spec.drain(..carry) {
+        let carry = spec.len().min(self.ctx.max_batch);
+        for s in spec.drain(..carry) {
             let newest =
                 s.ex.rs
                     .iter()
                     .chain(s.ex.ws.iter().map(|(i, _)| i))
-                    .filter_map(|&i| self.store.newest_ts(i));
+                    .filter_map(|&i| self.ctx.store.newest_ts(i));
             if !steps::spec_carry_fresh(s.snapshot, newest) {
                 self.metrics.pipeline.spec_squashed += 1;
-                if self.abort_retriable(&mut s.p, AbortReason::PreValidationKill) {
-                    pending.push_front(s.p);
-                } else {
-                    self.fail(s.p, AbortReason::RetryBudgetExhausted);
+                if let Some(p) = self.recycle(s.p, AbortReason::PreValidationKill) {
+                    pending.push_front(p);
                 }
                 continue;
             }
@@ -431,7 +384,7 @@ impl NativeWorker {
             // opacity violation.
             execs.push((s.p, s.ex, snapshot));
         }
-        let fresh = (self.max_batch - execs.len()).min(pending.len());
+        let fresh = (self.ctx.max_batch - execs.len()).min(pending.len());
         let batch: Vec<Pending<T>> = pending.drain(..fresh).collect();
         for mut p in batch {
             if p.attempts > 0 {
@@ -444,11 +397,9 @@ impl NativeWorker {
                 Exec::Update(ex) => execs.push((p, ex, snap)),
                 Exec::Overflow => {
                     let reason = self.overflow_reason(snap);
-                    if self.abort_retriable(&mut p, reason) {
+                    if let Some(mut p) = self.recycle(p, reason) {
                         self.maybe_pin(&mut p);
                         retry.push(p);
-                    } else {
-                        self.fail(p, AbortReason::RetryBudgetExhausted);
                     }
                 }
             }
@@ -479,13 +430,9 @@ impl NativeWorker {
             });
         }
         let mut survivors: Vec<(Pending<T>, Executed, u64)> = Vec::new();
-        for (k, (mut p, ex, snap)) in execs.into_iter().enumerate() {
+        for (k, (p, ex, snap)) in execs.into_iter().enumerate() {
             if losers & (1 << k) != 0 {
-                if self.abort_retriable(&mut p, AbortReason::PreValidationKill) {
-                    retry.push(p);
-                } else {
-                    self.fail(p, AbortReason::RetryBudgetExhausted);
-                }
+                retry.extend(self.recycle(p, AbortReason::PreValidationKill));
             } else {
                 survivors.push((p, ex, snap));
             }
@@ -495,7 +442,7 @@ impl NativeWorker {
         // write-back so our own registration doesn't force needless
         // spills. Pinned transactions keep their slots across rounds.
         if let Some(slot) = round_slot {
-            self.registry.deregister(slot);
+            self.ctx.registry.deregister(slot);
         }
         if !survivors.is_empty() {
             self.commit_batch(survivors, &mut retry, pending, spec);
@@ -505,22 +452,20 @@ impl NativeWorker {
 
     /// Execute at most one unit of speculative work while a batch is in
     /// flight. Admission goes through
-    /// [`csmv::steps::pipeline_admissible`]: depth 1 never speculates
-    /// (preserving the classic blocking worker exactly), and at depth `d`
-    /// at most `(d-1) * max_batch` executions are parked. The snapshot is
-    /// registered around the execution just like a round's, so the GC
-    /// retains whatever the speculative reads resolve on. Read-only
-    /// transactions commit on the spot — they never needed the server —
-    /// update executions are parked for the post-publish squash check, and
-    /// overflows take the ordinary retry/pin path. Returns false when no
-    /// speculative work was admissible; the caller then blocks exactly as
-    /// the unpipelined worker would.
+    /// [`csmv::steps::pipeline_admissible`]: at most `max_batch`
+    /// executions are parked. The snapshot is registered around the
+    /// execution just like a round's, so the GC retains whatever the
+    /// speculative reads resolve on. Read-only transactions commit on the
+    /// spot — they never needed the server — update executions are parked
+    /// for the post-publish squash check, and overflows take the ordinary
+    /// retry/pin path. Returns false when no speculative work was
+    /// admissible; the caller then blocks.
     fn speculate_one<T: Finish>(
         &mut self,
         pending: &mut VecDeque<Pending<T>>,
         spec: &mut Vec<Spec<T>>,
     ) -> bool {
-        if !steps::pipeline_admissible(self.pipeline_depth, true, spec.len(), self.max_batch) {
+        if !steps::pipeline_admissible(true, spec.len(), self.ctx.max_batch) {
             return false;
         }
         let Some(mut p) = pending.pop_front() else {
@@ -530,12 +475,12 @@ impl NativeWorker {
             p.tx.reset();
         }
         p.attempt_start = Instant::now();
-        let snapshot = self.atr.gts();
-        let slot = self.registry.register(snapshot);
+        let snapshot = self.ctx.atr.gts();
+        let slot = self.ctx.registry.register(snapshot);
         let snap = p.pin.map_or(snapshot, |(s, _)| s);
         let exec = self.execute(&mut p.tx, snap);
         if let Some(slot) = slot {
-            self.registry.deregister(slot);
+            self.ctx.registry.deregister(slot);
         }
         match exec {
             Exec::ReadOnly { reads } => self.commit_rot(p, snap, reads),
@@ -549,11 +494,9 @@ impl NativeWorker {
             }
             Exec::Overflow => {
                 let reason = self.overflow_reason(snap);
-                if self.abort_retriable(&mut p, reason) {
+                if let Some(mut p) = self.recycle(p, reason) {
                     self.maybe_pin(&mut p);
                     pending.push_back(p);
-                } else {
-                    self.fail(p, AbortReason::RetryBudgetExhausted);
                 }
             }
         }
@@ -565,7 +508,7 @@ impl NativeWorker {
     /// registered snapshot); at or above it the loss came from the
     /// registration/scan race window (`VersionOverflow`).
     fn overflow_reason(&self, snapshot: u64) -> AbortReason {
-        if snapshot < self.registry.watermark(self.atr.gts()) {
+        if snapshot < self.ctx.registry.watermark(self.ctx.atr.gts()) {
             AbortReason::SnapshotTooOld
         } else {
             AbortReason::VersionOverflow
@@ -584,11 +527,11 @@ impl NativeWorker {
     /// reclaim a version the pinned snapshot needs — leaving the snapshot
     /// *permanently* unreadable. So when an already-pinned transaction
     /// overflows, the pin is **re-armed**: the held slot moves
-    /// ([`SnapshotRegistry::update`]) to a fresh snapshot instead of
+    /// ([`stm_core::SnapshotRegistry::update`]) to a fresh snapshot instead of
     /// dooming the reader to retry a dead one. Every turn that scans after
     /// the re-arm retains the new snapshot's versions. Overflows while
     /// pinned are also exempt from the retry budget (see
-    /// [`NativeWorker::abort_retriable`]): each one implies a racing turn
+    /// [`NativeWorker::recycle`]): each one implies a racing turn
     /// poisoned the (re-)registration, which is bounded to one per turn,
     /// so a pinned reader never terminates with `RetryBudgetExhausted` —
     /// it commits once one execution goes unraced (the run-deadline
@@ -602,16 +545,16 @@ impl NativeWorker {
             return;
         }
         if let Some((_, slot)) = p.pin {
-            let snap = self.atr.gts();
-            self.registry.update(slot, snap);
+            let snap = self.ctx.atr.gts();
+            self.ctx.registry.update(slot, snap);
             p.pin = Some((snap, slot));
             return;
         }
-        if !steps::should_pin(p.attempts, self.policy.retry_budget) {
+        if !steps::should_pin(p.attempts, self.ctx.policy.retry_budget) {
             return;
         }
-        let snap = self.atr.gts();
-        if let Some(slot) = self.registry.register(snap) {
+        let snap = self.ctx.atr.gts();
+        if let Some(slot) = self.ctx.registry.register(snap) {
             p.pin = Some((snap, slot));
         }
     }
@@ -619,7 +562,7 @@ impl NativeWorker {
     /// Drop a transaction's pinned-snapshot registration, if any.
     fn release_pin<T>(&self, p: &mut Pending<T>) {
         if let Some((_, slot)) = p.pin.take() {
-            self.registry.deregister(slot);
+            self.ctx.registry.deregister(slot);
         }
     }
 
@@ -637,7 +580,7 @@ impl NativeWorker {
                         // touched shared state).
                         last = Some(v);
                     } else {
-                        match self.store.read_at(item, snapshot) {
+                        match self.ctx.store.read_at(item, snapshot) {
                             Some(v) => {
                                 reads.push((item, v));
                                 last = Some(v);
@@ -675,7 +618,7 @@ impl NativeWorker {
     /// Submit the surviving batch and, on grant, perform the in-order
     /// write-back and single GTS publication. While the batch is in
     /// flight, both the verdict wait and the GTS-turn wait drain
-    /// speculative work from `pending` into `spec` (depth > 1); after the
+    /// speculative work from `pending` into `spec`; after the
     /// write-back publishes, parked speculations whose footprints overlap
     /// the published write-set are squashed and recycled.
     fn commit_batch<T: Finish>(
@@ -710,16 +653,14 @@ impl NativeWorker {
             }
             BatchOutcome::Verdicts(vs) => {
                 let mut granted: Vec<(Pending<T>, Executed, u64, u64)> = Vec::new();
-                for ((mut p, ex, snap), v) in batch.into_iter().zip(vs) {
+                for ((p, ex, snap), v) in batch.into_iter().zip(vs) {
                     match v {
                         Verdict::Granted { cts } => granted.push((p, ex, snap, cts)),
                         Verdict::Rejected { reason } => {
                             if reason.is_terminal() {
                                 self.fail(p, reason);
-                            } else if self.abort_retriable(&mut p, reason) {
-                                retry.push(p);
                             } else {
-                                self.fail(p, AbortReason::RetryBudgetExhausted);
+                                retry.extend(self.recycle(p, reason));
                             }
                         }
                     }
@@ -746,20 +687,20 @@ impl NativeWorker {
                 // resolves on. A registration landing mid-write-back can
                 // miss this scan — that reader's one spurious abort is
                 // the documented race window.
-                let readers = self.registry.registered();
+                let readers = self.ctx.registry.registered();
                 for (_, ex, _, cts) in &granted {
                     for &(item, value) in &ex.ws {
-                        self.store.publish_gated(item, *cts, value, &readers);
+                        self.ctx.store.publish_gated(item, *cts, value, &readers);
                     }
                 }
-                self.atr.publish_gts(steps::gts_publish_value(base, nw));
+                self.ctx.atr.publish_gts(steps::gts_publish_value(base, nw));
                 self.squash_overlapping(&granted, pending, spec);
                 for (p, ex, snap, cts) in granted {
                     let latency = p.attempt_start.elapsed().as_nanos() as u64;
                     self.stats.update_commits += 1;
                     self.stats.useful_cycles += latency;
                     self.metrics.record_commit(latency);
-                    if self.record_history {
+                    if self.ctx.record_history {
                         self.records.push(TxRecord {
                             thread: self.id,
                             read_point: snap,
@@ -798,16 +739,12 @@ impl NativeWorker {
             .collect();
         let mut sws: Vec<u64> = Vec::new();
         let mut keep: Vec<Spec<T>> = Vec::with_capacity(spec.len());
-        for mut s in spec.drain(..) {
+        for s in spec.drain(..) {
             sws.clear();
             sws.extend(s.ex.ws.iter().map(|&(i, _)| i));
             if steps::speculative_preval(&s.ex.rs, &sws, published.iter().copied()) {
                 self.metrics.pipeline.spec_squashed += 1;
-                if self.abort_retriable(&mut s.p, AbortReason::PreValidationKill) {
-                    pending.push_back(s.p);
-                } else {
-                    self.fail(s.p, AbortReason::RetryBudgetExhausted);
-                }
+                pending.extend(self.recycle(s.p, AbortReason::PreValidationKill));
             } else {
                 keep.push(s);
             }
@@ -815,13 +752,12 @@ impl NativeWorker {
         *spec = keep;
     }
 
-    /// Spin until it is `base`'s turn to publish
-    /// ([`csmv::steps::gts_turn_reached`]); false on deadline. At depth 1
-    /// the wait is adaptive — brief spin, then yield, then short sleeps —
-    /// so an oversubscribed host (fewer cores than threads) hands the CPU
-    /// to whichever client actually holds the earlier turn. With the
-    /// pipeline on, the stall is drained into speculative execution of the
-    /// next batch instead of being burned.
+    /// Wait until it is `base`'s turn to publish
+    /// ([`csmv::steps::gts_turn_reached`]); false on deadline. The stall
+    /// is drained into speculative execution of the next batch; once
+    /// nothing is left to overlap, the worker parks on the ATR's turn
+    /// handoff — off the run queue while other clients speculate, and
+    /// woken by the publisher the moment its predecessor's window lands.
     fn await_turn<T: Finish>(
         &mut self,
         base: u64,
@@ -829,52 +765,28 @@ impl NativeWorker {
         spec: &mut Vec<Spec<T>>,
     ) -> bool {
         let wait_start = Instant::now();
-        let mut spins: u32 = 0;
         loop {
-            let gts = self.atr.gts();
-            if steps::gts_turn_reached(gts, base) {
+            if steps::gts_turn_reached(self.ctx.atr.gts(), base) {
                 let waited = wait_start.elapsed().as_nanos() as u64;
                 self.metrics.gts_stall.push(self.now_ns(), waited);
                 return true;
             }
-            if self.pipeline_depth > 1 {
-                // Speculation can keep succeeding indefinitely (e.g. a
-                // pinned reader recycling), so the watchdog deadline is
-                // re-checked on every unit, not only between blocks.
-                if Instant::now() >= self.deadline {
-                    return false;
-                }
-                if self.speculate_one(pending, spec) {
-                    continue;
-                }
-                // Nothing left to overlap: block until the chain
-                // advances. The event-driven handoff matters doubly here
-                // — this thread stops polluting the run queue while
-                // *other* pipelined clients speculate, and the publisher
-                // wakes it the moment its predecessor's window lands
-                // (a 50us sleep would queue the wake-up behind every
-                // runnable speculator).
-                self.atr.wait_turn(base, TURN_WAIT_SLICE);
-                continue;
+            // Speculation can keep succeeding indefinitely (e.g. a pinned
+            // reader recycling), so the watchdog deadline is re-checked
+            // on every unit, not only between parks.
+            if Instant::now() >= self.ctx.deadline {
+                return false;
             }
-            spins += 1;
-            if spins < 64 {
-                std::hint::spin_loop();
-            } else if spins < 1024 {
-                std::thread::yield_now();
-            } else {
-                if Instant::now() >= self.deadline {
-                    return false;
-                }
-                std::thread::sleep(Duration::from_micros(50));
+            if !self.speculate_one(pending, spec) {
+                self.ctx.atr.wait_turn(base, TURN_WAIT_SLICE);
             }
         }
     }
 
     /// The send / await-response / resend loop for one batch, following
     /// the retry policy. Responses for older batch seqs are discarded via
-    /// [`csmv::steps::response_certified`]. With the pipeline on, the
-    /// response wait interleaves speculative execution of the next batch;
+    /// [`csmv::steps::response_certified`]. The response wait
+    /// interleaves speculative execution of the next batch;
     /// only one batch is ever outstanding at the server, so duplicate
     /// suppression and response certification are untouched.
     fn submit<T: Finish>(
@@ -888,7 +800,7 @@ impl NativeWorker {
         let mut attempt: u32 = 0;
         loop {
             attempt += 1;
-            if attempt > self.policy.max_send_attempts {
+            if attempt > self.ctx.policy.max_send_attempts {
                 // Same leak guard as the dead-server path below: a granted
                 // response may have arrived just as the budget ran out.
                 while let Ok(resp) = self.resp_rx.try_recv() {
@@ -899,10 +811,13 @@ impl NativeWorker {
                 return BatchOutcome::Terminal(AbortReason::ServerTimeout);
             }
             if attempt > 1 {
-                let backoff_us = self.policy.backoff_cycles(self.id as u64, seq, attempt - 1);
+                let backoff_us = self
+                    .ctx
+                    .policy
+                    .backoff_cycles(self.id as u64, seq, attempt - 1);
                 if backoff_us > 0 {
                     let until =
-                        (Instant::now() + Duration::from_micros(backoff_us)).min(self.deadline);
+                        (Instant::now() + Duration::from_micros(backoff_us)).min(self.ctx.deadline);
                     let now = Instant::now();
                     if until > now {
                         std::thread::sleep(until - now);
@@ -911,6 +826,7 @@ impl NativeWorker {
                 self.metrics.record_fault(FaultEvent::Resend, self.now_ns());
             }
             let dropped = self
+                .ctx
                 .faults
                 .as_ref()
                 .is_some_and(|f| f.drop_request(self.id, seq, attempt));
@@ -943,14 +859,15 @@ impl NativeWorker {
                 }
             }
             let timeout = self
+                .ctx
                 .policy
                 .resp_timeout
                 .map_or(INERT_WAIT_SLICE, Duration::from_micros);
-            let wait_until = (Instant::now() + timeout).min(self.deadline);
+            let wait_until = (Instant::now() + timeout).min(self.ctx.deadline);
             loop {
                 let now = Instant::now();
                 if now >= wait_until {
-                    if now >= self.deadline {
+                    if now >= self.ctx.deadline {
                         return BatchOutcome::Abandoned;
                     }
                     self.metrics
@@ -958,9 +875,8 @@ impl NativeWorker {
                     break; // next send attempt, same seq
                 }
                 // Poll for the verdicts first, then overlap the wait with
-                // speculative execution (depth > 1); when nothing is
-                // admissible, block exactly as the unpipelined worker
-                // does.
+                // speculative execution; when nothing is admissible,
+                // block on the response channel.
                 match self.resp_rx.try_recv() {
                     Ok(resp) => {
                         if steps::response_certified(resp.seq, seq) {
@@ -1003,7 +919,7 @@ impl NativeWorker {
         self.stats.rot_commits += 1;
         self.stats.useful_cycles += latency;
         self.metrics.record_commit(latency);
-        if self.record_history {
+        if self.ctx.record_history {
             self.records.push(TxRecord {
                 thread: self.id,
                 read_point: snapshot,
@@ -1015,9 +931,9 @@ impl NativeWorker {
         p.tx.finish(Ok(()));
     }
 
-    /// Record a retriable abort and bump the attempt counter; false when
-    /// the retry budget is exhausted (the caller must then fail the
-    /// transaction terminally with `RetryBudgetExhausted`).
+    /// Record a retriable abort and hand the transaction back for another
+    /// attempt — or, once its retry budget is exhausted, fail it
+    /// terminally with `RetryBudgetExhausted` and return `None`.
     ///
     /// Aborts of an already-pinned reader are recorded in the stats but
     /// **not** charged against the budget: the re-arm bounds them to one
@@ -1027,7 +943,7 @@ impl NativeWorker {
     /// burn down to `RetryBudgetExhausted` while waiting out the race.
     /// (Only read-only transactions pin, and they only abort on overflow,
     /// so this never shields a validation failure.)
-    fn abort_retriable<T: TxLogic>(&mut self, p: &mut Pending<T>, reason: AbortReason) -> bool {
+    fn recycle<T: Finish>(&mut self, mut p: Pending<T>, reason: AbortReason) -> Option<Pending<T>> {
         let latency = p.attempt_start.elapsed().as_nanos() as u64;
         if p.tx.is_read_only() {
             self.stats.rot_aborts += 1;
@@ -1036,11 +952,14 @@ impl NativeWorker {
         }
         self.stats.wasted_cycles += latency;
         self.metrics.record_abort(reason, latency);
-        if p.pin.is_some() {
-            return true;
+        if p.pin.is_none() {
+            p.attempts += 1;
+            if self.ctx.policy.budget_exhausted(p.attempts) {
+                self.fail(p, AbortReason::RetryBudgetExhausted);
+                return None;
+            }
         }
-        p.attempts += 1;
-        !self.policy.budget_exhausted(p.attempts)
+        Some(p)
     }
 
     /// Fail a transaction terminally (recovery outcome, never retried)
@@ -1058,40 +977,210 @@ impl NativeWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::atr::NativeAtr;
+    use crate::engine::Completion;
+    use crate::store::NativeStore;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use stm_core::{RetryPolicy, SnapshotRegistry};
     use workloads::BankTx;
 
-    /// A worker wired to dummy channels — enough to drive `round` for
-    /// read-only transactions, which never touch the server.
+    /// Worker 0 of a one-worker pool whose commit server is the test
+    /// itself: it holds the request receiver and answers (or not) as the
+    /// scenario needs. Read-only transactions never touch it.
     fn lone_worker(
         registry: Arc<SnapshotRegistry>,
         store: Arc<NativeStore>,
         atr: Arc<NativeAtr>,
         budget: u32,
+        max_run: Duration,
     ) -> (NativeWorker, Receiver<CommitRequest>) {
-        let (req_tx, req_rx) = std::sync::mpsc::sync_channel(4);
-        let (resp_tx, resp_rx) = std::sync::mpsc::channel();
-        let policy = RetryPolicy {
-            retry_budget: Some(budget),
-            ..RetryPolicy::default()
-        };
-        let now = Instant::now();
-        let w = NativeWorker::new(
-            0,
+        let (req_tx, req_rx) = mpsc::sync_channel(4);
+        let start = Instant::now();
+        let ctx = Shared {
             store,
             atr,
             registry,
-            req_tx,
-            resp_tx,
-            resp_rx,
-            policy,
-            None,
-            now + Duration::from_secs(10),
-            now,
+            policy: RetryPolicy {
+                retry_budget: Some(budget),
+                ..RetryPolicy::default()
+            },
+            faults: None,
+            start,
+            deadline: start + max_run,
+            max_batch: 8,
+            record_history: true,
+        };
+        (NativeWorker::new(0, ctx, req_tx), req_rx)
+    }
+
+    /// A lone worker over `accounts` accounts of balance 100.
+    fn bank_worker(accounts: u64, max_run: Duration) -> (NativeWorker, Receiver<CommitRequest>) {
+        lone_worker(
+            Arc::new(SnapshotRegistry::new(4)),
+            Arc::new(NativeStore::new(accounts, 2, |_| 100)),
+            Arc::new(NativeAtr::new(64, 4)),
             8,
-            2,
-            true,
-        );
-        (w, req_rx)
+            max_run,
+        )
+    }
+
+    /// Transfer `k` of a conflict-free series: account `2k` to `2k + 1`.
+    fn transfer(k: u64) -> BankTx {
+        BankTx::Transfer {
+            from: 2 * k,
+            to: 2 * k + 1,
+            amount: 1,
+            step: 0,
+            from_balance: 0,
+            to_balance: 0,
+        }
+    }
+
+    /// Closed-loop source of `transfer(0..n)`.
+    struct Transfers(std::ops::Range<u64>);
+
+    impl TxSource for Transfers {
+        type Tx = BankTx;
+        fn next_tx(&mut self) -> Option<BankTx> {
+            self.0.next().map(transfer)
+        }
+    }
+
+    /// Stand-in commit server: grants every submitted transaction the
+    /// next timestamp, calling `before_reply(seq)` first so a test can
+    /// hold a batch in flight. Returns when the worker hangs up.
+    fn grant_all(req_rx: Receiver<CommitRequest>, before_reply: impl Fn(u64)) {
+        let mut next_cts = 1;
+        for req in req_rx {
+            before_reply(req.seq);
+            let verdicts = (0..req.txs.len() as u64)
+                .map(|k| Verdict::Granted { cts: next_cts + k })
+                .collect();
+            next_cts += req.txs.len() as u64;
+            let _ = req.resp.send(CommitResponse {
+                seq: req.seq,
+                verdicts,
+            });
+        }
+    }
+
+    /// The deadline drain is the same for both intakes: with a server
+    /// that never answers, whatever was submitted, parked as speculation
+    /// or buffered, and everything the intake still holds, each get
+    /// exactly one terminal outcome.
+    #[test]
+    fn deadline_fails_every_transaction_of_either_intake_exactly_once() {
+        const PRODUCED: u64 = 40;
+        let max_run = Duration::from_millis(60);
+
+        let (w, _mute_server) = bank_worker(2 * PRODUCED, max_run);
+        let out = w.run(Transfers(0..PRODUCED));
+        assert_eq!(out.stats.commits(), 0);
+        assert_eq!(out.stats.failed, PRODUCED);
+
+        let (w, _mute_server) = bank_worker(2 * PRODUCED, max_run);
+        let (submit_tx, submit_rx) = mpsc::sync_channel(PRODUCED as usize);
+        let (done_tx, done_rx) = mpsc::channel::<Completion>();
+        for k in 0..PRODUCED {
+            let job = EngineJob::new(Box::new(transfer(k)), done_tx.clone());
+            assert!(submit_tx.try_send(job).is_ok());
+        }
+        drop(done_tx);
+        // The submitter stays connected: only the deadline ends the run,
+        // and most jobs are still queued when it does.
+        let out = w.serve(Arc::new(Mutex::new(submit_rx)));
+        assert_eq!(out.stats.commits(), 0);
+        assert_eq!(out.stats.failed, PRODUCED);
+        drop(submit_tx);
+        let completions: Vec<Completion> = done_rx.iter().collect();
+        assert_eq!(completions.len() as u64, PRODUCED);
+        assert!(completions
+            .iter()
+            .all(|c| c.outcome == Err(AbortReason::ServerTimeout)));
+    }
+
+    /// While a batch is in flight the worker executes the next one
+    /// speculatively, and carries it into the next round unexecuted. The
+    /// server holds the first batch until all 16 bodies have run, which
+    /// only speculation can achieve.
+    #[test]
+    fn work_buffered_behind_a_batch_in_flight_is_speculated_and_carried() {
+        /// Counts completed executions of the wrapped body.
+        struct Counted(BankTx, Arc<AtomicUsize>);
+        impl TxLogic for Counted {
+            fn is_read_only(&self) -> bool {
+                self.0.is_read_only()
+            }
+            fn reset(&mut self) {
+                self.0.reset()
+            }
+            fn next(&mut self, last_read: Option<u64>) -> TxOp {
+                let op = self.0.next(last_read);
+                if matches!(op, TxOp::Finish) {
+                    self.1.fetch_add(1, Ordering::SeqCst);
+                }
+                op
+            }
+        }
+
+        let (w, req_rx) = bank_worker(32, Duration::from_secs(10));
+        let executed = Arc::new(AtomicUsize::new(0));
+        let out = std::thread::scope(|s| {
+            let seen = executed.clone();
+            s.spawn(move || {
+                grant_all(req_rx, |seq| {
+                    let give_up = Instant::now() + Duration::from_secs(5);
+                    while seq == 1 && seen.load(Ordering::SeqCst) < 16 && Instant::now() < give_up {
+                        std::thread::yield_now();
+                    }
+                })
+            });
+            let mut k = 0;
+            w.feed(|_idle| {
+                if k == 16 {
+                    return Next::Closed;
+                }
+                k += 1;
+                Next::Tx(Fire(Counted(transfer(k - 1), executed.clone())))
+            })
+        });
+        assert_eq!(out.stats.update_commits, 16);
+        assert_eq!(out.stats.failed, 0);
+        assert_eq!(out.stats.aborts(), 0);
+        assert_eq!(executed.load(Ordering::SeqCst), 16, "nothing re-executed");
+        assert_eq!(out.metrics.pipeline.spec_executed, 8);
+        assert_eq!(out.metrics.pipeline.spec_submitted, 8);
+        assert_eq!(out.metrics.pipeline.spec_squashed, 0);
+    }
+
+    /// Speculation needs work buffered behind the flight: three rounds
+    /// that each cut everything pending into their batch speculate
+    /// nothing, however long the server takes.
+    #[test]
+    fn nothing_is_speculated_when_every_batch_takes_all_pending_work() {
+        let (w, req_rx) = bank_worker(48, Duration::from_secs(10));
+        let out = std::thread::scope(|s| {
+            s.spawn(move || grant_all(req_rx, |_| std::thread::yield_now()));
+            // Eight transactions, then a pause until the worker has
+            // nothing left, three times over.
+            let (mut k, mut paused) = (0, false);
+            w.feed(|_idle| {
+                if k == 24 {
+                    return Next::Closed;
+                }
+                if k % 8 == 0 && k > 0 && !paused {
+                    paused = true;
+                    return Next::Empty;
+                }
+                paused = false;
+                k += 1;
+                Next::Tx(Fire(transfer(k - 1)))
+            })
+        });
+        assert_eq!(out.stats.update_commits, 24);
+        assert_eq!(out.stats.failed, 0);
+        assert_eq!(out.metrics.pipeline.spec_executed, 0);
+        assert_eq!(out.metrics.pipeline.spec_submitted, 0);
     }
 
     fn full_scan(accounts: u64) -> Pending<Fire<BankTx>> {
@@ -1113,7 +1202,13 @@ mod tests {
         let atr = Arc::new(NativeAtr::new(64, 4));
         let registry = Arc::new(SnapshotRegistry::new(4));
         // Budget 6: pinning engages at attempt 3 (half the budget).
-        let (mut w, _req_rx) = lone_worker(registry.clone(), store.clone(), atr.clone(), 6);
+        let (mut w, _req_rx) = lone_worker(
+            registry.clone(),
+            store.clone(),
+            atr.clone(),
+            6,
+            Duration::from_secs(10),
+        );
 
         // The racing turn: write-back done (old version reclaimed — its
         // registry scan predated every registration), GTS not yet bumped.
@@ -1173,7 +1268,13 @@ mod tests {
         let atr = Arc::new(NativeAtr::new(64, 4));
         let registry = Arc::new(SnapshotRegistry::new(1));
         let foreign = registry.register(5).expect("slot free");
-        let (mut w, _req_rx) = lone_worker(registry.clone(), store.clone(), atr.clone(), 6);
+        let (mut w, _req_rx) = lone_worker(
+            registry.clone(),
+            store.clone(),
+            atr.clone(),
+            6,
+            Duration::from_secs(10),
+        );
 
         store.publish_gated(0, 1, 20, &[]);
         let mut pending: VecDeque<Pending<Fire<BankTx>>> = VecDeque::new();

@@ -146,6 +146,7 @@ pub fn serve<A: ToSocketAddrs>(
                 handles.push(std::thread::spawn(move || conn.run()));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                reap_finished(&mut handles);
                 std::thread::sleep(Duration::from_millis(20));
             }
             Err(_) => break,
@@ -176,6 +177,14 @@ pub fn serve<A: ToSocketAddrs>(
         result,
         connections,
     })
+}
+
+/// Drop the handles of threads that have already ended, so a long-lived
+/// server under connection churn holds handles only for the connections
+/// still open. (A connection thread's result is ignored at the final join
+/// too, so nothing is lost by not joining a finished one.)
+fn reap_finished<T>(handles: &mut Vec<std::thread::JoinHandle<T>>) {
+    handles.retain(|h| !h.is_finished());
 }
 
 #[cfg(test)]
@@ -211,6 +220,21 @@ mod tests {
             buf.extend_from_slice(&chunk[..n]);
         }
         replies
+    }
+
+    #[test]
+    fn reaping_drops_finished_threads_and_keeps_live_ones() {
+        let (release, parked) = std::sync::mpsc::channel::<()>();
+        let live = std::thread::spawn(move || parked.recv().is_ok());
+        let mut handles: Vec<_> = (0..3).map(|_| std::thread::spawn(|| true)).collect();
+        while !handles.iter().all(|h| h.is_finished()) {
+            std::thread::yield_now();
+        }
+        handles.insert(1, live);
+        reap_finished(&mut handles);
+        assert_eq!(handles.len(), 1, "only the parked thread is kept");
+        release.send(()).unwrap();
+        assert!(handles.pop().unwrap().join().unwrap());
     }
 
     #[test]

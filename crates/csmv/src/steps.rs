@@ -266,20 +266,14 @@ pub fn preval_losers(
 
 /// Pipelined commit admission: may a client start one more *speculative*
 /// execution while a batch it already submitted is still awaiting its
-/// verdicts or its GTS turn? Depth 1 is the unpipelined protocol (never
-/// speculate); depth `d` admits up to `(d - 1) * max_batch` buffered
-/// speculative executions behind the single in-flight batch. Recovery's
+/// verdicts or its GTS turn? At most one batch of speculative executions
+/// (`max_batch`) is parked behind the single in-flight batch. Recovery's
 /// per-client seq certification allows only one *submitted* batch at a
-/// time, so the depth knob governs speculation volume, never outstanding
+/// time, so this bounds speculation volume, never outstanding
 /// submissions.
 #[inline]
-pub fn pipeline_admissible(
-    depth: usize,
-    in_flight: bool,
-    buffered: usize,
-    max_batch: usize,
-) -> bool {
-    depth > 1 && in_flight && buffered < (depth - 1) * max_batch
+pub fn pipeline_admissible(in_flight: bool, buffered: usize, max_batch: usize) -> bool {
+    in_flight && buffered < max_batch
 }
 
 /// Speculative pre-validation: must a transaction executed speculatively
@@ -454,17 +448,12 @@ mod tests {
 
     #[test]
     fn pipeline_admission_follows_depth_and_buffer() {
-        // Depth 1: the unpipelined protocol never speculates.
-        assert!(!pipeline_admissible(1, true, 0, 8));
-        // Depth 2: up to one extra batch of speculative work.
-        assert!(pipeline_admissible(2, true, 0, 8));
-        assert!(pipeline_admissible(2, true, 7, 8));
-        assert!(!pipeline_admissible(2, true, 8, 8));
+        // Up to one extra batch of speculative work behind the flight.
+        assert!(pipeline_admissible(true, 0, 8));
+        assert!(pipeline_admissible(true, 7, 8));
+        assert!(!pipeline_admissible(true, 8, 8));
         // No in-flight batch: nothing to overlap with.
-        assert!(!pipeline_admissible(2, false, 0, 8));
-        // Deeper pipelines scale the buffer linearly.
-        assert!(pipeline_admissible(3, true, 15, 8));
-        assert!(!pipeline_admissible(3, true, 16, 8));
+        assert!(!pipeline_admissible(false, 0, 8));
     }
 
     #[test]

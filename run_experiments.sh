@@ -5,8 +5,7 @@
 #
 # With no arguments, runs the full simulated-experiment manifest from
 # scripts/bench-bins.sh; pass bin names to run a subset. Native bins work
-# too (e.g. `./run_experiments.sh native_suite` sweeps the commit-pipeline
-# depth lanes listed in the manifest's NATIVE_PIPELINE_DEPTHS).
+# too (e.g. `./run_experiments.sh native_suite`).
 set -u
 cd "$(dirname "$0")"
 source scripts/bench-bins.sh

@@ -18,9 +18,3 @@ SIM_BINS="fig2 fig3 fig4 table1 table2 table3 table4 table5 bank_suite mc_suite 
 NATIVE_BINS="native_suite native_equiv"
 SERVICE_BINS="loadgen"
 TOOL_BINS="bench-gate"
-
-# Commit-pipeline depths the native jobs sweep (`--pipeline-depth` on
-# native_equiv, the write-heavy depth lanes in native_suite): 1 is the
-# unpipelined commit path, 2 the speculative pipeline. Kept here so CI
-# matrices and local runs agree on the swept depths.
-NATIVE_PIPELINE_DEPTHS="1 2"

@@ -1,15 +1,15 @@
 //! Pipelined-commit equivalence for the native backend.
 //!
-//! Depth 1 is the unpipelined pre-pipeline worker; depth 2 overlaps the
-//! next batch's execution with the current batch's verdict wait and GTS
-//! stall. Two obligations:
+//! The worker overlaps the next batch's execution with the current
+//! batch's verdict wait and GTS stall. Two obligations:
 //!
 //! 1. **Bit-equal final states.** On a commutative bank configuration (a
-//!    balance floor the transfer clamp can never reach) every commit
-//!    order reaches the same final state, so a depth-2 run and a depth-1
-//!    run of the identical transaction multiset must agree exactly —
+//!    balance floor the transfer clamp can never reach) the final state
+//!    is a function of the transaction multiset alone, so a native run
+//!    must land exactly where a serial execution of the same seeded
+//!    sources does, and where its own committed records replay to —
 //!    speculation may reorder commits, never change them.
-//! 2. **Chaos.** Depth 2 under fixed fault seeds (message drops, a
+//! 2. **Chaos.** The pipeline under fixed fault seeds (message drops, a
 //!    mid-run server kill) must stay opaque (`run_checked` applies
 //!    `stm_core::check_history` internally) with full terminal
 //!    accounting, mirroring `tests/native_faults.rs`.
@@ -18,8 +18,10 @@ use std::time::Duration;
 
 use csmv_native::{KillServer, NativeConfig, NativeFaultPlan, NativeFaultSpec};
 use proptest::prelude::*;
+use stm_core::history::replay_committed;
+use stm_core::logic::run_sequential;
 use stm_core::metrics::AbortReason;
-use stm_core::RetryPolicy;
+use stm_core::{RetryPolicy, TxSource};
 use workloads::{BankConfig, BankSource};
 
 /// Hard ceiling on one native run (see `tests/native_faults.rs`).
@@ -37,60 +39,53 @@ fn commutative_bank() -> BankConfig {
     }
 }
 
-fn run_at_depth(
-    depth: usize,
-    clients: usize,
-    bank: &BankConfig,
-    seed: u64,
-    txs: usize,
-) -> csmv_native::NativeRunResult {
-    let cfg = NativeConfig {
-        client_threads: clients,
-        server_threads: 2,
-        pipeline_depth: depth,
-        max_run: MAX_RUN,
-        ..Default::default()
-    };
-    csmv_native::run_checked(
-        &cfg,
-        |t| BankSource::new(bank, seed, t, txs),
-        bank.accounts,
-        |_| bank.initial_balance,
-    )
-    .unwrap_or_else(|e| panic!("depth-{depth} native run not opaque: {e}"))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8 })]
 
-    /// Depth-2 and depth-1 runs of the same seeded commutative workload
-    /// commit everything and land on bit-equal final states.
+    /// A pipelined run of a seeded commutative workload commits
+    /// everything and lands on the serial execution's final state.
     #[test]
-    fn pipelined_and_unpipelined_runs_agree_on_commutative_bank(
+    fn pipelined_run_agrees_with_serial_execution_on_commutative_bank(
         seed in proptest::num::u64::ANY,
         clients in 1usize..=4,
     ) {
         let bank = commutative_bank();
         let txs = 24;
-        let total = (clients * txs) as u64;
-        let d1 = run_at_depth(1, clients, &bank, seed, txs);
-        let d2 = run_at_depth(2, clients, &bank, seed, txs);
-        prop_assert_eq!(d1.stats.failed, 0);
-        prop_assert_eq!(d2.stats.failed, 0);
-        prop_assert_eq!(d1.stats.commits(), total);
-        prop_assert_eq!(d2.stats.commits(), total);
+        let cfg = NativeConfig {
+            client_threads: clients,
+            server_threads: 2,
+            max_run: MAX_RUN,
+            ..Default::default()
+        };
+        let res = csmv_native::run_checked(
+            &cfg,
+            |t| BankSource::new(&bank, seed, t, txs),
+            bank.accounts,
+            |_| bank.initial_balance,
+        )
+        .unwrap_or_else(|e| panic!("native run not opaque: {e}"));
+        prop_assert_eq!(res.stats.failed, 0);
+        prop_assert_eq!(res.stats.commits(), (clients * txs) as u64);
+
+        let mut serial = bank.initial_state();
+        for t in 0..clients {
+            let mut source = BankSource::new(&bank, seed, t, txs);
+            while let Some(mut tx) = source.next_tx() {
+                run_sequential(&mut tx, &mut serial);
+            }
+        }
         prop_assert_eq!(
-            &d1.final_state, &d2.final_state,
-            "commutative workload: pipeline depth must not change the final state"
+            &res.final_state, &serial,
+            "commutative workload: commit order must not change the final state"
         );
-        // Depth 1 must be the unpipelined worker, not a slow pipeline:
-        // nothing may be speculatively executed or submitted.
-        prop_assert_eq!(d1.metrics.pipeline.spec_executed, 0);
-        prop_assert_eq!(d1.metrics.pipeline.spec_submitted, 0);
+        prop_assert_eq!(
+            &replay_committed(&res.records, &bank.initial_state()), &res.final_state,
+            "the store must hold exactly what the committed records wrote"
+        );
     }
 }
 
-/// Depth-2 chaos lanes: fixed fault seeds, each run opaque and fully
+/// Chaos lanes: fixed fault seeds, each run opaque and fully
 /// accounted inside the deadline.
 #[test]
 fn pipelined_runs_survive_chaos_faults() {
@@ -130,7 +125,6 @@ fn pipelined_runs_survive_chaos_faults() {
         let cfg = NativeConfig {
             client_threads: clients,
             server_threads: 2,
-            pipeline_depth: 2,
             recovery: RetryPolicy {
                 resp_timeout: Some(5_000),
                 max_send_attempts: 8,
