@@ -140,6 +140,16 @@ impl NativeAtr {
             .retain(|(_, thread)| thread.id() != me);
     }
 
+    /// Block until the GTS has (or may have) moved past `seen`, or
+    /// `timeout` elapses — the wait of a worker whose every runnable
+    /// retry needs a newer snapshot
+    /// ([`csmv::steps::retry_may_succeed`]). It parks on the turn-waiter
+    /// list: the GTS first exceeds `seen` exactly when the turn of a
+    /// batch based at `seen + 2` is reached or passed.
+    pub(crate) fn wait_gts_past(&self, seen: u64, timeout: Duration) {
+        self.wait_turn(seen + 2, timeout);
+    }
+
     /// Current reservation counter.
     pub(crate) fn next_cts(&self) -> u64 {
         self.next_cts.load(Ordering::SeqCst)
@@ -302,6 +312,31 @@ mod tests {
         waiter.join().expect("waiter thread panicked");
         assert!(atr.turn_waiters.lock().is_empty());
         assert_eq!(atr.gts(), 3);
+    }
+
+    #[test]
+    fn wait_gts_past_wakes_on_the_first_publication_past_the_seen_value() {
+        use std::sync::Arc;
+
+        let atr = Arc::new(NativeAtr::new(8, 2));
+        atr.publish_gts(5);
+        // Already past: no park, no registration.
+        atr.wait_gts_past(4, Duration::from_secs(5));
+        assert!(atr.turn_waiters.lock().is_empty());
+        let waiter = {
+            let atr = Arc::clone(&atr);
+            std::thread::spawn(move || {
+                while atr.gts() <= 5 {
+                    atr.wait_gts_past(5, Duration::from_secs(5));
+                }
+            })
+        };
+        while atr.turn_waiters.lock().is_empty() {
+            std::thread::yield_now();
+        }
+        atr.publish_gts(6);
+        waiter.join().expect("waiter thread panicked");
+        assert!(atr.turn_waiters.lock().is_empty());
     }
 
     #[test]

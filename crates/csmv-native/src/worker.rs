@@ -18,9 +18,12 @@
 //! ([`csmv::steps::spec_carry_fresh`]) that squashes a parked execution
 //! any *other* client's commit has invalidated — and, when it passes,
 //! justifies promoting the execution to the round snapshot (see
-//! `round`'s carry loop). Turn waits park on the ATR's event-driven
-//! handoff ([`crate::atr::NativeAtr::wait_turn`]) once speculation runs
-//! dry.
+//! `round`'s carry loop). One more decides what is *not* run: a
+//! transaction the server rejected at snapshot `s` stays where it is
+//! while the GTS still reads `s` ([`csmv::steps::retry_may_succeed`]).
+//! Turn waits — and the wait for the GTS to move when nothing else is
+//! runnable — park on the ATR's event-driven handoff
+//! ([`crate::atr::NativeAtr::wait_turn`]) once speculation runs dry.
 //!
 //! Transactions reach the worker through one feed loop
 //! ([`NativeWorker::feed`]) with two intakes: a closed-loop `TxSource`
@@ -118,6 +121,12 @@ struct Pending<T> {
     /// before it landed) is re-armed at a fresh snapshot, keeping the slot
     /// (see [`NativeWorker::maybe_pin`]).
     pin: Option<(u64, usize)>,
+    /// The snapshot the commit server last rejected this transaction at.
+    /// While the GTS still reads that value a retry is futile
+    /// ([`csmv::steps::retry_may_succeed`]): it would execute at the same
+    /// snapshot and be rejected against the same ATR entry. Never
+    /// cleared — once the GTS has moved past it, it no longer matters.
+    rejected_at: Option<u64>,
 }
 
 impl<T> Pending<T> {
@@ -127,8 +136,22 @@ impl<T> Pending<T> {
             attempts: 0,
             attempt_start: Instant::now(),
             pin: None,
+            rejected_at: None,
         }
     }
+
+    /// May this transaction be executed now, with the GTS at `gts`?
+    fn runnable_at(&self, gts: u64) -> bool {
+        self.rejected_at
+            .is_none_or(|s| steps::retry_may_succeed(s, gts))
+    }
+}
+
+/// Remove the first transaction of `pending` that may run at `gts`. Those
+/// that may not keep their places, so order is kept on both sides.
+fn pop_runnable<T>(pending: &mut VecDeque<Pending<T>>, gts: u64) -> Option<Pending<T>> {
+    let first = pending.iter().position(|p| p.runnable_at(gts))?;
+    pending.remove(first)
 }
 
 /// A fully executed update transaction, ready to submit.
@@ -334,6 +357,11 @@ impl NativeWorker {
     /// snapshots: they went through the post-publish squash, so their
     /// footprints are disjoint from everything published since they ran,
     /// and the server re-validates them against its ATR window anyway.
+    ///
+    /// Transactions the server rejected at this very snapshot are passed
+    /// over ([`Pending::runnable_at`]): no execution, no budget charge.
+    /// A round left with nothing to run waits for the next GTS
+    /// publication on the ATR's waiter list instead of resubmitting them.
     fn round<T: Finish>(&mut self, pending: &mut VecDeque<Pending<T>>, spec: &mut Vec<Spec<T>>) {
         self.rounds += 1;
         if self.rounds % FOOTPRINT_SAMPLE_ROUNDS == 1 {
@@ -384,8 +412,21 @@ impl NativeWorker {
             // opacity violation.
             execs.push((s.p, s.ex, snapshot));
         }
-        let fresh = (self.ctx.max_batch - execs.len()).min(pending.len());
-        let batch: Vec<Pending<T>> = pending.drain(..fresh).collect();
+        let room = self.ctx.max_batch - execs.len();
+        let batch: Vec<Pending<T>> = std::iter::from_fn(|| pop_runnable(pending, snapshot))
+            .take(room)
+            .collect();
+        if batch.is_empty() && execs.is_empty() {
+            // Everything pending was rejected at this snapshot by a batch
+            // another worker has been granted and not yet written back.
+            // `TURN_WAIT_SLICE` bounds the park, so the feed loop still
+            // sees the run deadline and new arrivals.
+            if let Some(slot) = round_slot {
+                self.ctx.registry.deregister(slot);
+            }
+            self.ctx.atr.wait_gts_past(snapshot, TURN_WAIT_SLICE);
+            return;
+        }
         for mut p in batch {
             if p.attempts > 0 {
                 p.tx.reset();
@@ -458,8 +499,9 @@ impl NativeWorker {
     /// speculative reads resolve on. Read-only transactions commit on the
     /// spot — they never needed the server — update executions are parked
     /// for the post-publish squash check, and overflows take the ordinary
-    /// retry/pin path. Returns false when no speculative work was
-    /// admissible; the caller then blocks.
+    /// retry/pin path. A transaction rejected at the current snapshot is
+    /// not speculated either ([`Pending::runnable_at`]). Returns false
+    /// when no speculative work was admissible; the caller then blocks.
     fn speculate_one<T: Finish>(
         &mut self,
         pending: &mut VecDeque<Pending<T>>,
@@ -468,14 +510,14 @@ impl NativeWorker {
         if !steps::pipeline_admissible(true, spec.len(), self.ctx.max_batch) {
             return false;
         }
-        let Some(mut p) = pending.pop_front() else {
+        let snapshot = self.ctx.atr.gts();
+        let Some(mut p) = pop_runnable(pending, snapshot) else {
             return false;
         };
         if p.attempts > 0 {
             p.tx.reset();
         }
         p.attempt_start = Instant::now();
-        let snapshot = self.ctx.atr.gts();
         let slot = self.ctx.registry.register(snapshot);
         let snap = p.pin.map_or(snapshot, |(s, _)| s);
         let exec = self.execute(&mut p.tx, snap);
@@ -659,8 +701,9 @@ impl NativeWorker {
                         Verdict::Rejected { reason } => {
                             if reason.is_terminal() {
                                 self.fail(p, reason);
-                            } else {
-                                retry.extend(self.recycle(p, reason));
+                            } else if let Some(mut p) = self.recycle(p, reason) {
+                                p.rejected_at = Some(snap);
+                                retry.push(p);
                             }
                         }
                     }
@@ -1181,6 +1224,58 @@ mod tests {
         assert_eq!(out.stats.failed, 0);
         assert_eq!(out.metrics.pipeline.spec_executed, 0);
         assert_eq!(out.metrics.pipeline.spec_submitted, 0);
+    }
+
+    /// The doomed retry at a frozen GTS: the server rejects a transfer
+    /// executed at snapshot 0 (as if another worker held a granted, not
+    /// yet written-back batch that it conflicts with). While the GTS
+    /// still reads 0 the worker must not resubmit it — the stand-in
+    /// server sees nothing for 50 ms — and the wait is charged nothing:
+    /// with a budget of two, a second charge would fail the transaction.
+    /// Once the test publishes the GTS the retry runs and commits.
+    #[test]
+    fn a_retry_rejected_at_a_frozen_gts_waits_for_the_next_publication() {
+        let atr = Arc::new(NativeAtr::new(64, 4));
+        let (w, req_rx) = lone_worker(
+            Arc::new(SnapshotRegistry::new(4)),
+            Arc::new(NativeStore::new(2, 2, |_| 100)),
+            atr.clone(),
+            2,
+            Duration::from_secs(10),
+        );
+        let out = std::thread::scope(|s| {
+            s.spawn(move || {
+                let first = req_rx.recv().expect("the transfer is submitted");
+                assert_eq!(first.txs[0].snapshot, 0);
+                let rejected = CommitResponse {
+                    seq: first.seq,
+                    verdicts: vec![Verdict::Rejected {
+                        reason: AbortReason::ReadValidation,
+                    }],
+                };
+                first.resp.send(rejected).expect("worker is waiting");
+                assert!(
+                    matches!(
+                        req_rx.recv_timeout(Duration::from_millis(50)),
+                        Err(RecvTimeoutError::Timeout)
+                    ),
+                    "resubmitted at the snapshot it was just rejected at"
+                );
+                // The other worker's write-back lands: cts 1 is history.
+                atr.publish_gts(1);
+                let retry = req_rx.recv().expect("the retry is submitted");
+                assert_eq!(retry.txs[0].snapshot, 1);
+                let granted = CommitResponse {
+                    seq: retry.seq,
+                    verdicts: vec![Verdict::Granted { cts: 2 }],
+                };
+                retry.resp.send(granted).expect("worker is waiting");
+            });
+            w.run(Transfers(0..1))
+        });
+        assert_eq!(out.stats.update_commits, 1);
+        assert_eq!(out.stats.update_aborts, 1, "one reject, charged once");
+        assert_eq!(out.stats.failed, 0);
     }
 
     fn full_scan(accounts: u64) -> Pending<Fire<BankTx>> {

@@ -186,6 +186,14 @@ fn main() -> ExitCode {
                 gc.spill_pruned,
                 gc.pinned_commits
             );
+            // What the coalescing writers did, one greppable line (the CI
+            // service-smoke job copies it into its step summary).
+            println!(
+                "csmv-service: io: replies={} writes={} replies_per_write={:.2}",
+                r.replies,
+                r.reply_writes,
+                r.replies as f64 / r.reply_writes.max(1) as f64
+            );
             if args.cfg.check_history {
                 println!(
                     "csmv-service: history: ok ({} records)",

@@ -4,18 +4,23 @@
 //!
 //! Pipelining falls out of the split: the reader keeps accepting and
 //! submitting requests while earlier ones are still in flight, and the
-//! writer blocks on each submission's completion in turn. The reply
+//! writer takes each submission's completion in turn. The reply
 //! queue between the halves is bounded, so one connection can hold at
 //! most [`PIPELINE_DEPTH`] replies outstanding — past that the reader
 //! stops draining the socket and TCP pushes back on the client.
 //!
+//! The writer is burst-granular ([`write_loop`]): every reply that is
+//! already available is appended to one output buffer, and the socket
+//! gets one `write_all` per burst — just before the writer would block,
+//! so no reply ever waits on a sleeping writer.
+//!
 //! Nothing in `impl Connection` may panic: the `xtask`
 //! `no-panic-in-server-path` lint covers this file.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -30,6 +35,21 @@ pub const PIPELINE_DEPTH: usize = 128;
 
 /// How often a blocked socket read wakes up to notice service shutdown.
 const READ_SLICE: Duration = Duration::from_millis(200);
+
+/// Output-buffer size at which the writer flushes mid-burst, so a slow or
+/// vanished reader meets TCP back-pressure (through the bounded slot
+/// queue) instead of growing server memory.
+const OUT_CAP: usize = 16 * 1024;
+
+/// What the writers of all connections did, summed as each one ends
+/// (plain statistics: `Relaxed`).
+#[derive(Default)]
+pub(crate) struct IoCounters {
+    /// Replies encoded.
+    pub(crate) replies: AtomicU64,
+    /// `write_all` calls that carried them.
+    pub(crate) reply_writes: AtomicU64,
+}
 
 /// How each committed op encodes into its reply slot.
 #[derive(Debug, Clone, Copy)]
@@ -70,6 +90,7 @@ pub(crate) struct Connection {
     /// Valid keys are `0..keys`.
     keys: u64,
     shutdown: Arc<AtomicBool>,
+    io: Arc<IoCounters>,
 }
 
 impl Connection {
@@ -78,12 +99,14 @@ impl Connection {
         engine: Arc<NativeEngine>,
         keys: u64,
         shutdown: Arc<AtomicBool>,
+        io: Arc<IoCounters>,
     ) -> Self {
         Self {
             stream,
             engine,
             keys,
             shutdown,
+            io,
         }
     }
 
@@ -97,8 +120,16 @@ impl Connection {
             return;
         };
         let (slot_tx, slot_rx) = mpsc::sync_channel::<Slot>(PIPELINE_DEPTH);
+        let io = self.io.clone();
         std::thread::scope(|s| {
-            s.spawn(move || write_loop(wstream, slot_rx));
+            s.spawn(move || {
+                let mut writer = Writer::new(wstream);
+                // A write error ends the writer, and with it the
+                // connection: the reader's next `send` fails.
+                let _ = write_loop(&mut writer, slot_rx);
+                io.replies.fetch_add(writer.replies, Ordering::Relaxed);
+                io.reply_writes.fetch_add(writer.writes, Ordering::Relaxed);
+            });
             self.read_loop(&slot_tx);
             drop(slot_tx);
         });
@@ -244,51 +275,103 @@ enum Dispatch {
     Close(Slot),
 }
 
-/// Writer half: encode and send replies strictly in request order.
-fn write_loop(mut stream: TcpStream, slots: Receiver<Slot>) {
-    for slot in slots {
-        let bytes = match slot {
-            Slot::Ready(b) => b,
+/// The writer's output side: replies accumulate in `out` and leave in
+/// one `write_all` per [`Writer::flush`].
+struct Writer<W> {
+    sink: W,
+    out: Vec<u8>,
+    replies: u64,
+    writes: u64,
+}
+
+impl<W: Write> Writer<W> {
+    fn new(sink: W) -> Self {
+        Self {
+            sink,
+            out: Vec::with_capacity(OUT_CAP),
+            replies: 0,
+            writes: 0,
+        }
+    }
+
+    /// Hand everything buffered to the sink in one write.
+    fn flush(&mut self) -> io::Result<()> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        self.writes += 1;
+        let written = self.sink.write_all(&self.out);
+        self.out.clear();
+        written
+    }
+
+    /// The next value of `rx`, `None` once its sender is gone. Flush
+    /// before every block: only when nothing is there yet is the buffer
+    /// written out and the blocking receive taken, so a buffered reply
+    /// never waits while the writer sleeps.
+    fn next<T>(&mut self, rx: &Receiver<T>) -> io::Result<Option<T>> {
+        match rx.try_recv() {
+            Ok(v) => Ok(Some(v)),
+            Err(TryRecvError::Disconnected) => Ok(None),
+            Err(TryRecvError::Empty) => {
+                self.flush()?;
+                Ok(rx.recv().ok())
+            }
+        }
+    }
+}
+
+/// Writer half: encode replies strictly in request order and send them a
+/// burst at a time. Three rules: append whatever is ready (the next slot,
+/// and a `Tx` slot's completion, are taken without blocking); flush
+/// before every block ([`Writer::next`]); flush whenever the buffer
+/// reaches [`OUT_CAP`]. No timer is needed: a reply is held back only
+/// while the writer has more replies to encode right now.
+fn write_loop<W: Write>(w: &mut Writer<W>, slots: Receiver<Slot>) -> io::Result<()> {
+    while let Some(slot) = w.next(&slots)? {
+        match slot {
+            Slot::Ready(b) => w.out.extend_from_slice(&b),
             Slot::Tx {
                 done,
                 results,
                 ops,
                 exec,
-            } => match done.recv() {
-                Ok(c) => encode_outcome(&c.outcome, &results, &ops, exec),
+            } => match w.next(&done)? {
+                Some(c) => encode_outcome(&mut w.out, &c.outcome, &results, &ops, exec),
                 // The engine dropped the job without a completion (it can
                 // only happen past the run deadline, mid-teardown).
-                Err(_) => resp::error("ERR engine is shut down"),
+                None => w.out.extend(resp::error("ERR engine is shut down")),
             },
-        };
-        if stream.write_all(&bytes).is_err() {
-            return;
+        }
+        w.replies += 1;
+        if w.out.len() >= OUT_CAP {
+            w.flush()?;
         }
     }
-    let _ = stream.flush();
+    w.flush()?;
+    w.sink.flush()
 }
 
-/// Encode one terminal transaction outcome as its RESP reply. The error
-/// arm is **total** over [`stm_core::metrics::AbortReason`]: every reason
-/// (including additions like `snapshot_too_old`) is carried as a typed
-/// `-RETRY <key>` reply through the same generic path — see the taxonomy
-/// test below.
+/// Append one terminal transaction outcome's RESP reply to `out`. The
+/// error arm is **total** over [`stm_core::metrics::AbortReason`]: every
+/// reason (including additions like `snapshot_too_old`) is carried as a
+/// typed `-RETRY <key>` reply through the same generic path — see the
+/// taxonomy test below.
 fn encode_outcome(
+    out: &mut Vec<u8>,
     outcome: &Result<(), stm_core::metrics::AbortReason>,
     results: &ResultSink,
     ops: &[OpKind],
     exec: bool,
-) -> Vec<u8> {
+) {
     match outcome {
         // Typed retry error carrying the abort-reason taxonomy key.
-        Err(reason) => resp::error(&format!("RETRY {}", reason.key())),
+        Err(reason) => out.extend(resp::error(&format!("RETRY {}", reason.key()))),
         Ok(()) => {
             let vals = results.lock().unwrap_or_else(|e| e.into_inner());
-            let mut out = if exec {
-                resp::array_header(ops.len())
-            } else {
-                Vec::new()
-            };
+            if exec {
+                out.extend(resp::array_header(ops.len()));
+            }
             for (i, kind) in ops.iter().enumerate() {
                 let val = vals.get(i).copied();
                 out.extend(match (kind, val) {
@@ -300,7 +383,6 @@ fn encode_outcome(
                     _ => resp::error("ERR internal: missing op result"),
                 });
             }
-            out
         }
     }
 }
@@ -309,6 +391,190 @@ fn encode_outcome(
 mod tests {
     use super::*;
     use stm_core::metrics::AbortReason;
+
+    /// How long a test waits for the writer before declaring it stuck.
+    const STUCK: Duration = Duration::from_secs(10);
+
+    /// A `Write` that hands every `write` call's bytes to the test.
+    struct Recording(mpsc::Sender<Vec<u8>>);
+
+    impl Write for Recording {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let _ = self.0.send(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A `Write` whose peer is gone.
+    struct Broken;
+
+    impl Write for Broken {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(ErrorKind::BrokenPipe.into())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// What a finished writer reports: the loop's result, replies, writes.
+    type Ended = (io::Result<()>, u64, u64);
+
+    /// Run the writer on its own thread, so a writer that blocks where it
+    /// must not fails the test on a timeout instead of hanging it.
+    fn spawn_writer<W: Write + Send + 'static>(sink: W, slots: Receiver<Slot>) -> Receiver<Ended> {
+        let (ended_tx, ended_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let mut w = Writer::new(sink);
+            let result = write_loop(&mut w, slots);
+            let _ = ended_tx.send((result, w.replies, w.writes));
+        });
+        ended_rx
+    }
+
+    /// A `Tx` slot for `ops` and the handle that completes it.
+    fn tx_slot(ops: &[OpKind], vals: &[KvResult], exec: bool) -> (Slot, mpsc::Sender<Completion>) {
+        let results: ResultSink = Arc::new(Mutex::new(vals.to_vec()));
+        let (done_tx, done) = mpsc::channel();
+        let slot = Slot::Tx {
+            done,
+            results,
+            ops: ops.to_vec(),
+            exec,
+        };
+        (slot, done_tx)
+    }
+
+    fn complete(done: &mpsc::Sender<Completion>, outcome: Result<(), AbortReason>) {
+        let tx = Box::new(KvTx::new(Vec::new(), ResultSink::default()));
+        let sent = done.send(Completion {
+            tx,
+            outcome,
+            latency: Duration::ZERO,
+        });
+        assert!(sent.is_ok(), "the slot still holds the receiver");
+    }
+
+    /// A burst that is entirely available — immediate replies, committed
+    /// and aborted transactions, an `EXEC` block — leaves in one write
+    /// whose bytes are the per-reply encodings back to back.
+    #[test]
+    fn a_ready_burst_leaves_in_one_write_in_request_order() {
+        let (slot_tx, slots) = mpsc::sync_channel(PIPELINE_DEPTH);
+        let mut expected = Vec::new();
+        for round in 0..8u64 {
+            slot_tx.send(Slot::Ready(resp::simple("PONG"))).unwrap();
+            expected.extend(resp::simple("PONG"));
+
+            let (slot, done) = tx_slot(&[OpKind::Get], &[KvResult::Value(round)], false);
+            complete(&done, Ok(()));
+            slot_tx.send(slot).unwrap();
+            expected.extend(resp::bulk(round.to_string().as_bytes()));
+
+            let (slot, done) = tx_slot(&[OpKind::Incr], &[], false);
+            complete(&done, Err(AbortReason::RetryBudgetExhausted));
+            slot_tx.send(slot).unwrap();
+            expected.extend(resp::error("RETRY retry_budget_exhausted"));
+
+            let (slot, done) = tx_slot(
+                &[OpKind::Get, OpKind::Incr, OpKind::Set],
+                &[KvResult::Value(7), KvResult::Value(round + 1), KvResult::Ok],
+                true,
+            );
+            complete(&done, Ok(()));
+            slot_tx.send(slot).unwrap();
+            expected.extend(resp::array_header(3));
+            expected.extend(resp::bulk(b"7"));
+            expected.extend(resp::integer(round as i64 + 1));
+            expected.extend(resp::simple("OK"));
+        }
+        drop(slot_tx);
+        let (write_tx, writes) = mpsc::channel();
+        let ended = spawn_writer(Recording(write_tx), slots);
+        let (result, replies, write_calls) = ended.recv_timeout(STUCK).expect("writer is stuck");
+        assert!(result.is_ok());
+        let writes: Vec<Vec<u8>> = writes.try_iter().collect();
+        assert_eq!(writes.len(), 1, "one burst, one write");
+        assert_eq!(writes[0], expected);
+        assert_eq!((replies, write_calls), (32, 1));
+    }
+
+    /// Flush before every block: with the head slot's completion still
+    /// pending, the reply buffered before it must reach the sink *before*
+    /// the writer sleeps. The completion is delivered only after that
+    /// write was seen, so a writer that blocks first times the test out.
+    #[test]
+    fn buffered_replies_are_written_before_the_writer_blocks() {
+        let (slot_tx, slots) = mpsc::sync_channel(PIPELINE_DEPTH);
+        let (slot, done) = tx_slot(&[OpKind::Set], &[KvResult::Ok], false);
+        slot_tx.send(Slot::Ready(resp::simple("PONG"))).unwrap();
+        slot_tx.send(slot).unwrap();
+        let (write_tx, writes) = mpsc::channel();
+        let ended = spawn_writer(Recording(write_tx), slots);
+
+        let first = writes.recv_timeout(STUCK);
+        assert_eq!(
+            first.expect("the writer blocked on a completion while holding a reply back"),
+            b"+PONG\r\n"
+        );
+        complete(&done, Ok(()));
+        // Nothing follows the completed slot, so its reply must not wait
+        // for the next one either.
+        let second = writes.recv_timeout(STUCK);
+        assert_eq!(
+            second.expect("the writer blocked on the slot queue while holding a reply back"),
+            b"+OK\r\n"
+        );
+        drop(slot_tx);
+        let (result, replies, write_calls) = ended.recv_timeout(STUCK).expect("writer is stuck");
+        assert!(result.is_ok());
+        assert_eq!((replies, write_calls), (2, 2));
+    }
+
+    /// The buffer is bounded: a burst larger than `OUT_CAP` is cut into
+    /// writes of about that size, never one write of everything.
+    #[test]
+    fn the_output_cap_splits_an_oversized_burst() {
+        let pong = resp::simple("PONG");
+        let n = 2 * OUT_CAP / pong.len(); // just under two caps' worth
+        let (slot_tx, slots) = mpsc::channel();
+        for _ in 0..n {
+            slot_tx.send(Slot::Ready(pong.clone())).unwrap();
+        }
+        drop(slot_tx);
+        let (write_tx, writes) = mpsc::channel();
+        let ended = spawn_writer(Recording(write_tx), slots);
+        let (result, replies, write_calls) = ended.recv_timeout(STUCK).expect("writer is stuck");
+        assert!(result.is_ok());
+        let writes: Vec<Vec<u8>> = writes.try_iter().collect();
+        assert_eq!(writes.len(), 2);
+        assert!((OUT_CAP..OUT_CAP + pong.len()).contains(&writes[0].len()));
+        assert_eq!(writes.concat(), pong.repeat(n));
+        assert_eq!((replies, write_calls), (n as u64, 2));
+    }
+
+    /// A write error ends the writer at once, although the reader half
+    /// still holds the slot queue open.
+    #[test]
+    fn a_failing_write_ends_the_writer() {
+        let (slot_tx, slots) = mpsc::sync_channel(PIPELINE_DEPTH);
+        slot_tx.send(Slot::Ready(resp::simple("PONG"))).unwrap();
+        let ended = spawn_writer(Broken, slots);
+        let (result, _, write_calls) = ended.recv_timeout(STUCK).expect("writer is stuck");
+        assert_eq!(result.map_err(|e| e.kind()), Err(ErrorKind::BrokenPipe));
+        assert_eq!(write_calls, 1);
+        // The reader half notices on its next reply.
+        assert!(slot_tx.send(Slot::Ready(resp::simple("PONG"))).is_err());
+    }
+
+    fn encoded(outcome: Result<(), AbortReason>, exec: bool) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_outcome(&mut out, &outcome, &ResultSink::default(), &[], exec);
+        out
+    }
 
     /// The `-RETRY <reason>` reply taxonomy is total: every abort reason —
     /// terminal and retriable alike — encodes to a typed error carrying a
@@ -325,9 +591,8 @@ mod tests {
                 "{reason:?} key {key:?} must be a lowercase identifier"
             );
             assert!(seen.insert(key), "{reason:?} key {key:?} is not distinct");
-            let results: ResultSink = Default::default();
-            let bytes = encode_outcome(&Err(reason), &results, &[], true);
-            let reply = String::from_utf8(bytes).expect("RESP errors are UTF-8");
+            let reply =
+                String::from_utf8(encoded(Err(reason), true)).expect("RESP errors are UTF-8");
             assert_eq!(
                 reply,
                 format!("-RETRY {key}\r\n"),
@@ -339,8 +604,9 @@ mod tests {
     /// The reason this PR adds rides the same path as the rest.
     #[test]
     fn snapshot_too_old_is_carried_on_the_wire() {
-        let results: ResultSink = Default::default();
-        let bytes = encode_outcome(&Err(AbortReason::SnapshotTooOld), &results, &[], false);
-        assert_eq!(bytes, b"-RETRY snapshot_too_old\r\n");
+        assert_eq!(
+            encoded(Err(AbortReason::SnapshotTooOld), false),
+            b"-RETRY snapshot_too_old\r\n"
+        );
     }
 }

@@ -33,14 +33,18 @@ pub mod resp;
 
 mod conn;
 
-use std::net::{TcpListener, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use csmv_native::{NativeConfig, NativeEngine, NativeRunError, NativeRunResult};
 
-use conn::Connection;
+use conn::{Connection, IoCounters};
+
+/// How often the stop watcher looks at the `stop` flag (the flag is a
+/// plain `AtomicBool` shared with the caller, so it can only be polled).
+const STOP_POLL: Duration = Duration::from_millis(20);
 
 /// Service configuration: engine shape plus the listener address.
 #[derive(Debug, Clone)]
@@ -85,6 +89,12 @@ pub struct ServiceReport {
     pub result: NativeRunResult,
     /// Connections accepted over the session.
     pub connections: u64,
+    /// Replies written, over all connections.
+    pub replies: u64,
+    /// Socket writes that carried them: the writer coalesces every reply
+    /// that is ready into one write, so `replies / reply_writes` is the
+    /// mean burst size.
+    pub reply_writes: u64,
 }
 
 /// Errors out of [`serve`].
@@ -109,8 +119,8 @@ impl std::fmt::Display for ServiceError {
 impl std::error::Error for ServiceError {}
 
 /// Bind `addr`, serve connections until a client issues `SHUTDOWN` (or
-/// `stop` is set externally), then drain the engine and return the
-/// aggregated report.
+/// `stop` is set externally — either is noticed within 20 ms),
+/// then drain the engine and return the aggregated report.
 ///
 /// `on_ready` is called with the bound local address before the first
 /// accept — tests use it to learn an OS-assigned port.
@@ -125,33 +135,47 @@ pub fn serve<A: ToSocketAddrs>(
         engine_cfg.record_history = true;
     }
     let listener = TcpListener::bind(addr).map_err(ServiceError::Bind)?;
-    listener.set_nonblocking(true).map_err(ServiceError::Bind)?;
-    if let Ok(local) = listener.local_addr() {
-        on_ready(local);
-    }
+    let local = listener.local_addr().map_err(ServiceError::Bind)?;
+    on_ready(local);
 
     let engine = Arc::new(
         NativeEngine::start(&engine_cfg, cfg.keys, |_| 0)
             .map_err(|e| ServiceError::Engine(NativeRunError::Config(e)))?,
     );
 
+    let io = Arc::new(IoCounters::default());
     let mut connections: u64 = 0;
     let mut handles = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                connections += 1;
-                let _ = stream.set_nodelay(true);
-                let conn = Connection::new(stream, engine.clone(), cfg.keys, stop.clone());
-                handles.push(std::thread::spawn(move || conn.run()));
+    // `accept` blocks, so a connection is served the moment it arrives.
+    // The watcher is what ends it: once `stop` is set (by the caller or by
+    // a `SHUTDOWN` command) it connects to the listener's own address,
+    // and the loop, woken by that connection, sees the flag and drops it.
+    let accepting = AtomicBool::new(true);
+    std::thread::scope(|s| {
+        let watcher = s.spawn(|| {
+            while accepting.load(Ordering::SeqCst) {
+                if stop.load(Ordering::SeqCst) {
+                    // Retried every slice until the loop has ended: a
+                    // failed connect must not leave `accept` blocked.
+                    let _ = TcpStream::connect(wake_addr(local));
+                }
+                std::thread::park_timeout(STOP_POLL);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                reap_finished(&mut handles);
-                std::thread::sleep(Duration::from_millis(20));
+        });
+        while let Ok((stream, _peer)) = listener.accept() {
+            if stop.load(Ordering::SeqCst) {
+                break; // the watcher's wake-up (or a client too late to serve)
             }
-            Err(_) => break,
+            connections += 1;
+            let _ = stream.set_nodelay(true);
+            let conn = Connection::new(stream, engine.clone(), cfg.keys, stop.clone(), io.clone());
+            handles.push(std::thread::spawn(move || conn.run()));
+            reap_finished(&mut handles);
         }
-    }
+        // Also reached on an `accept` error: release the watcher either way.
+        accepting.store(false, Ordering::SeqCst);
+        watcher.thread().unpark();
+    });
     drop(listener);
     // Connections notice the stop flag on their next read slice; join
     // them all so every in-flight reply is written before the engine
@@ -176,7 +200,20 @@ pub fn serve<A: ToSocketAddrs>(
     Ok(ServiceReport {
         result,
         connections,
+        replies: io.replies.load(Ordering::Relaxed),
+        reply_writes: io.reply_writes.load(Ordering::Relaxed),
     })
+}
+
+/// Where the stop watcher connects to wake `accept`: the listener's own
+/// address, with a wildcard bind address replaced by loopback.
+fn wake_addr(local: SocketAddr) -> SocketAddr {
+    let ip = match local.ip() {
+        ip if !ip.is_unspecified() => ip,
+        std::net::IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+        std::net::IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+    };
+    SocketAddr::new(ip, local.port())
 }
 
 /// Drop the handles of threads that have already ended, so a long-lived
@@ -192,7 +229,6 @@ mod tests {
     use super::*;
     use crate::resp::{parse_reply, Reply, ReplyOutcome};
     use std::io::{Read, Write};
-    use std::net::TcpStream;
 
     /// Pipeline `cmds` on `stream` and collect `want` in-order replies.
     fn session(stream: &mut TcpStream, cmds: &[&[&str]], want: usize) -> Vec<Reply> {
@@ -223,6 +259,14 @@ mod tests {
     }
 
     #[test]
+    fn the_stop_wake_up_goes_to_loopback_when_the_bind_address_is_a_wildcard() {
+        let wake = |bound: &str| wake_addr(bound.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:7379"), "127.0.0.1:7379");
+        assert_eq!(wake("[::]:7379"), "[::1]:7379");
+        assert_eq!(wake("192.0.2.7:7379"), "192.0.2.7:7379");
+    }
+
+    #[test]
     fn reaping_drops_finished_threads_and_keeps_live_ones() {
         let (release, parked) = std::sync::mpsc::channel::<()>();
         let live = std::thread::spawn(move || parked.recv().is_ok());
@@ -237,21 +281,27 @@ mod tests {
         assert!(handles.pop().unwrap().join().unwrap());
     }
 
-    #[test]
-    fn end_to_end_pipelined_session_with_multi_exec() {
+    /// A two-worker, history-checked server over `keys` keys on an
+    /// OS-assigned port: its address, its stop flag and its thread.
+    fn start_server(
+        keys: u64,
+    ) -> (
+        SocketAddr,
+        Arc<AtomicBool>,
+        std::thread::JoinHandle<Result<ServiceReport, ServiceError>>,
+    ) {
         let cfg = ServiceConfig {
             engine: NativeConfig {
                 client_threads: 2,
                 server_threads: 1,
                 ..ServiceConfig::default().engine
             },
-            keys: 16,
+            keys,
             check_history: true,
         };
         let stop = Arc::new(AtomicBool::new(false));
         let (addr_tx, addr_rx) = std::sync::mpsc::channel();
         let server = {
-            let cfg = cfg.clone();
             let stop = stop.clone();
             std::thread::spawn(move || {
                 serve(&cfg, "127.0.0.1:0", stop, |a| {
@@ -260,6 +310,108 @@ mod tests {
             })
         };
         let addr = addr_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        (addr, stop, server)
+    }
+
+    /// A client whose reads give up instead of hanging the test.
+    fn connect(addr: SocketAddr) -> TcpStream {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream
+    }
+
+    /// The coalescing writer on the wire, at both extremes: 64 pipelined
+    /// commands sent in one write come back complete and in order, and a
+    /// strict ping-pong client — one request in flight — never waits on a
+    /// reply the writer is holding back. The caller-set stop flag ends the
+    /// session.
+    #[test]
+    fn a_pipelined_burst_stays_in_order_and_ping_pong_is_never_held_back() {
+        let (addr, stop, server) = start_server(128);
+        let mut c = connect(addr);
+
+        // Bare pipelined commands are independent transactions, so every
+        // command of the burst gets a key of its own and a reply that
+        // names its position.
+        let seeded: Vec<Vec<String>> = (0..16)
+            .map(|k| vec!["SET".into(), k.to_string(), (1000 + k).to_string()])
+            .collect();
+        let mut burst: Vec<Vec<String>> = Vec::new();
+        let mut want: Vec<Reply> = Vec::new();
+        for i in 0..59u64 {
+            let (cmd, reply) = match i % 4 {
+                0 => (
+                    vec!["GET".into(), (i / 4).to_string()],
+                    Reply::Bulk((1000 + i / 4).to_string().into_bytes()),
+                ),
+                1 => (
+                    vec!["INCRBY".into(), (16 + i).to_string(), (i + 1).to_string()],
+                    Reply::Integer(i as i64 + 1),
+                ),
+                2 => (
+                    vec!["SET".into(), (16 + i).to_string(), "5".into()],
+                    Reply::Simple("OK".into()),
+                ),
+                _ => (vec!["PING".into()], Reply::Simple("PONG".into())),
+            };
+            burst.push(cmd);
+            want.push(reply);
+            if i == 30 {
+                for cmd in [
+                    vec!["MULTI"],
+                    vec!["GET", "15"],
+                    vec!["INCRBY", "100", "3"],
+                    vec!["EXEC"],
+                ] {
+                    burst.push(cmd.into_iter().map(String::from).collect());
+                }
+                want.push(Reply::Simple("OK".into()));
+                want.push(Reply::Simple("QUEUED".into()));
+                want.push(Reply::Simple("QUEUED".into()));
+                want.push(Reply::Array(vec![
+                    Reply::Bulk(b"1015".to_vec()),
+                    Reply::Integer(3),
+                ]));
+            }
+        }
+        assert_eq!(burst.len(), 64 - 1);
+        burst.push(vec!["PING".into()]);
+        want.push(Reply::Simple("PONG".into()));
+
+        fn run(c: &mut TcpStream, cmds: &[Vec<String>]) -> Vec<Reply> {
+            let cmds: Vec<Vec<&str>> = cmds
+                .iter()
+                .map(|c| c.iter().map(String::as_str).collect())
+                .collect();
+            let cmds: Vec<&[&str]> = cmds.iter().map(Vec::as_slice).collect();
+            session(c, &cmds, cmds.len())
+        }
+        let replies = run(&mut c, &seeded);
+        assert!(replies.iter().all(|r| *r == Reply::Simple("OK".into())));
+        assert_eq!(run(&mut c, &burst), want);
+
+        for round in 1..=200i64 {
+            let replies = session(&mut c, &[&["INCRBY", "101", "1"]], 1);
+            assert_eq!(replies, [Reply::Integer(round)], "round trip {round}");
+        }
+
+        stop.store(true, Ordering::SeqCst);
+        let report = server.join().unwrap().expect("serve failed");
+        assert_eq!(
+            report.connections, 1,
+            "the stop wake-up is not a connection"
+        );
+        assert_eq!(report.replies, 16 + 64 + 200);
+        assert!(report.reply_writes >= 202 && report.reply_writes <= report.replies);
+        assert_eq!(report.result.stats.failed, 0);
+    }
+
+    #[test]
+    fn end_to_end_pipelined_session_with_multi_exec() {
+        let (addr, _stop, server) = start_server(16);
         let mut c1 = TcpStream::connect(addr).unwrap();
 
         // Bare pipelined commands are independent concurrent transactions:
@@ -329,6 +481,7 @@ mod tests {
 
         let report = server.join().unwrap().expect("serve failed");
         assert_eq!(report.connections, 2);
+        assert_eq!(report.replies, 2 + 1 + 1 + 5 + 6 + 3);
         // 3 update txs (SET, INCRBY, the EXEC block) + 3 read-only GETs.
         assert_eq!(report.result.stats.update_commits, 3);
         assert_eq!(report.result.stats.rot_commits, 3);

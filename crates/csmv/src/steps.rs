@@ -313,6 +313,22 @@ where
     footprint_newest.into_iter().all(|ts| ts <= snapshot)
 }
 
+/// May re-running a transaction the server's validation rejected at
+/// snapshot `rejected_at` end differently, now that the GTS reads `gts`?
+///
+/// Execution is a function of the snapshot: while `gts == rejected_at` the
+/// transaction reads the same values and builds the same footprint, and
+/// the ATR entry that footprint hit (or the ring lap that pushed its
+/// snapshot out of the window) is still there — the resubmission is
+/// rejected again, however often it is tried. Only a GTS that has moved
+/// past the rejected snapshot gives the retry a new snapshot to read at.
+/// `false` means: leave the transaction where it is, charge nothing, and
+/// wait for the next GTS publication.
+#[inline]
+pub fn retry_may_succeed(rejected_at: u64, gts: u64) -> bool {
+    gts > rejected_at
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,6 +494,15 @@ mod tests {
         // An empty footprint (never-written items read as initial state)
         // is trivially fresh.
         assert!(spec_carry_fresh(0, []));
+    }
+
+    #[test]
+    fn a_rejected_retry_waits_for_the_gts_to_move() {
+        // Same snapshot, same reads, same ATR entry: futile.
+        assert!(!retry_may_succeed(7, 7));
+        // Any publication past the rejected snapshot gives a new one.
+        assert!(retry_may_succeed(7, 8));
+        assert!(retry_may_succeed(0, 40));
     }
 
     #[test]
