@@ -4,52 +4,13 @@
 
 use bench::cli::BenchArgs;
 use bench::{
-    bank_csmv, bank_jvstm_cpu, bank_jvstm_gpu, bank_native, bank_prstm, breakdown_cells, fmt_ms,
-    fmt_tput, print_table, run_cells, Cell, Row,
+    bank_csmv, bank_jvstm_cpu, bank_jvstm_gpu, bank_prstm, breakdown_cells, fmt_ms, fmt_tput,
+    print_analysis_summary, print_table, run_cells, Cell, Row,
 };
 use csmv::CsmvVariant;
 
-/// `--backend native`: the same %ROT axis on the host-threaded backend.
-/// Wall-clock numbers, no simulator systems to compare against — use
-/// `native_suite` for the thread-scaling sweep.
-fn native_main(args: &BenchArgs) {
-    let scale = &args.scale;
-    let rots: &[u8] = &[1, 10, 25, 50, 75, 90, 99];
-    let (clients, servers) = (8, 2);
-    let rows: Vec<Row> = rots
-        .iter()
-        .map(|&rot| {
-            eprintln!("[bank] %ROT = {rot}: CSMV (native, {clients}c/{servers}s)");
-            bank_native(scale, rot, clients, servers)
-        })
-        .collect();
-    let cells: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.x.to_string(),
-                fmt_tput(r.txn_per_sec),
-                format!("{:.1}", r.latency_p50_us),
-                format!("{:.1}", r.latency_p99_us),
-                format!("{:.2}", r.abort_pct),
-                r.commits.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        "Bank on the native backend — wall-clock throughput vs %ROT",
-        &["%ROT", "txn/s", "p50 us", "p99 us", "abort %", "commits"],
-        &cells,
-    );
-    args.emit_json(&rows);
-}
-
 fn main() {
     let args = BenchArgs::parse("bank_suite");
-    if args.backend == "native" {
-        native_main(&args);
-        return;
-    }
     let scale = args.scale.clone();
     let rots: &[u8] = &[1, 10, 25, 50, 75, 90, 99];
 
@@ -241,6 +202,7 @@ fn main() {
             ]
         })
         .collect();
+    print_analysis_summary(&measured);
     args.emit_json(&measured);
 
     // ---- headline ratios ------------------------------------------------------

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! bench-gate --baseline results/baselines --candidate target/bench-json
-//! bench-gate --baseline results/baselines/fig2.json --candidate fig2.json
+//! bench-gate --baseline results/baselines/table5.json --candidate table5.json
 //! bench-gate --equal --baseline eq-results/t1 --candidate eq-results/t8
 //! ```
 //!

@@ -2,7 +2,10 @@
 //! from a single pass over the associativity axis.
 
 use bench::cli::BenchArgs;
-use bench::{fmt_ms, fmt_tput, mc_csmv, mc_jvstm_gpu, mc_prstm, print_table, run_cells, Cell, Row};
+use bench::{
+    fmt_ms, fmt_tput, mc_csmv, mc_jvstm_gpu, mc_prstm, print_analysis_summary, print_table,
+    run_cells, Cell, Row,
+};
 use csmv::CsmvVariant;
 use stm_core::Phase;
 
@@ -35,7 +38,6 @@ fn bd_cells(row: &Row, csmv_style: bool) -> Vec<String> {
 
 fn main() {
     let args = BenchArgs::parse("mc_suite");
-    args.require_sim();
     let scale = args.scale.clone();
     let ways: &[u64] = &[4, 8, 16, 32, 64, 128, 256];
 
@@ -178,6 +180,7 @@ fn main() {
         .iter()
         .flat_map(|p| [p.csmv.clone(), p.prstm.clone(), p.jv.clone()])
         .collect();
+    print_analysis_summary(&measured);
     args.emit_json(&measured);
 
     let first = &pts[0];

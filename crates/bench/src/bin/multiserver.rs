@@ -14,7 +14,6 @@ use workloads::{BankConfig, BankSource};
 
 fn main() {
     let args = BenchArgs::parse("multiserver");
-    args.require_sim();
     let scale = args.scale.clone();
     let rot_pct = 1u8; // update-heavy: the server-bound regime
     let servers: &[usize] = &[1, 2, 4];

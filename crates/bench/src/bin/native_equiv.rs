@@ -37,10 +37,8 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut scale = Scale::from_env();
-    let mut quick = std::env::var("BENCH_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false);
+    let mut scale = Scale::paper();
+    let mut quick = false;
     let mut threads = 4usize;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {

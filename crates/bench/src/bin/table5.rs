@@ -11,7 +11,6 @@ use bench::{bank_csmv, bank_prstm, fmt_tput, print_table, run_cells, Cell};
 
 fn main() {
     let args = BenchArgs::parse("table5");
-    args.require_sim();
     let scale = args.scale.clone();
     let rot = 90u8;
     let versions: &[u64] = &[2, 3, 4, 5, 8, 10];

@@ -1,12 +1,12 @@
-//! The command-line surface shared by every bench binary:
+//! The command-line surface shared by every simulator bench binary:
 //!
 //! ```text
 //! <bench> [--json PATH] [--seed N] [--quick | --paper] [--threads N] [--analysis]
+//!         [--atr-cap N] [--faults SPEC] [--fault-seed N]
 //! ```
 //!
-//! Flags override the `BENCH_QUICK` / `BENCH_ANALYSIS` / `BENCH_THREADS`
-//! environment variables (which stay honoured for compatibility with the original
-//! harness). `--seed` feeds every workload RNG, so two runs with the same
+//! Every setting has exactly one spelling — a flag; no environment variable
+//! is read. `--seed` feeds every workload RNG, so two runs with the same
 //! seed, scale and binary produce byte-identical `--json` reports — the
 //! property `bench-gate` checks in CI.
 
@@ -25,18 +25,11 @@ pub struct BenchArgs {
     pub scale: Scale,
     /// Scale label recorded in the report (`quick` or `paper`).
     pub scale_name: String,
-    /// Host threads used to execute bench cells (`--threads` /
-    /// `BENCH_THREADS`; default 1). Results are identical for every value —
-    /// only wall-clock time changes — and the count is recorded in the
-    /// report's `config` block, which `bench-gate` treats as non-gating.
+    /// Host threads used to execute bench cells (`--threads`; default 1).
+    /// Results are identical for every value — only wall-clock time
+    /// changes — and the count is recorded in the report's `config` block,
+    /// which `bench-gate` treats as non-gating.
     pub threads: usize,
-    /// Execution backend (`--backend` / `BENCH_BACKEND`): `"sim"` (the
-    /// default cycle-level simulator) or `"native"` (the CSMV protocol on
-    /// real OS threads, wall-clock measured). Recorded in the report's
-    /// `config` block; `bench-gate` refuses cross-backend comparisons.
-    /// Only benches that implement a native path accept `"native"` — the
-    /// rest call [`BenchArgs::require_sim`].
-    pub backend: String,
 }
 
 impl BenchArgs {
@@ -59,20 +52,10 @@ impl BenchArgs {
     }
 
     fn try_parse(bench: &str, args: impl IntoIterator<Item = String>) -> Result<BenchArgs, String> {
-        // Environment first, flags override.
-        let mut scale = Scale::from_env();
-        let mut quick = std::env::var("BENCH_QUICK")
-            .map(|v| v == "1")
-            .unwrap_or(false);
+        let mut scale = Scale::paper();
+        let mut quick = false;
         let mut json = None;
-        let mut threads = match std::env::var("BENCH_THREADS") {
-            Ok(v) => parse_threads(&v).ok_or_else(|| format!("bad BENCH_THREADS '{v}'"))?,
-            Err(_) => 1,
-        };
-        let mut backend = match std::env::var("BENCH_BACKEND") {
-            Ok(v) => parse_backend(&v).ok_or_else(|| format!("bad BENCH_BACKEND '{v}'"))?,
-            Err(_) => "sim".to_string(),
-        };
+        let mut threads = 1;
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             match arg.as_str() {
@@ -106,9 +89,10 @@ impl BenchArgs {
                     let v = args.next().ok_or("--threads requires a value")?;
                     threads = parse_threads(&v).ok_or_else(|| format!("bad --threads '{v}'"))?;
                 }
-                "--backend" => {
-                    let v = args.next().ok_or("--backend requires 'sim' or 'native'")?;
-                    backend = parse_backend(&v).ok_or_else(|| format!("bad --backend '{v}'"))?;
+                "--atr-cap" => {
+                    let v = args.next().ok_or("--atr-cap requires a value")?;
+                    scale.atr_cap =
+                        Some(parse_u64(&v).ok_or_else(|| format!("bad --atr-cap '{v}'"))?);
                 }
                 "--faults" => {
                     let v = args.next().ok_or("--faults requires a spec")?;
@@ -131,35 +115,13 @@ impl BenchArgs {
                 other => return Err(format!("unknown argument '{other}'")),
             }
         }
-        if backend == "native" && scale.faults.is_some() {
-            return Err(
-                "the native backend takes no simulator fault spec (--faults); \
-                 native fault injection lives in csmv_native::fault"
-                    .to_string(),
-            );
-        }
         Ok(BenchArgs {
             bench: bench.to_string(),
             json,
             scale,
             scale_name: if quick { "quick" } else { "paper" }.to_string(),
             threads,
-            backend,
         })
-    }
-
-    /// Exit with a usage error when the run asked for a backend this bench
-    /// does not implement. Benches without a native path call this right
-    /// after parsing.
-    pub fn require_sim(&self) {
-        if self.backend != "sim" {
-            eprintln!(
-                "[{}] this bench has no --backend {} path; only bank_suite and \
-                 native_suite run natively",
-                self.bench, self.backend
-            );
-            std::process::exit(2);
-        }
     }
 
     /// Emit the JSON report if `--json` was given. Call once, at the end of
@@ -169,7 +131,6 @@ impl BenchArgs {
         let mut report =
             BenchReport::from_rows(&self.bench, &self.scale_name, self.scale.seed, rows);
         report.threads = self.threads as u64;
-        report.backend = self.backend.clone();
         if self.scale.faults.is_some() {
             report.faults = self.scale.faults.clone();
             report.fault_seed = Some(self.scale.fault_seed);
@@ -182,10 +143,6 @@ impl BenchArgs {
             }
         }
     }
-}
-
-fn parse_backend(s: &str) -> Option<String> {
-    matches!(s, "sim" | "native").then(|| s.to_string())
 }
 
 fn parse_threads(s: &str) -> Option<usize> {
@@ -206,26 +163,24 @@ fn parse_u64(s: &str) -> Option<u64> {
 fn usage(bench: &str) -> String {
     format!(
         "usage: {bench} [--json PATH] [--seed N] [--quick | --paper] [--threads N] [--analysis]\n\
-         \x20             [--backend sim|native] [--faults SPEC] [--fault-seed N]\n\
+         \x20             [--atr-cap N] [--faults SPEC] [--fault-seed N]\n\
          \n\
          --json PATH     write the structured report (schema: crates/bench/src/report.rs)\n\
          --seed N        workload RNG seed (decimal or 0x-hex; default 0xC53A17)\n\
-         --quick         reduced smoke-test scale (same as BENCH_QUICK=1)\n\
+         --quick         reduced smoke-test scale\n\
          --paper         paper-faithful scale (the default)\n\
-         --threads N     host threads for bench cells (same as BENCH_THREADS=N;\n\
-                         default 1; results are identical for every value)\n\
-         --backend B     execution backend (same as BENCH_BACKEND=B): 'sim' (the\n\
-                         cycle-level simulator, default) or 'native' (the CSMV\n\
-                         protocol on real OS threads, wall-clock measured; only\n\
-                         bank_suite and native_suite implement it)\n\
+         --threads N     host threads for bench cells (default 1; results are\n\
+                         identical for every value)\n\
          --analysis      run under the race/invariant analysis layer\n\
-         --faults SPEC   deterministic fault injection (same as BENCH_FAULTS=SPEC;\n\
-                         comma-separated clauses, e.g.\n\
-                         'drop_req=0.1,drop_resp=0.1,dup_req=0.05,delay_req=0.2x200';\n\
+         --atr-cap N     force the CSMV ATR ring to N records (default: each run\n\
+                         sizes its own); a tiny value degrades CSMV on purpose,\n\
+                         to prove bench-gate fails on a regression\n\
+         --faults SPEC   deterministic fault injection (comma-separated clauses,\n\
+                         e.g. 'drop_req=0.1,drop_resp=0.1,dup_req=0.05,delay_req=0.2x200';\n\
                          also kill=W@C, stall=W@CxN, crash_sm=S@C); arms client\n\
                          timeouts/backoff and the stall watchdog\n\
-         --fault-seed N  seed for fault decisions and recovery jitter (same as\n\
-                         BENCH_FAULT_SEED=N; default 0xFA0175)"
+         --fault-seed N  seed for fault decisions and recovery jitter (default\n\
+                         0xFA0175)"
     )
 }
 
@@ -239,7 +194,7 @@ mod tests {
 
     #[test]
     fn defaults_keep_the_paper_seed() {
-        let a = BenchArgs::try_parse("fig2", argv(&[])).unwrap();
+        let a = BenchArgs::try_parse("table5", argv(&[])).unwrap();
         assert_eq!(a.scale.seed, 0xC5_3A17);
         assert!(a.json.is_none());
     }
@@ -247,7 +202,7 @@ mod tests {
     #[test]
     fn flags_override_scale_and_seed() {
         let a = BenchArgs::try_parse(
-            "fig3",
+            "mc_suite",
             argv(&["--quick", "--seed", "0xBEEF", "--json", "/tmp/r.json"]),
         )
         .unwrap();
@@ -318,20 +273,17 @@ mod tests {
     }
 
     #[test]
-    fn backend_defaults_to_sim_and_validates() {
-        let a = BenchArgs::try_parse("t", argv(&[])).unwrap();
-        assert_eq!(a.backend, "sim");
-        let a = BenchArgs::try_parse("t", argv(&["--backend", "native"])).unwrap();
-        assert_eq!(a.backend, "native");
-        assert!(BenchArgs::try_parse("t", argv(&["--backend", "gpu"])).is_err());
-        assert!(BenchArgs::try_parse("t", argv(&["--backend"])).is_err());
-        // Simulator fault specs do not apply to native runs.
-        let err = BenchArgs::try_parse(
-            "t",
-            argv(&["--backend", "native", "--faults", "drop_req=0.1"]),
-        )
-        .unwrap_err();
-        assert!(err.contains("native"), "{err}");
+    fn atr_cap_parses_and_survives_a_later_scale_flag() {
+        assert_eq!(
+            BenchArgs::try_parse("t", argv(&[])).unwrap().scale.atr_cap,
+            None
+        );
+        for scale_flag in ["--quick", "--paper"] {
+            let a = BenchArgs::try_parse("t", argv(&["--atr-cap", "4", scale_flag])).unwrap();
+            assert_eq!(a.scale.atr_cap, Some(4));
+        }
+        assert!(BenchArgs::try_parse("t", argv(&["--atr-cap"])).is_err());
+        assert!(BenchArgs::try_parse("t", argv(&["--atr-cap", "tiny"])).is_err());
     }
 
     #[test]

@@ -80,11 +80,9 @@ pub fn threshold_for(metric: &str) -> Option<Threshold> {
 /// The gated subset for a given execution backend.
 ///
 /// Simulated reports gate the full [`threshold_for`] set — the simulator
-/// is deterministic, so timing metrics are reproducible. Native reports
-/// are wall-clock measured on whatever host runs them: their timing
-/// (throughput, latencies, elapsed) varies machine to machine and is
-/// informational only, while the commit/failed counters are exact
-/// properties of the fixed workload and gate with zero slack.
+/// is deterministic, so timing metrics are reproducible. Service reports
+/// are wall-clock measured on whatever host runs them: only their
+/// terminal accounting gates.
 pub fn threshold_for_backend(backend: &str, metric: &str) -> Option<Threshold> {
     use Direction::*;
     let t = |direction, rel, abs| {
@@ -95,11 +93,6 @@ pub fn threshold_for_backend(backend: &str, metric: &str) -> Option<Threshold> {
         })
     };
     match backend {
-        "native" => match metric {
-            "commits" => t(HigherIsBetter, 0.0, 0.0),
-            "failed" => t(LowerIsBetter, 0.0, 0.0),
-            _ => None,
-        },
         // Open-loop loadgen rows against csmv-service: the request
         // *schedule* is seed-deterministic, so terminal accounting gates
         // tightly — a small absolute band absorbs the handful of
@@ -220,7 +213,7 @@ pub fn compare(baseline: &BenchReport, candidate: &BenchReport) -> Result<Vec<Vi
             baseline.seed.to_string(),
             candidate.seed.to_string(),
         ),
-        // Simulated cycles and native wall-clock are different universes;
+        // Simulated cycles and service wall-clock are different universes;
         // comparing across backends is a configuration mistake.
         (
             "backend",
@@ -415,7 +408,7 @@ mod tests {
     fn report(rows: Vec<ReportRow>) -> BenchReport {
         BenchReport {
             schema_version: SCHEMA_VERSION,
-            bench: "fig2".into(),
+            bench: "bank_suite".into(),
             scale: "quick".into(),
             seed: 7,
             threads: 1,
@@ -539,59 +532,12 @@ mod tests {
         c.scale = "paper".into();
         assert!(compare(&b, &c).unwrap_err().contains("scale"));
         let mut c = b.clone();
-        c.bench = "fig3".into();
+        c.bench = "mc_suite".into();
         assert!(compare(&b, &c).unwrap_err().contains("bench"));
         let mut c = b.clone();
-        c.backend = "native".into();
+        c.backend = "service".into();
         assert!(compare(&b, &c).unwrap_err().contains("backend"));
         assert!(equal(&b, &c).unwrap_err().contains("backend"));
-    }
-
-    #[test]
-    fn native_reports_gate_counts_but_not_timing() {
-        let metrics: Vec<(&str, f64)> = vec![
-            ("throughput", 1e5),
-            ("txn_per_sec", 1e5),
-            ("latency_p99_us", 40.0),
-            ("elapsed_ms", 12.0),
-            ("abort_pct", 5.0),
-            ("commits", 1000.0),
-            ("failed", 0.0),
-        ];
-        let mut b = report(vec![row("CSMV (native)", 8, &metrics)]);
-        b.backend = "native".into();
-        // Wall-clock timing halves, abort rate triples: another machine,
-        // not a regression.
-        let mut c = b.clone();
-        for (k, v) in c.rows[0].metrics.iter_mut() {
-            match k.as_str() {
-                "throughput" | "txn_per_sec" => *v /= 2.0,
-                "latency_p99_us" | "elapsed_ms" => *v *= 2.0,
-                "abort_pct" => *v *= 3.0,
-                _ => {}
-            }
-        }
-        assert_eq!(compare(&b, &c).unwrap(), vec![]);
-        // A lost commit or a terminal failure is a real regression.
-        let mut c = b.clone();
-        c.rows[0].metrics.iter_mut().for_each(|(k, v)| {
-            if k == "commits" {
-                *v = 999.0;
-            }
-        });
-        assert_eq!(compare(&b, &c).unwrap().len(), 1);
-        let mut c = b.clone();
-        c.rows[0].metrics.iter_mut().for_each(|(k, v)| {
-            if k == "failed" {
-                *v = 1.0;
-            }
-        });
-        let violations = compare(&b, &c).unwrap();
-        assert_eq!(violations.len(), 1);
-        assert!(matches!(
-            &violations[0],
-            Violation::Regression { metric, .. } if metric == "failed"
-        ));
     }
 
     #[test]
@@ -683,7 +629,7 @@ mod tests {
         )));
         // Advisory checks never apply to non-service backends.
         assert_eq!(compare_advisory(&report(vec![]), &report(vec![])), vec![]);
-        assert!(advisory_threshold_for_backend("native", "latency_p50_us").is_none());
+        assert!(advisory_threshold_for_backend("sim", "latency_p50_us").is_none());
     }
 
     #[test]

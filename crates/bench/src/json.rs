@@ -406,7 +406,7 @@ mod tests {
     #[test]
     fn nested_document_round_trips_through_pretty() {
         let doc = obj(vec![
-            ("bench", Json::Str("fig2".into())),
+            ("bench", Json::Str("table5".into())),
             ("seed", Json::Num(12_924_439.0)),
             ("ratio", Json::Num(0.125)),
             (

@@ -1,21 +1,23 @@
 //! # bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation (§IV):
+//! The paper's evaluation (§IV) on the simulator, one sweep per workload:
 //!
 //! | target | reproduces |
 //! |---|---|
-//! | `fig2`   | Fig. 2a/2b — Bank throughput & abort rate vs %ROT |
-//! | `table1` | Table I — commit-phase breakdown, JVSTM-GPU vs CSMV (Bank) |
-//! | `table2` | Table II — total/wasted time per transaction (Bank) |
-//! | `fig3`   | Fig. 3 — MemcachedGPU throughput & abort vs associativity |
-//! | `table3` | Table III — commit-phase breakdown (Memcached) |
-//! | `table4` | Table IV — total/wasted time per transaction (Memcached) |
-//! | `fig4`   | Fig. 4 — ablation variants (Bank) |
-//! | `table5` | Table V — memory & abort rate vs versions per VBox |
+//! | `bank_suite`  | Fig. 2a/2b, Fig. 4, Tables I–II — one Bank sweep over %ROT |
+//! | `mc_suite`    | Fig. 3, Tables III–IV — one MemcachedGPU sweep over associativity |
+//! | `table5`      | Table V — memory & abort rate vs versions per VBox |
+//! | `multiserver` | extension (§V): Bank throughput vs commit-server count |
 //!
-//! All binaries honour `BENCH_QUICK=1` (reduced geometry for smoke runs);
-//! the default is the paper-faithful scale: 28 SMs, 64-thread blocks, 6 000
-//! bank accounts, a 1 M-slot cache, 99.8 % GETs.
+//! plus `native_equiv` (simulator ↔ `csmv-native` equivalence lanes),
+//! `loadgen` (open-loop driver for a live `csmv-service`) and `bench-gate`
+//! (baseline comparison). Native and service *performance* is measured by
+//! the repo benchmark (`BENCHMARK.json`, `benchmark/`), not here.
+//!
+//! The sim binaries share one command line ([`cli`]); `--quick` selects a
+//! reduced geometry for smoke runs, the default is the paper-faithful
+//! scale: 28 SMs, 64-thread blocks, 6 000 bank accounts, a 1 M-slot cache,
+//! 99.8 % GETs.
 
 #![forbid(unsafe_code)]
 
@@ -27,9 +29,7 @@ pub mod report;
 
 use gpu_sim::{AnalysisConfig, AnalysisStats, GpuConfig};
 use stm_core::{MetricsReport, Phase, RunResult, TimeBreakdown};
-use workloads::{
-    BankConfig, BankSource, ListConfig, ListSource, MemcachedConfig, MemcachedSource, Zipfian,
-};
+use workloads::{BankConfig, BankSource, MemcachedConfig, MemcachedSource, Zipfian};
 
 /// Experiment scale knobs.
 #[derive(Debug, Clone)]
@@ -53,17 +53,16 @@ pub struct Scale {
     /// simulation down; results are unchanged (analysis never perturbs
     /// timing).
     pub analysis: bool,
-    /// Override the CSMV ATR ring capacity (`BENCH_ATR_CAP`). Normally
+    /// Override the CSMV ATR ring capacity (`--atr-cap`). Normally
     /// `None` (each run sizes its own ring); setting a tiny value degrades
     /// CSMV with spurious window aborts — used to prove `bench-gate`
     /// actually fails on a regression.
     pub atr_cap: Option<u64>,
-    /// Deterministic fault-injection spec (`--faults` / `BENCH_FAULTS`;
-    /// comma-separated clauses, see `gpu_sim::fault::FaultSpec`). `None`
-    /// runs fault-free.
+    /// Deterministic fault-injection spec (`--faults`; comma-separated
+    /// clauses, see `gpu_sim::fault::FaultSpec`). `None` runs fault-free.
     pub faults: Option<String>,
     /// Seed every fault-plan decision and the recovery jitter derive from
-    /// (`--fault-seed` / `BENCH_FAULT_SEED`).
+    /// (`--fault-seed`).
     pub fault_seed: u64,
 }
 
@@ -100,35 +99,6 @@ impl Scale {
             faults: None,
             fault_seed: 0xFA_0175,
         }
-    }
-
-    /// Scale selected by the `BENCH_QUICK` environment variable; setting
-    /// `BENCH_ANALYSIS=1` additionally runs everything under the analysis
-    /// layer and prints what it found, and `BENCH_ATR_CAP=N` force-degrades
-    /// the CSMV ATR ring to N records.
-    pub fn from_env() -> Self {
-        let mut scale = if std::env::var("BENCH_QUICK")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-        {
-            Self::quick()
-        } else {
-            Self::paper()
-        };
-        scale.analysis = std::env::var("BENCH_ANALYSIS")
-            .map(|v| v == "1")
-            .unwrap_or(false);
-        scale.atr_cap = std::env::var("BENCH_ATR_CAP")
-            .ok()
-            .and_then(|v| v.parse().ok());
-        scale.faults = std::env::var("BENCH_FAULTS").ok().filter(|v| !v.is_empty());
-        if let Some(seed) = std::env::var("BENCH_FAULT_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            scale.fault_seed = seed;
-        }
-        scale
     }
 
     /// The fault plan the `faults` spec selects. Panics on a malformed spec:
@@ -248,17 +218,16 @@ pub struct Row {
     /// Transactions terminally failed by the recovery layer (fault
     /// injection only; 0 in healthy runs).
     pub failed: u64,
-    /// Wall-clock committed transactions per second. Only the native
-    /// backend fills this in; simulated rows report 0 (their `throughput`
-    /// is cycle-derived).
+    /// Wall-clock committed transactions per second (`loadgen` rows and
+    /// the CPU baseline; simulated rows report 0 — their `throughput` is
+    /// cycle-derived).
     pub txn_per_sec: f64,
-    /// Commit-latency p50 in microseconds (native backend; 0 for
-    /// simulated rows, whose latency histograms are in cycles).
+    /// Latency p50 in microseconds (`loadgen` rows; 0 for simulated rows,
+    /// whose latency histograms are in cycles).
     pub latency_p50_us: f64,
-    /// Commit-latency p99 in microseconds (native backend only).
+    /// Latency p99 in microseconds (`loadgen` rows only).
     pub latency_p99_us: f64,
-    /// Commit-latency p99.9 in microseconds (native/service backends;
-    /// 0 for simulated rows). Schema v3.
+    /// Latency p99.9 in microseconds (`loadgen` rows only). Schema v3.
     pub latency_p999_us: f64,
     /// Open-loop service counters (loadgen rows only). Schema v3.
     pub service: Option<ServiceStats>,
@@ -266,9 +235,6 @@ pub struct Row {
     pub analysis: Option<AnalysisStats>,
     /// True when *every* metric of the row is host timing (the CPU
     /// baseline): not reproducible, so `bench-gate` skips the row.
-    /// Native-backend rows are *not* wall-clock rows — their commit/failed
-    /// counters are deterministic and stay gated; the gate's per-backend
-    /// threshold policy exempts only their timing metrics.
     pub wall_clock: bool,
     /// Structured observability harvested from the run (empty for
     /// wall-clock-measured systems).
@@ -454,100 +420,12 @@ pub fn bank_jvstm_cpu(scale: &Scale, rot_pct: u8) -> Row {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Native-backend runners (CSMV on real OS threads, wall-clock measured)
-// ---------------------------------------------------------------------------
-
-/// Per-worker transaction quota for a native run: the same total work as a
-/// GPU bank run at this scale, split over `clients` threads — so sweeping
-/// the thread count keeps the workload fixed and measures pure scaling.
+/// Per-worker transaction quota for a `native_equiv` lane: the same total
+/// work as a GPU bank run at this scale, split over `clients` threads, so
+/// every thread count checks the same amount of work.
 pub fn native_txs(scale: &Scale, clients: usize) -> usize {
     let gpu_threads = scale.sms * 2 * gpu_sim::WARP_LANES;
     (scale.bank_txs * gpu_threads / clients.max(1)).max(1)
-}
-
-fn native_config(scale: &Scale, clients: usize, servers: usize) -> csmv_native::NativeConfig {
-    assert!(
-        scale.faults.is_none(),
-        "the native backend takes no simulator fault spec; run it fault-free"
-    );
-    csmv_native::NativeConfig {
-        client_threads: clients,
-        server_threads: servers,
-        versions_per_box: scale.versions as usize,
-        ..Default::default()
-    }
-}
-
-/// Build a [`Row`] from a native run. Timing metrics are host wall-clock
-/// (`txn_per_sec`, latency quantiles in µs); the commit/failed counters
-/// are deterministic for a fixed workload and stay gate-able.
-pub fn native_row(system: &str, x: u64, res: &csmv_native::NativeRunResult) -> Row {
-    Row {
-        system: system.to_string(),
-        x,
-        throughput: res.throughput(),
-        abort_pct: res.stats.abort_rate_pct(),
-        // useful/wasted hold nanoseconds on this backend (ns → ms).
-        total_ms_per_tx: res.stats.total_cycles_per_tx() / 1e6,
-        wasted_ms_per_tx: res.stats.wasted_cycles_per_tx() / 1e6,
-        client_bd: TimeBreakdown::default(),
-        server_bd: TimeBreakdown::default(),
-        elapsed_ms: res.elapsed.as_secs_f64() * 1e3,
-        commits: res.stats.commits(),
-        aborts: res.stats.aborts(),
-        failed: res.stats.failed,
-        txn_per_sec: res.throughput(),
-        latency_p50_us: res.metrics.commit_latency.quantile(0.5) as f64 / 1e3,
-        latency_p99_us: res.metrics.commit_latency.quantile(0.99) as f64 / 1e3,
-        latency_p999_us: res.metrics.commit_latency.quantile(0.999) as f64 / 1e3,
-        service: None,
-        analysis: None, // the analysis layer instruments the simulator only
-        wall_clock: false,
-        metrics: res.metrics.clone(),
-    }
-}
-
-/// CSMV-native on Bank: `clients` worker threads against `servers` commit
-/// servers. Every run's history passes the opacity oracle (the run panics
-/// otherwise — a protocol bug, not a measurement).
-pub fn bank_native(scale: &Scale, rot_pct: u8, clients: usize, servers: usize) -> Row {
-    let bank = BankConfig {
-        accounts: scale.accounts,
-        ..BankConfig::paper(rot_pct)
-    };
-    let cfg = native_config(scale, clients, servers);
-    let txs = native_txs(scale, clients);
-    let res = csmv_native::run_checked(
-        &cfg,
-        |t| BankSource::new(&bank, scale.seed, t, txs),
-        bank.accounts,
-        |_| bank.initial_balance,
-    )
-    .unwrap_or_else(|e| panic!("native bank run invalid: {e}"));
-    native_row("CSMV (native)", rot_pct as u64, &res)
-}
-
-/// CSMV-native on the sorted linked list. `x` is the client thread count.
-pub fn list_native(scale: &Scale, clients: usize, servers: usize) -> Row {
-    let txs = native_txs(scale, clients);
-    let list = ListConfig {
-        key_range: scale.accounts.max(64),
-        initial_nodes: 64,
-        contains_pct: 30,
-        pool_per_thread: txs as u64,
-        threads: clients,
-    };
-    let cfg = native_config(scale, clients, servers);
-    let init = list.initial_state();
-    let res = csmv_native::run_checked(
-        &cfg,
-        |t| ListSource::new(&list, scale.seed, t, txs),
-        list.num_items(),
-        |item| *init.get(&item).unwrap_or(&0),
-    )
-    .unwrap_or_else(|e| panic!("native list run invalid: {e}"));
-    native_row("List (native)", clients as u64, &res)
 }
 
 // ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ use stm_core::{AbortReason, FaultEvent};
 /// Bumped whenever the schema changes incompatibly; `bench-gate` refuses to
 /// compare reports of different versions.
 ///
-/// v2 added the execution `backend` to the config block ("sim" or
-/// "native") and the wall-clock metrics `txn_per_sec` /
-/// `latency_p50_us` / `latency_p99_us` to every row.
+/// v2 added the execution `backend` to the config block and the
+/// wall-clock metrics `txn_per_sec` / `latency_p50_us` / `latency_p99_us`
+/// to every row.
 ///
 /// v3 added `latency_p999_us` to every row plus the open-loop service
 /// metrics (`arrival_rate`, `achieved_rate`, `service.*` counters and
@@ -32,7 +32,7 @@ use stm_core::{AbortReason, FaultEvent};
 /// but baselines were regenerated to carry them.
 ///
 /// Still v3 (additive): the pipelined-commit PR appended `gts_stall_ns`
-/// (mean GTS-turn stall per commit, nanoseconds on native), the
+/// (mean GTS-turn stall per commit), the
 /// `server_stall.*` series summaries (server-side version-wait during
 /// validation) and the `pipeline.*` speculation counters. Missing rows in
 /// an older baseline are additive, never an error.
@@ -43,7 +43,7 @@ pub const SCHEMA_VERSION: u64 = 3;
 pub struct BenchReport {
     /// Schema version ([`SCHEMA_VERSION`] when produced by this build).
     pub schema_version: u64,
-    /// Bench binary name (`fig2`, `bank_suite`, …).
+    /// Bench binary name (`bank_suite`, `loadgen`, …).
     pub bench: String,
     /// Scale label: `quick` or `paper`.
     pub scale: String,
@@ -55,10 +55,11 @@ pub struct BenchReport {
     /// counts are otherwise identical, and `bench-gate` never gates on it.
     pub threads: u64,
     /// Execution backend the rows were measured on (`config.backend`):
-    /// `"sim"` (the cycle-level simulator, the default) or `"native"`
-    /// (real OS threads, wall-clock measured). Like `faults`, this is part
-    /// of the run's identity — `bench-gate` refuses cross-backend
-    /// comparisons and applies a backend-specific threshold policy.
+    /// `"sim"` (the cycle-level simulator, the default) or `"service"`
+    /// (`loadgen` against a live `csmv-service`, wall-clock measured). Like
+    /// `faults`, this is part of the run's identity — `bench-gate` refuses
+    /// cross-backend comparisons and applies a backend-specific threshold
+    /// policy.
     pub backend: String,
     /// Fault-injection spec the run used (`config.faults`), if any. Unlike
     /// `threads` this changes results, so `bench-gate` refuses to compare
@@ -108,11 +109,11 @@ fn flatten(row: &Row) -> Vec<(String, f64)> {
             "poll_stall_cycles".into(),
             (row.client_bd.poll_stall_cycles + row.server_bd.poll_stall_cycles) as f64,
         ),
-        // Wall-clock metrics (v2): nonzero only on the native backend.
+        // Wall-clock metrics (v2): zero on simulated rows.
         ("txn_per_sec".into(), row.txn_per_sec),
         ("latency_p50_us".into(), row.latency_p50_us),
         ("latency_p99_us".into(), row.latency_p99_us),
-        // v3: p99.9 everywhere (nonzero on native/service rows only).
+        // v3: p99.9 everywhere (nonzero on service rows only).
         ("latency_p999_us".into(), row.latency_p999_us),
     ];
     // v3, additive: open-loop service metrics, present only on loadgen
@@ -295,7 +296,7 @@ impl BenchReport {
                     .transpose()?
                     .unwrap_or(1),
                 // Optional with a "sim" default: every report written
-                // before the native backend existed was a simulator run.
+                // before the field existed was a simulator run.
                 cfg.get("backend")
                     .map(|b| {
                         b.as_str()
@@ -548,7 +549,7 @@ mod tests {
         let back = BenchReport::from_json(&parse(&text).unwrap()).unwrap();
         assert_eq!(back, report);
         // And so is the backend.
-        report.backend = "native".into();
+        report.backend = "service".into();
         let text = report.to_json().pretty();
         let back = BenchReport::from_json(&parse(&text).unwrap()).unwrap();
         assert_eq!(back, report);

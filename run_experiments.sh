@@ -4,8 +4,7 @@
 # covers Fig.3 and Tables III & IV; table5 and multiserver run separately.
 #
 # With no arguments, runs the full simulated-experiment manifest from
-# scripts/bench-bins.sh; pass bin names to run a subset. Native bins work
-# too (e.g. `./run_experiments.sh native_suite`).
+# scripts/bench-bins.sh; pass bin names to run a subset.
 set -u
 cd "$(dirname "$0")"
 source scripts/bench-bins.sh

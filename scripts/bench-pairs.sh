@@ -22,6 +22,12 @@
 # last column says which of the two holds. `failed`/`attempted` are summed
 # per side. The raw result objects stay in $OUT for the record.
 #
+# The last line printed is one JSON record for the BENCH_native.json /
+# BENCH_service.json trajectory (append it as a line): both checkouts'
+# commits (`git describe --always --dirty`), the host's nproc, the workload,
+# the complete pairs, commit_tps [q1, median, q3] per side, and the summed
+# failed/attempted per side.
+#
 # Env: PAIRS (or 4th argument, default 10), SEED (first seed, default 1),
 #      TRACE (0 = end-to-end metrics, 1 = per-layer; default 0),
 #      OUT (default CHANGE_CHECKOUT/.bench_build/pairs).
@@ -68,11 +74,13 @@ for k in $(seq 1 "$PAIRS"); do
   done
 done
 
-python3 - "$CHANGE/BENCHMARK.json" "$OUT" "$WORKLOAD" "$TRACE" "$PAIRS" <<'PY'
-import json, sys
+python3 - "$CHANGE/BENCHMARK.json" "$OUT" "$WORKLOAD" "$TRACE" "$PAIRS" \
+  "$(git -C "$PARENT" describe --always --dirty)" "$(git -C "$CHANGE" describe --always --dirty)" <<'PY'
+import json, os, sys
 from statistics import median, quantiles
 
 spec, out, workload, trace, pairs = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4], int(sys.argv[5])
+parent_commit, change_commit = sys.argv[6], sys.argv[7]
 spec = json.load(open(spec))
 better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
 
@@ -85,10 +93,12 @@ def load(label, k):
 runs = [(load("parent", k), load("change", k)) for k in range(1, pairs + 1)]
 complete = [(p, c) for p, c in runs if p and c]
 print(f"{workload}: {len(complete)} of {pairs} pairs complete, trace {trace}")
+failed, attempted = {}, {}
 for label, i in (("parent", 0), ("change", 1)):
     side = [r[i] for r in runs if r[i]]
-    print(f"  {label}: failed {sum(r['failed'] for r in side)} of "
-          f"{sum(r['attempted'] for r in side)} attempted; "
+    failed[label] = sum(r['failed'] for r in side)
+    attempted[label] = sum(r['attempted'] for r in side)
+    print(f"  {label}: failed {failed[label]} of {attempted[label]} attempted; "
           f"{sum(not r['correct'] for r in side)} passes failed a correctness gate")
 
 def quartiles(xs):
@@ -98,6 +108,7 @@ def quartiles(xs):
     return q[0], q[2]
 
 names = sorted({n for p, c in complete for n in p["metrics"] if n in c["metrics"]})
+commit_tps = None
 for name in names:
     # A per-layer metric may be missing from a pass; keep the pairs that have it on both sides.
     both = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
@@ -108,6 +119,8 @@ for name in names:
     losses = sum(sign * (c - p) < 0 for p, c in both)
     (pq1, pq3), (cq1, cq3) = quartiles(ps), quartiles(cs)
     pm, cm = median(ps), median(cs)
+    if name == "commit_tps":
+        commit_tps = {"parent": [pq1, pm, pq3], "change": [cq1, cm, cq3]}
     move = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
     apart = abs(cm - pm) > (pq3 - pq1)
     if wins * 10 >= 9 * len(ps) and apart:
@@ -121,4 +134,11 @@ for name in names:
     print(f"    change {cm:.6g} [{cq1:.6g} .. {cq3:.6g}]  runs {' '.join(f'{x:.6g}' for x in cs)}")
     print(f"    median {move}; change won {wins}, lost {losses} of {len(ps)}; "
           f"medians {'more' if apart else 'less'} than the parent's quartile distance apart: {verdict}")
+
+print(json.dumps({
+    "commit": change_commit, "parent": parent_commit, "nproc": os.cpu_count(),
+    "workload": workload, "pairs": len(complete),
+    "commit_tps": commit_tps,
+    "failed": failed, "attempted": attempted,
+}))
 PY
