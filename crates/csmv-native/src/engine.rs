@@ -2,22 +2,36 @@
 //!
 //! Where [`crate::run`] drives a *closed-loop* workload (each worker owns a
 //! `TxSource` and drains it), the engine inverts control: it owns the worker
-//! pool and commit-server threads and accepts individual boxed
-//! [`TxLogic`] bodies from any thread, replying on a per-submission
-//! completion channel. This is the interface `csmv-service` fronts with a
-//! wire protocol — the engine knows nothing about sockets or framing, only
+//! pool and commit-server threads and accepts boxed [`TxLogic`] bodies from
+//! any thread. This is the interface `csmv-service` fronts with a wire
+//! protocol — the engine knows nothing about sockets or framing, only
 //! transactions.
 //!
-//! Backpressure is explicit: submissions go through one bounded queue
-//! shared by every worker, and [`NativeEngine::try_submit`] returns
-//! [`SubmitError::Busy`] (handing the body back) when it is full, so an
-//! overloaded engine sheds load instead of growing memory. Every accepted
-//! transaction is guaranteed a terminal [`Completion`] — commit, terminal
-//! abort, or `ServerTimeout` when the run deadline drains the queue.
+//! The hand-off is batch-granular in both directions. A submitter passes
+//! everything it has in one [`NativeEngine::submit_batch`] call, which takes
+//! the intake lock once; a worker moves up to one commit batch of jobs out
+//! per lock ([`Intake::refill`]); and each job's terminal [`Completion`] is
+//! delivered to the submitter's [`CompletionSink`] under the ticket the
+//! submitter chose, so no job carries a channel of its own.
+//! [`NativeEngine::try_submit`] is the one-job form of the same call, with
+//! an `mpsc` sender as its completion target.
+//!
+//! Backpressure is explicit: the intake is bounded, a call accepts the
+//! first `room` jobs in order and hands the rest back ([`Refused::Busy`]),
+//! so an overloaded engine sheds load instead of growing memory. Every
+//! accepted transaction gets exactly one terminal [`Completion`] — commit,
+//! terminal abort, or `ServerTimeout` when the run deadline drains the
+//! intake: the last worker to leave closes the intake under its lock and
+//! fails what is still queued, and from then on submissions are refused
+//! with [`Refused::Closed`].
+//!
+//! Nothing in `impl Intake` or `impl EngineJob` may panic: both run on
+//! worker threads, and the `xtask` `no-panic-in-server-path` lint covers
+//! them.
 
-use std::collections::HashMap;
-use std::sync::mpsc::{self, Sender, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::collections::{HashMap, VecDeque};
+use std::sync::mpsc::Sender;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -28,8 +42,8 @@ use crate::pool::{self, Shared};
 use crate::worker::{Finish, WorkerOutput};
 use crate::{NativeConfig, NativeConfigError, NativeRunError, NativeRunResult};
 
-/// Terminal outcome of one submitted transaction, delivered on the
-/// submitter's completion channel.
+/// Terminal outcome of one submitted transaction, delivered to the
+/// submitter's [`CompletionSink`].
 pub struct Completion {
     /// The transaction body, handed back so the submitter can extract
     /// whatever its committed execution recorded (read values, computed
@@ -41,21 +55,90 @@ pub struct Completion {
     pub latency: Duration,
 }
 
-/// One accepted transaction in flight through the worker pool.
+/// Where a submitter receives the outcomes of its jobs. One sink serves
+/// any number of jobs: each [`Submission`] names a `ticket` and the engine
+/// passes it back with the job's [`Completion`]. `complete` runs on
+/// whichever worker thread finished the job, so it must be quick and must
+/// not panic. Every accepted job calls it exactly once.
+pub trait CompletionSink: Send + Sync {
+    /// Job `ticket` reached its terminal outcome.
+    fn complete(&self, ticket: u64, completion: Completion);
+}
+
+/// One transaction of a [`NativeEngine::submit_batch`] call.
+pub struct Submission {
+    /// Passed back to the sink with the outcome; the submitter's to choose.
+    pub ticket: u64,
+    /// The transaction body.
+    pub tx: Box<dyn TxLogic>,
+}
+
+/// Why [`NativeEngine::submit_batch`] left jobs in the caller's vector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refused {
+    /// The bounded intake filled up — backpressure, not failure. The jobs
+    /// before the ones left behind were accepted.
+    Busy,
+    /// The engine is no longer accepting work (its run deadline passed and
+    /// every worker left). Nothing was accepted.
+    Closed,
+}
+
+/// Body left in a job whose own body went out with its completion.
+struct Spent;
+
+impl TxLogic for Spent {
+    fn is_read_only(&self) -> bool {
+        true
+    }
+    fn reset(&mut self) {}
+    fn next(&mut self, _last_read: Option<u64>) -> TxOp {
+        TxOp::Finish
+    }
+}
+
+/// One accepted transaction in flight through the worker pool. It settles
+/// its ticket exactly once: through [`Finish::finish`], or — should it be
+/// dropped unfinished, which only a dying worker or an abandoned engine
+/// can do — as `ServerUnavailable` from `Drop`. A sink has no "sender hung
+/// up" signal, so the guarantee has to be structural.
 pub(crate) struct EngineJob {
     tx: Box<dyn TxLogic>,
     accepted: Instant,
-    done: Sender<Completion>,
+    /// Where the outcome goes; `None` once it went.
+    done: Option<Done>,
+}
+
+/// A job's completion target.
+enum Done {
+    /// The submitter's sink, under the submitter's ticket.
+    Sink(Arc<dyn CompletionSink>, u64),
+    /// The channel of a [`NativeEngine::try_submit`] call.
+    Channel(Sender<Completion>),
 }
 
 impl EngineJob {
-    /// Stamp `tx` as accepted now; its terminal outcome goes to `done`.
-    pub(crate) fn new(tx: Box<dyn TxLogic>, done: Sender<Completion>) -> Self {
-        Self {
-            tx,
-            accepted: Instant::now(),
-            done,
+    fn settle(&mut self, outcome: Result<(), AbortReason>) {
+        let Some(done) = self.done.take() else {
+            return;
+        };
+        let completion = Completion {
+            // `Spent` is zero-sized: boxing it does not allocate.
+            tx: std::mem::replace(&mut self.tx, Box::new(Spent)),
+            outcome,
+            latency: self.accepted.elapsed(),
+        };
+        match done {
+            Done::Sink(sink, ticket) => sink.complete(ticket, completion),
+            // A submitter that hung up just discards its completion.
+            Done::Channel(channel) => drop(channel.send(completion)),
         }
+    }
+}
+
+impl Drop for EngineJob {
+    fn drop(&mut self) {
+        self.settle(Err(AbortReason::ServerUnavailable));
     }
 }
 
@@ -72,14 +155,174 @@ impl TxLogic for EngineJob {
 }
 
 impl Finish for EngineJob {
-    fn finish(self, outcome: Result<(), AbortReason>) {
-        let latency = self.accepted.elapsed();
-        // A submitter that hung up just discards its completion.
-        let _ = self.done.send(Completion {
-            tx: self.tx,
-            outcome,
-            latency,
+    fn finish(mut self, outcome: Result<(), AbortReason>) {
+        self.settle(outcome);
+    }
+}
+
+/// The engine's one intake: a bounded queue every submitter appends to
+/// and every worker refills from, each a batch per lock.
+pub(crate) struct Intake {
+    state: Mutex<IntakeState>,
+    /// Idle workers wait here for an arrival or the close.
+    arrival: Condvar,
+    /// Most jobs the queue holds: the backpressure bound.
+    depth: usize,
+}
+
+struct IntakeState {
+    jobs: VecDeque<EngineJob>,
+    /// Workers waiting on `arrival`. Only they are notified: a futex wake
+    /// is a syscall even when nobody waits.
+    parked: usize,
+    /// Workers that have not yet left at the run deadline; the last of
+    /// them closes the intake.
+    serving: usize,
+    /// No submission is accepted any more: the engine is shutting down
+    /// (workers drain what is queued and leave), or the last worker left.
+    closed: bool,
+}
+
+impl Intake {
+    /// An open intake of `depth` jobs served by `workers` workers.
+    pub(crate) fn new(depth: usize, workers: usize) -> Self {
+        Self {
+            state: Mutex::new(IntakeState {
+                jobs: VecDeque::with_capacity(depth),
+                parked: 0,
+                serving: workers,
+                closed: false,
+            }),
+            arrival: Condvar::new(),
+            depth,
+        }
+    }
+
+    /// A poisoned lock only means a thread panicked while holding it; every
+    /// update below leaves the queue and its counters consistent.
+    fn lock(&self) -> MutexGuard<'_, IntakeState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Lock the intake for a submission: the guard and the room left in
+    /// the queue, or the refusal of a closed intake.
+    fn admit(&self) -> Result<(MutexGuard<'_, IntakeState>, usize), Refused> {
+        let s = self.lock();
+        if s.closed {
+            return Err(Refused::Closed);
+        }
+        let room = self.depth.saturating_sub(s.jobs.len());
+        Ok((s, room))
+    }
+
+    /// End a submission that queued `took` jobs: unlock, then wake a
+    /// worker if one is parked.
+    fn admitted(&self, s: MutexGuard<'_, IntakeState>, took: usize) {
+        let wake = took > 0 && s.parked > 0;
+        drop(s);
+        if wake {
+            self.arrival.notify_one();
+        }
+    }
+
+    /// Accept the first `room` of `jobs` in order, under one lock, and
+    /// leave the rest where they are.
+    pub(crate) fn offer(
+        &self,
+        sink: &Arc<dyn CompletionSink>,
+        jobs: &mut Vec<Submission>,
+    ) -> Result<(), Refused> {
+        let accepted = Instant::now();
+        let (mut s, room) = self.admit()?;
+        let take = jobs.len().min(room);
+        s.jobs.extend(jobs.drain(..take).map(|job| EngineJob {
+            tx: job.tx,
+            accepted,
+            done: Some(Done::Sink(sink.clone(), job.ticket)),
+        }));
+        self.admitted(s, take);
+        if jobs.is_empty() {
+            Ok(())
+        } else {
+            Err(Refused::Busy)
+        }
+    }
+
+    /// [`Intake::offer`] for one job completing to a channel.
+    fn offer_one(&self, tx: Box<dyn TxLogic>, done: Sender<Completion>) -> Result<(), SubmitError> {
+        let accepted = Instant::now();
+        let (mut s, room) = match self.admit() {
+            Ok(open) => open,
+            Err(_) => return Err(SubmitError::Closed(tx)),
+        };
+        if room == 0 {
+            return Err(SubmitError::Busy(tx));
+        }
+        s.jobs.push_back(EngineJob {
+            tx,
+            accepted,
+            done: Some(Done::Channel(done)),
         });
+        self.admitted(s, 1);
+        Ok(())
+    }
+
+    /// Refuse further submissions; workers drain what is queued and leave.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.arrival.notify_all();
+    }
+
+    /// Move up to `batch` queued jobs into `hand`, under one lock. With
+    /// nothing queued, a worker that holds no work (`idle`) waits — for an
+    /// arrival, the close or `deadline` — and the condvar gives the lock up
+    /// meanwhile, so a worker with jobs in hand never waits behind it.
+    ///
+    /// Returns true once this worker has left and must not come back:
+    /// the intake is closed and empty, or `deadline` has passed. A worker
+    /// leaving at the deadline takes everything queued along, to fail it;
+    /// the last one closes the intake under the same lock, so a job is
+    /// either taken by a worker or refused at submit, never stranded.
+    pub(crate) fn refill(
+        &self,
+        hand: &mut VecDeque<EngineJob>,
+        batch: usize,
+        idle: bool,
+        deadline: Instant,
+    ) -> bool {
+        let mut s = self.lock();
+        loop {
+            let now = Instant::now();
+            if now >= deadline {
+                hand.extend(s.jobs.drain(..));
+                s.serving = s.serving.saturating_sub(1);
+                s.closed |= s.serving == 0;
+                return true;
+            }
+            if !s.jobs.is_empty() {
+                let take = s.jobs.len().min(batch);
+                hand.extend(s.jobs.drain(..take));
+                // More than one batch arrived at once: pass the wake-up on.
+                let pass_on = !s.jobs.is_empty() && s.parked > 0;
+                drop(s);
+                if pass_on {
+                    self.arrival.notify_one();
+                }
+                return false;
+            }
+            if s.closed {
+                return true;
+            }
+            if !idle {
+                return false;
+            }
+            s.parked += 1;
+            s = self
+                .arrival
+                .wait_timeout(s, deadline - now)
+                .map_or_else(|e| e.into_inner().0, |(guard, _timed_out)| guard);
+            s.parked -= 1;
+        }
     }
 }
 
@@ -88,8 +331,8 @@ impl Finish for EngineJob {
 pub enum SubmitError {
     /// The bounded submit queue is full — backpressure, not failure.
     Busy(Box<dyn TxLogic>),
-    /// The engine is no longer accepting work (shut down, or its run
-    /// deadline passed and every worker exited).
+    /// The engine is no longer accepting work (its run deadline passed and
+    /// every worker exited).
     Closed(Box<dyn TxLogic>),
 }
 
@@ -103,11 +346,11 @@ impl std::fmt::Debug for SubmitError {
 }
 
 /// The native backend as a long-lived transaction-processing engine: spawn
-/// with [`NativeEngine::start`], feed with [`NativeEngine::try_submit`],
+/// with [`NativeEngine::start`], feed with [`NativeEngine::submit_batch`],
 /// stop with [`NativeEngine::shutdown`] (or `shutdown_checked` to validate
 /// the recorded history against the opacity oracle).
 pub struct NativeEngine {
-    submit_tx: Option<SyncSender<EngineJob>>,
+    intake: Arc<Intake>,
     workers: Vec<JoinHandle<WorkerOutput>>,
     servers: Vec<JoinHandle<MetricsReport>>,
     shared: Shared,
@@ -130,22 +373,21 @@ impl NativeEngine {
             .map(|server| std::thread::spawn(move || server.run()))
             .collect();
 
-        // The submit queue is the backpressure boundary: deep enough to keep
+        // The intake is the backpressure boundary: deep enough to keep
         // every worker's batch pipeline full, bounded so overload surfaces
-        // as `SubmitError::Busy` instead of unbounded memory growth.
+        // as `Busy` instead of unbounded memory growth.
         let depth = cfg.channel_depth * cfg.client_threads.max(1);
-        let (submit_tx, submit_rx) = mpsc::sync_channel(depth);
-        let jobs = Arc::new(Mutex::new(submit_rx));
+        let intake = Arc::new(Intake::new(depth, workers.len()));
         let workers = workers
             .into_iter()
             .map(|w| {
-                let jobs = jobs.clone();
-                std::thread::spawn(move || w.serve(jobs))
+                let intake = intake.clone();
+                std::thread::spawn(move || w.serve(&intake))
             })
             .collect();
 
         Ok(NativeEngine {
-            submit_tx: Some(submit_tx),
+            intake,
             workers,
             servers,
             shared,
@@ -153,23 +395,30 @@ impl NativeEngine {
         })
     }
 
-    /// Hand one transaction to the worker pool. Returns immediately; the
-    /// terminal outcome arrives on `done` as a [`Completion`]. `Busy` is
-    /// backpressure — the bounded submit queue is full and the caller
-    /// should shed or retry.
+    /// Hand `jobs` to the worker pool in one call — one intake lock for
+    /// all of them. Accepted jobs are drained from the front of `jobs`, in
+    /// order, and each one's terminal outcome reaches `sink` under its
+    /// ticket. On `Err` the jobs that were not accepted are still in
+    /// `jobs`, untouched: the tail past the intake's room for
+    /// [`Refused::Busy`] (shed or retry them), all of them for
+    /// [`Refused::Closed`].
+    pub fn submit_batch(
+        &self,
+        sink: &Arc<dyn CompletionSink>,
+        jobs: &mut Vec<Submission>,
+    ) -> Result<(), Refused> {
+        self.intake.offer(sink, jobs)
+    }
+
+    /// [`NativeEngine::submit_batch`] for one transaction completing to a
+    /// channel: same intake, same workers. It stays because
+    /// `benchmark/`'s engine probe compiles against it.
     pub fn try_submit(
         &self,
         tx: Box<dyn TxLogic>,
         done: Sender<Completion>,
     ) -> Result<(), SubmitError> {
-        let Some(sender) = &self.submit_tx else {
-            return Err(SubmitError::Closed(tx));
-        };
-        match sender.try_send(EngineJob::new(tx, done)) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(job)) => Err(SubmitError::Busy(job.tx)),
-            Err(TrySendError::Disconnected(job)) => Err(SubmitError::Closed(job.tx)),
-        }
+        self.intake.offer_one(tx, done)
     }
 
     /// Current Global Timestamp (counts committed update transactions).
@@ -177,10 +426,10 @@ impl NativeEngine {
         self.shared.atr.gts()
     }
 
-    /// Close the submit queue, let the workers drain everything in flight,
+    /// Close the intake, let the workers drain everything in flight,
     /// join every thread and return the aggregated run result.
     pub fn shutdown(mut self) -> NativeRunResult {
-        self.submit_tx = None;
+        self.intake.close();
         // A thread that panicked (impossible by construction — the
         // no-panic lint covers NativeWorker and NativeServer) contributes
         // nothing.
@@ -206,9 +455,18 @@ impl NativeEngine {
     }
 }
 
+/// An engine dropped without `shutdown` still releases its threads: the
+/// workers drain the intake and leave, and the servers follow them.
+impl Drop for NativeEngine {
+    fn drop(&mut self) {
+        self.intake.close();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
     /// Reads `item`, writes `item + 1` back — the canonical contended
     /// counter increment.
@@ -273,6 +531,31 @@ mod tests {
         }
     }
 
+    /// A sink that reports `(ticket, outcome)` to the test.
+    struct Tickets(Mutex<mpsc::Sender<(u64, Result<(), AbortReason>)>>);
+
+    impl CompletionSink for Tickets {
+        fn complete(&self, ticket: u64, completion: Completion) {
+            let _ = self.0.lock().unwrap().send((ticket, completion.outcome));
+        }
+    }
+
+    type Outcomes = mpsc::Receiver<(u64, Result<(), AbortReason>)>;
+
+    fn tickets() -> (Arc<dyn CompletionSink>, Outcomes) {
+        let (tx, rx) = mpsc::channel();
+        (Arc::new(Tickets(Mutex::new(tx))), rx)
+    }
+
+    fn increments(tickets: std::ops::Range<u64>) -> Vec<Submission> {
+        tickets
+            .map(|ticket| Submission {
+                ticket,
+                tx: Box::new(IncTx::new(ticket % 4)),
+            })
+            .collect()
+    }
+
     #[test]
     fn submitted_increments_all_commit_and_pass_the_oracle() {
         let cfg = NativeConfig {
@@ -325,12 +608,103 @@ mod tests {
         assert_eq!(result.gts as usize, SUBMITTERS * PER_THREAD);
     }
 
+    /// The batched call, end to end: every job of every batch commits and
+    /// reports under its own ticket, whichever worker finished it.
+    #[test]
+    fn a_batch_completes_every_job_under_its_own_ticket() {
+        let cfg = NativeConfig {
+            client_threads: 2,
+            server_threads: 1,
+            ..Default::default()
+        };
+        let engine = NativeEngine::start(&cfg, 4, |_| 0).unwrap();
+        let (sink, outcomes) = tickets();
+        const JOBS: u64 = 96;
+        for first in (0..JOBS).step_by(32) {
+            let mut jobs = increments(first..first + 32);
+            assert_eq!(engine.submit_batch(&sink, &mut jobs), Ok(()));
+            assert!(jobs.is_empty());
+        }
+        let mut seen: Vec<u64> = (0..JOBS)
+            .map(|_| {
+                let (ticket, outcome) = outcomes
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("accepted job must complete");
+                assert_eq!(outcome, Ok(()));
+                ticket
+            })
+            .collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..JOBS).collect::<Vec<_>>());
+        let result = engine.shutdown_checked().unwrap();
+        assert_eq!(result.stats.update_commits, JOBS);
+        assert!(outcomes.try_recv().is_err(), "one completion per job");
+    }
+
+    /// The same bound, the same shedding: a burst larger than the intake's
+    /// room is accepted in order up to the room and the tail is handed
+    /// back in order — never more shed than one-at-a-time submission
+    /// would, and never out of order.
+    #[test]
+    fn a_burst_is_accepted_in_order_up_to_the_room_and_the_rest_returned() {
+        let (sink, outcomes) = tickets();
+        let intake = Intake::new(5, 1);
+        let mut jobs = increments(0..3);
+        assert_eq!(intake.offer(&sink, &mut jobs), Ok(()));
+        let mut jobs = increments(3..9);
+        assert_eq!(intake.offer(&sink, &mut jobs), Err(Refused::Busy));
+        let shed: Vec<u64> = jobs.iter().map(|j| j.ticket).collect();
+        assert_eq!(shed, [5, 6, 7, 8], "room for two of the six");
+        assert_eq!(intake.offer(&sink, &mut jobs), Err(Refused::Busy));
+        assert_eq!(jobs.len(), 4, "a full intake accepts nothing");
+
+        // A worker takes one batch per lock, oldest first.
+        let far = Instant::now() + Duration::from_secs(3600);
+        let mut hand = VecDeque::new();
+        assert!(!intake.refill(&mut hand, 4, false, far));
+        assert_eq!(hand.len(), 4);
+        assert_eq!(intake.offer(&sink, &mut jobs), Ok(()), "room again");
+        assert!(!intake.refill(&mut hand, 8, false, far));
+        for job in hand.drain(..) {
+            job.finish(Ok(()));
+        }
+        let order: Vec<u64> = outcomes.try_iter().map(|(ticket, _)| ticket).collect();
+        assert_eq!(order, (0..9).collect::<Vec<_>>());
+
+        // Closed and empty: the worker leaves, submissions are refused.
+        intake.close();
+        assert!(intake.refill(&mut hand, 8, true, far));
+        let mut jobs = increments(9..10);
+        assert_eq!(intake.offer(&sink, &mut jobs), Err(Refused::Closed));
+        assert_eq!(jobs.len(), 1);
+    }
+
+    /// A job dropped without an outcome — a dying worker, an abandoned
+    /// engine — still settles its ticket, exactly once.
+    #[test]
+    fn a_job_dropped_unfinished_settles_its_ticket() {
+        let (sink, outcomes) = tickets();
+        let intake = Intake::new(4, 1);
+        assert_eq!(intake.offer(&sink, &mut increments(0..2)), Ok(()));
+        let mut hand = VecDeque::new();
+        let far = Instant::now() + Duration::from_secs(3600);
+        assert!(!intake.refill(&mut hand, 1, false, far));
+        hand.pop_front().unwrap().finish(Ok(()));
+        drop(intake); // ticket 1 is still queued
+        let settled: Vec<_> = outcomes.try_iter().collect();
+        assert_eq!(
+            settled,
+            [(0, Ok(())), (1, Err(AbortReason::ServerUnavailable))]
+        );
+    }
+
     /// Intake starvation regression: one submitter keeping one job in
     /// flight finds both workers idle every time. The worker that takes
-    /// the job must not then wait, job in hand, for the queue lock the
-    /// other idle worker holds while blocked on the empty queue — when it
-    /// did, each job cost several idle slices and this load completed a
-    /// few dozen jobs in half a second instead of thousands.
+    /// the job must not then wait, job in hand, behind the other idle
+    /// worker — when it did (the idle one slept *holding* the queue lock),
+    /// each job cost several idle slices and this load completed a few
+    /// dozen jobs in half a second instead of thousands. An idle worker
+    /// now sleeps on the intake's condvar, which gives the lock up.
     #[test]
     fn a_worker_with_a_job_in_hand_never_waits_for_an_idle_one() {
         let cfg = NativeConfig {
@@ -394,31 +768,63 @@ mod tests {
         assert_eq!(result.stats.update_commits as usize, accepted);
     }
 
+    /// Accepted ⇒ exactly one completion, across the run deadline: a
+    /// second thread keeps submitting while the deadline passes and the
+    /// workers leave. Every job the engine accepted — before, during or
+    /// after the drain — gets a terminal outcome, the engine's own
+    /// accounting agrees (commits + failed = accepted), and once the
+    /// intake has closed it refuses instead of accepting into a void.
     #[test]
     fn deadline_drain_gives_every_job_a_terminal_reply() {
         let cfg = NativeConfig {
-            client_threads: 1,
+            client_threads: 2,
             server_threads: 1,
-            max_run: Duration::from_millis(30),
+            max_run: Duration::from_millis(60),
             ..Default::default()
         };
-        let engine = NativeEngine::start(&cfg, 1, |_| 0).unwrap();
-        std::thread::sleep(Duration::from_millis(80));
-        let (done_tx, done_rx) = mpsc::channel();
-        // Past the deadline the engine either sheds at submit (workers
-        // exited, queue disconnected) or fails the job terminally — never
-        // silence.
-        match engine.try_submit(Box::new(IncTx::new(0)), done_tx) {
-            Ok(()) => {
-                let c = done_rx
-                    .recv_timeout(Duration::from_secs(5))
-                    .expect("accepted job must get a terminal completion");
-                assert!(c.outcome.is_err());
-            }
-            Err(SubmitError::Closed(_)) => {}
-            Err(SubmitError::Busy(_)) => panic!("deadline drain must not report Busy"),
-        }
+        let engine = NativeEngine::start(&cfg, 4, |_| 0).unwrap();
+        let (sink, outcomes) = tickets();
+        let accepted: u64 = std::thread::scope(|s| {
+            let submitter = s.spawn(|| {
+                let mut accepted = 0;
+                let mut ticket = 0;
+                loop {
+                    let mut jobs = increments(ticket..ticket + 4);
+                    ticket += 4;
+                    match engine.submit_batch(&sink, &mut jobs) {
+                        Ok(()) => accepted += 4,
+                        Err(Refused::Busy) => {
+                            accepted += 4 - jobs.len() as u64;
+                            std::thread::yield_now();
+                        }
+                        // The last worker has left: the submitter ran
+                        // across the whole drain.
+                        Err(Refused::Closed) => {
+                            assert_eq!(jobs.len(), 4, "a closed intake accepts nothing");
+                            return accepted;
+                        }
+                    }
+                }
+            });
+            submitter.join().unwrap()
+        });
+        let (done_tx, _done_rx) = mpsc::channel();
+        assert!(matches!(
+            engine.try_submit(Box::new(IncTx::new(0)), done_tx),
+            Err(SubmitError::Closed(_))
+        ));
         let result = engine.shutdown();
-        assert_eq!(result.stats.commits(), 0);
+        let (mut oks, mut timeouts) = (0, 0);
+        for (_, outcome) in outcomes.try_iter() {
+            match outcome {
+                Ok(()) => oks += 1,
+                Err(AbortReason::ServerTimeout) => timeouts += 1,
+                Err(other) => panic!("unexpected terminal outcome {other:?}"),
+            }
+        }
+        assert_eq!(oks + timeouts, accepted, "accepted = completions");
+        assert_eq!(result.stats.commits(), oks);
+        assert_eq!(result.stats.failed, timeouts);
+        assert!(oks > 0, "the engine served before its deadline");
     }
 }

@@ -47,7 +47,7 @@ use stm_core::metrics::MetricsReport;
 use stm_core::stats::CommitStats;
 use stm_core::{RetryPolicy, TxSource};
 
-pub use engine::{Completion, NativeEngine, SubmitError};
+pub use engine::{Completion, CompletionSink, NativeEngine, Refused, Submission, SubmitError};
 pub use fault::{KillServer, NativeFaultPlan, NativeFaultSpec};
 
 /// Configuration of a native run.

@@ -41,7 +41,7 @@
 
 use std::collections::VecDeque;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError};
-use std::sync::{Arc, Mutex, TryLockError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use csmv::steps;
@@ -50,7 +50,7 @@ use stm_core::metrics::{AbortReason, FaultEvent, MetricsReport};
 use stm_core::stats::CommitStats;
 use stm_core::{TxLogic, TxOp, TxSource};
 
-use crate::engine::EngineJob;
+use crate::engine::{EngineJob, Intake};
 use crate::msg::{CommitRequest, CommitResponse, TxSubmit, Verdict};
 use crate::pool::Shared;
 
@@ -58,10 +58,6 @@ use crate::pool::Shared;
 /// enough that a healthy server never triggers a resend, short enough to
 /// notice the run deadline.
 const INERT_WAIT_SLICE: Duration = Duration::from_millis(100);
-
-/// Interval a serving worker blocks on the shared engine queue before
-/// re-checking the run deadline.
-const SERVE_SLICE: Duration = Duration::from_millis(5);
 
 /// Backstop timeout for a turn-waiter parked in
 /// [`crate::atr::NativeAtr::wait_turn`]: publishers unpark it long before
@@ -256,38 +252,27 @@ impl NativeWorker {
     }
 
     /// Serve transactions submitted through a [`crate::NativeEngine`]:
-    /// pull jobs from the queue every worker shares, until every
-    /// submitter hung up and nothing is pending, or the run deadline.
+    /// move jobs out of the intake every worker shares, up to one batch
+    /// per lock ([`Intake::refill`]), and feed them on one by one — until
+    /// the intake is closed and empty, or the run deadline.
     ///
-    /// Only an idle worker may wait — for the lock or for an arrival, in
-    /// slices that keep noticing the deadline. A worker with work in hand
-    /// coalesces what is queued right now and never waits for the lock:
-    /// if it is held, an idle worker is blocked on the queue and takes
-    /// the next arrival itself, whereas a busy worker queueing for the
-    /// lock loses it to the idle one's next slice again and again (the
-    /// mutex is not fair) while the job in its hand waits.
-    pub(crate) fn serve(self, jobs: Arc<Mutex<Receiver<EngineJob>>>) -> WorkerOutput {
-        // A poisoned lock only means another worker panicked mid-receive;
-        // the receiver itself is still sound.
+    /// Only an idle worker waits, on the intake's condvar, until a job
+    /// arrives, the intake closes or the deadline; a worker with work in
+    /// hand takes what is queued right now. Once `refill` reports that
+    /// this worker has left — at the deadline it hands over everything
+    /// still queued, for the feed loop to fail — it is never called again.
+    pub(crate) fn serve(self, intake: &Intake) -> WorkerOutput {
+        let (batch, deadline) = (self.ctx.max_batch, self.ctx.deadline);
+        let mut hand: VecDeque<EngineJob> = VecDeque::with_capacity(batch);
+        let mut left = false;
         self.feed(|idle| {
-            if idle {
-                let rx = jobs.lock().unwrap_or_else(|e| e.into_inner());
-                match rx.recv_timeout(SERVE_SLICE) {
-                    Ok(job) => Next::Tx(job),
-                    Err(RecvTimeoutError::Timeout) => Next::Empty,
-                    Err(RecvTimeoutError::Disconnected) => Next::Closed,
-                }
-            } else {
-                let rx = match jobs.try_lock() {
-                    Ok(rx) => rx,
-                    Err(TryLockError::Poisoned(e)) => e.into_inner(),
-                    Err(TryLockError::WouldBlock) => return Next::Empty,
-                };
-                match rx.try_recv() {
-                    Ok(job) => Next::Tx(job),
-                    Err(TryRecvError::Empty) => Next::Empty,
-                    Err(TryRecvError::Disconnected) => Next::Closed,
-                }
+            if hand.is_empty() && !left {
+                left = intake.refill(&mut hand, batch, idle, deadline);
+            }
+            match hand.pop_front() {
+                Some(job) => Next::Tx(job),
+                None if left => Next::Closed,
+                None => Next::Empty,
             }
         })
     }
@@ -1021,9 +1006,10 @@ impl NativeWorker {
 mod tests {
     use super::*;
     use crate::atr::NativeAtr;
-    use crate::engine::Completion;
+    use crate::engine::{Completion, CompletionSink, Refused, Submission};
     use crate::store::NativeStore;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
     use stm_core::{RetryPolicy, SnapshotRegistry};
     use workloads::BankTx;
 
@@ -1122,24 +1108,42 @@ mod tests {
         assert_eq!(out.stats.failed, PRODUCED);
 
         let (w, _mute_server) = bank_worker(2 * PRODUCED, max_run);
-        let (submit_tx, submit_rx) = mpsc::sync_channel(PRODUCED as usize);
-        let (done_tx, done_rx) = mpsc::channel::<Completion>();
-        for k in 0..PRODUCED {
-            let job = EngineJob::new(Box::new(transfer(k)), done_tx.clone());
-            assert!(submit_tx.try_send(job).is_ok());
-        }
-        drop(done_tx);
-        // The submitter stays connected: only the deadline ends the run,
-        // and most jobs are still queued when it does.
-        let out = w.serve(Arc::new(Mutex::new(submit_rx)));
+        let intake = Intake::new(PRODUCED as usize, 1);
+        let outcomes = Arc::new(Outcomes(Mutex::new(Vec::new())));
+        let sink: Arc<dyn CompletionSink> = outcomes.clone();
+        let mut jobs: Vec<Submission> = (0..PRODUCED)
+            .map(|k| Submission {
+                ticket: k,
+                tx: Box::new(transfer(k)),
+            })
+            .collect();
+        assert_eq!(intake.offer(&sink, &mut jobs), Ok(()));
+        // The intake stays open: only the deadline ends the run, and most
+        // jobs are still queued when it does. The lone worker is the last
+        // to leave, so it closes the intake behind it.
+        let out = w.serve(&intake);
         assert_eq!(out.stats.commits(), 0);
         assert_eq!(out.stats.failed, PRODUCED);
-        drop(submit_tx);
-        let completions: Vec<Completion> = done_rx.iter().collect();
-        assert_eq!(completions.len() as u64, PRODUCED);
-        assert!(completions
-            .iter()
-            .all(|c| c.outcome == Err(AbortReason::ServerTimeout)));
+        let mut settled = outcomes.0.lock().unwrap().clone();
+        settled.sort_unstable_by_key(|&(ticket, _)| ticket);
+        let timed_out: Vec<_> = (0..PRODUCED)
+            .map(|k| (k, Err(AbortReason::ServerTimeout)))
+            .collect();
+        assert_eq!(settled, timed_out, "every ticket settled exactly once");
+        let mut late = vec![Submission {
+            ticket: PRODUCED,
+            tx: Box::new(transfer(0)),
+        }];
+        assert_eq!(intake.offer(&sink, &mut late), Err(Refused::Closed));
+    }
+
+    /// A sink that keeps `(ticket, outcome)` for the test.
+    struct Outcomes(Mutex<Vec<(u64, Result<(), AbortReason>)>>);
+
+    impl CompletionSink for Outcomes {
+        fn complete(&self, ticket: u64, completion: Completion) {
+            self.0.lock().unwrap().push((ticket, completion.outcome));
+        }
     }
 
     /// While a batch is in flight the worker executes the next one

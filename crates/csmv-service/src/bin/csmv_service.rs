@@ -186,13 +186,18 @@ fn main() -> ExitCode {
                 gc.spill_pruned,
                 gc.pinned_commits
             );
-            // What the coalescing writers did, one greppable line (the CI
-            // service-smoke job copies it into its step summary).
+            // What the coalescing writers and the batching readers did,
+            // one greppable line (the CI service-smoke job copies it into
+            // its step summary).
             println!(
-                "csmv-service: io: replies={} writes={} replies_per_write={:.2}",
+                "csmv-service: io: replies={} writes={} replies_per_write={:.2} \
+                 submits={} submit_calls={} jobs_per_submit={:.2}",
                 r.replies,
                 r.reply_writes,
-                r.replies as f64 / r.reply_writes.max(1) as f64
+                r.replies as f64 / r.reply_writes.max(1) as f64,
+                r.submits,
+                r.submit_calls,
+                r.submits as f64 / r.submit_calls.max(1) as f64
             );
             if args.cfg.check_history {
                 println!(

@@ -95,6 +95,12 @@ pub struct ServiceReport {
     /// that is ready into one write, so `replies / reply_writes` is the
     /// mean burst size.
     pub reply_writes: u64,
+    /// Transactions the engine accepted, over all connections.
+    pub submits: u64,
+    /// `submit_batch` calls that carried them: a reader hands over
+    /// everything one socket read brought in with one call, so
+    /// `submits / submit_calls` is the mean hand-off size.
+    pub submit_calls: u64,
 }
 
 /// Errors out of [`serve`].
@@ -202,6 +208,8 @@ pub fn serve<A: ToSocketAddrs>(
         connections,
         replies: io.replies.load(Ordering::Relaxed),
         reply_writes: io.reply_writes.load(Ordering::Relaxed),
+        submits: io.submits.load(Ordering::Relaxed),
+        submit_calls: io.submit_calls.load(Ordering::Relaxed),
     })
 }
 
@@ -281,19 +289,25 @@ mod tests {
         assert!(handles.pop().unwrap().join().unwrap());
     }
 
-    /// A two-worker, history-checked server over `keys` keys on an
-    /// OS-assigned port: its address, its stop flag and its thread.
-    fn start_server(
-        keys: u64,
-    ) -> (
+    type Server = (
         SocketAddr,
         Arc<AtomicBool>,
         std::thread::JoinHandle<Result<ServiceReport, ServiceError>>,
-    ) {
+    );
+
+    /// A two-worker, history-checked server over `keys` keys on an
+    /// OS-assigned port: its address, its stop flag and its thread.
+    fn start_server(keys: u64) -> Server {
+        start_server_with(keys, ServiceConfig::default().engine.channel_depth)
+    }
+
+    /// [`start_server`] with an engine intake of `2 * channel_depth` jobs.
+    fn start_server_with(keys: u64, channel_depth: usize) -> Server {
         let cfg = ServiceConfig {
             engine: NativeConfig {
                 client_threads: 2,
                 server_threads: 1,
+                channel_depth,
                 ..ServiceConfig::default().engine
             },
             keys,
@@ -406,6 +420,81 @@ mod tests {
         );
         assert_eq!(report.replies, 16 + 64 + 200);
         assert!(report.reply_writes >= 202 && report.reply_writes <= report.replies);
+        // 16 SETs, 45 + 1 transactions in the burst, 200 round trips; the
+        // round trips go over one at a time, the bursts several per call.
+        assert_eq!(report.submits, 16 + 46 + 200);
+        assert!(report.submit_calls >= 202 && report.submit_calls < report.submits);
+        assert_eq!(report.result.stats.failed, 0);
+    }
+
+    /// One write of four rings' worth of commands against an engine whose
+    /// intake holds two jobs. A single socket read brings in more
+    /// commands than the ring has cells, so the reader runs into the full
+    /// ring with transactions still in its hand — which it must submit
+    /// before it waits for room, because the writer is waiting for exactly
+    /// those (a reader that waits first hangs here, and the client's read
+    /// times out). Most transactions are shed, each `-BUSY` in its own
+    /// position: every reply must match the command at its index.
+    #[test]
+    fn a_burst_deeper_than_the_ring_completes_in_order_on_a_tiny_engine() {
+        let (addr, stop, server) = start_server_with(64, 1);
+        let mut c = connect(addr);
+        let mut cmds: Vec<Vec<String>> = Vec::new();
+        while cmds.len() < 4 * conn::PIPELINE_DEPTH {
+            let i = cmds.len() as u64;
+            let key = (i % 64).to_string();
+            match i % 8 {
+                0 | 4 => cmds.push(vec!["PING".into()]),
+                3 => {
+                    for cmd in [vec!["MULTI"], vec!["GET", &key], vec!["INCRBY", &key, "1"]] {
+                        cmds.push(cmd.into_iter().map(String::from).collect());
+                    }
+                    cmds.push(vec!["EXEC".into()]);
+                }
+                _ => cmds.push(vec!["GET".into(), key]),
+            }
+        }
+        let borrowed: Vec<Vec<&str>> = cmds
+            .iter()
+            .map(|c| c.iter().map(String::as_str).collect())
+            .collect();
+        let borrowed: Vec<&[&str]> = borrowed.iter().map(Vec::as_slice).collect();
+        let replies = session(&mut c, &borrowed, cmds.len());
+
+        let busy = |r: &Reply| matches!(r, Reply::Error(e) if e.starts_with("BUSY"));
+        let mut in_multi = false;
+        let (mut committed, mut shed) = (0u64, 0u64);
+        for (i, (cmd, reply)) in cmds.iter().zip(&replies).enumerate() {
+            let fits = match cmd[0].as_str() {
+                "PING" => *reply == Reply::Simple("PONG".into()),
+                "MULTI" => {
+                    in_multi = true;
+                    *reply == Reply::Simple("OK".into())
+                }
+                _ if in_multi && cmd[0] != "EXEC" => *reply == Reply::Simple("QUEUED".into()),
+                tx => {
+                    in_multi = false;
+                    shed += u64::from(busy(reply));
+                    committed += u64::from(!busy(reply));
+                    busy(reply)
+                        || match tx {
+                            "EXEC" => matches!(reply, Reply::Array(ops) if ops.len() == 2),
+                            _ => matches!(reply, Reply::Bulk(_)),
+                        }
+                }
+            };
+            assert!(fits, "reply {i} to {cmd:?} is {reply:?}");
+        }
+        assert!(
+            committed > 0 && shed > 0,
+            "{committed} committed, {shed} shed"
+        );
+
+        stop.store(true, Ordering::SeqCst);
+        let report = server.join().unwrap().expect("serve failed");
+        assert_eq!(report.replies as usize, cmds.len());
+        assert_eq!(report.submits, committed);
+        assert_eq!(report.result.stats.commits(), committed);
         assert_eq!(report.result.stats.failed, 0);
     }
 

@@ -72,9 +72,13 @@ const PROTOCOL_WORD_TOKENS: &[&str] = &[
 
 /// Commit-server types whose impl blocks must be panic-free: the
 /// simulated warps, the native backend's server/worker threads, the
-/// engine front door, and the network service's per-connection loop (a
+/// engine front door, the network service's per-connection loop (a
 /// panicking connection thread silently drops the client and can leak
-/// in-flight completions).
+/// in-flight completions), and the two hand-off structures workers run
+/// inside: the engine's intake and jobs (a panic in `refill` or in a
+/// job's `complete` kills a worker mid-batch and leaks a GTS hole) and
+/// the connection's reply ring (a panic in it drops the client
+/// mid-pipeline).
 const SERVER_IMPL_TYPES: &[&str] = &[
     "ReceiverWarp",
     "WorkerWarp",
@@ -83,7 +87,10 @@ const SERVER_IMPL_TYPES: &[&str] = &[
     "NativeServer",
     "NativeWorker",
     "NativeEngine",
+    "Intake",
+    "EngineJob",
     "Connection",
+    "ReplyRing",
 ];
 
 // --- lexical infrastructure ---------------------------------------------
@@ -745,6 +752,22 @@ mod tests {
         assert_eq!(f.len(), 2);
         assert_eq!(f[0].line, 2);
         assert_eq!(f[1].line, 5);
+    }
+
+    #[test]
+    fn the_hand_off_types_are_server_paths() {
+        // Workers run inside the intake, their jobs and the reply ring —
+        // trait impls included (`complete` is where a worker enters the
+        // ring).
+        let src = "impl Intake {\n    fn f(&self) { self.s.lock().unwrap(); }\n}\n\
+                   impl Drop for EngineJob {\n    fn drop(&mut self) { self.d.take().unwrap(); }\n}\n\
+                   impl CompletionSink for ReplyRing {\n    \
+                   fn complete(&self) { self.s.lock().expect(\"poisoned\"); }\n}\n\
+                   impl ReplyRing {\n    \
+                   fn lock(&self) { self.s.lock().unwrap_or_else(|e| e.into_inner()); }\n}";
+        let f = check_no_panic_in_server_path(Path::new("x.rs"), src);
+        let lines: Vec<usize> = f.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [2, 5, 8], "the poison recovery on line 11 is clean");
     }
 
     #[test]
