@@ -87,7 +87,6 @@ fn parse_args() -> Result<Args, String> {
 fn native_cfg(args: &Args) -> NativeConfig {
     NativeConfig {
         client_threads: args.threads,
-        server_threads: if args.threads == 1 { 1 } else { 2 },
         versions_per_box: args.scale.versions as usize,
         ..Default::default()
     }

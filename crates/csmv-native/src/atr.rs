@@ -1,11 +1,11 @@
 //! The native Aggregated Txn Record (ATR): a seqlock-tagged ring of
-//! committed write-sets shared by every commit-server thread, plus the two
+//! committed write-sets shared by every committing worker, plus the two
 //! global counters (`next_cts`, GTS) the protocol revolves around.
 //!
 //! Entry classification, reservation and turn-taking decisions are *not*
-//! made here — servers and workers feed the raw values read here through
-//! the pure [`csmv::steps`] functions, the same ones the simulator and the
-//! model checker use.
+//! made here — validators and workers feed the raw values read here
+//! through the pure [`csmv::steps`] functions, the same ones the simulator
+//! and the model checker use.
 //!
 //! ## Seqlock protocol
 //!
@@ -34,18 +34,6 @@ use csmv::steps::{self, ReserveOutcome, TagState};
 /// Tag value marking an insert in progress. Classified as in-flight by
 /// readers; never a valid cts (cts fits 32 bits).
 const WRITING: u64 = u64::MAX;
-
-/// What a validator got out of [`NativeAtr::read_entry`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum EntryRead {
-    /// The entry is published; these are its write-set items.
-    Published(Vec<u64>),
-    /// The inserter has reserved but not yet published — poll again.
-    InFlight,
-    /// The ring recycled the entry; the validator's snapshot fell out of
-    /// the window.
-    Recycled,
-}
 
 pub(crate) struct NativeAtr {
     capacity: u64,
@@ -200,30 +188,42 @@ impl NativeAtr {
     }
 
     /// Seqlock read of entry `cts`, classified through
-    /// [`csmv::steps::classify_tag`].
-    pub(crate) fn read_entry(&self, cts: u64) -> EntryRead {
+    /// [`csmv::steps::classify_tag`]. `items` holds the entry's write-set
+    /// when the answer is `Published` (the inserter has reserved but not
+    /// yet published an `InFlight` entry — poll again; the ring recycled a
+    /// `Recycled` one), and is unspecified otherwise.
+    pub(crate) fn read_entry_into(&self, cts: u64, items: &mut Vec<u64>) -> TagState {
         let slot = (cts % self.capacity) as usize;
         let tag = self.tags[slot].load(Ordering::SeqCst);
         if tag == WRITING {
-            return EntryRead::InFlight;
+            return TagState::InFlight;
         }
-        match steps::classify_tag(tag, cts) {
-            TagState::InFlight => EntryRead::InFlight,
-            TagState::Recycled => EntryRead::Recycled,
-            TagState::Published => {
-                let n = (self.lens[slot].load(Ordering::SeqCst) as usize).min(self.max_ws);
-                let items = (0..n)
-                    .map(|k| self.items[slot * self.max_ws + k].load(Ordering::SeqCst))
-                    .collect();
-                // Seqlock double-check: discard the copy if the slot moved
-                // on while we were reading it.
-                if self.tags[slot].load(Ordering::SeqCst) == cts {
-                    EntryRead::Published(items)
-                } else {
-                    EntryRead::Recycled
-                }
-            }
+        let state = steps::classify_tag(tag, cts);
+        if state != TagState::Published {
+            return state;
         }
+        let n = (self.lens[slot].load(Ordering::SeqCst) as usize).min(self.max_ws);
+        let payload = &self.items[slot * self.max_ws..][..n];
+        items.clear();
+        items.extend(payload.iter().map(|item| item.load(Ordering::SeqCst)));
+        // Seqlock double-check: discard the copy if the slot moved on
+        // while we were reading it.
+        if self.tags[slot].load(Ordering::SeqCst) == cts {
+            TagState::Published
+        } else {
+            TagState::Recycled
+        }
+    }
+}
+
+#[cfg(test)]
+impl NativeAtr {
+    /// A test standing in for another committer: reserve `cts` (it must be
+    /// the next one) and insert its write-set. The entry is not written
+    /// back — the GTS is the test's to publish, or to withhold.
+    pub(crate) fn reserve_and_insert(&self, cts: u64, ws: &[u64]) {
+        assert_eq!(self.try_reserve(cts, 1), ReserveOutcome::Won { base: cts });
+        self.insert(cts, ws);
     }
 }
 
@@ -253,21 +253,27 @@ mod tests {
     #[test]
     fn insert_then_read_round_trips() {
         let atr = NativeAtr::new(8, 4);
-        assert_eq!(atr.read_entry(1), EntryRead::InFlight); // reserved-not-inserted look
+        let mut items = vec![99];
+        // The reserved-not-inserted look.
+        assert_eq!(atr.read_entry_into(1, &mut items), TagState::InFlight);
         atr.insert(1, &[10, 20]);
-        assert_eq!(atr.read_entry(1), EntryRead::Published(vec![10, 20]));
+        assert_eq!(atr.read_entry_into(1, &mut items), TagState::Published);
+        assert_eq!(items, [10, 20], "the buffer is replaced, not appended to");
     }
 
     #[test]
     fn recycled_laps_classify_as_recycled() {
         let atr = NativeAtr::new(4, 2);
+        let mut items = Vec::new();
         atr.insert(1, &[7]);
         atr.insert(5, &[9]); // same slot, next lap
-        assert_eq!(atr.read_entry(1), EntryRead::Recycled);
-        assert_eq!(atr.read_entry(5), EntryRead::Published(vec![9]));
+        assert_eq!(atr.read_entry_into(1, &mut items), TagState::Recycled);
+        assert_eq!(atr.read_entry_into(5, &mut items), TagState::Published);
+        assert_eq!(items, [9]);
         // A late stale insert must not shadow the live lap.
         atr.insert(1, &[7]);
-        assert_eq!(atr.read_entry(5), EntryRead::Published(vec![9]));
+        assert_eq!(atr.read_entry_into(5, &mut items), TagState::Published);
+        assert_eq!(items, [9]);
     }
 
     #[test]

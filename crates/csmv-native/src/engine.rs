@@ -2,8 +2,7 @@
 //!
 //! Where [`crate::run`] drives a *closed-loop* workload (each worker owns a
 //! `TxSource` and drains it), the engine inverts control: it owns the worker
-//! pool and commit-server threads and accepts boxed [`TxLogic`] bodies from
-//! any thread. This is the interface `csmv-service` fronts with a wire
+//! pool and accepts boxed [`TxLogic`] bodies from any thread. This is the interface `csmv-service` fronts with a wire
 //! protocol — the engine knows nothing about sockets or framing, only
 //! transactions.
 //!
@@ -35,7 +34,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use stm_core::metrics::{AbortReason, MetricsReport};
+use stm_core::metrics::AbortReason;
 use stm_core::{TxLogic, TxOp};
 
 use crate::pool::{self, Shared};
@@ -352,26 +351,20 @@ impl std::fmt::Debug for SubmitError {
 pub struct NativeEngine {
     intake: Arc<Intake>,
     workers: Vec<JoinHandle<WorkerOutput>>,
-    servers: Vec<JoinHandle<MetricsReport>>,
     shared: Shared,
     initial: HashMap<u64, u64>,
 }
 
 impl NativeEngine {
-    /// Validate `cfg` and spawn the commit-server and worker threads.
-    /// Items `0..num_items` start at `initial(i)`.
+    /// Validate `cfg` and spawn the worker threads. Items `0..num_items`
+    /// start at `initial(i)`.
     pub fn start(
         cfg: &NativeConfig,
         num_items: u64,
         mut initial: impl FnMut(u64) -> u64,
     ) -> Result<NativeEngine, NativeConfigError> {
         let init: HashMap<u64, u64> = (0..num_items).map(|i| (i, initial(i))).collect();
-        let (shared, servers, workers) =
-            pool::build(cfg, num_items, |i| *init.get(&i).unwrap_or(&0))?;
-        let servers = servers
-            .into_iter()
-            .map(|server| std::thread::spawn(move || server.run()))
-            .collect();
+        let (shared, workers) = pool::build(cfg, num_items, |i| *init.get(&i).unwrap_or(&0))?;
 
         // The intake is the backpressure boundary: deep enough to keep
         // every worker's batch pipeline full, bounded so overload surfaces
@@ -389,7 +382,6 @@ impl NativeEngine {
         Ok(NativeEngine {
             intake,
             workers,
-            servers,
             shared,
             initial: init,
         })
@@ -431,19 +423,10 @@ impl NativeEngine {
     pub fn shutdown(mut self) -> NativeRunResult {
         self.intake.close();
         // A thread that panicked (impossible by construction — the
-        // no-panic lint covers NativeWorker and NativeServer) contributes
+        // no-panic lint covers NativeWorker and Validator) contributes
         // nothing.
-        let outputs: Vec<WorkerOutput> = self
-            .workers
-            .drain(..)
-            .filter_map(|h| h.join().ok())
-            .collect();
-        let server_metrics: Vec<MetricsReport> = self
-            .servers
-            .drain(..)
-            .filter_map(|h| h.join().ok())
-            .collect();
-        self.shared.collect(outputs, server_metrics)
+        let outputs = self.workers.drain(..).filter_map(|h| h.join().ok());
+        self.shared.collect(outputs)
     }
 
     /// [`NativeEngine::shutdown`], then validate the recorded history with
@@ -456,7 +439,7 @@ impl NativeEngine {
 }
 
 /// An engine dropped without `shutdown` still releases its threads: the
-/// workers drain the intake and leave, and the servers follow them.
+/// workers drain the intake and leave.
 impl Drop for NativeEngine {
     fn drop(&mut self) {
         self.intake.close();
@@ -560,7 +543,6 @@ mod tests {
     fn submitted_increments_all_commit_and_pass_the_oracle() {
         let cfg = NativeConfig {
             client_threads: 3,
-            server_threads: 2,
             ..Default::default()
         };
         let engine = Arc::new(NativeEngine::start(&cfg, 4, |_| 0).unwrap());
@@ -614,7 +596,6 @@ mod tests {
     fn a_batch_completes_every_job_under_its_own_ticket() {
         let cfg = NativeConfig {
             client_threads: 2,
-            server_threads: 1,
             ..Default::default()
         };
         let engine = NativeEngine::start(&cfg, 4, |_| 0).unwrap();
@@ -709,7 +690,6 @@ mod tests {
     fn a_worker_with_a_job_in_hand_never_waits_for_an_idle_one() {
         let cfg = NativeConfig {
             client_threads: 2,
-            server_threads: 1,
             record_history: false,
             ..Default::default()
         };
@@ -738,7 +718,6 @@ mod tests {
     fn full_submit_queue_surfaces_busy_and_returns_the_body() {
         let cfg = NativeConfig {
             client_threads: 1,
-            server_threads: 1,
             max_batch: 1,
             channel_depth: 1, // submit queue depth 1 * 1 client
             ..Default::default()
@@ -778,7 +757,6 @@ mod tests {
     fn deadline_drain_gives_every_job_a_terminal_reply() {
         let cfg = NativeConfig {
             client_threads: 2,
-            server_threads: 1,
             max_run: Duration::from_millis(60),
             ..Default::default()
         };

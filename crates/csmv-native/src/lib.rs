@@ -3,14 +3,17 @@
 //! The second execution backend of this repo: where `crates/csmv` runs the
 //! client–server protocol inside the `gpu-sim` discrete-event simulator
 //! (reporting simulated cycles), this crate runs the *same protocol* on
-//! host threads and reports wall-clock throughput — a pool of client
-//! workers ([`worker`]) feeding hash-partitioned commit-server threads
-//! ([`server`]) over bounded request channels, with batched ATR inserts
-//! and client-side write-back, exactly as the paper describes (§III).
+//! host threads and reports wall-clock throughput — a pool of workers
+//! ([`worker`]) that each execute a batch, validate it against the shared
+//! ATR and reserve its commit timestamps in place ([`validator`]), and
+//! write it back in GTS order: batched ATR inserts and client-side
+//! write-back exactly as the paper describes (§III), with the server role
+//! co-located in the committing thread because a CPU host has no on-chip
+//! memory for a dedicated server to keep the ATR in (DESIGN.md §13).
 //!
 //! Three properties tie the backends together:
 //!
-//! * **Shared transitions.** Clients and servers drive every protocol
+//! * **Shared transitions.** Workers and validators drive every protocol
 //!   decision through the pure [`csmv::steps`] functions — the same ones
 //!   the simulator warps and the `csmv-model` model checker use — so the
 //!   executions cannot silently drift.
@@ -29,14 +32,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod fault;
-
 mod atr;
 mod engine;
-mod msg;
 mod pool;
-mod server;
 mod store;
+mod validator;
 mod worker;
 
 use std::collections::HashMap;
@@ -48,14 +48,17 @@ use stm_core::stats::CommitStats;
 use stm_core::{RetryPolicy, TxSource};
 
 pub use engine::{Completion, CompletionSink, NativeEngine, Refused, Submission, SubmitError};
-pub use fault::{KillServer, NativeFaultPlan, NativeFaultSpec};
 
 /// Configuration of a native run.
 #[derive(Debug, Clone)]
 pub struct NativeConfig {
-    /// Client worker threads.
+    /// Worker threads. Each executes, validates, reserves and writes back
+    /// its own batches.
     pub client_threads: usize,
-    /// Commit-server threads; clients are hash-partitioned onto them.
+    /// Read by nothing: there are no commit-server threads, every worker
+    /// validates and reserves in place. The field stays only because
+    /// `benchmark/` sets it and a PR that claims a gain may not edit the
+    /// benchmark; a `[benchmark]` PR removes it (ROADMAP item 1c).
     pub server_threads: usize,
     /// Versions retained per item (the store's ring depth).
     pub versions_per_box: usize,
@@ -63,13 +66,17 @@ pub struct NativeConfig {
     pub atr_capacity: u64,
     /// Largest write-set an ATR entry can hold.
     pub max_ws: usize,
-    /// Transactions a worker executes and submits per batch (1..=32).
-    /// While a batch awaits its verdicts or its GTS turn the worker
-    /// speculatively executes up to one more batch at its current
-    /// snapshot ([`csmv::steps::pipeline_admissible`]); at most one batch
-    /// is ever *submitted* at a time.
+    /// Transactions a worker executes and commits per batch (1..=32).
+    /// While a batch awaits its GTS turn the worker speculatively executes
+    /// up to one more batch at its current snapshot
+    /// ([`csmv::steps::pipeline_admissible`]); at most one batch per
+    /// worker ever holds a reservation.
     pub max_batch: usize,
-    /// Bound of each server's request channel (backpressure depth).
+    /// Jobs the engine's intake queues per worker (the backpressure
+    /// bound is `channel_depth × client_threads`); a closed-loop
+    /// [`run`] has no intake and ignores it. The default is one
+    /// connection's pipeline of `csmv-service`, which gives the rule: no
+    /// more pipelining connections than workers ⇒ nothing is ever shed.
     pub channel_depth: usize,
     /// Reader-snapshot registry slots (active-reader epochs the version GC
     /// must respect). Each worker round holds one slot while it executes,
@@ -79,11 +86,11 @@ pub struct NativeConfig {
     pub reader_slots: usize,
     /// Record per-transaction histories for the correctness oracle.
     pub record_history: bool,
-    /// Failure-recovery policy. Cycle-valued fields (`resp_timeout`,
-    /// backoff) are interpreted as **microseconds** on this backend.
+    /// Retry policy. Only `retry_budget` is read: the send-attempt,
+    /// response-timeout and backoff members belong to the simulator's
+    /// client–server mailboxes, and this backend has no hand-off to
+    /// resend over.
     pub recovery: RetryPolicy,
-    /// Deterministic fault injection; `None` runs healthy.
-    pub faults: Option<NativeFaultPlan>,
     /// Hard wall-clock watchdog: every wait in the system re-checks this
     /// deadline, so `run` always joins every thread in bounded time.
     pub max_run: Duration,
@@ -98,11 +105,10 @@ impl Default for NativeConfig {
             atr_capacity: 4096,
             max_ws: 16,
             max_batch: 8,
-            channel_depth: 64,
+            channel_depth: 128,
             reader_slots: 64,
             record_history: true,
             recovery: RetryPolicy::default(),
-            faults: None,
             max_run: Duration::from_secs(30),
         }
     }
@@ -113,8 +119,6 @@ impl Default for NativeConfig {
 pub enum NativeConfigError {
     /// `client_threads` must be at least 1.
     NoClients,
-    /// `server_threads` must be at least 1.
-    NoServers,
     /// `versions_per_box` must be at least 1.
     NoVersions,
     /// `atr_capacity` must be at least 1.
@@ -126,26 +130,17 @@ pub enum NativeConfigError {
     BadBatch,
     /// `channel_depth` must be at least 1.
     NoChannelDepth,
-    /// Fault injection needs an armed recovery policy: a response timeout
-    /// and at least 4 send attempts (the fault plan guarantees delivery
-    /// by the fourth attempt unless the server died).
-    FaultsNeedRecovery,
 }
 
 impl std::fmt::Display for NativeConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             NativeConfigError::NoClients => write!(f, "client_threads must be >= 1"),
-            NativeConfigError::NoServers => write!(f, "server_threads must be >= 1"),
             NativeConfigError::NoVersions => write!(f, "versions_per_box must be >= 1"),
             NativeConfigError::NoAtrCapacity => write!(f, "atr_capacity must be >= 1"),
             NativeConfigError::NoWsCapacity => write!(f, "max_ws must be >= 1"),
             NativeConfigError::BadBatch => write!(f, "max_batch must be in 1..=32"),
             NativeConfigError::NoChannelDepth => write!(f, "channel_depth must be >= 1"),
-            NativeConfigError::FaultsNeedRecovery => write!(
-                f,
-                "fault injection requires recovery: resp_timeout set and max_send_attempts >= 4"
-            ),
         }
     }
 }
@@ -157,9 +152,6 @@ impl NativeConfig {
     pub fn validate(&self) -> Result<(), NativeConfigError> {
         if self.client_threads == 0 {
             return Err(NativeConfigError::NoClients);
-        }
-        if self.server_threads == 0 {
-            return Err(NativeConfigError::NoServers);
         }
         if self.versions_per_box == 0 {
             return Err(NativeConfigError::NoVersions);
@@ -175,11 +167,6 @@ impl NativeConfig {
         }
         if self.channel_depth == 0 {
             return Err(NativeConfigError::NoChannelDepth);
-        }
-        if self.faults.as_ref().is_some_and(|f| f.spec().armed())
-            && (self.recovery.resp_timeout.is_none() || self.recovery.max_send_attempts < 4)
-        {
-            return Err(NativeConfigError::FaultsNeedRecovery);
         }
         Ok(())
     }
@@ -219,7 +206,7 @@ pub struct NativeRunResult {
     pub stats: CommitStats,
     /// Committed-transaction records (empty unless `record_history`).
     pub records: Vec<TxRecord>,
-    /// Merged worker + server metrics; latency samples in nanoseconds.
+    /// Merged worker metrics; latency samples in nanoseconds.
     pub metrics: MetricsReport,
     /// The final committed value of every item.
     pub final_state: HashMap<u64, u64>,
@@ -242,18 +229,13 @@ impl NativeRunResult {
     }
 }
 
-/// Hash partition of a client onto a server thread.
-pub(crate) fn partition(client: usize, servers: usize) -> usize {
-    (fault::mix64(client as u64) % servers as u64) as usize
-}
-
 /// Run a workload to completion on the native backend.
 ///
 /// `make_source(t)` builds worker `t`'s transaction source; `initial(i)`
 /// the starting value of item `i` (items `0..num_items`). The call joins
 /// every spawned thread before returning — in bounded time, because every
-/// wait in the system (channel receives, GTS spins, backoffs) re-checks
-/// the `max_run` deadline.
+/// wait in the system (in-flight ATR entries, GTS turns) re-checks the
+/// `max_run` deadline.
 pub fn run<S, F>(
     cfg: &NativeConfig,
     make_source: F,
@@ -265,12 +247,8 @@ where
     S::Tx: Send,
     F: Fn(usize) -> S + Sync,
 {
-    let (shared, servers, workers) = pool::build(cfg, num_items, initial)?;
-    let (outputs, server_metrics) = std::thread::scope(|scope| {
-        let servers: Vec<_> = servers
-            .into_iter()
-            .map(|server| scope.spawn(move || server.run()))
-            .collect();
+    let (shared, workers) = pool::build(cfg, num_items, initial)?;
+    let outputs: Vec<worker::WorkerOutput> = std::thread::scope(|scope| {
         let workers: Vec<_> = workers
             .into_iter()
             .enumerate()
@@ -279,17 +257,12 @@ where
                 scope.spawn(move || w.run(make_source(wid)))
             })
             .collect();
-        let outputs: Vec<worker::WorkerOutput> = workers
+        workers
             .into_iter()
             .map(|h| h.join().expect("native worker panicked"))
-            .collect();
-        let server_metrics: Vec<MetricsReport> = servers
-            .into_iter()
-            .map(|h| h.join().expect("native server panicked"))
-            .collect();
-        (outputs, server_metrics)
+            .collect()
     });
-    Ok(shared.collect(outputs, server_metrics))
+    Ok(shared.collect(outputs))
 }
 
 /// Apply the opacity oracle ([`stm_core::check_history`]: opacity +
@@ -343,13 +316,6 @@ mod tests {
             ),
             (
                 NativeConfig {
-                    server_threads: 0,
-                    ..ok.clone()
-                },
-                NativeConfigError::NoServers,
-            ),
-            (
-                NativeConfig {
                     versions_per_box: 0,
                     ..ok.clone()
                 },
@@ -394,49 +360,5 @@ mod tests {
         for (cfg, err) in cases {
             assert_eq!(cfg.validate(), Err(err));
         }
-    }
-
-    #[test]
-    fn armed_faults_require_recovery() {
-        let cfg = NativeConfig {
-            faults: Some(NativeFaultPlan::new(
-                1,
-                NativeFaultSpec {
-                    drop_req_pct: 10,
-                    ..Default::default()
-                },
-            )),
-            ..Default::default()
-        };
-        assert_eq!(cfg.validate(), Err(NativeConfigError::FaultsNeedRecovery));
-        let armed = NativeConfig {
-            recovery: RetryPolicy {
-                resp_timeout: Some(5_000),
-                max_send_attempts: 8,
-                ..Default::default()
-            },
-            ..cfg
-        };
-        assert_eq!(armed.validate(), Ok(()));
-        // An inert (all-zero) fault plan needs no recovery.
-        let inert = NativeConfig {
-            faults: Some(NativeFaultPlan::new(1, NativeFaultSpec::default())),
-            ..NativeConfig::default()
-        };
-        assert_eq!(inert.validate(), Ok(()));
-    }
-
-    #[test]
-    fn partition_is_stable_and_in_range() {
-        for servers in 1..5 {
-            for c in 0..64 {
-                let p = partition(c, servers);
-                assert!(p < servers);
-                assert_eq!(p, partition(c, servers));
-            }
-        }
-        // With more clients than servers, every server gets someone.
-        let hit: std::collections::HashSet<_> = (0..64).map(|c| partition(c, 4)).collect();
-        assert_eq!(hit.len(), 4);
     }
 }

@@ -1,23 +1,18 @@
 //! The thread pool behind both entry points: [`crate::run`] (closed loop,
 //! scoped threads) and [`crate::NativeEngine`] (submit API, long-lived
-//! threads) build the same servers and workers around the same shared
-//! state, and merge what the threads hand back the same way. Only the
-//! spawn call and the workers' intake differ, and those stay with the
-//! callers.
+//! threads) build the same workers around the same shared state, and
+//! merge what the threads hand back the same way. Only the spawn call and
+//! the workers' intake differ, and those stay with the callers.
 
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
 
-use stm_core::metrics::MetricsReport;
 use stm_core::{RetryPolicy, SnapshotRegistry};
 
 use crate::atr::NativeAtr;
-use crate::fault::NativeFaultPlan;
-use crate::server::NativeServer;
 use crate::store::NativeStore;
 use crate::worker::{NativeWorker, WorkerOutput};
-use crate::{partition, NativeConfig, NativeConfigError, NativeRunResult};
+use crate::{NativeConfig, NativeConfigError, NativeRunResult};
 
 /// What every thread of one pool shares: the store, the ATR, the reader
 /// registry, the run's clock and the settings workers read. Cloning it
@@ -29,7 +24,6 @@ pub(crate) struct Shared {
     pub atr: Arc<NativeAtr>,
     pub registry: Arc<SnapshotRegistry>,
     pub policy: RetryPolicy,
-    pub faults: Option<NativeFaultPlan>,
     pub start: Instant,
     /// `start + max_run`: every wait in the system re-checks it.
     pub deadline: Instant,
@@ -37,17 +31,13 @@ pub(crate) struct Shared {
     pub record_history: bool,
 }
 
-/// Validate `cfg` and build one pool, wired up and ready to spawn: the
-/// shared state, `server_threads` commit servers and `client_threads`
-/// workers (worker `w` is element `w`), each holding a sender to the
-/// server it is hash-partitioned onto. The workers own the only request
-/// senders, so once the last worker exits the servers see a disconnect
-/// and exit too.
+/// Validate `cfg` and build one pool, ready to spawn: the shared state
+/// and `client_threads` workers (worker `w` is element `w`).
 pub(crate) fn build(
     cfg: &NativeConfig,
     num_items: u64,
     initial: impl FnMut(u64) -> u64,
-) -> Result<(Shared, Vec<NativeServer>, Vec<NativeWorker>), NativeConfigError> {
+) -> Result<(Shared, Vec<NativeWorker>), NativeConfigError> {
     cfg.validate()?;
     let store = Arc::new(NativeStore::new(num_items, cfg.versions_per_box, initial));
     let start = Instant::now();
@@ -56,33 +46,15 @@ pub(crate) fn build(
         atr: Arc::new(NativeAtr::new(cfg.atr_capacity, cfg.max_ws)),
         registry: Arc::new(SnapshotRegistry::new(cfg.reader_slots)),
         policy: cfg.recovery.clone(),
-        faults: cfg.faults.clone(),
         start,
         deadline: start + cfg.max_run,
         max_batch: cfg.max_batch,
         record_history: cfg.record_history,
     };
-    let (req_txs, servers): (Vec<_>, Vec<_>) = (0..cfg.server_threads)
-        .map(|sid| {
-            let (tx, rx) = mpsc::sync_channel(cfg.channel_depth);
-            let server = NativeServer::new(
-                sid,
-                shared.atr.clone(),
-                rx,
-                shared.faults.clone(),
-                shared.deadline,
-                start,
-            );
-            (tx, server)
-        })
-        .unzip();
     let workers = (0..cfg.client_threads)
-        .map(|wid| {
-            let req_tx = req_txs[partition(wid, cfg.server_threads)].clone();
-            NativeWorker::new(wid, shared.clone(), req_tx)
-        })
+        .map(|wid| NativeWorker::new(wid, shared.clone()))
         .collect();
-    Ok((shared, servers, workers))
+    Ok((shared, workers))
 }
 
 impl Shared {
@@ -90,7 +62,6 @@ impl Shared {
     pub(crate) fn collect(
         &self,
         workers: impl IntoIterator<Item = WorkerOutput>,
-        servers: impl IntoIterator<Item = MetricsReport>,
     ) -> NativeRunResult {
         let elapsed = self.start.elapsed();
         let mut result = NativeRunResult {
@@ -102,9 +73,6 @@ impl Shared {
             result.stats.merge(&out.stats);
             result.records.extend(out.records);
             result.metrics.merge(&out.metrics);
-        }
-        for m in servers {
-            result.metrics.merge(&m);
         }
         // The store's GC counters are shared by every worker: merge exactly
         // once, plus a final footprint sample for the plateau checks.

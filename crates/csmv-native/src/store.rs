@@ -135,10 +135,10 @@ impl NativeStore {
     /// the item was never written. Used by the carry-time freshness
     /// re-check ([`csmv::steps::spec_carry_fresh`]): a speculative
     /// execution whose footprint has a newer commit than its snapshot is
-    /// squashed client-side instead of submitted. Racing write-backs may
+    /// squashed instead of taking a batch lane. Racing write-backs may
     /// publish a still-newer version right after this load — that is fine,
-    /// the check is an optimization and the server re-validates on
-    /// arrival.
+    /// the check is an optimization and validation tests the footprint
+    /// against the ATR window anyway.
     pub fn newest_ts(&self, item: u64) -> Option<u64> {
         let head = self.heads[item as usize].load(Ordering::Acquire) as usize;
         let word = self.slots[item as usize * self.versions_per_box + head].load(Ordering::Acquire);
@@ -155,9 +155,10 @@ impl NativeStore {
     pub fn read_at(&self, item: u64, snapshot: u64) -> Option<u64> {
         let vpb = self.versions_per_box;
         let base = item as usize * vpb;
-        let head = self.heads[item as usize].load(Ordering::Acquire) as usize;
-        for k in 0..vpb {
-            let slot = (head + vpb - k) % vpb;
+        // Newest to oldest: down from the head, wrapping at the bottom (a
+        // `%` by the run-time ring depth is a division per version walked).
+        let mut slot = self.heads[item as usize].load(Ordering::Acquire) as usize;
+        for _ in 0..vpb {
             let word = self.slots[base + slot].load(Ordering::Acquire);
             if word == EMPTY {
                 // Walked past the oldest version ever written; the ring
@@ -168,6 +169,7 @@ impl NativeStore {
             if ts <= snapshot {
                 return Some(value);
             }
+            slot = if slot == 0 { vpb - 1 } else { slot - 1 };
         }
         // Ring exhausted with only too-new timestamps: the version this
         // snapshot needs was recycled — unless the GC spilled it for a

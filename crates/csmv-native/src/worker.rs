@@ -1,17 +1,19 @@
-//! A native client worker thread: executes transactions against the
-//! multi-versioned store, pre-validates its own batch, submits it to its
-//! commit server, and performs the write-back when its GTS turn arrives —
-//! the client half of the CSMV protocol, on one OS thread per worker.
+//! A native worker thread: executes transactions against the
+//! multi-versioned store, pre-validates its own batch, validates it against
+//! the ATR and reserves its commit timestamps in place
+//! ([`crate::validator::Validator`] — the paper's server role, a function
+//! call here), and performs the write-back when its GTS turn arrives.
 //!
 //! Every protocol decision goes through the pure [`csmv::steps`]
 //! functions: intra-batch pre-validation ([`csmv::steps::preval_losers`]),
-//! response certification ([`csmv::steps::response_certified`]), batch
-//! windows ([`csmv::steps::batch_window`] / [`csmv::steps::window_is_dense`])
-//! and GTS turn-taking ([`csmv::steps::gts_turn_reached`] /
-//! [`csmv::steps::gts_publish_value`]). The commit path is pipelined —
-//! one batch in flight, at most one batch of speculation parked behind
-//! it — which adds three more: admission of speculative work while a
-//! batch is in flight ([`csmv::steps::pipeline_admissible`]), the
+//! batch windows ([`csmv::steps::batch_window`] /
+//! [`csmv::steps::window_is_dense`]) and GTS turn-taking
+//! ([`csmv::steps::gts_turn_reached`] / [`csmv::steps::gts_publish_value`]).
+//! The one wait a commit can block in is the turn wait, and that is where
+//! the worker speculates — at most one batch of executions parked behind
+//! the batch holding a reservation — which adds three more: admission of
+//! speculative work while a batch awaits its turn
+//! ([`csmv::steps::pipeline_admissible`]), the
 //! post-publish squash rule ([`csmv::steps::speculative_preval`]) that
 //! recycles any speculative execution whose footprint overlaps the writes
 //! the batch just published, and the carry-time freshness re-check
@@ -19,8 +21,10 @@
 //! any *other* client's commit has invalidated — and, when it passes,
 //! justifies promoting the execution to the round snapshot (see
 //! `round`'s carry loop). One more decides what is *not* run: a
-//! transaction the server rejected at snapshot `s` stays where it is
-//! while the GTS still reads `s` ([`csmv::steps::retry_may_succeed`]).
+//! transaction that aborted at snapshot `s` for a reason that is a
+//! function of `s` — validation rejected it, or a version it reads is
+//! gone — stays where it is while the GTS still reads `s`
+//! ([`csmv::steps::retry_may_succeed`]).
 //! Turn waits — and the wait for the GTS to move when nothing else is
 //! runnable — park on the ATR's event-driven handoff
 //! ([`crate::atr::NativeAtr::wait_turn`]) once speculation runs dry.
@@ -30,34 +34,24 @@
 //! ([`NativeWorker::run`]) or the engine's shared submit queue
 //! ([`NativeWorker::serve`]).
 //!
-//! Recovery follows `stm_core::recovery::RetryPolicy`; its cycle-valued
-//! fields (`resp_timeout`, backoff) are interpreted as **microseconds** on
-//! the native backend (a simulated cycle is sub-nanosecond — far below OS
-//! scheduling granularity). Latency samples recorded into the metrics
-//! report are **nanoseconds**.
+//! Retries follow the `retry_budget` of `stm_core::recovery::RetryPolicy`.
+//! Latency samples recorded into the metrics report are **nanoseconds**.
 //!
 //! Nothing in this module may panic: the `xtask` `no-panic-in-server-path`
 //! lint covers every `impl NativeWorker` block.
 
 use std::collections::VecDeque;
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use csmv::steps;
 use stm_core::history::TxRecord;
-use stm_core::metrics::{AbortReason, FaultEvent, MetricsReport};
+use stm_core::metrics::{AbortReason, MetricsReport};
 use stm_core::stats::CommitStats;
 use stm_core::{TxLogic, TxOp, TxSource};
 
 use crate::engine::{EngineJob, Intake};
-use crate::msg::{CommitRequest, CommitResponse, TxSubmit, Verdict};
 use crate::pool::Shared;
-
-/// Response-wait slice when the retry policy disables timeouts: long
-/// enough that a healthy server never triggers a resend, short enough to
-/// notice the run deadline.
-const INERT_WAIT_SLICE: Duration = Duration::from_millis(100);
+use crate::validator::{TxSubmit, Validator, Verdict};
 
 /// Backstop timeout for a turn-waiter parked in
 /// [`crate::atr::NativeAtr::wait_turn`]: publishers unpark it long before
@@ -99,8 +93,9 @@ pub(crate) struct WorkerOutput {
     pub metrics: MetricsReport,
 }
 
-/// Rounds between two memory-footprint samples pushed into the metrics
-/// report (footprint reads are O(1), this just bounds sample volume).
+/// Rounds between two samples of the store's memory footprint and of the
+/// ATR's occupancy pushed into the metrics report (both reads are O(1);
+/// this bounds sample volume, so the capped series span the whole run).
 const FOOTPRINT_SAMPLE_ROUNDS: u64 = 64;
 
 /// A transaction waiting to run (or re-run after an abort).
@@ -117,11 +112,14 @@ struct Pending<T> {
     /// before it landed) is re-armed at a fresh snapshot, keeping the slot
     /// (see [`NativeWorker::maybe_pin`]).
     pin: Option<(u64, usize)>,
-    /// The snapshot the commit server last rejected this transaction at.
-    /// While the GTS still reads that value a retry is futile
+    /// The snapshot this transaction last aborted at for a reason that is
+    /// a function of the snapshot alone: validation rejected it, or a
+    /// version it reads is gone ([`NativeWorker::overflowed`]). While the
+    /// GTS still reads that value a retry is futile
     /// ([`csmv::steps::retry_may_succeed`]): it would execute at the same
-    /// snapshot and be rejected against the same ATR entry. Never
-    /// cleared — once the GTS has moved past it, it no longer matters.
+    /// snapshot and meet the same ATR entry, or the same missing version.
+    /// Never cleared — once the GTS has moved past it, it no longer
+    /// matters.
     rejected_at: Option<u64>,
 }
 
@@ -150,7 +148,7 @@ fn pop_runnable<T>(pending: &mut VecDeque<Pending<T>>, gts: u64) -> Option<Pendi
     pending.remove(first)
 }
 
-/// A fully executed update transaction, ready to submit.
+/// A fully executed update transaction, ready to commit.
 struct Executed {
     /// `(item, value)` pairs actually read from shared state, in order.
     reads: Vec<(u64, u64)>,
@@ -169,9 +167,9 @@ enum Exec {
     Overflow,
 }
 
-/// A speculative execution produced while an earlier batch was in flight:
-/// an update transaction executed at `snapshot`, parked until the
-/// in-flight batch publishes. If the published write-set overlaps its
+/// A speculative execution produced while an earlier batch awaited its
+/// turn: an update transaction executed at `snapshot`, parked until that
+/// batch publishes. If the published write-set overlaps its
 /// footprint it is squashed
 /// ([`csmv::steps::speculative_preval`]); otherwise it joins the next
 /// batch — at its own, older snapshot — without re-executing.
@@ -179,15 +177,6 @@ struct Spec<T> {
     p: Pending<T>,
     ex: Executed,
     snapshot: u64,
-}
-
-enum BatchOutcome {
-    /// Certified verdicts, one per submitted transaction.
-    Verdicts(Vec<Verdict>),
-    /// The whole batch failed terminally for this reason.
-    Terminal(AbortReason),
-    /// The run deadline passed while waiting; nothing was written back.
-    Abandoned,
 }
 
 /// What an intake hands the feed loop when asked for the next transaction.
@@ -202,12 +191,8 @@ enum Next<T> {
 pub(crate) struct NativeWorker {
     id: usize,
     ctx: Shared,
-    req_tx: SyncSender<CommitRequest>,
-    resp_tx: Sender<CommitResponse>,
-    resp_rx: Receiver<CommitResponse>,
-    seq: u64,
+    validator: Validator,
     rounds: u64,
-    server_dead: bool,
     stats: CommitStats,
     records: Vec<TxRecord>,
     metrics: MetricsReport,
@@ -218,19 +203,13 @@ pub(crate) struct NativeWorker {
 }
 
 impl NativeWorker {
-    /// Worker `id` of the pool `ctx` describes, submitting to the commit
-    /// server behind `req_tx`.
-    pub(crate) fn new(id: usize, ctx: Shared, req_tx: SyncSender<CommitRequest>) -> Self {
-        let (resp_tx, resp_rx) = mpsc::channel();
+    /// Worker `id` of the pool `ctx` describes.
+    pub(crate) fn new(id: usize, ctx: Shared) -> Self {
         Self {
             id,
+            validator: Validator::new(&ctx),
             ctx,
-            req_tx,
-            resp_tx,
-            resp_rx,
-            seq: 0,
             rounds: 0,
-            server_dead: false,
             stats: CommitStats::default(),
             records: Vec::new(),
             metrics: MetricsReport::default(),
@@ -243,7 +222,7 @@ impl NativeWorker {
     }
 
     /// Drain the source to completion (or the run deadline), committing
-    /// through the server in batches of up to `max_batch`.
+    /// in batches of up to `max_batch`.
     pub(crate) fn run<S: TxSource>(self, mut source: S) -> WorkerOutput {
         self.feed(|_idle| match source.next_tx() {
             Some(tx) => Next::Tx(Fire(tx)),
@@ -278,8 +257,8 @@ impl NativeWorker {
     }
 
     /// The feed loop: keep up to two batches of work buffered (one to
-    /// submit, one for the pipeline to speculate on while it is in
-    /// flight) and commit it round by round until the intake closes and
+    /// commit, one to speculate on while it awaits its turn) and commit
+    /// it round by round until the intake closes and
     /// nothing is pending. `next(idle)` yields the next transaction;
     /// `idle` tells it the worker holds no work and may block briefly.
     ///
@@ -328,8 +307,8 @@ impl NativeWorker {
     }
 
     /// One round: execute everything pending at a single snapshot,
-    /// pre-validate the batch, submit the survivors, write back the
-    /// granted window.
+    /// pre-validate the batch, validate the survivors and reserve their
+    /// timestamps, write back the granted window.
     ///
     /// The round's snapshot is registered in the reader table for the
     /// duration of the execute phase, so concurrent write-backs retain
@@ -338,18 +317,19 @@ impl NativeWorker {
     /// at their own pinned snapshot instead.
     ///
     /// Speculative executions parked in `spec` by the previous batch's
-    /// waits enter this batch already executed, at their own (older)
+    /// turn wait enter this batch already executed, at their own (older)
     /// snapshots: they went through the post-publish squash, so their
     /// footprints are disjoint from everything published since they ran,
-    /// and the server re-validates them against its ATR window anyway.
+    /// and validation tests them against the ATR window anyway.
     ///
-    /// Transactions the server rejected at this very snapshot are passed
-    /// over ([`Pending::runnable_at`]): no execution, no budget charge.
+    /// Transactions that validation rejected, or that could not read a
+    /// version, at this very snapshot are passed over
+    /// ([`Pending::runnable_at`]): no execution, no budget charge.
     /// A round left with nothing to run waits for the next GTS
-    /// publication on the ATR's waiter list instead of resubmitting them.
+    /// publication on the ATR's waiter list instead of re-running them.
     fn round<T: Finish>(&mut self, pending: &mut VecDeque<Pending<T>>, spec: &mut Vec<Spec<T>>) {
         self.rounds += 1;
-        if self.rounds % FOOTPRINT_SAMPLE_ROUNDS == 1 {
+        if self.sampling_round() {
             self.metrics
                 .footprint
                 .push(self.now_ns(), self.ctx.store.footprint_bytes());
@@ -367,7 +347,7 @@ impl NativeWorker {
         // speculation was parked, and the store's newest-version
         // timestamps see all of them. A stale speculation is recycled to
         // the front of `pending` so it re-executes at this very round's
-        // fresh snapshot instead of burning a lane on a doomed submit.
+        // fresh snapshot instead of burning a lane on a doomed validation.
         let carry = spec.len().min(self.ctx.max_batch);
         for s in spec.drain(..carry) {
             let newest =
@@ -389,7 +369,7 @@ impl NativeWorker {
             // written-back history), so executing at the round snapshot
             // would have read byte-identical values — the parked
             // execution *is* an execution at the round snapshot. Claiming
-            // it shrinks the server's validation window to the same
+            // it shrinks the validation window to the same
             // `(snapshot, reservation]` a fresh execution gets, instead
             // of a window that grew the whole time the speculation was
             // parked. The model's `spec-fresh-snapshot` mutation shows
@@ -402,8 +382,8 @@ impl NativeWorker {
             .take(room)
             .collect();
         if batch.is_empty() && execs.is_empty() {
-            // Everything pending was rejected at this snapshot by a batch
-            // another worker has been granted and not yet written back.
+            // Everything pending aborted at this snapshot against a batch
+            // another worker has reserved and not yet published.
             // `TURN_WAIT_SLICE` bounds the park, so the feed loop still
             // sees the run deadline and new arrivals.
             if let Some(slot) = round_slot {
@@ -421,13 +401,7 @@ impl NativeWorker {
             match self.execute(&mut p.tx, snap) {
                 Exec::ReadOnly { reads } => self.commit_rot(p, snap, reads),
                 Exec::Update(ex) => execs.push((p, ex, snap)),
-                Exec::Overflow => {
-                    let reason = self.overflow_reason(snap);
-                    if let Some(mut p) = self.recycle(p, reason) {
-                        self.maybe_pin(&mut p);
-                        retry.push(p);
-                    }
-                }
+                Exec::Overflow => retry.extend(self.overflowed(p, snap)),
             }
         }
 
@@ -476,13 +450,13 @@ impl NativeWorker {
         pending.extend(retry);
     }
 
-    /// Execute at most one unit of speculative work while a batch is in
-    /// flight. Admission goes through
+    /// Execute at most one unit of speculative work while a batch awaits
+    /// its turn. Admission goes through
     /// [`csmv::steps::pipeline_admissible`]: at most `max_batch`
     /// executions are parked. The snapshot is registered around the
     /// execution just like a round's, so the GC retains whatever the
     /// speculative reads resolve on. Read-only transactions commit on the
-    /// spot — they never needed the server — update executions are parked
+    /// spot — they never validate — update executions are parked
     /// for the post-publish squash check, and overflows take the ordinary
     /// retry/pin path. A transaction rejected at the current snapshot is
     /// not speculated either ([`Pending::runnable_at`]). Returns false
@@ -519,15 +493,27 @@ impl NativeWorker {
                     snapshot: snap,
                 });
             }
-            Exec::Overflow => {
-                let reason = self.overflow_reason(snap);
-                if let Some(mut p) = self.recycle(p, reason) {
-                    self.maybe_pin(&mut p);
-                    pending.push_back(p);
-                }
-            }
+            Exec::Overflow => pending.extend(self.overflowed(p, snap)),
         }
         true
+    }
+
+    /// A read of `p` at `snapshot` found no version: recycle it with the
+    /// reason [`Self::overflow_reason`] gives, pinning or re-arming a
+    /// long reader ([`Self::maybe_pin`]). Versions are only ever replaced
+    /// by newer ones, so what is unreadable at `snapshot` stays
+    /// unreadable at it: like a validation reject, the abort is recorded
+    /// in `rejected_at` and the retry waits for the GTS to move
+    /// ([`csmv::steps::retry_may_succeed`]). Without that, a transaction
+    /// reading an item whose writer has written back but not yet published
+    /// the GTS — and is not getting the CPU — burns its whole retry budget
+    /// at one snapshot.
+    fn overflowed<T: Finish>(&mut self, p: Pending<T>, snapshot: u64) -> Option<Pending<T>> {
+        let reason = self.overflow_reason(snapshot);
+        let mut p = self.recycle(p, reason)?;
+        p.rejected_at = Some(snapshot);
+        self.maybe_pin(&mut p);
+        Some(p)
     }
 
     /// Classify a store read failure: below the GC watermark the version
@@ -642,12 +628,18 @@ impl NativeWorker {
         }
     }
 
-    /// Submit the surviving batch and, on grant, perform the in-order
-    /// write-back and single GTS publication. While the batch is in
-    /// flight, both the verdict wait and the GTS-turn wait drain
-    /// speculative work from `pending` into `spec`; after the
-    /// write-back publishes, parked speculations whose footprints overlap
-    /// the published write-set are squashed and recycled.
+    /// Is this one of the rounds whose footprint and occupancy are
+    /// sampled?
+    fn sampling_round(&self) -> bool {
+        self.rounds % FOOTPRINT_SAMPLE_ROUNDS == 1
+    }
+
+    /// Validate the surviving batch and reserve its timestamps in place
+    /// and, for what was granted, perform the in-order write-back and
+    /// single GTS publication. The GTS-turn wait drains speculative work
+    /// from `pending` into `spec`; after the write-back publishes, parked
+    /// speculations whose footprints overlap the published write-set are
+    /// squashed and recycled.
     fn commit_batch<T: Finish>(
         &mut self,
         mut batch: Vec<(Pending<T>, Executed, u64)>,
@@ -655,11 +647,8 @@ impl NativeWorker {
         pending: &mut VecDeque<Pending<T>>,
         spec: &mut Vec<Spec<T>>,
     ) {
-        // Build the submissions once per batch: the read-set moves out (it
-        // is not needed for write-back), and recovery resends reuse the
-        // shared allocation instead of re-cloning every footprint on every
-        // attempt.
-        let subs: Arc<[TxSubmit]> = batch
+        // The read-set moves out: it is not needed for write-back.
+        let subs: Vec<TxSubmit> = batch
             .iter_mut()
             .map(|(_, ex, snap)| TxSubmit {
                 snapshot: *snap,
@@ -667,87 +656,80 @@ impl NativeWorker {
                 ws: ex.ws.iter().map(|&(i, _)| i).collect(),
             })
             .collect();
-        match self.submit(&subs, pending, spec) {
-            BatchOutcome::Terminal(reason) => {
-                for (p, _, _) in batch {
-                    self.fail(p, reason);
+        let verdicts = self
+            .validator
+            .validate_and_reserve(&subs, &mut self.metrics);
+        let mut granted: Vec<(Pending<T>, Executed, u64, u64)> = Vec::new();
+        for ((p, ex, snap), v) in batch.into_iter().zip(verdicts) {
+            match v {
+                Verdict::Granted { cts } => granted.push((p, ex, snap, cts)),
+                Verdict::Rejected { reason } => {
+                    if let Some(mut p) = self.recycle(p, reason) {
+                        p.rejected_at = Some(snap);
+                        retry.push(p);
+                    }
                 }
             }
-            BatchOutcome::Abandoned => {
-                for (p, _, _) in batch {
-                    self.fail(p, AbortReason::ServerTimeout);
-                }
+        }
+        if granted.is_empty() {
+            return;
+        }
+        // The live window right after a reservation, this batch included;
+        // sampled, because a push per batch fills the capped series within
+        // the first half second of a run.
+        if self.sampling_round() {
+            self.metrics
+                .atr_occupancy
+                .push(self.now_ns(), self.ctx.atr.occupancy());
+        }
+        let ctss: Vec<u64> = granted.iter().map(|&(_, _, _, c)| c).collect();
+        let (base, nw) = steps::batch_window(&ctss);
+        debug_assert!(steps::window_is_dense(&ctss));
+        if !self.await_turn(base, pending, spec) {
+            // Deadline while waiting: nothing was written back, so the
+            // committed history stays consistent (the GTS hole just
+            // stalls everyone else until their own deadline).
+            for (p, _, _, _) in granted {
+                self.fail(p, AbortReason::ServerTimeout);
             }
-            BatchOutcome::Verdicts(vs) => {
-                let mut granted: Vec<(Pending<T>, Executed, u64, u64)> = Vec::new();
-                for ((p, ex, snap), v) in batch.into_iter().zip(vs) {
-                    match v {
-                        Verdict::Granted { cts } => granted.push((p, ex, snap, cts)),
-                        Verdict::Rejected { reason } => {
-                            if reason.is_terminal() {
-                                self.fail(p, reason);
-                            } else if let Some(mut p) = self.recycle(p, reason) {
-                                p.rejected_at = Some(snap);
-                                retry.push(p);
-                            }
-                        }
-                    }
-                }
-                if granted.is_empty() {
-                    return;
-                }
-                let ctss: Vec<u64> = granted.iter().map(|&(_, _, _, c)| c).collect();
-                let (base, nw) = steps::batch_window(&ctss);
-                debug_assert!(steps::window_is_dense(&ctss));
-                if !self.await_turn(base, pending, spec) {
-                    // Deadline while spinning: nothing was written back,
-                    // so the committed history stays consistent (the GTS
-                    // hole just stalls everyone else until their own
-                    // deadline).
-                    for (p, _, _, _) in granted {
-                        self.fail(p, AbortReason::ServerTimeout);
-                    }
-                    return;
-                }
-                granted.sort_by_key(|&(_, _, _, c)| c);
-                // One registry scan per batch: the write-back's GC pass
-                // retains every version a currently registered reader
-                // resolves on. A registration landing mid-write-back can
-                // miss this scan — that reader's one spurious abort is
-                // the documented race window.
-                let readers = self.ctx.registry.registered();
-                for (_, ex, _, cts) in &granted {
-                    for &(item, value) in &ex.ws {
-                        self.ctx.store.publish_gated(item, *cts, value, &readers);
-                    }
-                }
-                self.ctx.atr.publish_gts(steps::gts_publish_value(base, nw));
-                self.squash_overlapping(&granted, pending, spec);
-                for (p, ex, snap, cts) in granted {
-                    let latency = p.attempt_start.elapsed().as_nanos() as u64;
-                    self.stats.update_commits += 1;
-                    self.stats.useful_cycles += latency;
-                    self.metrics.record_commit(latency);
-                    if self.ctx.record_history {
-                        self.records.push(TxRecord {
-                            thread: self.id,
-                            read_point: snap,
-                            cts: Some(cts),
-                            reads: ex.reads,
-                            writes: ex.ws,
-                        });
-                    }
-                    p.tx.finish(Ok(()));
-                }
+            return;
+        }
+        granted.sort_by_key(|&(_, _, _, c)| c);
+        // One registry scan per batch: the write-back's GC pass retains
+        // every version a currently registered reader resolves on. A
+        // registration landing mid-write-back can miss this scan — that
+        // reader's one spurious abort is the documented race window.
+        let readers = self.ctx.registry.registered();
+        for (_, ex, _, cts) in &granted {
+            for &(item, value) in &ex.ws {
+                self.ctx.store.publish_gated(item, *cts, value, &readers);
             }
+        }
+        self.ctx.atr.publish_gts(steps::gts_publish_value(base, nw));
+        self.squash_overlapping(&granted, pending, spec);
+        for (p, ex, snap, cts) in granted {
+            let latency = p.attempt_start.elapsed().as_nanos() as u64;
+            self.stats.update_commits += 1;
+            self.stats.useful_cycles += latency;
+            self.metrics.record_commit(latency);
+            if self.ctx.record_history {
+                self.records.push(TxRecord {
+                    thread: self.id,
+                    read_point: snap,
+                    cts: Some(cts),
+                    reads: ex.reads,
+                    writes: ex.ws,
+                });
+            }
+            p.tx.finish(Ok(()));
         }
     }
 
     /// Post-publish squash ([`csmv::steps::speculative_preval`]): a parked
     /// speculative execution whose footprint intersects the write-set this
     /// batch just published ran at a snapshot that predates those writes —
-    /// the server would reject it on arrival, so recycle it now and save
-    /// the round trip. The recycle goes through the ordinary
+    /// validation would reject it, so recycle it now and save the batch
+    /// lane. The recycle goes through the ordinary
     /// retriable-abort path, so a perpetually-squashed transaction still
     /// terminates via its retry budget instead of livelocking. Disjoint
     /// speculations stay parked and join the next batch at their own
@@ -811,133 +793,8 @@ impl NativeWorker {
         }
     }
 
-    /// The send / await-response / resend loop for one batch, following
-    /// the retry policy. Responses for older batch seqs are discarded via
-    /// [`csmv::steps::response_certified`]. The response wait
-    /// interleaves speculative execution of the next batch;
-    /// only one batch is ever outstanding at the server, so duplicate
-    /// suppression and response certification are untouched.
-    fn submit<T: Finish>(
-        &mut self,
-        subs: &Arc<[TxSubmit]>,
-        pending: &mut VecDeque<Pending<T>>,
-        spec: &mut Vec<Spec<T>>,
-    ) -> BatchOutcome {
-        self.seq += 1;
-        let seq = self.seq;
-        let mut attempt: u32 = 0;
-        loop {
-            attempt += 1;
-            if attempt > self.ctx.policy.max_send_attempts {
-                // Same leak guard as the dead-server path below: a granted
-                // response may have arrived just as the budget ran out.
-                while let Ok(resp) = self.resp_rx.try_recv() {
-                    if steps::response_certified(resp.seq, seq) {
-                        return BatchOutcome::Verdicts(resp.verdicts);
-                    }
-                }
-                return BatchOutcome::Terminal(AbortReason::ServerTimeout);
-            }
-            if attempt > 1 {
-                let backoff_us = self
-                    .ctx
-                    .policy
-                    .backoff_cycles(self.id as u64, seq, attempt - 1);
-                if backoff_us > 0 {
-                    let until =
-                        (Instant::now() + Duration::from_micros(backoff_us)).min(self.ctx.deadline);
-                    let now = Instant::now();
-                    if until > now {
-                        std::thread::sleep(until - now);
-                    }
-                }
-                self.metrics.record_fault(FaultEvent::Resend, self.now_ns());
-            }
-            let dropped = self
-                .ctx
-                .faults
-                .as_ref()
-                .is_some_and(|f| f.drop_request(self.id, seq, attempt));
-            if !dropped {
-                let req = CommitRequest {
-                    client: self.id,
-                    seq,
-                    txs: subs.clone(),
-                    resp: self.resp_tx.clone(),
-                };
-                if self.req_tx.send(req).is_err() {
-                    if !self.server_dead {
-                        self.server_dead = true;
-                        self.metrics
-                            .record_fault(FaultEvent::Quarantine, self.now_ns());
-                    }
-                    // A dying server flushes its latest response to every
-                    // client before dropping its request channel, so if
-                    // this batch was already granted the verdicts are
-                    // queued by the time the send fails. Drain before
-                    // declaring the server unavailable — abandoning a
-                    // granted batch here would leak its timestamps as a
-                    // permanent GTS hole.
-                    while let Ok(resp) = self.resp_rx.try_recv() {
-                        if steps::response_certified(resp.seq, seq) {
-                            return BatchOutcome::Verdicts(resp.verdicts);
-                        }
-                    }
-                    return BatchOutcome::Terminal(AbortReason::ServerUnavailable);
-                }
-            }
-            let timeout = self
-                .ctx
-                .policy
-                .resp_timeout
-                .map_or(INERT_WAIT_SLICE, Duration::from_micros);
-            let wait_until = (Instant::now() + timeout).min(self.ctx.deadline);
-            loop {
-                let now = Instant::now();
-                if now >= wait_until {
-                    if now >= self.ctx.deadline {
-                        return BatchOutcome::Abandoned;
-                    }
-                    self.metrics
-                        .record_fault(FaultEvent::Timeout, self.now_ns());
-                    break; // next send attempt, same seq
-                }
-                // Poll for the verdicts first, then overlap the wait with
-                // speculative execution; when nothing is admissible,
-                // block on the response channel.
-                match self.resp_rx.try_recv() {
-                    Ok(resp) => {
-                        if steps::response_certified(resp.seq, seq) {
-                            return BatchOutcome::Verdicts(resp.verdicts);
-                        }
-                        continue; // a stale response from an earlier batch's resend
-                    }
-                    Err(TryRecvError::Empty) => {}
-                    Err(TryRecvError::Disconnected) => {
-                        return BatchOutcome::Terminal(AbortReason::ServerUnavailable)
-                    }
-                }
-                if self.speculate_one(pending, spec) {
-                    continue;
-                }
-                match self.resp_rx.recv_timeout(wait_until - now) {
-                    Ok(resp) => {
-                        if steps::response_certified(resp.seq, seq) {
-                            return BatchOutcome::Verdicts(resp.verdicts);
-                        }
-                        // A stale response from an earlier batch's resend.
-                    }
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        return BatchOutcome::Terminal(AbortReason::ServerUnavailable)
-                    }
-                }
-            }
-        }
-    }
-
     /// Commit a read-only transaction: consistent at its snapshot by
-    /// construction, no server round-trip (as in the paper).
+    /// construction, no validation (as in the paper).
     fn commit_rot<T: Finish>(&mut self, mut p: Pending<T>, snapshot: u64, reads: Vec<(u64, u64)>) {
         if p.pin.is_some() {
             self.metrics.gc.pinned_commits += 1;
@@ -1009,21 +866,21 @@ mod tests {
     use crate::engine::{Completion, CompletionSink, Refused, Submission};
     use crate::store::NativeStore;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
+    use std::sync::{Arc, Mutex};
     use stm_core::{RetryPolicy, SnapshotRegistry};
     use workloads::BankTx;
 
-    /// Worker 0 of a one-worker pool whose commit server is the test
-    /// itself: it holds the request receiver and answers (or not) as the
-    /// scenario needs. Read-only transactions never touch it.
+    /// Worker 0 of a one-worker pool. Where a scenario needs a second
+    /// committer, the test is it: it takes commit timestamp 1
+    /// (`NativeAtr::reserve_and_insert`) on the ATR it shares with the
+    /// worker, so the GTS stays at 0 until the test publishes it.
     fn lone_worker(
         registry: Arc<SnapshotRegistry>,
         store: Arc<NativeStore>,
         atr: Arc<NativeAtr>,
         budget: u32,
         max_run: Duration,
-    ) -> (NativeWorker, Receiver<CommitRequest>) {
-        let (req_tx, req_rx) = mpsc::sync_channel(4);
+    ) -> NativeWorker {
         let start = Instant::now();
         let ctx = Shared {
             store,
@@ -1033,25 +890,34 @@ mod tests {
                 retry_budget: Some(budget),
                 ..RetryPolicy::default()
             },
-            faults: None,
             start,
             deadline: start + max_run,
             max_batch: 8,
             record_history: true,
         };
-        (NativeWorker::new(0, ctx, req_tx), req_rx)
+        NativeWorker::new(0, ctx)
     }
 
-    /// A lone worker over `accounts` accounts of balance 100.
-    fn bank_worker(accounts: u64, max_run: Duration) -> (NativeWorker, Receiver<CommitRequest>) {
-        lone_worker(
+    /// A lone worker over `accounts` accounts of balance 100, retry
+    /// budget `budget`, and the ATR it commits on.
+    fn bank_worker(
+        accounts: u64,
+        budget: u32,
+        max_run: Duration,
+    ) -> (NativeWorker, Arc<NativeAtr>) {
+        let atr = Arc::new(NativeAtr::new(64, 4));
+        let w = lone_worker(
             Arc::new(SnapshotRegistry::new(4)),
             Arc::new(NativeStore::new(accounts, 2, |_| 100)),
-            Arc::new(NativeAtr::new(64, 4)),
-            8,
+            atr.clone(),
+            budget,
             max_run,
-        )
+        );
+        (w, atr)
     }
+
+    /// An item no transfer touches.
+    const ELSEWHERE: u64 = u64::MAX;
 
     /// Transfer `k` of a conflict-free series: account `2k` to `2k + 1`.
     fn transfer(k: u64) -> BankTx {
@@ -1075,39 +941,71 @@ mod tests {
         }
     }
 
-    /// Stand-in commit server: grants every submitted transaction the
-    /// next timestamp, calling `before_reply(seq)` first so a test can
-    /// hold a batch in flight. Returns when the worker hangs up.
-    fn grant_all(req_rx: Receiver<CommitRequest>, before_reply: impl Fn(u64)) {
-        let mut next_cts = 1;
-        for req in req_rx {
-            before_reply(req.seq);
-            let verdicts = (0..req.txs.len() as u64)
-                .map(|k| Verdict::Granted { cts: next_cts + k })
-                .collect();
-            next_cts += req.txs.len() as u64;
-            let _ = req.resp.send(CommitResponse {
-                seq: req.seq,
-                verdicts,
-            });
+    /// Counts the executions of the wrapped body, as each one begins.
+    struct Counted {
+        tx: BankTx,
+        runs: Arc<AtomicUsize>,
+        begun: bool,
+    }
+
+    fn counted(tx: BankTx, runs: &Arc<AtomicUsize>) -> Fire<Counted> {
+        Fire(Counted {
+            tx,
+            runs: runs.clone(),
+            begun: false,
+        })
+    }
+
+    impl TxLogic for Counted {
+        fn is_read_only(&self) -> bool {
+            self.tx.is_read_only()
+        }
+        fn reset(&mut self) {
+            self.begun = false;
+            self.tx.reset()
+        }
+        fn next(&mut self, last_read: Option<u64>) -> TxOp {
+            if !std::mem::replace(&mut self.begun, true) {
+                self.runs.fetch_add(1, Ordering::SeqCst);
+            }
+            self.tx.next(last_read)
         }
     }
 
-    /// The deadline drain is the same for both intakes: with a server
-    /// that never answers, whatever was submitted, parked as speculation
-    /// or buffered, and everything the intake still holds, each get
-    /// exactly one terminal outcome.
+    /// Spin until `executed` reaches `n`; false if it has not after 5 s.
+    fn wait_for(executed: &AtomicUsize, n: usize) -> bool {
+        let give_up = Instant::now() + Duration::from_secs(5);
+        while executed.load(Ordering::SeqCst) < n {
+            if Instant::now() >= give_up {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+
+    /// The deadline drain is the same for both intakes. Another committer
+    /// holds commit timestamp 1 and never publishes — a GTS hole — so the
+    /// worker's first batch is granted a window whose turn never comes:
+    /// what holds that reservation, what was parked as speculation behind
+    /// it or buffered, and everything the intake still holds, each get
+    /// exactly one terminal `ServerTimeout`.
     #[test]
     fn deadline_fails_every_transaction_of_either_intake_exactly_once() {
         const PRODUCED: u64 = 40;
         let max_run = Duration::from_millis(60);
 
-        let (w, _mute_server) = bank_worker(2 * PRODUCED, max_run);
+        let (w, atr) = bank_worker(2 * PRODUCED, 8, max_run);
+        atr.reserve_and_insert(1, &[ELSEWHERE]);
         let out = w.run(Transfers(0..PRODUCED));
         assert_eq!(out.stats.commits(), 0);
         assert_eq!(out.stats.failed, PRODUCED);
+        assert_eq!(out.stats.aborts(), 0, "nothing conflicts with the hole");
+        assert_eq!(atr.next_cts(), 10, "the first batch did reserve");
+        assert_eq!(atr.gts(), 0, "and was never written back");
 
-        let (w, _mute_server) = bank_worker(2 * PRODUCED, max_run);
+        let (w, atr) = bank_worker(2 * PRODUCED, 8, max_run);
+        atr.reserve_and_insert(1, &[ELSEWHERE]);
         let intake = Intake::new(PRODUCED as usize, 1);
         let outcomes = Arc::new(Outcomes(Mutex::new(Vec::new())));
         let sink: Arc<dyn CompletionSink> = outcomes.clone();
@@ -1146,41 +1044,25 @@ mod tests {
         }
     }
 
-    /// While a batch is in flight the worker executes the next one
-    /// speculatively, and carries it into the next round unexecuted. The
-    /// server holds the first batch until all 16 bodies have run, which
-    /// only speculation can achieve.
+    /// While a batch waits for its turn the worker executes the next one
+    /// speculatively; after the publish each parked execution is carried
+    /// into the next batch unexecuted, or squashed if the batch wrote what
+    /// it read. The other committer holds the turn until all 16 bodies
+    /// have been run, which only speculation can achieve; the last of them
+    /// repeats the first batch's `transfer(0)`, so it is the one squashed.
     #[test]
     fn work_buffered_behind_a_batch_in_flight_is_speculated_and_carried() {
-        /// Counts completed executions of the wrapped body.
-        struct Counted(BankTx, Arc<AtomicUsize>);
-        impl TxLogic for Counted {
-            fn is_read_only(&self) -> bool {
-                self.0.is_read_only()
-            }
-            fn reset(&mut self) {
-                self.0.reset()
-            }
-            fn next(&mut self, last_read: Option<u64>) -> TxOp {
-                let op = self.0.next(last_read);
-                if matches!(op, TxOp::Finish) {
-                    self.1.fetch_add(1, Ordering::SeqCst);
-                }
-                op
-            }
-        }
-
-        let (w, req_rx) = bank_worker(32, Duration::from_secs(10));
+        let (w, atr) = bank_worker(32, 8, Duration::from_secs(10));
+        atr.reserve_and_insert(1, &[ELSEWHERE]);
         let executed = Arc::new(AtomicUsize::new(0));
         let out = std::thread::scope(|s| {
             let seen = executed.clone();
             s.spawn(move || {
-                grant_all(req_rx, |seq| {
-                    let give_up = Instant::now() + Duration::from_secs(5);
-                    while seq == 1 && seen.load(Ordering::SeqCst) < 16 && Instant::now() < give_up {
-                        std::thread::yield_now();
-                    }
-                })
+                let all_ran = wait_for(&seen, 16);
+                // The other committer's write-back lands: the worker's
+                // window, cts 2..=9, is next.
+                atr.publish_gts(1);
+                assert!(all_ran, "the held turn was not used to speculate");
             });
             let mut k = 0;
             w.feed(|_idle| {
@@ -1188,26 +1070,47 @@ mod tests {
                     return Next::Closed;
                 }
                 k += 1;
-                Next::Tx(Fire(Counted(transfer(k - 1), executed.clone())))
+                Next::Tx(counted(transfer((k - 1) % 15), &executed))
             })
         });
         assert_eq!(out.stats.update_commits, 16);
         assert_eq!(out.stats.failed, 0);
-        assert_eq!(out.stats.aborts(), 0);
-        assert_eq!(executed.load(Ordering::SeqCst), 16, "nothing re-executed");
         assert_eq!(out.metrics.pipeline.spec_executed, 8);
-        assert_eq!(out.metrics.pipeline.spec_submitted, 8);
-        assert_eq!(out.metrics.pipeline.spec_squashed, 0);
+        assert_eq!(
+            out.metrics.pipeline.spec_submitted, 7,
+            "carried as executed"
+        );
+        assert_eq!(
+            out.metrics.pipeline.spec_squashed, 1,
+            "the repeated transfer"
+        );
+        assert_eq!(out.stats.aborts(), 1);
+        assert_eq!(
+            executed.load(Ordering::SeqCst),
+            17,
+            "only the squashed one re-executed"
+        );
     }
 
-    /// Speculation needs work buffered behind the flight: three rounds
+    /// Speculation needs work buffered behind the batch: three rounds
     /// that each cut everything pending into their batch speculate
-    /// nothing, however long the server takes.
+    /// nothing, however long the first of them is kept waiting for its
+    /// turn.
     #[test]
     fn nothing_is_speculated_when_every_batch_takes_all_pending_work() {
-        let (w, req_rx) = bank_worker(48, Duration::from_secs(10));
+        let (w, atr) = bank_worker(48, 8, Duration::from_secs(10));
+        atr.reserve_and_insert(1, &[ELSEWHERE]);
         let out = std::thread::scope(|s| {
-            s.spawn(move || grant_all(req_rx, |_| std::thread::yield_now()));
+            s.spawn(move || {
+                // Hold the turn until the first batch has its window and
+                // has had time to look for work to speculate on.
+                let give_up = Instant::now() + Duration::from_secs(5);
+                while atr.next_cts() < 10 && Instant::now() < give_up {
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(Duration::from_millis(5));
+                atr.publish_gts(1);
+            });
             // Eight transactions, then a pause until the worker has
             // nothing left, three times over.
             let (mut k, mut paused) = (0, false);
@@ -1230,56 +1133,62 @@ mod tests {
         assert_eq!(out.metrics.pipeline.spec_submitted, 0);
     }
 
-    /// The doomed retry at a frozen GTS: the server rejects a transfer
-    /// executed at snapshot 0 (as if another worker held a granted, not
-    /// yet written-back batch that it conflicts with). While the GTS
-    /// still reads 0 the worker must not resubmit it — the stand-in
-    /// server sees nothing for 50 ms — and the wait is charged nothing:
-    /// with a budget of two, a second charge would fail the transaction.
-    /// Once the test publishes the GTS the retry runs and commits.
+    /// The doomed retry at a frozen GTS. Another committer has reserved
+    /// commit timestamp 1 for a write to account 0 and not yet published
+    /// the GTS, so a transfer executed at snapshot 0 aborts — rejected
+    /// against that ATR entry, or, if the other's write-back has already
+    /// replaced the only version, unable to read the account at all.
+    /// Either abort is a function of the snapshot: while the GTS still
+    /// reads 0 the worker must not run the transfer again — one execution
+    /// in 50 ms — and the wait is charged nothing: with a budget of two, a
+    /// second charge would fail the transaction. Once the test publishes
+    /// the GTS the retry runs and commits.
     #[test]
     fn a_retry_rejected_at_a_frozen_gts_waits_for_the_next_publication() {
-        let atr = Arc::new(NativeAtr::new(64, 4));
-        let (w, req_rx) = lone_worker(
-            Arc::new(SnapshotRegistry::new(4)),
-            Arc::new(NativeStore::new(2, 2, |_| 100)),
-            atr.clone(),
-            2,
-            Duration::from_secs(10),
-        );
-        let out = std::thread::scope(|s| {
-            s.spawn(move || {
-                let first = req_rx.recv().expect("the transfer is submitted");
-                assert_eq!(first.txs[0].snapshot, 0);
-                let rejected = CommitResponse {
-                    seq: first.seq,
-                    verdicts: vec![Verdict::Rejected {
-                        reason: AbortReason::ReadValidation,
-                    }],
-                };
-                first.resp.send(rejected).expect("worker is waiting");
-                assert!(
-                    matches!(
-                        req_rx.recv_timeout(Duration::from_millis(50)),
-                        Err(RecvTimeoutError::Timeout)
-                    ),
-                    "resubmitted at the snapshot it was just rejected at"
-                );
-                // The other worker's write-back lands: cts 1 is history.
-                atr.publish_gts(1);
-                let retry = req_rx.recv().expect("the retry is submitted");
-                assert_eq!(retry.txs[0].snapshot, 1);
-                let granted = CommitResponse {
-                    seq: retry.seq,
-                    verdicts: vec![Verdict::Granted { cts: 2 }],
-                };
-                retry.resp.send(granted).expect("worker is waiting");
+        for (written_back, abort) in [
+            (false, AbortReason::ReadValidation),
+            (true, AbortReason::VersionOverflow),
+        ] {
+            let atr = Arc::new(NativeAtr::new(64, 4));
+            let store = Arc::new(NativeStore::new(2, 1, |_| 100));
+            atr.reserve_and_insert(1, &[0]);
+            if written_back {
+                store.publish_gated(0, 1, 99, &[]);
+            }
+            let w = lone_worker(
+                Arc::new(SnapshotRegistry::new(4)),
+                store,
+                atr.clone(),
+                2,
+                Duration::from_secs(10),
+            );
+            let executed = Arc::new(AtomicUsize::new(0));
+            let out = std::thread::scope(|s| {
+                let seen = executed.clone();
+                s.spawn(move || {
+                    let ran = wait_for(&seen, 1);
+                    std::thread::sleep(Duration::from_millis(50));
+                    let runs = seen.load(Ordering::SeqCst);
+                    // The other committer's turn ends: cts 1 is history.
+                    atr.publish_gts(1);
+                    assert!(ran, "the transfer never ran");
+                    assert_eq!(runs, 1, "{abort:?}: re-run at the snapshot it aborted at");
+                });
+                let mut fed = false;
+                w.feed(|_idle| {
+                    if std::mem::replace(&mut fed, true) {
+                        return Next::Closed;
+                    }
+                    Next::Tx(counted(transfer(0), &executed))
+                })
             });
-            w.run(Transfers(0..1))
-        });
-        assert_eq!(out.stats.update_commits, 1);
-        assert_eq!(out.stats.update_aborts, 1, "one reject, charged once");
-        assert_eq!(out.stats.failed, 0);
+            assert_eq!(out.stats.update_commits, 1, "{abort:?}");
+            assert_eq!(out.stats.update_aborts, 1, "{abort:?}: charged once");
+            assert_eq!(out.metrics.aborts.count(abort), 1);
+            assert_eq!(out.stats.failed, 0, "{abort:?}");
+            assert_eq!(executed.load(Ordering::SeqCst), 2);
+            assert_eq!(out.records[0].read_point, 1, "the retry ran at the new GTS");
+        }
     }
 
     fn full_scan(accounts: u64) -> Pending<Fire<BankTx>> {
@@ -1288,6 +1197,18 @@ mod tests {
             next: 0,
             sum: 0,
         }))
+    }
+
+    /// The one-in-flight-turn race, as often as a test needs it: the turn
+    /// of commit `cts` has replaced the only version of account 0 — its
+    /// registry scan predated every registration, so the old version was
+    /// reclaimed — and has not yet bumped the GTS, which reads `cts - 1`.
+    /// A scan at that snapshot cannot read the account, and (the abort
+    /// being a function of the snapshot) is not run again at it: each
+    /// charged overflow below needs a turn of its own.
+    fn racing_turn(store: &NativeStore, atr: &NativeAtr, cts: u64) {
+        atr.publish_gts(cts - 1);
+        store.publish_gated(0, cts, 20, &[]);
     }
 
     /// The poisoned-pin scenario, step by step: a write-back destroys the
@@ -1301,7 +1222,7 @@ mod tests {
         let atr = Arc::new(NativeAtr::new(64, 4));
         let registry = Arc::new(SnapshotRegistry::new(4));
         // Budget 6: pinning engages at attempt 3 (half the budget).
-        let (mut w, _req_rx) = lone_worker(
+        let mut w = lone_worker(
             registry.clone(),
             store.clone(),
             atr.clone(),
@@ -1309,40 +1230,36 @@ mod tests {
             Duration::from_secs(10),
         );
 
-        // The racing turn: write-back done (old version reclaimed — its
-        // registry scan predated every registration), GTS not yet bumped.
-        store.publish_gated(0, 1, 20, &[]);
-        assert_eq!(atr.gts(), 0);
-
         let mut pending: VecDeque<Pending<Fire<BankTx>>> = VecDeque::new();
         let mut spec: Vec<Spec<Fire<BankTx>>> = Vec::new();
         pending.push_back(full_scan(1));
-        // Three rounds at snapshot 0 — unreadable, so three overflows; the
-        // third engages the pin, at the (poisoned) snapshot 0.
+        // Three rounds, each racing a turn — three overflows; the third
+        // engages the pin, at the (poisoned) snapshot 2.
         for attempts in 1..=3 {
+            racing_turn(&store, &atr, attempts as u64);
             w.round(&mut pending, &mut spec);
             assert_eq!(pending.len(), 1, "still retrying");
             assert_eq!(pending[0].attempts, attempts);
         }
         let (pin_snap, pin_slot) = pending[0].pin.expect("pin engaged at half budget");
-        assert_eq!(pin_snap, 0);
-        assert_eq!(registry.min_registered(), Some(0), "pin slot is held");
+        assert_eq!(pin_snap, 2);
+        assert_eq!(registry.min_registered(), Some(2), "pin slot is held");
 
         // The racing turn completes: GTS catches up to the write-back.
-        atr.publish_gts(1);
+        atr.publish_gts(3);
         // The pinned snapshot is still dead; the retry overflows once more
         // and the re-arm moves the held slot to the fresh snapshot.
         w.round(&mut pending, &mut spec);
         assert_eq!(pending.len(), 1);
         let (new_snap, new_slot) = pending[0].pin.expect("pin survives the re-arm");
-        assert_eq!(new_snap, 1, "re-armed at the current GTS");
+        assert_eq!(new_snap, 3, "re-armed at the current GTS");
         assert_eq!(new_slot, pin_slot, "the slot is kept, not re-claimed");
         assert_eq!(
             pending[0].attempts, 3,
             "a poisoned-pin overflow is recorded but not charged"
         );
 
-        // At snapshot 1 the scan reads the live version and commits.
+        // At snapshot 3 the scan reads the live version and commits.
         w.round(&mut pending, &mut spec);
         assert!(pending.is_empty(), "pinned reader committed");
         assert_eq!(w.stats.rot_commits, 1);
@@ -1367,7 +1284,7 @@ mod tests {
         let atr = Arc::new(NativeAtr::new(64, 4));
         let registry = Arc::new(SnapshotRegistry::new(1));
         let foreign = registry.register(5).expect("slot free");
-        let (mut w, _req_rx) = lone_worker(
+        let mut w = lone_worker(
             registry.clone(),
             store.clone(),
             atr.clone(),
@@ -1375,15 +1292,16 @@ mod tests {
             Duration::from_secs(10),
         );
 
-        store.publish_gated(0, 1, 20, &[]);
         let mut pending: VecDeque<Pending<Fire<BankTx>>> = VecDeque::new();
         let mut spec: Vec<Spec<Fire<BankTx>>> = Vec::new();
         pending.push_back(full_scan(1));
-        for _ in 0..4 {
+        for attempts in 1..=4 {
+            racing_turn(&store, &atr, attempts as u64);
             w.round(&mut pending, &mut spec);
+            assert_eq!(pending[0].attempts, attempts, "past half the budget");
             assert_eq!(pending[0].pin, None, "no slot free, no pin");
         }
-        atr.publish_gts(1);
+        atr.publish_gts(4);
         w.round(&mut pending, &mut spec);
         assert!(pending.is_empty());
         assert_eq!(w.stats.rot_commits, 1);

@@ -6,12 +6,12 @@ use std::time::Duration;
 
 use csmv_native::{NativeConfig, NativeRunResult};
 use stm_core::history::replay_committed;
+use stm_core::{TxLogic, TxOp, TxSource};
 use workloads::{BankConfig, BankSource, ListConfig, ListSource};
 
-fn native_cfg(clients: usize, servers: usize) -> NativeConfig {
+fn native_cfg(clients: usize) -> NativeConfig {
     NativeConfig {
         client_threads: clients,
-        server_threads: servers,
         max_run: Duration::from_secs(20),
         ..Default::default()
     }
@@ -30,9 +30,9 @@ fn run_bank(cfg: &NativeConfig, bank: &BankConfig, seed: u64, txs: usize) -> Nat
 #[test]
 fn bank_on_native_across_thread_counts() {
     let bank = BankConfig::small(64, 20);
-    for (clients, servers) in [(1, 1), (4, 2), (8, 2)] {
+    for clients in [1, 4, 8] {
         let txs = 64;
-        let res = run_bank(&native_cfg(clients, servers), &bank, 42, txs);
+        let res = run_bank(&native_cfg(clients), &bank, 42, txs);
         assert_eq!(res.stats.failed, 0, "healthy run must not fail txs");
         assert_eq!(res.stats.commits(), (clients * txs) as u64);
         // Total balance is conserved in the final committed state.
@@ -49,7 +49,7 @@ fn bank_on_native_across_thread_counts() {
 #[test]
 fn bank_rots_commit_without_server_round_trips() {
     let bank = BankConfig::small(32, 100); // all Balance scans
-    let res = run_bank(&native_cfg(4, 1), &bank, 7, 32);
+    let res = run_bank(&native_cfg(4), &bank, 7, 32);
     assert_eq!(res.stats.rot_commits, 4 * 32);
     assert_eq!(res.stats.update_commits, 0);
     assert_eq!(res.gts, 0);
@@ -76,11 +76,10 @@ fn bank_native_matches_sequential_final_state_when_commutative() {
     };
     let seed = 11;
     let txs = 64;
-    let res = run_bank(&native_cfg(8, 2), &bank, seed, txs);
+    let res = run_bank(&native_cfg(8), &bank, seed, txs);
     assert_eq!(res.stats.failed, 0);
     // Sequential ground truth: every thread's transfers applied in order.
     use stm_core::logic::run_sequential;
-    use stm_core::TxSource;
     let mut state: HashMap<u64, u64> = bank.initial_state();
     for t in 0..8 {
         let mut src = BankSource::new(&bank, seed, t, txs);
@@ -108,7 +107,6 @@ fn list_on_native_keeps_the_chain_sorted() {
     let res = csmv_native::run(
         &NativeConfig {
             client_threads: 4,
-            server_threads: 2,
             max_run: Duration::from_secs(20),
             ..Default::default()
         },
@@ -146,6 +144,84 @@ fn list_on_native_keeps_the_chain_sorted() {
     assert_eq!(replay_committed(&res.records, &full_init), res.final_state);
 }
 
+/// A source whose every transaction yields the CPU once its body has
+/// run: between a snapshot and its validation, other workers commit.
+struct Interleaved<S>(S);
+
+struct Yields<T>(T);
+
+impl<S: TxSource> TxSource for Interleaved<S> {
+    type Tx = Yields<S::Tx>;
+    fn next_tx(&mut self) -> Option<Self::Tx> {
+        self.0.next_tx().map(Yields)
+    }
+}
+
+impl<T: TxLogic> TxLogic for Yields<T> {
+    fn is_read_only(&self) -> bool {
+        self.0.is_read_only()
+    }
+    fn reset(&mut self) {
+        self.0.reset()
+    }
+    fn next(&mut self, last_read: Option<u64>) -> TxOp {
+        let op = self.0.next(last_read);
+        if matches!(op, TxOp::Finish) {
+            std::thread::yield_now();
+        }
+        op
+    }
+}
+
+#[test]
+fn eight_concurrent_validators_on_a_hot_list_stay_opaque_and_account_for_every_tx() {
+    // Every worker validates and reserves in place, so eight of them on a
+    // 16-key list are eight validators racing for the same ATR window:
+    // lost CASes, delta scans and in-flight entries all occur. Every
+    // execution hands the CPU over before it is validated (`Yields`), so
+    // the workers interleave inside each other's snapshot-to-validation
+    // window on any host, however few CPUs it has to spare. The oracle
+    // (`run_checked`) must stay clean, and every transaction handed out
+    // must end as a commit or as a budget exhaustion — nothing lost,
+    // nothing timed out.
+    use stm_core::metrics::AbortReason;
+    use stm_core::RetryPolicy;
+    let list = ListConfig {
+        key_range: 16,
+        initial_nodes: 8,
+        contains_pct: 20,
+        pool_per_thread: 64,
+        threads: 8,
+    };
+    let init = list.initial_state();
+    let txs = 200;
+    let cfg = NativeConfig {
+        recovery: RetryPolicy {
+            retry_budget: Some(64),
+            ..RetryPolicy::default()
+        },
+        ..native_cfg(8)
+    };
+    let res = csmv_native::run_checked(
+        &cfg,
+        |t| Interleaved(ListSource::new(&list, 29, t, txs)),
+        list.num_items(),
+        |item| *init.get(&item).unwrap_or(&0),
+    )
+    .expect("hot list run must pass the history oracle");
+    assert_eq!(res.stats.commits() + res.stats.failed, (8 * txs) as u64);
+    assert_eq!(
+        res.stats.failed,
+        res.metrics.aborts.count(AbortReason::RetryBudgetExhausted),
+        "contention is the only way to fail"
+    );
+    assert!(
+        res.metrics.aborts.count(AbortReason::ReadValidation) > 0,
+        "eight writers on sixteen keys never met in the ATR"
+    );
+    assert_eq!(res.gts, res.stats.update_commits, "dense timestamps");
+}
+
 #[test]
 fn long_full_scan_reader_commits_against_a_saturating_write_stream() {
     // The starvation-freedom demonstration for the version-GC PR: a
@@ -171,7 +247,6 @@ fn long_full_scan_reader_commits_against_a_saturating_write_stream() {
     };
     let cfg = NativeConfig {
         client_threads: 8,
-        server_threads: 2,
         versions_per_box: 1,
         recovery: RetryPolicy {
             retry_budget: Some(12),
@@ -232,11 +307,11 @@ fn long_full_scan_reader_commits_against_a_saturating_write_stream() {
 fn single_client_single_server_is_bounded_and_clean() {
     use stm_core::metrics::AbortReason;
     let bank = BankConfig::small(16, 50);
-    let res = run_bank(&native_cfg(1, 1), &bank, 3, 32);
+    let res = run_bank(&native_cfg(1), &bank, 3, 32);
     assert_eq!(res.stats.failed, 0);
     assert_eq!(res.stats.commits(), 32);
-    // A lone client never loses server validation — its only conflicts
-    // are batch-mates caught by intra-batch pre-validation.
+    // A lone client never loses validation against the ATR — its only
+    // conflicts are batch-mates caught by intra-batch pre-validation.
     assert_eq!(
         res.stats.aborts(),
         res.metrics.aborts.count(AbortReason::PreValidationKill)

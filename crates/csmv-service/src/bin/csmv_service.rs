@@ -4,33 +4,24 @@
 //! ```text
 //! csmv-service --addr 127.0.0.1:7379 --keys 1024 --clients 4 --check-history
 //! ```
-//!
-//! Fault flags arm the PR 4 deterministic fault plan *inside* the engine
-//! (request/response drops, a server kill), which is how CI chaos-tests
-//! the full network → engine → recovery path end-to-end. Arming any
-//! fault auto-arms the recovery policy defaults the engine requires.
 
 use std::process::ExitCode;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
-use csmv_native::{KillServer, NativeFaultPlan, NativeFaultSpec};
 use csmv_service::{serve, ServiceConfig};
 
 const USAGE: &str = "\
 csmv-service — RESP front-end for the native CSMV engine
 
 USAGE:
-  csmv-service [--addr HOST:PORT] [--keys N] [--clients N] [--servers N]
+  csmv-service [--addr HOST:PORT] [--keys N] [--clients N]
                [--max-batch N] [--channel-depth N] [--retry-budget N]
                [--versions-per-box N] [--reader-slots N]
-               [--resp-timeout-us N] [--max-send-attempts N]
                [--max-run-secs N] [--check-history]
-               [--fault-drop-req-pct P] [--fault-drop-resp-pct P]
-               [--fault-kill-server SID@BATCH] [--fault-seed N]
 
-Defaults: --addr 127.0.0.1:7379 --keys 1024 --clients 4 --servers 2
+Defaults: --addr 127.0.0.1:7379 --keys 1024 --clients 8 --channel-depth 128
           --retry-budget 64 --max-run-secs 3600";
 
 struct Args {
@@ -40,15 +31,7 @@ struct Args {
 
 fn parse_num<T: std::str::FromStr>(flag: &str, v: Option<String>) -> Result<T, String> {
     let v = v.ok_or_else(|| format!("{flag} needs a value"))?;
-    let v = v.strip_prefix("0x").map_or_else(
-        || v.parse::<T>().map_err(|_| ()),
-        |hex| {
-            u64::from_str_radix(hex, 16)
-                .map_err(|_| ())
-                .and_then(|n| n.to_string().parse::<T>().map_err(|_| ()))
-        },
-    );
-    v.map_err(|_| format!("{flag}: not a number"))
+    v.parse().map_err(|_| format!("{flag}: not a number"))
 }
 
 fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
@@ -57,14 +40,11 @@ fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
         addr: "127.0.0.1:7379".to_string(),
         cfg: ServiceConfig::default(),
     };
-    let mut spec = NativeFaultSpec::default();
-    let mut fault_seed: u64 = 1;
     while let Some(flag) = argv.next() {
         match flag.as_str() {
             "--addr" => args.addr = argv.next().ok_or("--addr needs a value")?,
             "--keys" => args.cfg.keys = parse_num("--keys", argv.next())?,
             "--clients" => args.cfg.engine.client_threads = parse_num("--clients", argv.next())?,
-            "--servers" => args.cfg.engine.server_threads = parse_num("--servers", argv.next())?,
             "--max-batch" => args.cfg.engine.max_batch = parse_num("--max-batch", argv.next())?,
             "--channel-depth" => {
                 args.cfg.engine.channel_depth = parse_num("--channel-depth", argv.next())?
@@ -79,57 +59,14 @@ fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
                 args.cfg.engine.recovery.retry_budget =
                     Some(parse_num("--retry-budget", argv.next())?)
             }
-            "--resp-timeout-us" => {
-                args.cfg.engine.recovery.resp_timeout =
-                    Some(parse_num("--resp-timeout-us", argv.next())?)
-            }
-            "--max-send-attempts" => {
-                args.cfg.engine.recovery.max_send_attempts =
-                    parse_num("--max-send-attempts", argv.next())?
-            }
             "--max-run-secs" => {
                 args.cfg.engine.max_run =
                     Duration::from_secs(parse_num("--max-run-secs", argv.next())?)
             }
             "--check-history" => args.cfg.check_history = true,
-            "--fault-drop-req-pct" => {
-                spec.drop_req_pct = parse_num("--fault-drop-req-pct", argv.next())?
-            }
-            "--fault-drop-resp-pct" => {
-                spec.drop_resp_pct = parse_num("--fault-drop-resp-pct", argv.next())?
-            }
-            "--fault-kill-server" => {
-                let v = argv.next().ok_or("--fault-kill-server needs SID@BATCH")?;
-                let (sid, batch) = v
-                    .split_once('@')
-                    .ok_or("--fault-kill-server wants SID@BATCH")?;
-                spec.kill_server = Some(KillServer {
-                    server: sid.parse().map_err(|_| "bad SID")?,
-                    after_batches: batch.parse().map_err(|_| "bad BATCH")?,
-                });
-            }
-            "--fault-seed" => fault_seed = parse_num("--fault-seed", argv.next())?,
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag {other}\n\n{USAGE}")),
         }
-    }
-    if spec.armed() {
-        // The engine refuses armed faults without an armed recovery
-        // policy; fill in serving-grade defaults unless overridden.
-        let rec = &mut args.cfg.engine.recovery;
-        if rec.resp_timeout.is_none() {
-            rec.resp_timeout = Some(5_000);
-        }
-        if rec.max_send_attempts < 4 {
-            rec.max_send_attempts = 8;
-        }
-        if rec.backoff_base == 0 {
-            rec.backoff_base = 64;
-        }
-        if rec.jitter_seed == 0 {
-            rec.jitter_seed = fault_seed ^ 0x5EED;
-        }
-        args.cfg.engine.faults = Some(NativeFaultPlan::new(fault_seed, spec));
     }
     Ok(args)
 }

@@ -49,8 +49,11 @@ const STOP_POLL: Duration = Duration::from_millis(20);
 /// Service configuration: engine shape plus the listener address.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Engine configuration (worker pool, commit servers, recovery,
-    /// faults). `max_run` bounds the whole serving session.
+    /// Engine configuration (worker pool, intake depth, retry budget).
+    /// `max_run` bounds the whole serving session. The default intake
+    /// queues one connection's pipeline ([`conn::PIPELINE_DEPTH`]) per
+    /// worker, so a service with no more pipelining connections than
+    /// workers never answers `-BUSY`; past that, overload sheds.
     pub engine: NativeConfig,
     /// Number of keys; valid keys are `0..keys`.
     pub keys: u64,
@@ -306,7 +309,6 @@ mod tests {
         let cfg = ServiceConfig {
             engine: NativeConfig {
                 client_threads: 2,
-                server_threads: 1,
                 channel_depth,
                 ..ServiceConfig::default().engine
             },
@@ -424,6 +426,41 @@ mod tests {
         // round trips go over one at a time, the bursts several per call.
         assert_eq!(report.submits, 16 + 46 + 200);
         assert!(report.submit_calls >= 202 && report.submit_calls < report.submits);
+        assert_eq!(report.result.stats.failed, 0);
+    }
+
+    /// The default intake has room for one full pipeline per worker: two
+    /// clients that each write a whole pipeline before either reads a
+    /// reply — the backlog two connections can build up behind any stall —
+    /// are both served, nothing shed.
+    #[test]
+    fn two_full_pipelines_at_once_are_never_shed_by_the_default_intake() {
+        let depth = ServiceConfig::default().engine.channel_depth;
+        assert!(depth >= conn::PIPELINE_DEPTH, "{depth} jobs per worker");
+
+        let (addr, stop, server) = start_server(64);
+        let pipeline: Vec<Vec<String>> = (0..conn::PIPELINE_DEPTH)
+            .map(|i| vec!["INCRBY".into(), (i % 64).to_string(), "1".into()])
+            .collect();
+        let mut wire = Vec::new();
+        for cmd in &pipeline {
+            let args: Vec<&[u8]> = cmd.iter().map(|s| s.as_bytes()).collect();
+            wire.extend(crate::resp::encode_command(&args));
+        }
+        let mut clients = [connect(addr), connect(addr)];
+        for c in &mut clients {
+            c.write_all(&wire).unwrap();
+        }
+        for c in &mut clients {
+            let replies = session(c, &[], conn::PIPELINE_DEPTH);
+            for (i, reply) in replies.iter().enumerate() {
+                assert!(matches!(reply, Reply::Integer(_)), "reply {i} is {reply:?}");
+            }
+        }
+        stop.store(true, Ordering::SeqCst);
+        let report = server.join().unwrap().expect("serve failed");
+        assert_eq!(report.submits, 2 * conn::PIPELINE_DEPTH as u64);
+        assert_eq!(report.result.stats.commits(), report.submits);
         assert_eq!(report.result.stats.failed, 0);
     }
 

@@ -76,7 +76,6 @@ fn a_bare_get_costs_a_bounded_number_of_allocations() {
     let cfg = ServiceConfig {
         engine: NativeConfig {
             client_threads: 2,
-            server_threads: 1,
             ..ServiceConfig::default().engine
         },
         keys: 16,

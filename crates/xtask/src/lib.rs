@@ -17,15 +17,15 @@
 //! - **R2 `no-panic-in-server-path`** — no `.unwrap()` / `.expect(...)`
 //!   inside the commit-server impls, simulated (`ReceiverWarp`,
 //!   `WorkerWarp`, `ServerControl`, `MultiWorker`) or native
-//!   (`NativeServer`, `NativeWorker`): a panicking server warp deadlocks
+//!   (`Validator`, `NativeWorker`): a panicking server warp deadlocks
 //!   every client in the simulator the same way a crashed SM does on a
-//!   GPU, except unreported — and a panicking native server thread does
-//!   it on real hardware.
+//!   GPU, except unreported — and a native worker that panics between
+//!   its reservation and its write-back does it on real hardware.
 //! - **R3 `abort-reason-taxonomy`** — every `AbortReason` variant must be
 //!   mapped in the metrics taxonomy: present in `ALL`, decodable by
 //!   `from_id`, and given a stable key in `key()`. Consumer side, every
-//!   `AbortReason::X` referenced in the native backend's server/worker
-//!   modules must name a declared variant.
+//!   `AbortReason::X` referenced in the native backend's validator and
+//!   worker modules must name a declared variant.
 //!
 //! A finding on line `N` can be suppressed by a `// xtask-lint: allow
 //! (reason)` comment on the same line or up to two lines above — used by

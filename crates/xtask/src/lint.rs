@@ -71,7 +71,8 @@ const PROTOCOL_WORD_TOKENS: &[&str] = &[
 ];
 
 /// Commit-server types whose impl blocks must be panic-free: the
-/// simulated warps, the native backend's server/worker threads, the
+/// simulated warps, the native backend's worker threads and the validator
+/// each of them commits through (the server role, run in place), the
 /// engine front door, the network service's per-connection loop (a
 /// panicking connection thread silently drops the client and can leak
 /// in-flight completions), and the two hand-off structures workers run
@@ -84,7 +85,7 @@ const SERVER_IMPL_TYPES: &[&str] = &[
     "WorkerWarp",
     "ServerControl",
     "MultiWorker",
-    "NativeServer",
+    "Validator",
     "NativeWorker",
     "NativeEngine",
     "Intake",
@@ -649,13 +650,13 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     let metrics = root.join("crates/stm-core/src/metrics.rs");
     let src = std::fs::read_to_string(&metrics)?;
     findings.extend(check_abort_reason_taxonomy(&metrics, &src));
-    // R2 and the R3 usage extension over the native backend's server and
-    // worker modules: the same panic-free discipline applies to real OS
-    // threads, and every reason they emit must be a taxonomy variant.
+    // R2 and the R3 usage extension over the native backend's validator
+    // and worker modules: the same panic-free discipline applies to real
+    // OS threads, and every reason they emit must be a taxonomy variant.
     let variants: Vec<String> = abort_reason_variants(&mask_comments_and_strings(&src), &[])
         .map(|v| v.into_iter().map(|(name, _)| name).collect())
         .unwrap_or_default();
-    for file in ["engine.rs", "msg.rs", "server.rs", "worker.rs"] {
+    for file in ["engine.rs", "validator.rs", "worker.rs"] {
         let path = root.join("crates/csmv-native/src").join(file);
         let src = std::fs::read_to_string(&path)?;
         findings.extend(check_no_panic_in_server_path(&path, &src));

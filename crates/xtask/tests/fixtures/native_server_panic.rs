@@ -1,13 +1,14 @@
-//! Seeded lint fixture: a native commit-server thread that panics on a
-//! poisoned channel and invents an abort reason outside the taxonomy.
+//! Seeded lint fixture: a native validator — the commit-server role, run
+//! by the committing worker — that panics on a verdict it has not filled
+//! in, and a worker that invents an abort reason outside the taxonomy.
 //! Never compiled — only fed to the lint pass by `lint_workspace.rs`.
 
-impl NativeServer {
-    fn handle(&mut self, req: CommitRequest) {
-        // R2 violation: a panicking server thread silently deadlocks
-        // every client pinned to its partition.
-        let slot = self.clients.get(&req.client).unwrap();
-        let _ = slot;
+impl Validator {
+    fn validate_and_reserve(&mut self, txs: &[TxSubmit]) -> Vec<Verdict> {
+        // R2 violation: a worker that panics while it holds a reservation
+        // leaves a GTS hole every later committer stalls behind.
+        let first = self.verdicts.first().unwrap();
+        vec![*first; txs.len()]
     }
 }
 

@@ -43,7 +43,7 @@ fn fixture_with_native_server_panic_fails() {
     let src = std::fs::read_to_string(&path).expect("fixture readable");
 
     let r2 = check_no_panic_in_server_path(&path, &src);
-    assert_eq!(r2.len(), 1, "expected the unwrap in NativeServer: {r2:?}");
+    assert_eq!(r2.len(), 1, "expected the unwrap in Validator: {r2:?}");
     assert_eq!(r2[0].rule, "no-panic-in-server-path");
 
     // The usage check runs against the real taxonomy from stm-core.

@@ -44,7 +44,7 @@ lane() { # name port duration_ms
   local name=$1 port=$2 dur=$3
   local log="$OUT/service_$name.log"
   "$BIN/csmv-service" --addr "127.0.0.1:$port" --keys "$KEYS" \
-    --clients 4 --servers 2 \
+    --clients 4 \
     --versions-per-box "$VPB" --reader-slots "$READER_SLOTS" \
     --check-history --max-run-secs 300 > "$log" 2>&1 &
   local svc=$!
