@@ -50,7 +50,7 @@ pub mod server;
 pub mod steps;
 pub mod variant;
 
-use gpu_sim::{AnalysisConfig, Device, FaultPlan, GpuConfig, RunMode};
+use gpu_sim::{AnalysisConfig, Device, FaultPlan, GpuConfig};
 use stm_core::mv_exec::MvExecConfig;
 use stm_core::{RetryPolicy, RunResult, TxSource, VBoxHeap};
 
@@ -92,11 +92,6 @@ pub struct CsmvConfig {
     /// Analysis layer (race detector / protocol-invariant checks); all-off
     /// by default, which leaves the simulator on its zero-cost fast path.
     pub analysis: AnalysisConfig,
-    /// Host execution mode. `Parallel` attempts the phase-barriered
-    /// scheduler and falls back to an identical sequential re-run when a
-    /// window conflicts (CSMV's mailbox/GTS coupling conflicts quickly, so
-    /// expect the fallback; results are bit-identical either way).
-    pub sim: RunMode,
     /// Stall watchdog: if every live warp spends more than this many cycles
     /// doing nothing but polling, the run stops and [`run_checked`] returns
     /// [`RunError::Stalled`] instead of hanging silently. `None` disables it.
@@ -209,7 +204,6 @@ impl Default for CsmvConfig {
             record_history: true,
             variant: CsmvVariant::Full,
             analysis: AnalysisConfig::default(),
-            sim: RunMode::Sequential,
             max_idle_cycles: Some(1_000_000),
             recovery: RetryPolicy::default(),
             faults: None,
@@ -312,91 +306,86 @@ where
     let server_sm = cfg.gpu.num_sms - 1;
     let num_clients = cfg.num_client_warps();
 
-    // The launch is a closure so the parallel mode's conflict fallback can
-    // rebuild the identical device from scratch (see gpu_sim::run_with_mode).
-    let launch = || {
-        let mut dev = Device::new(cfg.gpu.clone());
-        let gts_addr = dev.alloc_global(1);
-        let done_addr = dev.alloc_global(1);
-        let heap = VBoxHeap::init(
-            dev.global_mut(),
-            num_items,
-            cfg.versions_per_box,
-            &mut initial,
-        );
-        let proto = CommitProtocol::alloc(dev.global_mut(), num_clients, cfg.max_rs, cfg.max_ws);
-        let atr = SharedAtr::alloc(&mut dev, server_sm, cfg.atr_capacity, cfg.max_ws);
-        let ctl = ServerControl::alloc_with_queue(&mut dev, server_sm, cfg.queue_cap());
-        // next_cts starts at 1 (commit timestamps are 1-based; GTS starts at 0).
-        dev.shared_write_host(server_sm, atr.next_cts_addr(), 1);
+    let mut dev = Device::new(cfg.gpu.clone());
+    let gts_addr = dev.alloc_global(1);
+    let done_addr = dev.alloc_global(1);
+    let heap = VBoxHeap::init(
+        dev.global_mut(),
+        num_items,
+        cfg.versions_per_box,
+        &mut initial,
+    );
+    let proto = CommitProtocol::alloc(dev.global_mut(), num_clients, cfg.max_rs, cfg.max_ws);
+    let atr = SharedAtr::alloc(&mut dev, server_sm, cfg.atr_capacity, cfg.max_ws);
+    let ctl = ServerControl::alloc_with_queue(&mut dev, server_sm, cfg.queue_cap());
+    // next_cts starts at 1 (commit timestamps are 1-based; GTS starts at 0).
+    dev.shared_write_host(server_sm, atr.next_cts_addr(), 1);
 
-        if let Some(plan) = &cfg.faults {
-            dev.set_fault_plan(plan.clone());
-        }
-        if let Some(max_idle) = cfg.max_idle_cycles {
-            dev.set_watchdog(max_idle);
-        }
-        dev.enable_analysis(cfg.analysis);
-        if cfg.analysis.invariants {
-            dev.add_invariant_checker(Box::new(check::CsmvInvariantChecker::new(
-                atr.clone(),
+    if let Some(plan) = &cfg.faults {
+        dev.set_fault_plan(plan.clone());
+    }
+    if let Some(max_idle) = cfg.max_idle_cycles {
+        dev.set_watchdog(max_idle);
+    }
+    dev.enable_analysis(cfg.analysis);
+    if cfg.analysis.invariants {
+        dev.add_invariant_checker(Box::new(check::CsmvInvariantChecker::new(
+            atr.clone(),
+            heap.clone(),
+            gts_addr,
+            server_sm,
+        )));
+    }
+
+    // -- clients -------------------------------------------------------
+    let mut client_ids = Vec::new();
+    let mut thread_id = 0usize;
+    let mut slot = 0usize;
+    for sm in 0..server_sm {
+        for _ in 0..cfg.warps_per_sm {
+            let sources: Vec<S> = (0..gpu_sim::WARP_LANES)
+                .map(|i| make_source(thread_id + i))
+                .collect();
+            let exec_cfg = MvExecConfig {
+                record_history: cfg.record_history,
+                retry: cfg.recovery.clone(),
+                ..MvExecConfig::default()
+            };
+            let mut client = CsmvClient::new(
+                sources,
+                thread_id,
+                exec_cfg,
                 heap.clone(),
-                gts_addr,
-                server_sm,
-            )));
-        }
-
-        // -- clients -------------------------------------------------------
-        let mut client_ids = Vec::new();
-        let mut thread_id = 0usize;
-        let mut slot = 0usize;
-        for sm in 0..server_sm {
-            for _ in 0..cfg.warps_per_sm {
-                let sources: Vec<S> = (0..gpu_sim::WARP_LANES)
-                    .map(|i| make_source(thread_id + i))
-                    .collect();
-                let exec_cfg = MvExecConfig {
-                    record_history: cfg.record_history,
-                    retry: cfg.recovery.clone(),
-                    ..MvExecConfig::default()
-                };
-                let mut client = CsmvClient::new(
-                    sources,
-                    thread_id,
-                    exec_cfg,
-                    heap.clone(),
-                    proto.clone(),
-                    slot,
-                    gts_addr,
-                    done_addr,
-                    cfg.variant,
-                );
-                client.set_recovery(cfg.recovery.clone());
-                client_ids.push(dev.spawn(sm, Box::new(client)));
-                thread_id += gpu_sim::WARP_LANES;
-                slot += 1;
-            }
-        }
-
-        // -- server --------------------------------------------------------
-        let receiver = ReceiverWarp::new(proto.clone(), ctl.clone(), num_clients, done_addr);
-        let receiver_id = dev.spawn(server_sm, Box::new(receiver));
-        let mut worker_ids = Vec::new();
-        for _ in 0..cfg.server_workers {
-            let worker = WorkerWarp::new(
                 proto.clone(),
-                ctl.clone(),
-                atr.clone(),
-                heap.clone(),
+                slot,
                 gts_addr,
+                done_addr,
                 cfg.variant,
             );
-            worker_ids.push(dev.spawn(server_sm, Box::new(worker)));
+            client.set_recovery(cfg.recovery.clone());
+            client_ids.push(dev.spawn(sm, Box::new(client)));
+            thread_id += gpu_sim::WARP_LANES;
+            slot += 1;
         }
-        (dev, (client_ids, receiver_id, worker_ids))
-    };
+    }
 
-    let (mut dev, (client_ids, receiver_id, worker_ids)) = gpu_sim::run_with_mode(cfg.sim, launch);
+    // -- server --------------------------------------------------------
+    let receiver = ReceiverWarp::new(proto.clone(), ctl.clone(), num_clients, done_addr);
+    let receiver_id = dev.spawn(server_sm, Box::new(receiver));
+    let mut worker_ids = Vec::new();
+    for _ in 0..cfg.server_workers {
+        let worker = WorkerWarp::new(
+            proto.clone(),
+            ctl.clone(),
+            atr.clone(),
+            heap.clone(),
+            gts_addr,
+            cfg.variant,
+        );
+        worker_ids.push(dev.spawn(server_sm, Box::new(worker)));
+    }
+
+    dev.run_to_completion();
 
     if let Some(info) = dev.stalled() {
         return Err(RunError::Stalled {

@@ -32,7 +32,7 @@
 use gpu_sim::channel::{STATUS_EMPTY, STATUS_REQUEST, STATUS_RESPONSE};
 use gpu_sim::fault::FaultPlan;
 use gpu_sim::{
-    full_mask, AnalysisConfig, Device, GpuConfig, Mask, MemOrder, RunMode, StepOutcome, WarpCtx,
+    full_mask, AnalysisConfig, Device, GpuConfig, Mask, MemOrder, StepOutcome, WarpCtx,
     WarpProgram, WARP_LANES,
 };
 use stm_core::mv_exec::{unpack_ws_entry, MvExec, MvExecConfig};
@@ -74,11 +74,6 @@ pub struct MultiCsmvConfig {
     /// seq lines aligned with global cts order) alongside the race
     /// detector.
     pub analysis: AnalysisConfig,
-    /// Host execution mode; `Parallel` falls back to an identical
-    /// sequential re-run on a cross-SM window conflict (the shared
-    /// global-cts counter couples the server SMs; results are bit-identical
-    /// either way).
-    pub sim: RunMode,
     /// Client-side failure recovery (response timeouts, backoff, retry
     /// budget). The default policy is inert.
     pub recovery: RetryPolicy,
@@ -107,7 +102,6 @@ impl Default for MultiCsmvConfig {
             atr_capacity: 384,
             record_history: true,
             analysis: AnalysisConfig::default(),
-            sim: RunMode::Sequential,
             recovery: RetryPolicy::default(),
             faults: None,
             max_idle_cycles: Some(1_000_000),
@@ -1730,121 +1724,116 @@ where
     let num_clients = cfg.num_client_warps();
     let first_server_sm = cfg.gpu.num_sms - cfg.num_servers;
 
-    // Closure so the parallel mode's conflict fallback can rebuild the
-    // identical device from scratch (see gpu_sim::run_with_mode).
-    let launch = || {
-        let mut dev = Device::new(cfg.gpu.clone());
-        if let Some(plan) = &cfg.faults {
-            dev.set_fault_plan(plan.clone());
-        }
-        if let Some(max_idle) = cfg.max_idle_cycles {
-            dev.set_watchdog(max_idle);
-        }
-        let gts_addr = dev.alloc_global(1);
-        let done_addr = dev.alloc_global(1);
-        let global_cts_addr = dev.alloc_global(1);
-        // Per-partition liveness heartbeats (word srv is stamped by
-        // partition srv's receiver on every poll sweep).
-        let hb_base = dev.alloc_global(cfg.num_servers);
-        dev.global_mut().write(global_cts_addr, 1); // cts are 1-based
-        let heap = VBoxHeap::init(
-            dev.global_mut(),
-            num_items,
-            cfg.versions_per_box,
-            &mut initial,
-        );
+    let mut dev = Device::new(cfg.gpu.clone());
+    if let Some(plan) = &cfg.faults {
+        dev.set_fault_plan(plan.clone());
+    }
+    if let Some(max_idle) = cfg.max_idle_cycles {
+        dev.set_watchdog(max_idle);
+    }
+    let gts_addr = dev.alloc_global(1);
+    let done_addr = dev.alloc_global(1);
+    let global_cts_addr = dev.alloc_global(1);
+    // Per-partition liveness heartbeats (word srv is stamped by
+    // partition srv's receiver on every poll sweep).
+    let hb_base = dev.alloc_global(cfg.num_servers);
+    dev.global_mut().write(global_cts_addr, 1); // cts are 1-based
+    let heap = VBoxHeap::init(
+        dev.global_mut(),
+        num_items,
+        cfg.versions_per_box,
+        &mut initial,
+    );
 
-        dev.enable_analysis(cfg.analysis);
+    dev.enable_analysis(cfg.analysis);
 
-        // Shared payload region (rs/ws) + per-server header/outcome mailboxes.
-        let payload = CommitProtocol::alloc(dev.global_mut(), num_clients, cfg.max_rs, cfg.max_ws);
-        let hdr_protos: Vec<CommitProtocol> = (0..cfg.num_servers)
-            .map(|_| CommitProtocol::alloc(dev.global_mut(), num_clients, 1, 1))
-            .collect();
+    // Shared payload region (rs/ws) + per-server header/outcome mailboxes.
+    let payload = CommitProtocol::alloc(dev.global_mut(), num_clients, cfg.max_rs, cfg.max_ws);
+    let hdr_protos: Vec<CommitProtocol> = (0..cfg.num_servers)
+        .map(|_| CommitProtocol::alloc(dev.global_mut(), num_clients, 1, 1))
+        .collect();
 
-        // -- servers --------------------------------------------------------
-        let mut server_ids = Vec::new();
-        let mut atrs = Vec::new();
-        for (srv, hdr_proto) in hdr_protos.iter().enumerate() {
-            let sm = first_server_sm + srv;
-            let atr = PartitionedAtr::alloc(&mut dev, sm, cfg.atr_capacity, cfg.max_ws);
-            atrs.push(atr.clone());
-            let ctl = ServerControl::alloc(&mut dev, sm, num_clients);
-            let mut receiver =
-                ReceiverWarp::new(hdr_proto.clone(), ctl.clone(), num_clients, done_addr);
-            receiver.set_fault_channel(srv as u64);
-            if cfg.heartbeat_patience.is_some() {
-                receiver.set_heartbeat(hb_base + srv as u64);
-            }
-            server_ids.push(dev.spawn(sm, Box::new(receiver)));
-            for _ in 0..cfg.server_workers {
-                let mut worker = MultiWorker::new(
-                    hdr_proto.clone(),
-                    payload.clone(),
-                    ctl.clone(),
-                    atr.clone(),
-                    global_cts_addr,
-                );
-                worker.set_fault_channel(srv as u64);
-                server_ids.push(dev.spawn(sm, Box::new(worker)));
-            }
+    // -- servers --------------------------------------------------------
+    let mut server_ids = Vec::new();
+    let mut atrs = Vec::new();
+    for (srv, hdr_proto) in hdr_protos.iter().enumerate() {
+        let sm = first_server_sm + srv;
+        let atr = PartitionedAtr::alloc(&mut dev, sm, cfg.atr_capacity, cfg.max_ws);
+        atrs.push(atr.clone());
+        let ctl = ServerControl::alloc(&mut dev, sm, num_clients);
+        let mut receiver =
+            ReceiverWarp::new(hdr_proto.clone(), ctl.clone(), num_clients, done_addr);
+        receiver.set_fault_channel(srv as u64);
+        if cfg.heartbeat_patience.is_some() {
+            receiver.set_heartbeat(hb_base + srv as u64);
         }
-        if cfg.analysis.invariants {
-            // Kill/crash plans leave reserved timestamps unpublished and
-            // quarantine holes, so the completeness checks only apply to
-            // plans that let every warp finish.
-            let expect_complete = cfg
-                .faults
-                .as_ref()
-                .is_none_or(|p| p.spec().kills.is_empty() && p.spec().crash_sms.is_empty());
-            dev.add_invariant_checker(Box::new(crate::check::MultiCsmvInvariantChecker::new(
-                atrs,
-                heap.clone(),
-                gts_addr,
+        server_ids.push(dev.spawn(sm, Box::new(receiver)));
+        for _ in 0..cfg.server_workers {
+            let mut worker = MultiWorker::new(
+                hdr_proto.clone(),
+                payload.clone(),
+                ctl.clone(),
+                atr.clone(),
                 global_cts_addr,
-                first_server_sm,
-                expect_complete,
-            )));
+            );
+            worker.set_fault_channel(srv as u64);
+            server_ids.push(dev.spawn(sm, Box::new(worker)));
         }
+    }
+    if cfg.analysis.invariants {
+        // Kill/crash plans leave reserved timestamps unpublished and
+        // quarantine holes, so the completeness checks only apply to
+        // plans that let every warp finish.
+        let expect_complete = cfg
+            .faults
+            .as_ref()
+            .is_none_or(|p| p.spec().kills.is_empty() && p.spec().crash_sms.is_empty());
+        dev.add_invariant_checker(Box::new(crate::check::MultiCsmvInvariantChecker::new(
+            atrs,
+            heap.clone(),
+            gts_addr,
+            global_cts_addr,
+            first_server_sm,
+            expect_complete,
+        )));
+    }
 
-        // -- clients --------------------------------------------------------
-        let mut client_ids = Vec::new();
-        let mut thread_id = 0usize;
-        let mut slot = 0usize;
-        for sm in 0..first_server_sm {
-            for _ in 0..cfg.warps_per_sm {
-                let sources: Vec<S> = (0..WARP_LANES)
-                    .map(|i| make_source(thread_id + i))
-                    .collect();
-                let exec_cfg = MvExecConfig {
-                    record_history: cfg.record_history,
-                    retry: cfg.recovery.clone(),
-                    ..MvExecConfig::default()
-                };
-                let mut client = MultiClient::new(
-                    sources,
-                    thread_id,
-                    exec_cfg,
-                    heap.clone(),
-                    hdr_protos.clone(),
-                    &payload,
-                    slot,
-                    gts_addr,
-                    done_addr,
-                );
-                client.set_recovery(cfg.recovery.clone());
-                if let Some(patience) = cfg.heartbeat_patience {
-                    client.set_liveness(hb_base, patience);
-                }
-                client_ids.push(dev.spawn(sm, Box::new(client)));
-                thread_id += WARP_LANES;
-                slot += 1;
+    // -- clients --------------------------------------------------------
+    let mut client_ids = Vec::new();
+    let mut thread_id = 0usize;
+    let mut slot = 0usize;
+    for sm in 0..first_server_sm {
+        for _ in 0..cfg.warps_per_sm {
+            let sources: Vec<S> = (0..WARP_LANES)
+                .map(|i| make_source(thread_id + i))
+                .collect();
+            let exec_cfg = MvExecConfig {
+                record_history: cfg.record_history,
+                retry: cfg.recovery.clone(),
+                ..MvExecConfig::default()
+            };
+            let mut client = MultiClient::new(
+                sources,
+                thread_id,
+                exec_cfg,
+                heap.clone(),
+                hdr_protos.clone(),
+                &payload,
+                slot,
+                gts_addr,
+                done_addr,
+            );
+            client.set_recovery(cfg.recovery.clone());
+            if let Some(patience) = cfg.heartbeat_patience {
+                client.set_liveness(hb_base, patience);
             }
+            client_ids.push(dev.spawn(sm, Box::new(client)));
+            thread_id += WARP_LANES;
+            slot += 1;
         }
-        (dev, (server_ids, client_ids))
-    };
+    }
 
-    let (mut dev, (server_ids, client_ids)) = gpu_sim::run_with_mode(cfg.sim, launch);
+    dev.run_to_completion();
 
     if let Some(info) = dev.stalled() {
         return Err(RunError::Stalled {

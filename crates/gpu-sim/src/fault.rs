@@ -4,15 +4,10 @@
 //! decision it hands out is computed by hashing the seed together with
 //! *simulation-stable* coordinates (warp id, mailbox channel/slot, batch
 //! sequence number, retry attempt) — never wall-clock time, never scheduler
-//! internals. Two consequences the rest of the repo relies on:
-//!
-//! 1. **Replayability.** The same seed + spec + workload produces the same
-//!    faults at the same simulated instants, so a faulty run is as
-//!    debuggable as a healthy one.
-//! 2. **Mode independence.** [`crate::RunMode::Parallel`] executes the same
-//!    `(clock, warp_id)`-ordered step sequence as the sequential scheduler;
-//!    since fault decisions depend only on those stable coordinates, a
-//!    seeded fault run is bit-identical for every host thread count.
+//! internals. The rest of the repo relies on the consequence,
+//! **replayability**: the same seed + spec + workload produces the same
+//! faults at the same simulated instants, so a faulty run is as debuggable
+//! as a healthy one.
 //!
 //! Two families of faults exist:
 //!

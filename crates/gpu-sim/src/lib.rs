@@ -30,11 +30,8 @@
 //!
 //! Everything is seeded and deterministic: a given program + seed always
 //! produces the identical interleaving, which the test-suite relies on.
-//! That guarantee survives host parallelism — [`Device::run_parallel`]
-//! steps SM groups on multiple OS threads inside phase-barriered windows of
-//! simulated cycles and merges their memory effects in a fixed `(SM id,
-//! warp id)` order, so its results are bit-identical to the sequential
-//! event loop for every thread count (see the [`parallel`] module).
+//! One device runs on one host thread; host parallelism lives a level up,
+//! where independent simulations (bench cells) run on separate threads.
 //!
 //! ```
 //! use gpu_sim::{Device, GpuConfig, StepOutcome, WarpCtx, WarpProgram};
@@ -68,7 +65,6 @@ pub mod cost;
 pub mod fault;
 pub mod invariant;
 pub mod mem;
-pub mod parallel;
 pub mod race;
 pub mod sched;
 pub mod stats;
@@ -78,7 +74,6 @@ pub use cost::{CostModel, GpuConfig};
 pub use fault::{seeded_jitter, Fate, FaultPlan, FaultSpec, FaultSpecError};
 pub use invariant::{AccessKind, InvariantChecker, MemEvent, Space, Violation};
 pub use mem::{GlobalMemory, SharedMemory, Word};
-pub use parallel::{run_with_mode, ParallelConfig, ParallelError, RunMode, DEFAULT_WINDOW};
 pub use race::{AnalysisConfig, AnalysisReport, AnalysisState, MemOrder, RaceReport};
 pub use sched::{Device, StallInfo, StepOutcome, WarpId, WarpProgram};
 pub use stats::{AnalysisStats, PhaseId, WarpStats, MAX_PHASES};

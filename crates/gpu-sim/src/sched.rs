@@ -12,7 +12,6 @@ use crate::cost::GpuConfig;
 use crate::fault::{Fate, FaultPlan};
 use crate::invariant::InvariantChecker;
 use crate::mem::{GlobalMemory, SharedMemory, Word};
-use crate::parallel::{GlobalSlot, DEFAULT_WINDOW};
 use crate::race::{AnalysisConfig, AnalysisReport, AnalysisState};
 use crate::stats::WarpStats;
 use crate::warp::WarpCtx;
@@ -20,6 +19,10 @@ use crate::WARP_LANES;
 
 /// Device-wide warp identifier, returned by [`Device::spawn`].
 pub type WarpId = usize;
+
+/// Width, in simulated cycles, of the quantum at whose aligned boundaries
+/// the stall watchdog evaluates.
+const WATCHDOG_QUANTUM: u64 = 4096;
 
 /// What a program's step did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,28 +38,27 @@ pub enum StepOutcome {
 /// `step` must perform a bounded amount of work — ideally one warp-wide
 /// instruction — through the [`WarpCtx`]; the scheduler interleaves warps
 /// between steps in simulated-time order. Programs are `Any` so the harness
-/// can downcast them after the run to collect results, and `Send` so
-/// [`Device::run_parallel`] can step SM groups on scoped host threads.
-pub trait WarpProgram: Any + Send {
+/// can downcast them after the run to collect results.
+pub trait WarpProgram: Any {
     /// Execute the next instruction(s).
     fn step(&mut self, w: &mut WarpCtx) -> StepOutcome;
 }
 
-pub(crate) struct WarpSlot {
-    pub(crate) sm_id: usize,
-    pub(crate) clock: u64,
-    pub(crate) stats: WarpStats,
-    pub(crate) program: Option<Box<dyn WarpProgram>>,
-    pub(crate) done: bool,
+struct WarpSlot {
+    sm_id: usize,
+    clock: u64,
+    stats: WarpStats,
+    program: Option<Box<dyn WarpProgram>>,
+    done: bool,
     /// Phase currently attributed (persists across steps).
-    pub(crate) phase: u8,
+    phase: u8,
     /// Lanes this kernel logically runs (persists across steps).
-    pub(crate) participating: u32,
+    participating: u32,
     /// Completion time of the warp's last non-polling instruction (stall
     /// watchdog input).
-    pub(crate) nonpoll_clock: u64,
+    nonpoll_clock: u64,
     /// A one-shot injected stall has already been applied to this warp.
-    pub(crate) fault_stalled: bool,
+    fault_stalled: bool,
 }
 
 /// Diagnosis of a run the stall watchdog interrupted: every live warp had
@@ -72,30 +74,27 @@ pub struct StallInfo {
 
 /// The simulated GPU: owns memories, warps and the event loop.
 pub struct Device {
-    pub(crate) cfg: GpuConfig,
-    pub(crate) global: GlobalMemory,
-    pub(crate) shared: Vec<SharedMemory>,
-    pub(crate) atomic_global: HashMap<u64, u64>,
-    pub(crate) atomic_shared: Vec<HashMap<u64, u64>>,
-    pub(crate) warps: Vec<WarpSlot>,
-    pub(crate) queue: BinaryHeap<Reverse<(u64, WarpId)>>,
-    pub(crate) live: usize,
-    pub(crate) instructions_executed: u64,
+    cfg: GpuConfig,
+    global: GlobalMemory,
+    shared: Vec<SharedMemory>,
+    atomic_global: HashMap<u64, u64>,
+    atomic_shared: Vec<HashMap<u64, u64>>,
+    warps: Vec<WarpSlot>,
+    queue: BinaryHeap<Reverse<(u64, WarpId)>>,
+    live: usize,
+    instructions_executed: u64,
     /// Race/invariant analysis; `None` (the default) records nothing and
     /// costs one pointer check per access.
-    pub(crate) analysis: Option<Box<AnalysisState>>,
-    /// Set when a parallel run conflicted mid-window: warp programs have
-    /// consumed steps that cannot rewind, so further stepping is refused.
-    pub(crate) poisoned: bool,
+    analysis: Option<Box<AnalysisState>>,
     /// Installed fault plan (None = no faults injected).
-    pub(crate) fault: Option<FaultPlan>,
+    fault: Option<FaultPlan>,
     /// Stall watchdog: max cycles every live warp may spend purely polling
     /// before the run is interrupted with a [`StallInfo`] diagnosis.
-    pub(crate) watchdog: Option<u64>,
+    watchdog: Option<u64>,
     /// Next quantum-aligned cycle at which the watchdog evaluates.
-    pub(crate) wd_mark: u64,
+    wd_mark: u64,
     /// Set when the watchdog diagnosed a stall; run loops stop stepping.
-    pub(crate) stall_info: Option<StallInfo>,
+    stall_info: Option<StallInfo>,
 }
 
 impl Device {
@@ -116,10 +115,9 @@ impl Device {
             live: 0,
             instructions_executed: 0,
             analysis: None,
-            poisoned: false,
             fault: None,
             watchdog: None,
-            wd_mark: DEFAULT_WINDOW,
+            wd_mark: WATCHDOG_QUANTUM,
             stall_info: None,
         }
     }
@@ -139,8 +137,7 @@ impl Device {
     /// Arm the stall watchdog: if every live warp spends more than
     /// `max_idle_cycles` doing nothing but polling, the run stops and
     /// [`Device::stalled`] reports the diagnosis. Evaluated at
-    /// [`DEFAULT_WINDOW`]-aligned cycle boundaries in both the sequential
-    /// and the parallel scheduler.
+    /// 4096-cycle-aligned boundaries of simulated time.
     pub fn set_watchdog(&mut self, max_idle_cycles: u64) {
         self.watchdog = Some(max_idle_cycles.max(1));
     }
@@ -153,7 +150,7 @@ impl Device {
     /// Evaluate the watchdog at quantum boundary `mark`: stalled iff every
     /// live warp's last useful (non-polling) instruction completed more
     /// than `max_idle` cycles before `mark`.
-    pub(crate) fn watchdog_fire(&mut self, mark: u64, max_idle: u64) -> bool {
+    fn watchdog_fire(&mut self, mark: u64, max_idle: u64) -> bool {
         let mut live = 0usize;
         for w in &self.warps {
             if w.done {
@@ -270,7 +267,6 @@ impl Device {
     /// instructions elapse first — a guard against protocol deadlocks that
     /// would otherwise poll forever.
     pub fn run_with_limit(&mut self, max_instructions: u64) {
-        self.assert_not_poisoned();
         while self.live > 0 && self.stall_info.is_none() {
             assert!(
                 self.instructions_executed < max_instructions,
@@ -298,7 +294,7 @@ impl Device {
         if let Some(max_idle) = self.watchdog {
             if clock >= self.wd_mark {
                 let mark = self.wd_mark;
-                self.wd_mark = (clock / DEFAULT_WINDOW) * DEFAULT_WINDOW + DEFAULT_WINDOW;
+                self.wd_mark = (clock / WATCHDOG_QUANTUM) * WATCHDOG_QUANTUM + WATCHDOG_QUANTUM;
                 if self.watchdog_fire(mark, max_idle) {
                     self.queue.push(Reverse((clock, id)));
                     return;
@@ -334,10 +330,8 @@ impl Device {
             phase: slot.stats_phase(),
             participating: slot.stats_participating(),
             stats: &mut slot.stats,
-            global: GlobalSlot::Direct {
-                mem: &mut self.global,
-                atomic: &mut self.atomic_global,
-            },
+            global: &mut self.global,
+            atomic_global: &mut self.atomic_global,
             shared: &mut self.shared[sm],
             cost: &self.cfg.cost,
             atomic_shared: &mut self.atomic_shared[sm],

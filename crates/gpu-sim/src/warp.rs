@@ -6,8 +6,7 @@ use std::collections::HashMap;
 use crate::cost::CostModel;
 use crate::fault::FaultPlan;
 use crate::invariant::{AccessKind, MemEvent, Space};
-use crate::mem::{bank_conflict_groups, coalesced_segments, SharedMemory, Word};
-use crate::parallel::GlobalSlot;
+use crate::mem::{bank_conflict_groups, coalesced_segments, GlobalMemory, SharedMemory, Word};
 use crate::race::{AnalysisState, MemOrder};
 use crate::stats::{PhaseId, WarpStats};
 use crate::WARP_LANES;
@@ -54,11 +53,11 @@ pub struct WarpCtx<'a> {
     pub(crate) phase: PhaseId,
     pub(crate) participating: u32,
     pub(crate) stats: &'a mut WarpStats,
-    /// Direct (sequential scheduler) or window-buffered (parallel runner)
-    /// view of global memory; every global access funnels through it.
-    pub(crate) global: GlobalSlot<'a>,
+    pub(crate) global: &'a mut GlobalMemory,
     pub(crate) shared: &'a mut SharedMemory,
     pub(crate) cost: &'a CostModel,
+    /// Per-address "next free time" of global atomics (contention timing).
+    pub(crate) atomic_global: &'a mut HashMap<u64, u64>,
     pub(crate) atomic_shared: &'a mut HashMap<u64, u64>,
     pub(crate) analysis: Option<&'a mut AnalysisState>,
     /// Completion time of the warp's last non-polling instruction; the
@@ -512,10 +511,8 @@ impl<'a> WarpCtx<'a> {
     /// optimizations that charge an equivalent cost via
     /// [`WarpCtx::charge_global_accesses`]; never use this to dodge the cost
     /// model. Peeks are invisible to the analysis layer (the accesses they
-    /// stand in for are accounted by their `charge_global_accesses` pairing),
-    /// but they *do* count as reads for parallel-window conflict detection —
-    /// a peeked value influences program behaviour like any other read.
-    pub fn global_peek(&mut self, addr: u64) -> Word {
+    /// stand in for are accounted by their `charge_global_accesses` pairing).
+    pub fn global_peek(&self, addr: u64) -> Word {
         let Some(v) = self.global.get(addr) else {
             self.oob("peek", Space::Global, addr);
         };
@@ -541,7 +538,7 @@ impl<'a> WarpCtx<'a> {
     /// Single-lane global compare-and-swap; returns the previous value (the
     /// CAS succeeded iff the return equals `expected`).
     pub fn global_cas1(&mut self, lane: usize, addr: u64, expected: Word, new: Word) -> Word {
-        let entry = self.global.atomic_next_free(addr);
+        let entry = self.atomic_global.entry(addr).or_insert(0);
         let (stall, delta) = Self::atomic_timing(
             self.clock,
             entry,
@@ -574,7 +571,7 @@ impl<'a> WarpCtx<'a> {
 
     /// Single-lane global fetch-and-add; returns the previous value.
     pub fn global_atomic_add(&mut self, lane: usize, addr: u64, delta_v: Word) -> Word {
-        let entry = self.global.atomic_next_free(addr);
+        let entry = self.atomic_global.entry(addr).or_insert(0);
         let (stall, delta) = Self::atomic_timing(
             self.clock,
             entry,
@@ -770,8 +767,8 @@ mod tests {
 
     /// Drives a closure once through the scheduler so WarpCtx construction is
     /// exercised exactly as in production.
-    struct Once<F: FnMut(&mut WarpCtx) + Send + 'static>(Option<F>);
-    impl<F: FnMut(&mut WarpCtx) + Send + 'static> WarpProgram for Once<F> {
+    struct Once<F: FnMut(&mut WarpCtx) + 'static>(Option<F>);
+    impl<F: FnMut(&mut WarpCtx) + 'static> WarpProgram for Once<F> {
         fn step(&mut self, w: &mut WarpCtx) -> StepOutcome {
             if let Some(mut f) = self.0.take() {
                 f(w);
@@ -782,7 +779,7 @@ mod tests {
         }
     }
 
-    fn run_once(setup_words: usize, f: impl FnMut(&mut WarpCtx) + Send + 'static) -> Device {
+    fn run_once(setup_words: usize, f: impl FnMut(&mut WarpCtx) + 'static) -> Device {
         let mut dev = Device::new(GpuConfig::default());
         dev.alloc_global(setup_words);
         dev.alloc_shared(0, 64);

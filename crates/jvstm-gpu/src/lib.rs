@@ -24,7 +24,7 @@ pub mod atr;
 pub mod client;
 
 use gpu_sim::fault::FaultPlan;
-use gpu_sim::{AnalysisConfig, Device, GpuConfig, RunMode};
+use gpu_sim::{AnalysisConfig, Device, GpuConfig};
 use stm_core::mv_exec::{MvExecConfig, PlainSetArea};
 use stm_core::{RetryPolicy, RunResult, TxSource, VBoxHeap};
 
@@ -55,10 +55,6 @@ pub struct JvstmGpuConfig {
     pub validate_batch: usize,
     /// Analysis layer (race detector); all-off by default.
     pub analysis: AnalysisConfig,
-    /// Host execution mode; `Parallel` falls back to an identical
-    /// sequential re-run on a cross-SM window conflict (the shared GTS and
-    /// global ATR conflict quickly; results are bit-identical either way).
-    pub sim: RunMode,
     /// Failure-recovery policy: per-transaction retry budget (enforced by
     /// the shared MV engine) plus seeded exponential backoff between retry
     /// rounds. Inert by default.
@@ -83,7 +79,6 @@ impl Default for JvstmGpuConfig {
             record_history: true,
             validate_batch: 16,
             analysis: AnalysisConfig::default(),
-            sim: RunMode::Sequential,
             recovery: RetryPolicy::default(),
             faults: None,
             max_idle_cycles: None,
@@ -112,58 +107,53 @@ where
     S: TxSource + 'static,
     F: FnMut(usize) -> S,
 {
-    // Closure so the parallel mode's conflict fallback can rebuild the
-    // identical device from scratch (see gpu_sim::run_with_mode).
-    let launch = || {
-        let mut dev = Device::new(cfg.gpu.clone());
-        let gts_addr = dev.alloc_global(1);
-        let heap = VBoxHeap::init(
-            dev.global_mut(),
-            num_items,
-            cfg.versions_per_box,
-            &mut initial,
-        );
-        let atr = GlobalAtr::alloc(dev.global_mut(), cfg.atr_capacity, cfg.max_ws);
+    let mut dev = Device::new(cfg.gpu.clone());
+    let gts_addr = dev.alloc_global(1);
+    let heap = VBoxHeap::init(
+        dev.global_mut(),
+        num_items,
+        cfg.versions_per_box,
+        &mut initial,
+    );
+    let atr = GlobalAtr::alloc(dev.global_mut(), cfg.atr_capacity, cfg.max_ws);
 
-        dev.enable_analysis(cfg.analysis);
-        if let Some(plan) = &cfg.faults {
-            dev.set_fault_plan(plan.clone());
-        }
-        if let Some(max_idle) = cfg.max_idle_cycles {
-            dev.set_watchdog(max_idle);
-        }
+    dev.enable_analysis(cfg.analysis);
+    if let Some(plan) = &cfg.faults {
+        dev.set_fault_plan(plan.clone());
+    }
+    if let Some(max_idle) = cfg.max_idle_cycles {
+        dev.set_watchdog(max_idle);
+    }
 
-        let mut warp_ids = Vec::new();
-        let mut thread_id = 0usize;
-        for sm in 0..cfg.gpu.num_sms {
-            for _ in 0..cfg.warps_per_sm {
-                let sources: Vec<S> = (0..gpu_sim::WARP_LANES)
-                    .map(|i| make_source(thread_id + i))
-                    .collect();
-                let area = PlainSetArea::alloc(dev.global_mut(), cfg.max_rs, cfg.max_ws);
-                let exec_cfg = MvExecConfig {
-                    record_history: cfg.record_history,
-                    retry: cfg.recovery.clone(),
-                    ..MvExecConfig::default()
-                };
-                let client = JvstmGpuClient::new(
-                    sources,
-                    thread_id,
-                    exec_cfg,
-                    heap.clone(),
-                    atr.clone(),
-                    area,
-                    gts_addr,
-                    cfg.validate_batch,
-                );
-                warp_ids.push(dev.spawn(sm, Box::new(client)));
-                thread_id += gpu_sim::WARP_LANES;
-            }
+    let mut warp_ids = Vec::new();
+    let mut thread_id = 0usize;
+    for sm in 0..cfg.gpu.num_sms {
+        for _ in 0..cfg.warps_per_sm {
+            let sources: Vec<S> = (0..gpu_sim::WARP_LANES)
+                .map(|i| make_source(thread_id + i))
+                .collect();
+            let area = PlainSetArea::alloc(dev.global_mut(), cfg.max_rs, cfg.max_ws);
+            let exec_cfg = MvExecConfig {
+                record_history: cfg.record_history,
+                retry: cfg.recovery.clone(),
+                ..MvExecConfig::default()
+            };
+            let client = JvstmGpuClient::new(
+                sources,
+                thread_id,
+                exec_cfg,
+                heap.clone(),
+                atr.clone(),
+                area,
+                gts_addr,
+                cfg.validate_batch,
+            );
+            warp_ids.push(dev.spawn(sm, Box::new(client)));
+            thread_id += gpu_sim::WARP_LANES;
         }
-        (dev, warp_ids)
-    };
+    }
 
-    let (mut dev, warp_ids) = gpu_sim::run_with_mode(cfg.sim, launch);
+    dev.run_to_completion();
 
     // A watchdog trip is a protocol bug (or an unsurvivable fault plan):
     // surface it loudly instead of returning a silently-short result.

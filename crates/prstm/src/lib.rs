@@ -31,7 +31,7 @@ pub mod lock;
 pub mod log;
 
 use gpu_sim::fault::FaultPlan;
-use gpu_sim::{AnalysisConfig, Device, GpuConfig, RunMode};
+use gpu_sim::{AnalysisConfig, Device, GpuConfig};
 use stm_core::mv_exec::PlainSetArea;
 use stm_core::{RetryPolicy, RunResult, TxSource};
 
@@ -56,10 +56,6 @@ pub struct PrstmConfig {
     /// Analysis layer (race detector / lock-discipline checks); all-off by
     /// default.
     pub analysis: AnalysisConfig,
-    /// Host execution mode; `Parallel` falls back to an identical
-    /// sequential re-run on a cross-SM window conflict (PR-STM's global
-    /// lock table conflicts quickly; results are bit-identical either way).
-    pub sim: RunMode,
     /// Failure-recovery policy: per-transaction retry budget plus seeded
     /// exponential backoff layered over the contention manager. Inert by
     /// default.
@@ -81,7 +77,6 @@ impl Default for PrstmConfig {
             max_ws: 16,
             record_history: true,
             analysis: AnalysisConfig::default(),
-            sim: RunMode::Sequential,
             recovery: RetryPolicy::default(),
             faults: None,
             max_idle_cycles: None,
@@ -107,52 +102,47 @@ where
     S: TxSource + 'static,
     F: FnMut(usize) -> S,
 {
-    // Closure so the parallel mode's conflict fallback can rebuild the
-    // identical device from scratch (see gpu_sim::run_with_mode).
-    let launch = || {
-        let mut dev = Device::new(cfg.gpu.clone());
-        let table = LockTable::init(dev.global_mut(), num_items, &mut initial);
-        let log = LockLog::new();
+    let mut dev = Device::new(cfg.gpu.clone());
+    let table = LockTable::init(dev.global_mut(), num_items, &mut initial);
+    let log = LockLog::new();
 
-        dev.enable_analysis(cfg.analysis);
-        if cfg.analysis.invariants {
-            dev.add_invariant_checker(Box::new(PrstmInvariantChecker::new(&table)));
-        }
-        if let Some(plan) = &cfg.faults {
-            dev.set_fault_plan(plan.clone());
-        }
-        if let Some(max_idle) = cfg.max_idle_cycles {
-            dev.set_watchdog(max_idle);
-        }
+    dev.enable_analysis(cfg.analysis);
+    if cfg.analysis.invariants {
+        dev.add_invariant_checker(Box::new(PrstmInvariantChecker::new(&table)));
+    }
+    if let Some(plan) = &cfg.faults {
+        dev.set_fault_plan(plan.clone());
+    }
+    if let Some(max_idle) = cfg.max_idle_cycles {
+        dev.set_watchdog(max_idle);
+    }
 
-        let mut warp_ids = Vec::new();
-        let mut thread_id = 0usize;
-        let mut warp_index = 0u64;
-        for sm in 0..cfg.gpu.num_sms {
-            for _ in 0..cfg.warps_per_sm {
-                let sources: Vec<S> = (0..gpu_sim::WARP_LANES)
-                    .map(|i| make_source(thread_id + i))
-                    .collect();
-                let area = PlainSetArea::alloc(dev.global_mut(), cfg.max_rs, cfg.max_ws);
-                let mut client = PrstmClient::new(
-                    sources,
-                    thread_id,
-                    table.clone(),
-                    area,
-                    log.clone(),
-                    cfg.record_history,
-                    warp_index,
-                );
-                client.set_recovery(cfg.recovery.clone());
-                warp_ids.push(dev.spawn(sm, Box::new(client)));
-                thread_id += gpu_sim::WARP_LANES;
-                warp_index += 1;
-            }
+    let mut warp_ids = Vec::new();
+    let mut thread_id = 0usize;
+    let mut warp_index = 0u64;
+    for sm in 0..cfg.gpu.num_sms {
+        for _ in 0..cfg.warps_per_sm {
+            let sources: Vec<S> = (0..gpu_sim::WARP_LANES)
+                .map(|i| make_source(thread_id + i))
+                .collect();
+            let area = PlainSetArea::alloc(dev.global_mut(), cfg.max_rs, cfg.max_ws);
+            let mut client = PrstmClient::new(
+                sources,
+                thread_id,
+                table.clone(),
+                area,
+                log.clone(),
+                cfg.record_history,
+                warp_index,
+            );
+            client.set_recovery(cfg.recovery.clone());
+            warp_ids.push(dev.spawn(sm, Box::new(client)));
+            thread_id += gpu_sim::WARP_LANES;
+            warp_index += 1;
         }
-        (dev, warp_ids)
-    };
+    }
 
-    let (mut dev, warp_ids) = gpu_sim::run_with_mode(cfg.sim, launch);
+    dev.run_to_completion();
 
     // A watchdog trip is a protocol bug (or an unsurvivable fault plan):
     // surface it loudly instead of returning a silently-short result.

@@ -22,18 +22,15 @@
 //! word, the accept/abort outcome is identical to re-reading every lock
 //! word at the validation instant.
 
-use std::sync::{Arc, Mutex};
+use std::cell::{Ref, RefCell};
+use std::rc::Rc;
 
-/// Shared, append-only list of items whose lock word was mutated.
-///
-/// `Arc<Mutex<..>>` rather than `Rc<RefCell<..>>` so the owning warp
-/// programs stay `Send` for parallel host execution. All lock-word
-/// mutations happen on an SM whose group holds the log during a window, so
-/// the mutex is uncontended; it exists to satisfy `Send`, not to
-/// synchronize simulated time.
+/// Shared, append-only list of items whose lock word was mutated. Every
+/// warp of one device holds a handle; the device steps them one at a time
+/// on one host thread, so appends land in simulated-time order.
 #[derive(Clone, Default)]
 pub struct LockLog {
-    inner: Arc<Mutex<Vec<u64>>>,
+    inner: Rc<RefCell<Vec<u64>>>,
 }
 
 impl LockLog {
@@ -42,13 +39,13 @@ impl LockLog {
         Self::default()
     }
 
-    fn guard(&self) -> std::sync::MutexGuard<'_, Vec<u64>> {
-        self.inner.lock().expect("lock log poisoned")
+    fn guard(&self) -> Ref<'_, Vec<u64>> {
+        self.inner.borrow()
     }
 
     /// Record a mutation of `item`'s lock word.
     pub fn push(&self, item: u64) {
-        self.guard().push(item);
+        self.inner.borrow_mut().push(item);
     }
 
     /// Current length (used as a revalidation cursor).

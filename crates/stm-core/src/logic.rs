@@ -30,8 +30,9 @@ pub enum TxOp {
 /// the STM calls [`TxLogic::reset`] and replays from the start — bodies must
 /// therefore be deterministic functions of their read values.
 ///
-/// Bodies are `Send` because warp programs (which own in-flight bodies) may
-/// be stepped on another host thread by `gpu_sim::Device::run_parallel`.
+/// Bodies are `Send` because `csmv-native`'s engine boxes them as
+/// `Box<dyn TxLogic>` jobs and hands those to its worker threads; a trait
+/// object is `Send` only through its trait's bound.
 pub trait TxLogic: Send {
     /// Whether this transaction is declared read-only at start (multi-version
     /// STMs give such transactions an instrumentation-free fast path).
@@ -46,9 +47,9 @@ pub trait TxLogic: Send {
 }
 
 /// A per-thread stream of transactions to execute. `None` means the thread's
-/// quota is exhausted and the lane can retire. Sources are `Send` for the
-/// same reason as [`TxLogic`]: the owning warp program may be stepped on
-/// another host thread.
+/// quota is exhausted and the lane can retire. Sources are `Send` so any
+/// source can feed the host-threaded backends (`csmv-native`, `jvstm-cpu`),
+/// which move each source onto the worker thread that drains it.
 pub trait TxSource: Send {
     /// The concrete transaction-body type.
     type Tx: TxLogic;

@@ -263,6 +263,138 @@ fn deterministic_gpu_stms_agree_on_commit_counts() {
 }
 
 // ---------------------------------------------------------------------------
+// Reruns: every simulated harness is a pure function of its config and seed
+// ---------------------------------------------------------------------------
+
+/// The small Bank shape every rerun test uses: 128 accounts, seed 7,
+/// 2 transactions per thread.
+fn rerun_bank() -> BankConfig {
+    BankConfig {
+        accounts: 128,
+        ..BankConfig::paper(50)
+    }
+}
+
+/// Launch `run` twice and assert the two launches agree on cycles, stats,
+/// both breakdowns, the committed history, the metrics and (when on) the
+/// analysis report.
+fn assert_reruns_identical(run: impl Fn() -> stm_core::RunResult) {
+    let (a, b) = (run(), run());
+    assert!(a.stats.commits() > 0, "nothing committed");
+    assert!(!a.records.is_empty(), "no history recorded");
+    assert_eq!(a.elapsed_cycles, b.elapsed_cycles);
+    assert_eq!(a.stats, b.stats);
+    assert_eq!(a.client_breakdown, b.client_breakdown);
+    assert_eq!(a.server_breakdown, b.server_breakdown);
+    assert_eq!(a.records, b.records);
+    assert_eq!(a.metrics, b.metrics);
+    assert_eq!(a.analysis.is_some(), b.analysis.is_some());
+    if let (Some(ra), Some(rb)) = (&a.analysis, &b.analysis) {
+        let (sa, sb) = (ra.stats(), rb.stats());
+        assert!(sa.events > 0, "analysis saw no events");
+        assert_eq!(sa.events, sb.events);
+        assert_eq!(sa.races, sb.races);
+        assert_eq!(sa.violations, sb.violations);
+    }
+}
+
+fn csmv_rerun(analysis: gpu_sim::AnalysisConfig) {
+    let bank = rerun_bank();
+    let mut cfg = csmv::CsmvConfig {
+        gpu: gpu(4),
+        versions_per_box: 4,
+        max_rs: 8,
+        max_ws: 2,
+        analysis,
+        ..Default::default()
+    };
+    cfg.fit_atr_capacity();
+    assert_reruns_identical(|| {
+        csmv::run(
+            &cfg,
+            |t| BankSource::new(&bank, 7, t, 2),
+            bank.accounts,
+            |_| bank.initial_balance,
+        )
+    });
+}
+
+#[test]
+fn csmv_reruns_are_identical() {
+    csmv_rerun(gpu_sim::AnalysisConfig::default());
+}
+
+#[test]
+fn csmv_with_analysis_reruns_are_identical() {
+    csmv_rerun(gpu_sim::AnalysisConfig {
+        races: true,
+        invariants: true,
+    });
+}
+
+#[test]
+fn multi_server_csmv_reruns_are_identical() {
+    let bank = rerun_bank();
+    let partitioned = bank.clone().partitioned(2);
+    let cfg = csmv::MultiCsmvConfig {
+        gpu: gpu(6),
+        num_servers: 2,
+        server_workers: 7,
+        max_rs: 8,
+        max_ws: 2,
+        atr_capacity: 1024,
+        ..Default::default()
+    };
+    assert_reruns_identical(|| {
+        csmv::run_multi(
+            &cfg,
+            |t| BankSource::new(&partitioned, 7, t, 2),
+            bank.accounts,
+            |_| bank.initial_balance,
+        )
+    });
+}
+
+#[test]
+fn prstm_reruns_are_identical() {
+    let bank = rerun_bank();
+    let cfg = prstm::PrstmConfig {
+        gpu: gpu(4),
+        max_rs: bank.accounts as usize + 8,
+        max_ws: 8,
+        ..Default::default()
+    };
+    assert_reruns_identical(|| {
+        prstm::run(
+            &cfg,
+            |t| BankSource::new(&bank, 7, t, 2),
+            bank.accounts,
+            |_| bank.initial_balance,
+        )
+    });
+}
+
+#[test]
+fn jvstm_gpu_reruns_are_identical() {
+    let bank = rerun_bank();
+    let cfg = jvstm_gpu::JvstmGpuConfig {
+        gpu: gpu(4),
+        max_rs: 8,
+        max_ws: 8,
+        atr_capacity: 4096,
+        ..Default::default()
+    };
+    assert_reruns_identical(|| {
+        jvstm_gpu::run(
+            &cfg,
+            |t| BankSource::new(&bank, 7, t, 2),
+            bank.accounts,
+            |_| bank.initial_balance,
+        )
+    });
+}
+
+// ---------------------------------------------------------------------------
 // Linked-list set on every GPU STM
 // ---------------------------------------------------------------------------
 
