@@ -26,7 +26,7 @@ use crate::atr::NativeAtr;
 use crate::pool::Shared;
 
 /// One transaction's commit submission: its snapshot and footprint.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct TxSubmit {
     /// GTS value the transaction executed against.
     pub snapshot: u64,
@@ -58,6 +58,9 @@ pub(crate) struct Validator {
     /// The write-set of the entry being scanned; one buffer, reused for
     /// every entry read.
     entry: Vec<u64>,
+    /// Each transaction's verdict while the batch is being decided (`None`
+    /// = undecided); one buffer, reused for every batch.
+    decided: Vec<Option<Verdict>>,
 }
 
 impl Validator {
@@ -67,11 +70,13 @@ impl Validator {
             start: ctx.start,
             deadline: ctx.deadline,
             entry: Vec::new(),
+            decided: Vec::new(),
         }
     }
 
     /// Validate a batch against the ATR and reserve timestamps for the
-    /// survivors. Returns one verdict per transaction, in order.
+    /// survivors. Replaces the contents of `verdicts` with one verdict per
+    /// transaction, in order.
     ///
     /// `batch_sizes` and any stall waited out on an in-flight entry
     /// (`server_stall`) are recorded into `metrics`, the caller's report.
@@ -79,19 +84,22 @@ impl Validator {
         &mut self,
         txs: &[TxSubmit],
         metrics: &mut MetricsReport,
-    ) -> Vec<Verdict> {
-        let mut verdicts: Vec<Option<Verdict>> = vec![None; txs.len()];
+        verdicts: &mut Vec<Verdict>,
+    ) {
+        let mut decided = std::mem::take(&mut self.decided);
+        decided.clear();
+        decided.resize(txs.len(), None);
         let mut scanned = 0;
         loop {
             let expected = self.atr.next_cts();
-            self.scan(txs, &mut verdicts, scanned, expected, metrics);
-            let live = verdicts.iter().filter(|v| v.is_none()).count() as u64;
+            self.scan(txs, &mut decided, scanned, expected, metrics);
+            let live = decided.iter().filter(|v| v.is_none()).count() as u64;
             if live == 0 {
                 break;
             }
             match self.atr.try_reserve(expected, live) {
                 ReserveOutcome::Won { base } => {
-                    let undecided = txs.iter().zip(&mut verdicts).filter(|(_, v)| v.is_none());
+                    let undecided = txs.iter().zip(&mut decided).filter(|(_, v)| v.is_none());
                     for (cts, (t, v)) in (base..).zip(undecided) {
                         self.atr.insert(cts, &t.ws);
                         *v = Some(Verdict::Granted { cts });
@@ -106,10 +114,9 @@ impl Validator {
         }
         // The loop only exits with every verdict filled; fail safe rather
         // than panic.
-        verdicts
-            .into_iter()
-            .map(|v| v.unwrap_or(WINDOW_CLOSED))
-            .collect()
+        verdicts.clear();
+        verdicts.extend(decided.iter().map(|v| v.unwrap_or(WINDOW_CLOSED)));
+        self.decided = decided;
     }
 
     /// Decide what the window up to `expected` (the reservation counter's
@@ -239,7 +246,16 @@ mod tests {
             start,
             deadline: start + Duration::from_secs(10),
             entry: Vec::new(),
+            decided: Vec::new(),
         }
+    }
+
+    /// [`Validator::validate_and_reserve`] into a buffer holding stale
+    /// verdicts, which the call must replace.
+    fn verdicts_of(v: &mut Validator, txs: &[TxSubmit]) -> Vec<Verdict> {
+        let mut verdicts = vec![Verdict::Granted { cts: 0 }; 3];
+        v.validate_and_reserve(txs, &mut MetricsReport::default(), &mut verdicts);
+        verdicts
     }
 
     /// A lost CAS is answered by scanning the delta and nothing below it:
@@ -270,7 +286,7 @@ mod tests {
 
         // The whole call from scratch does read entry 1, and finds it gone.
         assert_eq!(
-            v.validate_and_reserve(&txs, &mut metrics),
+            verdicts_of(&mut v, &txs),
             [WINDOW_CLOSED],
             "the scenario does depend on what is re-read"
         );
@@ -347,8 +363,7 @@ mod tests {
                 .collect();
             let expected = reference(&txs, entry, newest + 1, capacity);
 
-            let mut metrics = MetricsReport::default();
-            let verdicts = validator(&atr).validate_and_reserve(&txs, &mut metrics);
+            let verdicts = verdicts_of(&mut validator(&atr), &txs);
             prop_assert_eq!(&verdicts, &expected);
             let granted: Vec<&TxSubmit> = txs
                 .iter()

@@ -37,6 +37,12 @@
 //! Retries follow the `retry_budget` of `stm_core::recovery::RetryPolicy`.
 //! Latency samples recorded into the metrics report are **nanoseconds**.
 //!
+//! In steady state a commit allocates nothing and reads the clock about
+//! once. Every buffer a round fills — executions, footprints, validation
+//! slots, verdicts, the round's lanes — is emptied and reused, never
+//! dropped ([`Lanes`], [`NativeWorker::release`]); and every time is a
+//! difference of the worker's clock stamps ([`NativeWorker::stamp`]).
+//!
 //! Nothing in this module may panic: the `xtask` `no-panic-in-server-path`
 //! lint covers every `impl NativeWorker` block.
 
@@ -102,6 +108,9 @@ const FOOTPRINT_SAMPLE_ROUNDS: u64 = 64;
 struct Pending<T> {
     tx: T,
     attempts: u32,
+    /// Start of the current attempt, a stamp of the worker's clock: the
+    /// start of its execution or, until it first runs, the feed loop's
+    /// stamp when it was taken in.
     attempt_start: Instant,
     /// Starvation-freedom escalation (read-only transactions): the pinned
     /// snapshot and the registry slot holding it. A pinned transaction
@@ -124,11 +133,12 @@ struct Pending<T> {
 }
 
 impl<T> Pending<T> {
-    fn new(tx: T) -> Self {
+    /// `tx`, taken in by the feed loop at `now`.
+    fn new(tx: T, now: Instant) -> Self {
         Self {
             tx,
             attempts: 0,
-            attempt_start: Instant::now(),
+            attempt_start: now,
             pin: None,
             rejected_at: None,
         }
@@ -148,11 +158,18 @@ fn pop_runnable<T>(pending: &mut VecDeque<Pending<T>>, gts: u64) -> Option<Pendi
     pending.remove(first)
 }
 
-/// A fully executed update transaction, ready to commit.
+/// The buffers of one execution. They come off the worker's free list
+/// and go back to it however the attempt ends — commit, abort, squash or
+/// overflow ([`NativeWorker::release`]) — so they are allocated once per
+/// execution in flight, not once per execution.
+#[derive(Default)]
 struct Executed {
     /// `(item, value)` pairs actually read from shared state, in order.
+    /// Only a [`TxRecord`] reads them, so they are kept only while the
+    /// history is recorded.
     reads: Vec<(u64, u64)>,
-    /// Deduplicated read-set items (the validation footprint).
+    /// Deduplicated read-set items, ascending (the validation footprint
+    /// of an update transaction; empty for a read-only one).
     rs: Vec<u64>,
     /// `(item, value)` write-set, last write per item.
     ws: Vec<(u64, u64)>,
@@ -160,7 +177,7 @@ struct Executed {
 
 enum Exec {
     /// Read-only: consistent by construction at its snapshot.
-    ReadOnly { reads: Vec<(u64, u64)> },
+    ReadOnly(Executed),
     /// An update transaction ready for commit.
     Update(Executed),
     /// A version rolled out of the store ring mid-execution.
@@ -188,6 +205,47 @@ enum Next<T> {
     Closed,
 }
 
+/// What the feed loop owns: the work buffered behind the round, and the
+/// buffers a round passes its batch through. They are emptied, never
+/// dropped, so once they have grown to a batch a round allocates nothing.
+struct Lanes<T> {
+    /// Transactions waiting to run (or re-run).
+    pending: VecDeque<Pending<T>>,
+    /// Executions parked behind the batch awaiting its turn.
+    spec: Vec<Spec<T>>,
+    /// The round's executed update transactions, each with its snapshot.
+    execs: Vec<(Pending<T>, Executed, u64)>,
+    /// Those of `execs` that pre-validation kept.
+    survivors: Vec<(Pending<T>, Executed, u64)>,
+    /// One validation slot per survivor; slots past the batch keep their
+    /// buffers for later rounds.
+    subs: Vec<TxSubmit>,
+    /// The validator's verdicts on the survivors.
+    verdicts: Vec<Verdict>,
+    /// The survivors validation granted, each with its commit timestamp.
+    granted: Vec<(Pending<T>, Executed, u64, u64)>,
+    /// The granted commit timestamps.
+    ctss: Vec<u64>,
+    /// Aborted attempts, back into `pending` when the round ends.
+    retry: Vec<Pending<T>>,
+}
+
+impl<T> Lanes<T> {
+    fn new() -> Self {
+        Self {
+            pending: VecDeque::new(),
+            spec: Vec::new(),
+            execs: Vec::new(),
+            survivors: Vec::new(),
+            subs: Vec::new(),
+            verdicts: Vec::new(),
+            granted: Vec::new(),
+            ctss: Vec::new(),
+            retry: Vec::new(),
+        }
+    }
+}
+
 pub(crate) struct NativeWorker {
     id: usize,
     ctx: Shared,
@@ -196,9 +254,18 @@ pub(crate) struct NativeWorker {
     stats: CommitStats,
     records: Vec<TxRecord>,
     metrics: MetricsReport,
-    /// Reusable write-set-items scratch for the pre-validation broadcast,
-    /// so the hot path stops allocating one `Vec` per broadcaster per
-    /// round.
+    /// The worker's clock: its latest stamp ([`NativeWorker::stamp`]).
+    now: Instant,
+    /// Execution buffers not in use.
+    free: Vec<Executed>,
+    /// The items the execution in progress has read; an update's
+    /// footprint is deduplicated out of it. The one buffer a full scan
+    /// grows, so scan-sized capacity stays out of the free list.
+    read_items: Vec<u64>,
+    /// The registered reader snapshots a write-back retains versions for.
+    readers: Vec<u64>,
+    /// Write-set-items scratch for the pre-validation broadcast and the
+    /// post-publish squash.
     scratch_ws: Vec<u64>,
 }
 
@@ -208,17 +275,47 @@ impl NativeWorker {
         Self {
             id,
             validator: Validator::new(&ctx),
+            now: ctx.start,
             ctx,
             rounds: 0,
             stats: CommitStats::default(),
             records: Vec::new(),
             metrics: MetricsReport::default(),
+            free: Vec::new(),
+            read_items: Vec::new(),
+            readers: Vec::new(),
             scratch_ws: Vec::new(),
         }
     }
 
+    /// Read the clock into the worker's stamp. It is read once per
+    /// feed-loop iteration (after the intake answered, never before a
+    /// blocking refill: the deadline check and the arrivals' stamp), once
+    /// per execution (its end, and the next execution's start), once after
+    /// each GTS publication (the latency of the whole batch), and only
+    /// while a turn wait actually waits; and once after a validation that
+    /// rejected something, which ends those attempts.
+    fn stamp(&mut self) -> Instant {
+        self.now = Instant::now();
+        self.now
+    }
+
+    /// Nanoseconds from `since` to the latest stamp.
+    fn elapsed(&self, since: Instant) -> u64 {
+        self.now.saturating_duration_since(since).as_nanos() as u64
+    }
+
+    /// The latest stamp on the run's time axis (for sampled series).
     fn now_ns(&self) -> u64 {
-        self.ctx.start.elapsed().as_nanos() as u64
+        self.elapsed(self.ctx.start)
+    }
+
+    /// Hand an execution's buffers back to the free list, emptied.
+    fn release(&mut self, mut ex: Executed) {
+        ex.reads.clear();
+        ex.rs.clear();
+        ex.ws.clear();
+        self.free.push(ex);
     }
 
     /// Drain the source to completion (or the run deadline), committing
@@ -267,37 +364,43 @@ impl NativeWorker {
     /// accounts for every transaction and every accepted engine job gets
     /// a terminal completion.
     fn feed<T: Finish>(mut self, mut next: impl FnMut(bool) -> Next<T>) -> WorkerOutput {
-        let mut pending: VecDeque<Pending<T>> = VecDeque::new();
-        let mut spec: Vec<Spec<T>> = Vec::new();
+        let mut l = Lanes::new();
         let mut closed = false;
         let target = 2 * self.ctx.max_batch;
         loop {
-            while !closed && pending.len() + spec.len() < target {
-                match next(pending.is_empty() && spec.is_empty()) {
-                    Next::Tx(tx) => pending.push_back(Pending::new(tx)),
+            // The iteration's stamp is read once the intake has answered:
+            // only the first call can block (it alone is made idle), and
+            // the stamp must not predate that wait.
+            let mut stamp = None;
+            while !closed && l.pending.len() + l.spec.len() < target {
+                let got = next(l.pending.is_empty() && l.spec.is_empty());
+                let now = *stamp.get_or_insert_with(Instant::now);
+                match got {
+                    Next::Tx(tx) => l.pending.push_back(Pending::new(tx, now)),
                     Next::Empty => break,
                     Next::Closed => closed = true,
                 }
             }
-            if Instant::now() >= self.ctx.deadline {
-                for s in spec.drain(..) {
+            self.now = stamp.unwrap_or_else(Instant::now);
+            if self.now >= self.ctx.deadline {
+                for s in l.spec.drain(..) {
                     self.fail(s.p, AbortReason::ServerTimeout);
                 }
-                for p in pending.drain(..) {
+                for p in l.pending.drain(..) {
                     self.fail(p, AbortReason::ServerTimeout);
                 }
                 while let Next::Tx(tx) = next(false) {
-                    self.fail(Pending::new(tx), AbortReason::ServerTimeout);
+                    self.fail(Pending::new(tx, self.now), AbortReason::ServerTimeout);
                 }
                 break;
             }
-            if pending.is_empty() && spec.is_empty() {
+            if l.pending.is_empty() && l.spec.is_empty() {
                 if closed {
                     break;
                 }
                 continue;
             }
-            self.round(&mut pending, &mut spec);
+            self.round(&mut l);
         }
         WorkerOutput {
             stats: self.stats,
@@ -327,7 +430,7 @@ impl NativeWorker {
     /// ([`Pending::runnable_at`]): no execution, no budget charge.
     /// A round left with nothing to run waits for the next GTS
     /// publication on the ATR's waiter list instead of re-running them.
-    fn round<T: Finish>(&mut self, pending: &mut VecDeque<Pending<T>>, spec: &mut Vec<Spec<T>>) {
+    fn round<T: Finish>(&mut self, l: &mut Lanes<T>) {
         self.rounds += 1;
         if self.sampling_round() {
             self.metrics
@@ -336,8 +439,6 @@ impl NativeWorker {
         }
         let snapshot = self.ctx.atr.gts();
         let round_slot = self.ctx.registry.register(snapshot);
-        let mut retry: Vec<Pending<T>> = Vec::new();
-        let mut execs: Vec<(Pending<T>, Executed, u64)> = Vec::new();
         // Unsquashed speculations first (they are the oldest work), then
         // fill the batch with fresh executions at the round snapshot.
         // Each carried speculation passes the carry-time freshness
@@ -348,8 +449,8 @@ impl NativeWorker {
         // timestamps see all of them. A stale speculation is recycled to
         // the front of `pending` so it re-executes at this very round's
         // fresh snapshot instead of burning a lane on a doomed validation.
-        let carry = spec.len().min(self.ctx.max_batch);
-        for s in spec.drain(..carry) {
+        let carry = l.spec.len().min(self.ctx.max_batch);
+        for s in l.spec.drain(..carry) {
             let newest =
                 s.ex.rs
                     .iter()
@@ -357,8 +458,9 @@ impl NativeWorker {
                     .filter_map(|&i| self.ctx.store.newest_ts(i));
             if !steps::spec_carry_fresh(s.snapshot, newest) {
                 self.metrics.pipeline.spec_squashed += 1;
+                self.release(s.ex);
                 if let Some(p) = self.recycle(s.p, AbortReason::PreValidationKill) {
-                    pending.push_front(p);
+                    l.pending.push_front(p);
                 }
                 continue;
             }
@@ -375,13 +477,33 @@ impl NativeWorker {
             // parked. The model's `spec-fresh-snapshot` mutation shows
             // exactly this promotion *without* the freshness proof is an
             // opacity violation.
-            execs.push((s.p, s.ex, snapshot));
+            l.execs.push((s.p, s.ex, snapshot));
         }
-        let room = self.ctx.max_batch - execs.len();
-        let batch: Vec<Pending<T>> = std::iter::from_fn(|| pop_runnable(pending, snapshot))
-            .take(room)
-            .collect();
-        if batch.is_empty() && execs.is_empty() {
+        // Fill the batch straight out of `pending`. What runs ends in
+        // `execs` or `retry` (or commits), never back in `pending`, so no
+        // transaction runs twice in a round.
+        let room = self.ctx.max_batch - l.execs.len();
+        let mut ran = 0;
+        while ran < room {
+            let Some(mut p) = pop_runnable(&mut l.pending, snapshot) else {
+                break;
+            };
+            ran += 1;
+            if p.attempts > 0 {
+                p.tx.reset();
+            }
+            // The previous execution's end stamp is this one's start.
+            p.attempt_start = self.now;
+            let snap = p.pin.map_or(snapshot, |(s, _)| s);
+            let exec = self.execute(&mut p.tx, snap);
+            self.stamp();
+            match exec {
+                Exec::ReadOnly(ex) => self.commit_rot(p, snap, ex),
+                Exec::Update(ex) => l.execs.push((p, ex, snap)),
+                Exec::Overflow => l.retry.extend(self.overflowed(p, snap)),
+            }
+        }
+        if ran == 0 && l.execs.is_empty() {
             // Everything pending aborted at this snapshot against a batch
             // another worker has reserved and not yet published.
             // `TURN_WAIT_SLICE` bounds the park, so the feed loop still
@@ -392,24 +514,12 @@ impl NativeWorker {
             self.ctx.atr.wait_gts_past(snapshot, TURN_WAIT_SLICE);
             return;
         }
-        for mut p in batch {
-            if p.attempts > 0 {
-                p.tx.reset();
-            }
-            p.attempt_start = Instant::now();
-            let snap = p.pin.map_or(snapshot, |(s, _)| s);
-            match self.execute(&mut p.tx, snap) {
-                Exec::ReadOnly { reads } => self.commit_rot(p, snap, reads),
-                Exec::Update(ex) => execs.push((p, ex, snap)),
-                Exec::Overflow => retry.extend(self.overflowed(p, snap)),
-            }
-        }
 
         // Intra-batch pre-validation: the native analogue of the
         // simulator's intra-warp broadcast round, over the same pure step.
         // Mixed snapshots are fine — the rule is footprint intersection,
         // independent of when each lane executed.
-        let n = execs.len();
+        let n = l.execs.len();
         debug_assert!(n <= 32, "max_batch must be <= 32");
         let committing: u32 = if n == 0 {
             0
@@ -423,18 +533,19 @@ impl NativeWorker {
             }
             self.scratch_ws.clear();
             self.scratch_ws
-                .extend(execs[b].1.ws.iter().map(|&(i, _)| i));
+                .extend(l.execs[b].1.ws.iter().map(|&(i, _)| i));
             losers |= steps::preval_losers(b, &self.scratch_ws, committing & !losers, |j, item| {
-                let e = &execs[j].1;
+                let e = &l.execs[j].1;
                 e.rs.contains(&item) || e.ws.iter().any(|&(i, _)| i == item)
             });
         }
-        let mut survivors: Vec<(Pending<T>, Executed, u64)> = Vec::new();
-        for (k, (p, ex, snap)) in execs.into_iter().enumerate() {
+        for (k, (p, ex, snap)) in l.execs.drain(..).enumerate() {
             if losers & (1 << k) != 0 {
-                retry.extend(self.recycle(p, AbortReason::PreValidationKill));
+                self.release(ex);
+                l.retry
+                    .extend(self.recycle(p, AbortReason::PreValidationKill));
             } else {
-                survivors.push((p, ex, snap));
+                l.survivors.push((p, ex, snap));
             }
         }
 
@@ -444,10 +555,10 @@ impl NativeWorker {
         if let Some(slot) = round_slot {
             self.ctx.registry.deregister(slot);
         }
-        if !survivors.is_empty() {
-            self.commit_batch(survivors, &mut retry, pending, spec);
+        if !l.survivors.is_empty() {
+            self.commit_batch(l);
         }
-        pending.extend(retry);
+        l.pending.extend(l.retry.drain(..));
     }
 
     /// Execute at most one unit of speculative work while a batch awaits
@@ -461,39 +572,36 @@ impl NativeWorker {
     /// retry/pin path. A transaction rejected at the current snapshot is
     /// not speculated either ([`Pending::runnable_at`]). Returns false
     /// when no speculative work was admissible; the caller then blocks.
-    fn speculate_one<T: Finish>(
-        &mut self,
-        pending: &mut VecDeque<Pending<T>>,
-        spec: &mut Vec<Spec<T>>,
-    ) -> bool {
-        if !steps::pipeline_admissible(true, spec.len(), self.ctx.max_batch) {
+    fn speculate_one<T: Finish>(&mut self, l: &mut Lanes<T>) -> bool {
+        if !steps::pipeline_admissible(true, l.spec.len(), self.ctx.max_batch) {
             return false;
         }
         let snapshot = self.ctx.atr.gts();
-        let Some(mut p) = pop_runnable(pending, snapshot) else {
+        let Some(mut p) = pop_runnable(&mut l.pending, snapshot) else {
             return false;
         };
         if p.attempts > 0 {
             p.tx.reset();
         }
-        p.attempt_start = Instant::now();
+        p.attempt_start = self.now;
         let slot = self.ctx.registry.register(snapshot);
         let snap = p.pin.map_or(snapshot, |(s, _)| s);
         let exec = self.execute(&mut p.tx, snap);
+        self.stamp();
         if let Some(slot) = slot {
             self.ctx.registry.deregister(slot);
         }
         match exec {
-            Exec::ReadOnly { reads } => self.commit_rot(p, snap, reads),
+            Exec::ReadOnly(ex) => self.commit_rot(p, snap, ex),
             Exec::Update(ex) => {
                 self.metrics.pipeline.spec_executed += 1;
-                spec.push(Spec {
+                l.spec.push(Spec {
                     p,
                     ex,
                     snapshot: snap,
                 });
             }
-            Exec::Overflow => pending.extend(self.overflowed(p, snap)),
+            Exec::Overflow => l.pending.extend(self.overflowed(p, snap)),
         }
         true
     }
@@ -579,15 +687,16 @@ impl NativeWorker {
         }
     }
 
-    /// Execute one transaction body at `snapshot` against the store.
-    fn execute<T: TxLogic>(&self, tx: &mut T, snapshot: u64) -> Exec {
-        let mut reads: Vec<(u64, u64)> = Vec::new();
-        let mut ws: Vec<(u64, u64)> = Vec::new();
+    /// Execute one transaction body at `snapshot` against the store, into
+    /// buffers off the free list.
+    fn execute<T: TxLogic>(&mut self, tx: &mut T, snapshot: u64) -> Exec {
+        let mut ex = self.free.pop().unwrap_or_default();
+        self.read_items.clear();
         let mut last: Option<u64> = None;
         loop {
             match tx.next(last) {
                 TxOp::Read { item } => {
-                    if let Some(&(_, v)) = ws.iter().find(|&&(i, _)| i == item) {
+                    if let Some(&(_, v)) = ex.ws.iter().find(|&&(i, _)| i == item) {
                         // Read-own-write: served from the private buffer,
                         // excluded from the recorded reads (it never
                         // touched shared state).
@@ -595,36 +704,39 @@ impl NativeWorker {
                     } else {
                         match self.ctx.store.read_at(item, snapshot) {
                             Some(v) => {
-                                reads.push((item, v));
+                                self.read_items.push(item);
+                                if self.ctx.record_history {
+                                    ex.reads.push((item, v));
+                                }
                                 last = Some(v);
                             }
-                            None => return Exec::Overflow,
+                            None => {
+                                self.release(ex);
+                                return Exec::Overflow;
+                            }
                         }
                     }
                 }
                 TxOp::Write { item, value } => {
-                    match ws.iter_mut().find(|(i, _)| *i == item) {
+                    match ex.ws.iter_mut().find(|(i, _)| *i == item) {
                         Some(entry) => entry.1 = value,
-                        None => ws.push((item, value)),
+                        None => ex.ws.push((item, value)),
                     }
                     last = None;
                 }
                 TxOp::Finish => break,
             }
         }
-        if ws.is_empty() {
-            Exec::ReadOnly { reads }
+        if ex.ws.is_empty() {
+            Exec::ReadOnly(ex)
         } else {
-            // The validation footprint, deduplicated in read order. Built
-            // once at the end — never per read, which would be quadratic
-            // in the read count (a full-scan ROT reads every item).
-            let mut seen = std::collections::HashSet::with_capacity(reads.len());
-            let rs: Vec<u64> = reads
-                .iter()
-                .map(|&(i, _)| i)
-                .filter(|&i| seen.insert(i))
-                .collect();
-            Exec::Update(Executed { reads, rs, ws })
+            // The validation footprint, by sort + dedup. Built once at the
+            // end — never per read, which would be quadratic in the read
+            // count (a full-scan ROT reads every item).
+            self.read_items.sort_unstable();
+            self.read_items.dedup();
+            ex.rs.extend_from_slice(&self.read_items);
+            Exec::Update(ex)
         }
     }
 
@@ -640,38 +752,41 @@ impl NativeWorker {
     /// from `pending` into `spec`; after the write-back publishes, parked
     /// speculations whose footprints overlap the published write-set are
     /// squashed and recycled.
-    fn commit_batch<T: Finish>(
-        &mut self,
-        mut batch: Vec<(Pending<T>, Executed, u64)>,
-        retry: &mut Vec<Pending<T>>,
-        pending: &mut VecDeque<Pending<T>>,
-        spec: &mut Vec<Spec<T>>,
-    ) {
-        // The read-set moves out: it is not needed for write-back.
-        let subs: Vec<TxSubmit> = batch
-            .iter_mut()
-            .map(|(_, ex, snap)| TxSubmit {
-                snapshot: *snap,
-                rs: std::mem::take(&mut ex.rs),
-                ws: ex.ws.iter().map(|&(i, _)| i).collect(),
-            })
-            .collect();
-        let verdicts = self
-            .validator
-            .validate_and_reserve(&subs, &mut self.metrics);
-        let mut granted: Vec<(Pending<T>, Executed, u64, u64)> = Vec::new();
-        for ((p, ex, snap), v) in batch.into_iter().zip(verdicts) {
+    fn commit_batch<T: Finish>(&mut self, l: &mut Lanes<T>) {
+        let n = l.survivors.len();
+        if l.subs.len() < n {
+            l.subs.resize_with(n, TxSubmit::default);
+        }
+        for ((_, ex, snap), sub) in l.survivors.iter_mut().zip(&mut l.subs) {
+            sub.snapshot = *snap;
+            // Nothing reads a survivor's footprint after validation, so it
+            // moves into the slot; the slot's old buffer circulates back.
+            std::mem::swap(&mut sub.rs, &mut ex.rs);
+            sub.ws.clear();
+            sub.ws.extend(ex.ws.iter().map(|&(i, _)| i));
+        }
+        self.validator
+            .validate_and_reserve(&l.subs[..n], &mut self.metrics, &mut l.verdicts);
+        if l.verdicts
+            .iter()
+            .any(|v| matches!(v, Verdict::Rejected { .. }))
+        {
+            // The rejected attempts end here, not at their executions' end.
+            self.stamp();
+        }
+        for ((p, ex, snap), &v) in l.survivors.drain(..).zip(&l.verdicts) {
             match v {
-                Verdict::Granted { cts } => granted.push((p, ex, snap, cts)),
+                Verdict::Granted { cts } => l.granted.push((p, ex, snap, cts)),
                 Verdict::Rejected { reason } => {
+                    self.release(ex);
                     if let Some(mut p) = self.recycle(p, reason) {
                         p.rejected_at = Some(snap);
-                        retry.push(p);
+                        l.retry.push(p);
                     }
                 }
             }
         }
-        if granted.is_empty() {
+        if l.granted.is_empty() {
             return;
         }
         // The live window right after a reservation, this batch included;
@@ -682,33 +797,42 @@ impl NativeWorker {
                 .atr_occupancy
                 .push(self.now_ns(), self.ctx.atr.occupancy());
         }
-        let ctss: Vec<u64> = granted.iter().map(|&(_, _, _, c)| c).collect();
-        let (base, nw) = steps::batch_window(&ctss);
-        debug_assert!(steps::window_is_dense(&ctss));
-        if !self.await_turn(base, pending, spec) {
+        l.ctss.clear();
+        l.ctss.extend(l.granted.iter().map(|&(_, _, _, c)| c));
+        let (base, nw) = steps::batch_window(&l.ctss);
+        debug_assert!(steps::window_is_dense(&l.ctss));
+        if !self.await_turn(base, l) {
             // Deadline while waiting: nothing was written back, so the
             // committed history stays consistent (the GTS hole just
             // stalls everyone else until their own deadline).
-            for (p, _, _, _) in granted {
+            for (p, ex, _, _) in l.granted.drain(..) {
+                self.release(ex);
                 self.fail(p, AbortReason::ServerTimeout);
             }
             return;
         }
-        granted.sort_by_key(|&(_, _, _, c)| c);
+        // Timestamps are unique, so the unstable sort (which, unlike the
+        // stable one, never allocates) keeps nothing out of order.
+        l.granted.sort_unstable_by_key(|&(_, _, _, c)| c);
         // One registry scan per batch: the write-back's GC pass retains
         // every version a currently registered reader resolves on. A
         // registration landing mid-write-back can miss this scan — that
         // reader's one spurious abort is the documented race window.
-        let readers = self.ctx.registry.registered();
-        for (_, ex, _, cts) in &granted {
+        self.ctx.registry.registered_into(&mut self.readers);
+        for (_, ex, _, cts) in &l.granted {
             for &(item, value) in &ex.ws {
-                self.ctx.store.publish_gated(item, *cts, value, &readers);
+                self.ctx
+                    .store
+                    .publish_gated(item, *cts, value, &self.readers);
             }
         }
         self.ctx.atr.publish_gts(steps::gts_publish_value(base, nw));
-        self.squash_overlapping(&granted, pending, spec);
-        for (p, ex, snap, cts) in granted {
-            let latency = p.attempt_start.elapsed().as_nanos() as u64;
+        // One stamp ends every attempt of the batch: latency runs from
+        // each attempt's start to the publication.
+        self.stamp();
+        self.squash_overlapping(l);
+        for (p, mut ex, snap, cts) in l.granted.drain(..) {
+            let latency = self.elapsed(p.attempt_start);
             self.stats.update_commits += 1;
             self.stats.useful_cycles += latency;
             self.metrics.record_commit(latency);
@@ -717,10 +841,11 @@ impl NativeWorker {
                     thread: self.id,
                     read_point: snap,
                     cts: Some(cts),
-                    reads: ex.reads,
-                    writes: ex.ws,
+                    reads: std::mem::take(&mut ex.reads),
+                    writes: std::mem::take(&mut ex.ws),
                 });
             }
+            self.release(ex);
             p.tx.finish(Ok(()));
         }
     }
@@ -734,32 +859,27 @@ impl NativeWorker {
     /// terminates via its retry budget instead of livelocking. Disjoint
     /// speculations stay parked and join the next batch at their own
     /// snapshots.
-    fn squash_overlapping<T: Finish>(
-        &mut self,
-        granted: &[(Pending<T>, Executed, u64, u64)],
-        pending: &mut VecDeque<Pending<T>>,
-        spec: &mut Vec<Spec<T>>,
-    ) {
-        if spec.is_empty() {
-            return;
-        }
-        let published: Vec<u64> = granted
-            .iter()
-            .flat_map(|(_, ex, _, _)| ex.ws.iter().map(|&(i, _)| i))
-            .collect();
-        let mut sws: Vec<u64> = Vec::new();
-        let mut keep: Vec<Spec<T>> = Vec::with_capacity(spec.len());
-        for s in spec.drain(..) {
-            sws.clear();
-            sws.extend(s.ex.ws.iter().map(|&(i, _)| i));
-            if steps::speculative_preval(&s.ex.rs, &sws, published.iter().copied()) {
-                self.metrics.pipeline.spec_squashed += 1;
-                pending.extend(self.recycle(s.p, AbortReason::PreValidationKill));
-            } else {
-                keep.push(s);
+    fn squash_overlapping<T: Finish>(&mut self, l: &mut Lanes<T>) {
+        let mut k = 0;
+        while k < l.spec.len() {
+            let ex = &l.spec[k].ex;
+            self.scratch_ws.clear();
+            self.scratch_ws.extend(ex.ws.iter().map(|&(i, _)| i));
+            let published = l
+                .granted
+                .iter()
+                .flat_map(|(_, ex, _, _)| ex.ws.iter().map(|&(i, _)| i));
+            if !steps::speculative_preval(&ex.rs, &self.scratch_ws, published) {
+                k += 1;
+                continue;
             }
+            // Removed in place, so the parked order is kept.
+            let s = l.spec.remove(k);
+            self.metrics.pipeline.spec_squashed += 1;
+            self.release(s.ex);
+            l.pending
+                .extend(self.recycle(s.p, AbortReason::PreValidationKill));
         }
-        *spec = keep;
     }
 
     /// Wait until it is `base`'s turn to publish
@@ -768,39 +888,42 @@ impl NativeWorker {
     /// nothing is left to overlap, the worker parks on the ATR's turn
     /// handoff — off the run queue while other clients speculate, and
     /// woken by the publisher the moment its predecessor's window lands.
-    fn await_turn<T: Finish>(
-        &mut self,
-        base: u64,
-        pending: &mut VecDeque<Pending<T>>,
-        spec: &mut Vec<Spec<T>>,
-    ) -> bool {
-        let wait_start = Instant::now();
+    ///
+    /// A turn that is already there costs no clock read and no sample:
+    /// only a wait is timed and recorded into `gts_stall`.
+    fn await_turn<T: Finish>(&mut self, base: u64, l: &mut Lanes<T>) -> bool {
+        if steps::gts_turn_reached(self.ctx.atr.gts(), base) {
+            return true;
+        }
+        let wait_start = self.stamp();
         loop {
-            if steps::gts_turn_reached(self.ctx.atr.gts(), base) {
-                let waited = wait_start.elapsed().as_nanos() as u64;
-                self.metrics.gts_stall.push(self.now_ns(), waited);
-                return true;
-            }
             // Speculation can keep succeeding indefinitely (e.g. a pinned
             // reader recycling), so the watchdog deadline is re-checked
-            // on every unit, not only between parks.
-            if Instant::now() >= self.ctx.deadline {
+            // on every unit, not only between parks. Every unit and every
+            // park ends in a fresh stamp.
+            if self.now >= self.ctx.deadline {
                 return false;
             }
-            if !self.speculate_one(pending, spec) {
+            if !self.speculate_one(l) {
                 self.ctx.atr.wait_turn(base, TURN_WAIT_SLICE);
+                self.stamp();
+            }
+            if steps::gts_turn_reached(self.ctx.atr.gts(), base) {
+                let waited = self.elapsed(wait_start);
+                self.metrics.gts_stall.push(self.now_ns(), waited);
+                return true;
             }
         }
     }
 
     /// Commit a read-only transaction: consistent at its snapshot by
     /// construction, no validation (as in the paper).
-    fn commit_rot<T: Finish>(&mut self, mut p: Pending<T>, snapshot: u64, reads: Vec<(u64, u64)>) {
+    fn commit_rot<T: Finish>(&mut self, mut p: Pending<T>, snapshot: u64, mut ex: Executed) {
         if p.pin.is_some() {
             self.metrics.gc.pinned_commits += 1;
         }
         self.release_pin(&mut p);
-        let latency = p.attempt_start.elapsed().as_nanos() as u64;
+        let latency = self.elapsed(p.attempt_start);
         self.stats.rot_commits += 1;
         self.stats.useful_cycles += latency;
         self.metrics.record_commit(latency);
@@ -809,16 +932,18 @@ impl NativeWorker {
                 thread: self.id,
                 read_point: snapshot,
                 cts: None,
-                reads,
+                reads: std::mem::take(&mut ex.reads),
                 writes: Vec::new(),
             });
         }
+        self.release(ex);
         p.tx.finish(Ok(()));
     }
 
     /// Record a retriable abort and hand the transaction back for another
     /// attempt — or, once its retry budget is exhausted, fail it
-    /// terminally with `RetryBudgetExhausted` and return `None`.
+    /// terminally with `RetryBudgetExhausted` and return `None`. The
+    /// attempt ends at the worker's latest stamp.
     ///
     /// Aborts of an already-pinned reader are recorded in the stats but
     /// **not** charged against the budget: the re-arm bounds them to one
@@ -829,7 +954,7 @@ impl NativeWorker {
     /// (Only read-only transactions pin, and they only abort on overflow,
     /// so this never shields a validation failure.)
     fn recycle<T: Finish>(&mut self, mut p: Pending<T>, reason: AbortReason) -> Option<Pending<T>> {
-        let latency = p.attempt_start.elapsed().as_nanos() as u64;
+        let latency = self.elapsed(p.attempt_start);
         if p.tx.is_read_only() {
             self.stats.rot_aborts += 1;
         } else {
@@ -851,7 +976,7 @@ impl NativeWorker {
     /// and deliver its completion.
     fn fail<T: Finish>(&mut self, mut p: Pending<T>, reason: AbortReason) {
         self.release_pin(&mut p);
-        let latency = p.attempt_start.elapsed().as_nanos() as u64;
+        let latency = self.elapsed(p.attempt_start);
         self.stats.failed += 1;
         self.stats.wasted_cycles += latency;
         self.metrics.record_abort(reason, latency);
@@ -1192,11 +1317,14 @@ mod tests {
     }
 
     fn full_scan(accounts: u64) -> Pending<Fire<BankTx>> {
-        Pending::new(Fire(BankTx::Balance {
-            accounts,
-            next: 0,
-            sum: 0,
-        }))
+        Pending::new(
+            Fire(BankTx::Balance {
+                accounts,
+                next: 0,
+                sum: 0,
+            }),
+            Instant::now(),
+        )
     }
 
     /// The one-in-flight-turn race, as often as a test needs it: the turn
@@ -1230,18 +1358,17 @@ mod tests {
             Duration::from_secs(10),
         );
 
-        let mut pending: VecDeque<Pending<Fire<BankTx>>> = VecDeque::new();
-        let mut spec: Vec<Spec<Fire<BankTx>>> = Vec::new();
-        pending.push_back(full_scan(1));
+        let mut l = Lanes::new();
+        l.pending.push_back(full_scan(1));
         // Three rounds, each racing a turn — three overflows; the third
         // engages the pin, at the (poisoned) snapshot 2.
         for attempts in 1..=3 {
             racing_turn(&store, &atr, attempts as u64);
-            w.round(&mut pending, &mut spec);
-            assert_eq!(pending.len(), 1, "still retrying");
-            assert_eq!(pending[0].attempts, attempts);
+            w.round(&mut l);
+            assert_eq!(l.pending.len(), 1, "still retrying");
+            assert_eq!(l.pending[0].attempts, attempts);
         }
-        let (pin_snap, pin_slot) = pending[0].pin.expect("pin engaged at half budget");
+        let (pin_snap, pin_slot) = l.pending[0].pin.expect("pin engaged at half budget");
         assert_eq!(pin_snap, 2);
         assert_eq!(registry.min_registered(), Some(2), "pin slot is held");
 
@@ -1249,19 +1376,19 @@ mod tests {
         atr.publish_gts(3);
         // The pinned snapshot is still dead; the retry overflows once more
         // and the re-arm moves the held slot to the fresh snapshot.
-        w.round(&mut pending, &mut spec);
-        assert_eq!(pending.len(), 1);
-        let (new_snap, new_slot) = pending[0].pin.expect("pin survives the re-arm");
+        w.round(&mut l);
+        assert_eq!(l.pending.len(), 1);
+        let (new_snap, new_slot) = l.pending[0].pin.expect("pin survives the re-arm");
         assert_eq!(new_snap, 3, "re-armed at the current GTS");
         assert_eq!(new_slot, pin_slot, "the slot is kept, not re-claimed");
         assert_eq!(
-            pending[0].attempts, 3,
+            l.pending[0].attempts, 3,
             "a poisoned-pin overflow is recorded but not charged"
         );
 
         // At snapshot 3 the scan reads the live version and commits.
-        w.round(&mut pending, &mut spec);
-        assert!(pending.is_empty(), "pinned reader committed");
+        w.round(&mut l);
+        assert!(l.pending.is_empty(), "pinned reader committed");
         assert_eq!(w.stats.rot_commits, 1);
         assert_eq!(w.stats.failed, 0);
         assert_eq!(w.metrics.gc.pinned_commits, 1);
@@ -1292,18 +1419,17 @@ mod tests {
             Duration::from_secs(10),
         );
 
-        let mut pending: VecDeque<Pending<Fire<BankTx>>> = VecDeque::new();
-        let mut spec: Vec<Spec<Fire<BankTx>>> = Vec::new();
-        pending.push_back(full_scan(1));
+        let mut l = Lanes::new();
+        l.pending.push_back(full_scan(1));
         for attempts in 1..=4 {
             racing_turn(&store, &atr, attempts as u64);
-            w.round(&mut pending, &mut spec);
-            assert_eq!(pending[0].attempts, attempts, "past half the budget");
-            assert_eq!(pending[0].pin, None, "no slot free, no pin");
+            w.round(&mut l);
+            assert_eq!(l.pending[0].attempts, attempts, "past half the budget");
+            assert_eq!(l.pending[0].pin, None, "no slot free, no pin");
         }
         atr.publish_gts(4);
-        w.round(&mut pending, &mut spec);
-        assert!(pending.is_empty());
+        w.round(&mut l);
+        assert!(l.pending.is_empty());
         assert_eq!(w.stats.rot_commits, 1);
         assert_eq!(w.metrics.gc.pinned_commits, 0);
         registry.deregister(foreign);

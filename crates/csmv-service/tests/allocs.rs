@@ -54,13 +54,17 @@ const WINDOW: usize = 32;
 const WARM_UP: usize = 2_000;
 const MEASURED: usize = 20_000;
 
-/// Allocations a bare `GET` may cost, over the whole process. Measured (see
-/// CHANGES.md, PR 21): 15.30 with a channel, a result sink and a kinds
-/// vector per request; 10.25 with the per-connection reply ring (what is
-/// left: the parsed argv, the one-op `ops` vector and the boxed body, the
-/// reply's encoding, and the worker's read set). The bound sits midway,
-/// so bringing a per-request channel or sink back fails here.
-const MAX_ALLOCS_PER_GET: f64 = 12.8;
+/// Allocations a bare `GET` may cost, over the whole process. Measured:
+/// 15.30 with a channel, a result sink and a kinds vector per request;
+/// 10.25 with the per-connection reply ring; 9.00 once the engine's
+/// workers reuse their execution and batch buffers (EXPERIMENTS.md,
+/// "Allocation-free commit"). What is left is the service tier's own: the
+/// parsed argv (3) and its upper-cased command name (1), the one-op `ops`
+/// vector and the boxed body (2), and the reply's encoding (3: the
+/// value's `to_string`, the header's `format!` and the append that
+/// outgrows it). The bound sits midway between the last two readings, so
+/// bringing back a per-request vector in the engine fails here.
+const MAX_ALLOCS_PER_GET: f64 = 9.6;
 
 /// Send `rounds` windows of `GET 0` and check every reply.
 fn pump(stream: &mut TcpStream, request: &[u8], expected: &[u8], reply: &mut [u8], rounds: usize) {

@@ -79,16 +79,19 @@ impl SnapshotRegistry {
         self.slots[slot].store(FREE, Ordering::SeqCst);
     }
 
-    /// All currently registered snapshots, in slot order. A point-in-time
-    /// scan — registrations landing after the scan are missed, costing
-    /// that reader at most one spurious retriable abort (see the module
-    /// docs).
-    pub fn registered(&self) -> Vec<u64> {
-        self.slots
-            .iter()
-            .map(|s| s.load(Ordering::SeqCst))
-            .filter(|&s| s != FREE)
-            .collect()
+    /// Replace the contents of `out` with every currently registered
+    /// snapshot, in slot order — into the caller's buffer, so a scan per
+    /// write-back allocates nothing. A point-in-time scan — registrations
+    /// landing after the scan are missed, costing that reader at most one
+    /// spurious retriable abort (see the module docs).
+    pub fn registered_into(&self, out: &mut Vec<u64>) {
+        out.clear();
+        out.extend(
+            self.slots
+                .iter()
+                .map(|s| s.load(Ordering::SeqCst))
+                .filter(|&s| s != FREE),
+        );
     }
 
     /// The smallest registered snapshot, or `None` when the table is empty.
@@ -163,6 +166,21 @@ mod tests {
         assert_eq!(r.min_registered(), Some(6));
         assert_eq!(r.register(2), None, "update must not free the slot");
         r.deregister(slot);
+    }
+
+    #[test]
+    fn registered_into_replaces_the_buffer_and_skips_free_slots() {
+        let r = SnapshotRegistry::new(4);
+        let a = r.register(9).expect("slot free");
+        let b = r.register(3).expect("slot free");
+        r.register(7).expect("slot free");
+        r.deregister(b);
+        let mut out = vec![42, 43];
+        r.registered_into(&mut out);
+        assert_eq!(out, [9, 7], "slot order, stale contents gone");
+        r.deregister(a);
+        r.registered_into(&mut out);
+        assert_eq!(out, [7], "a released slot is skipped");
     }
 
     #[test]

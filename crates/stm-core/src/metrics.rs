@@ -489,7 +489,11 @@ pub struct MetricsReport {
     /// committer reserves timestamps; empty for STMs without an ATR.
     pub atr_occupancy: Series,
     /// GTS turn-taking stall episodes: one sample per wait, `value` = cycles
-    /// spent waiting for the publication turn.
+    /// spent waiting for the publication turn. What counts as a wait is the
+    /// host's: the simulator's CSMV client records every turn, a zero for
+    /// one already reached, while the native worker records only turns
+    /// that actually waited. The sum per commit means the same on both;
+    /// the sample count and the mean do not.
     pub gts_stall: Series,
     /// Server-side ATR entry-wait stall episodes: one sample per blocking
     /// wait on an in-flight (reserved but unpublished) entry, `value` =
