@@ -50,7 +50,10 @@ pub struct Completion {
     pub tx: Box<dyn TxLogic>,
     /// `Ok` on commit; `Err` carries the terminal abort reason.
     pub outcome: Result<(), AbortReason>,
-    /// Wall-clock time from submit acceptance to the terminal outcome.
+    /// Wall-clock time from submit acceptance to the terminal outcome,
+    /// measured to the finishing worker's latest stamp at the outcome: a
+    /// worker reads the clock about once per execution, never once per
+    /// completion. (A job dropped unfinished reads the clock.)
     pub latency: Duration,
 }
 
@@ -117,7 +120,8 @@ enum Done {
 }
 
 impl EngineJob {
-    fn settle(&mut self, outcome: Result<(), AbortReason>) {
+    /// Deliver `outcome`, reached at `at`, unless it went already.
+    fn settle(&mut self, outcome: Result<(), AbortReason>, at: Instant) {
         let Some(done) = self.done.take() else {
             return;
         };
@@ -125,7 +129,7 @@ impl EngineJob {
             // `Spent` is zero-sized: boxing it does not allocate.
             tx: std::mem::replace(&mut self.tx, Box::new(Spent)),
             outcome,
-            latency: self.accepted.elapsed(),
+            latency: at.saturating_duration_since(self.accepted),
         };
         match done {
             Done::Sink(sink, ticket) => sink.complete(ticket, completion),
@@ -137,7 +141,10 @@ impl EngineJob {
 
 impl Drop for EngineJob {
     fn drop(&mut self) {
-        self.settle(Err(AbortReason::ServerUnavailable));
+        // A finished job went out already: no clock read for it.
+        if self.done.is_some() {
+            self.settle(Err(AbortReason::ServerUnavailable), Instant::now());
+        }
     }
 }
 
@@ -154,8 +161,8 @@ impl TxLogic for EngineJob {
 }
 
 impl Finish for EngineJob {
-    fn finish(mut self, outcome: Result<(), AbortReason>) {
-        self.settle(outcome);
+    fn finish(mut self, outcome: Result<(), AbortReason>, at: Instant) {
+        self.settle(outcome, at);
     }
 }
 
@@ -647,7 +654,7 @@ mod tests {
         assert_eq!(intake.offer(&sink, &mut jobs), Ok(()), "room again");
         assert!(!intake.refill(&mut hand, 8, false, far));
         for job in hand.drain(..) {
-            job.finish(Ok(()));
+            job.finish(Ok(()), Instant::now());
         }
         let order: Vec<u64> = outcomes.try_iter().map(|(ticket, _)| ticket).collect();
         assert_eq!(order, (0..9).collect::<Vec<_>>());
@@ -670,7 +677,7 @@ mod tests {
         let mut hand = VecDeque::new();
         let far = Instant::now() + Duration::from_secs(3600);
         assert!(!intake.refill(&mut hand, 1, false, far));
-        hand.pop_front().unwrap().finish(Ok(()));
+        hand.pop_front().unwrap().finish(Ok(()), Instant::now());
         drop(intake); // ticket 1 is still queued
         let settled: Vec<_> = outcomes.try_iter().collect();
         assert_eq!(

@@ -70,7 +70,9 @@ const TURN_WAIT_SLICE: Duration = Duration::from_micros(200);
 /// aggregate counters); engine jobs reply to their submitter over a
 /// completion channel.
 pub(crate) trait Finish: TxLogic {
-    fn finish(self, outcome: Result<(), AbortReason>);
+    /// Report `outcome`, reached at `at`: the worker's latest stamp (the
+    /// worker's clock rule, so a completion reads no clock of its own).
+    fn finish(self, outcome: Result<(), AbortReason>, at: Instant);
 }
 
 /// No-op finisher wrapping a closed-loop source's transaction body.
@@ -89,7 +91,7 @@ impl<T: TxLogic> TxLogic for Fire<T> {
 }
 
 impl<T: TxLogic> Finish for Fire<T> {
-    fn finish(self, _outcome: Result<(), AbortReason>) {}
+    fn finish(self, _outcome: Result<(), AbortReason>, _at: Instant) {}
 }
 
 /// What one worker hands back to the harness when it joins.
@@ -846,7 +848,7 @@ impl NativeWorker {
                 });
             }
             self.release(ex);
-            p.tx.finish(Ok(()));
+            p.tx.finish(Ok(()), self.now);
         }
     }
 
@@ -937,7 +939,7 @@ impl NativeWorker {
             });
         }
         self.release(ex);
-        p.tx.finish(Ok(()));
+        p.tx.finish(Ok(()), self.now);
     }
 
     /// Record a retriable abort and hand the transaction back for another
@@ -980,7 +982,7 @@ impl NativeWorker {
         self.stats.failed += 1;
         self.stats.wasted_cycles += latency;
         self.metrics.record_abort(reason, latency);
-        p.tx.finish(Err(reason));
+        p.tx.finish(Err(reason), self.now);
     }
 }
 

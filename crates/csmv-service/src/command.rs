@@ -48,9 +48,16 @@ pub enum KvResult {
 /// the transaction until then, so the two sides never race.
 pub type ResultSink = Arc<Mutex<Vec<KvResult>>>;
 
+/// The ops of a [`KvTx`]: a bare command's one op inline, a block's in a
+/// vector.
+enum Ops {
+    One(KvOp),
+    Block(Vec<KvOp>),
+}
+
 /// A KV transaction body: executes `ops` in order through the engine.
 pub struct KvTx {
-    ops: Vec<KvOp>,
+    ops: Ops,
     results: ResultSink,
     step: usize,
     /// A `Get` whose read value arrives on the next `next()` call.
@@ -63,12 +70,28 @@ pub struct KvTx {
 impl KvTx {
     /// Build a transaction over `ops` recording into `results`.
     pub fn new(ops: Vec<KvOp>, results: ResultSink) -> Self {
+        Self::over(Ops::Block(ops), results)
+    }
+
+    /// A single-op transaction (a bare command), its op held inline.
+    pub fn one(op: KvOp, results: ResultSink) -> Self {
+        Self::over(Ops::One(op), results)
+    }
+
+    fn over(ops: Ops, results: ResultSink) -> Self {
         Self {
             ops,
             results,
             step: 0,
             get_pending: false,
             incr_pending: None,
+        }
+    }
+
+    fn ops(&self) -> &[KvOp] {
+        match &self.ops {
+            Ops::One(op) => std::slice::from_ref(op),
+            Ops::Block(ops) => ops,
         }
     }
 
@@ -81,7 +104,7 @@ impl KvTx {
 
 impl TxLogic for KvTx {
     fn is_read_only(&self) -> bool {
-        self.ops.iter().all(|op| matches!(op, KvOp::Get(_)))
+        self.ops().iter().all(|op| matches!(op, KvOp::Get(_)))
     }
 
     fn reset(&mut self) {
@@ -104,18 +127,18 @@ impl TxLogic for KvTx {
                 .push(KvResult::Value(last_read.unwrap_or(0)));
             self.step += 1;
         }
-        match self.ops.get(self.step) {
+        match self.ops().get(self.step).copied() {
             None => TxOp::Finish,
-            Some(&KvOp::Get(item)) => {
+            Some(KvOp::Get(item)) => {
                 self.get_pending = true;
                 TxOp::Read { item }
             }
-            Some(&KvOp::Set(item, value)) => {
+            Some(KvOp::Set(item, value)) => {
                 self.results_mut().push(KvResult::Ok);
                 self.step += 1;
                 TxOp::Write { item, value }
             }
-            Some(&KvOp::IncrBy(item, delta)) => {
+            Some(KvOp::IncrBy(item, delta)) => {
                 self.incr_pending = Some((item, delta));
                 TxOp::Read { item }
             }
@@ -167,7 +190,7 @@ fn parse_i64(arg: &[u8], what: &str) -> Result<i64, String> {
         .ok_or_else(|| format!("ERR {what} is not an integer"))
 }
 
-fn arity(argv: &[Vec<u8>], want: usize, name: &str) -> Result<(), String> {
+fn arity<A>(argv: &[A], want: usize, name: &str) -> Result<(), String> {
     if argv.len() != want {
         Err(format!("ERR wrong number of arguments for '{name}'"))
     } else {
@@ -176,56 +199,49 @@ fn arity(argv: &[Vec<u8>], want: usize, name: &str) -> Result<(), String> {
 }
 
 impl Command {
-    /// Parse one frame's argv. Errors are RESP error strings (without the
+    /// Parse one frame's argv, owned or borrowed. The name matches in any
+    /// case, without a copy. Errors are RESP error strings (without the
     /// leading `-`).
-    pub fn parse(argv: &[Vec<u8>]) -> Result<Command, String> {
-        let Some(name) = argv.first() else {
+    pub fn parse<A: AsRef<[u8]>>(argv: &[A]) -> Result<Command, String> {
+        let Some(name) = argv.first().map(AsRef::as_ref) else {
             return Err("ERR empty command".to_string());
         };
-        let name = name.to_ascii_uppercase();
-        match name.as_slice() {
-            b"PING" => {
-                arity(argv, 1, "ping")?;
-                Ok(Command::Ping)
-            }
-            b"GET" => {
-                arity(argv, 2, "get")?;
-                Ok(Command::Get(parse_u64(&argv[1], "key")?))
-            }
-            b"SET" => {
-                arity(argv, 3, "set")?;
-                Ok(Command::Set(
-                    parse_u64(&argv[1], "key")?,
-                    parse_value(&argv[2])?,
-                ))
-            }
-            b"INCRBY" => {
-                arity(argv, 3, "incrby")?;
-                Ok(Command::IncrBy(
-                    parse_u64(&argv[1], "key")?,
-                    parse_i64(&argv[2], "delta")?,
-                ))
-            }
-            b"MULTI" => {
-                arity(argv, 1, "multi")?;
-                Ok(Command::Multi)
-            }
-            b"EXEC" => {
-                arity(argv, 1, "exec")?;
-                Ok(Command::Exec)
-            }
-            b"DISCARD" => {
-                arity(argv, 1, "discard")?;
-                Ok(Command::Discard)
-            }
-            b"SHUTDOWN" => {
-                arity(argv, 1, "shutdown")?;
-                Ok(Command::Shutdown)
-            }
-            other => Err(format!(
-                "ERR unknown command '{}'",
-                String::from_utf8_lossy(other)
-            )),
+        let is = |word: &str| name.eq_ignore_ascii_case(word.as_bytes());
+        // The commonest first.
+        if is("GET") {
+            arity(argv, 2, "get")?;
+            Ok(Command::Get(parse_u64(argv[1].as_ref(), "key")?))
+        } else if is("SET") {
+            arity(argv, 3, "set")?;
+            Ok(Command::Set(
+                parse_u64(argv[1].as_ref(), "key")?,
+                parse_value(argv[2].as_ref())?,
+            ))
+        } else if is("INCRBY") {
+            arity(argv, 3, "incrby")?;
+            Ok(Command::IncrBy(
+                parse_u64(argv[1].as_ref(), "key")?,
+                parse_i64(argv[2].as_ref(), "delta")?,
+            ))
+        } else {
+            let (command, lower) = if is("MULTI") {
+                (Command::Multi, "multi")
+            } else if is("EXEC") {
+                (Command::Exec, "exec")
+            } else if is("PING") {
+                (Command::Ping, "ping")
+            } else if is("DISCARD") {
+                (Command::Discard, "discard")
+            } else if is("SHUTDOWN") {
+                (Command::Shutdown, "shutdown")
+            } else {
+                return Err(format!(
+                    "ERR unknown command '{}'",
+                    String::from_utf8_lossy(&name.to_ascii_uppercase())
+                ));
+            };
+            arity(argv, 1, lower)?;
+            Ok(command)
         }
     }
 }
@@ -255,7 +271,15 @@ mod tests {
         assert!(Command::parse(&argv(&["GET"])).is_err());
         assert!(Command::parse(&argv(&["SET", "x", "1"])).is_err());
         assert!(Command::parse(&argv(&["HGETALL", "h"])).is_err());
-        assert!(Command::parse(&[]).is_err());
+        assert!(Command::parse::<Vec<u8>>(&[]).is_err());
+        // Borrowed words parse alike, and an unknown name is reported in
+        // upper case, however it was sent.
+        let borrowed: [&[u8]; 3] = [b"iNcRbY", b"3", b"-5"];
+        assert_eq!(Command::parse(&borrowed), Ok(Command::IncrBy(3, -5)));
+        assert_eq!(
+            Command::parse(&[b"hGetAll".as_slice()]),
+            Err("ERR unknown command 'HGETALL'".to_string())
+        );
     }
 
     #[test]
@@ -341,6 +365,23 @@ mod tests {
         tx.reset();
         assert!(sink.lock().unwrap().is_empty());
         assert!(!tx.is_read_only());
-        assert!(KvTx::new(vec![KvOp::Get(0)], sink).is_read_only());
+        assert!(KvTx::new(vec![KvOp::Get(0)], sink.clone()).is_read_only());
+    }
+
+    #[test]
+    fn a_bare_command_runs_its_inline_op() {
+        let sink: ResultSink = Arc::new(Mutex::new(Vec::new()));
+        let mut store = std::collections::HashMap::from([(4u64, 40u64)]);
+        let mut get = KvTx::one(KvOp::Get(4), sink.clone());
+        assert!(get.is_read_only());
+        let _ = run_sequential(&mut get, &mut store);
+        let mut incr = KvTx::one(KvOp::IncrBy(4, 2), sink.clone());
+        assert!(!incr.is_read_only());
+        let _ = run_sequential(&mut incr, &mut store);
+        assert_eq!(
+            *sink.lock().unwrap(),
+            [KvResult::Value(40), KvResult::Value(42)]
+        );
+        assert_eq!(store[&4], 42);
     }
 }

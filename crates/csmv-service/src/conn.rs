@@ -23,6 +23,13 @@
 //! before the writer would block, so no reply ever waits on a sleeping
 //! writer.
 //!
+//! A request allocates once: the boxed transaction body the engine's
+//! [`Submission`] takes. The reader parses frames in place — argument
+//! ranges into its read buffer, borrowed as the command's argv — and a
+//! bare command's op rides inline in its body; the writer encodes every
+//! reply straight into its output buffer, and the constant ones are
+//! `'static` bytes.
+//!
 //! Nothing in `impl Connection` or `impl ReplyRing` may panic: the `xtask`
 //! `no-panic-in-server-path` lint covers this file. The ring's lock is
 //! recovered from poison: every update leaves it consistent.
@@ -30,6 +37,7 @@
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
@@ -51,6 +59,16 @@ const READ_SLICE: Duration = Duration::from_millis(200);
 /// vanished reader meets TCP back-pressure (through the bounded ring)
 /// instead of growing server memory.
 const OUT_CAP: usize = 16 * 1024;
+
+/// Words of the longest command the service knows (`SET key value`,
+/// `INCRBY key delta`) and then some: an argv up to this long is borrowed
+/// from a stack array. A longer one can only fail its arity check.
+const ARGV_INLINE: usize = 4;
+
+/// What a transaction the engine shed answers, in its own position.
+const BUSY: &[u8] = b"-BUSY engine queue full, retry later\r\n";
+/// What a transaction answers that reached an engine already shut down.
+const ENGINE_CLOSED: &[u8] = b"-ERR engine is shut down\r\n";
 
 /// What the two halves of all connections did, summed as each one ends
 /// (plain statistics: `Relaxed`).
@@ -97,7 +115,10 @@ struct TxCell {
 
 /// One reply, in request order.
 enum Cell {
-    /// An immediate, already-encoded reply.
+    /// An immediate reply that never changes: `+OK`, `+QUEUED`, `+PONG`,
+    /// `-BUSY`.
+    Static(&'static [u8]),
+    /// An immediate, already-encoded reply (an error naming the request).
     Ready(Vec<u8>),
     /// A transaction: encoded by the writer once it is settled.
     Tx(TxCell),
@@ -239,10 +260,10 @@ impl ReplyRing {
 
     /// The engine refused transaction `ticket`: `reply` takes its place,
     /// in its own position.
-    fn shed(&self, ticket: u64, reply: Vec<u8>) {
+    fn shed(&self, ticket: u64, reply: &'static [u8]) {
         self.update(ticket, |s, at| {
             if let Some(cell) = s.cells.get_mut(at) {
-                if let Cell::Tx(tx) = std::mem::replace(cell, Cell::Ready(reply)) {
+                if let Cell::Tx(tx) = std::mem::replace(cell, Cell::Static(reply)) {
                     s.free.push(tx.results);
                 }
             }
@@ -401,12 +422,13 @@ impl Connection {
 
     fn read_loop(&mut self) {
         let mut buf: Vec<u8> = Vec::new();
+        let mut args: Vec<Range<usize>> = Vec::new();
         let mut chunk = [0u8; 4096];
         loop {
             // Drain complete frames before reading more bytes, then hand
             // the engine what they held — on every way out of the loop,
             // since an unsubmitted transaction's reply would never come.
-            let open = self.drain_frames(&mut buf);
+            let open = self.drain_frames(&mut buf, &mut args);
             self.hand_over();
             if !open || self.shutdown.load(Ordering::Relaxed) {
                 return;
@@ -421,38 +443,58 @@ impl Connection {
         }
     }
 
-    /// Parse and answer every complete frame in `buf`. False once the
-    /// connection must close: protocol error, `SHUTDOWN`, writer gone.
-    fn drain_frames(&mut self, buf: &mut Vec<u8>) -> bool {
-        loop {
-            match resp::parse_frame(buf) {
-                resp::ParseOutcome::Incomplete => return true,
-                resp::ParseOutcome::Error(e) => {
+    /// Parse and answer every complete frame in `buf`, then drain the
+    /// bytes they took, once. False once the connection must close:
+    /// protocol error, `SHUTDOWN`, writer gone.
+    fn drain_frames(&mut self, buf: &mut Vec<u8>, args: &mut Vec<Range<usize>>) -> bool {
+        let mut rest: &[u8] = buf;
+        let open = loop {
+            let used = match resp::parse_frame_into(rest, args) {
+                resp::Framed::Incomplete => break true,
+                resp::Framed::Error(e) => {
                     let _ = self.push(Cell::Ready(resp::error(&format!("ERR protocol: {e}"))));
-                    return false;
+                    break false;
                 }
-                resp::ParseOutcome::Frame(argv, used) => {
-                    buf.drain(..used);
-                    if argv.is_empty() {
-                        continue;
-                    }
-                    let pushed = match self.dispatch(&argv) {
-                        Dispatch::Reply(reply) => self.push(Cell::Ready(reply)),
-                        Dispatch::Close(reply) => {
-                            let _ = self.push(Cell::Ready(reply));
-                            return false;
-                        }
-                        Dispatch::Tx(ops, kinds) => self.push_tx(ops, kinds),
-                    };
-                    if pushed.is_none() {
-                        return false; // writer gone (socket died)
-                    }
-                }
+                resp::Framed::Frame(used) => used,
+            };
+            let frame = rest;
+            rest = rest.get(used..).unwrap_or_default();
+            if args.is_empty() {
+                continue;
             }
-        }
+            let word = |r: &Range<usize>| frame.get(r.clone()).unwrap_or_default();
+            let dispatch = if args.len() <= ARGV_INLINE {
+                let mut argv: [&[u8]; ARGV_INLINE] = [&[]; ARGV_INLINE];
+                for (slot, r) in argv.iter_mut().zip(args.iter()) {
+                    *slot = word(r);
+                }
+                self.dispatch(argv.get(..args.len()).unwrap_or_default())
+            } else {
+                self.dispatch(&args.iter().map(word).collect::<Vec<_>>())
+            };
+            let pushed = match dispatch {
+                Dispatch::Reply(cell) => self.push(cell),
+                Dispatch::Close(cell) => {
+                    let _ = self.push(cell);
+                    break false;
+                }
+                Dispatch::Bare(op, kind) => {
+                    self.push_tx(|sink| KvTx::one(op, sink), Kinds::Bare(kind))
+                }
+                Dispatch::Block(ops, kinds) => {
+                    self.push_tx(|sink| KvTx::new(ops, sink), Kinds::Exec(kinds))
+                }
+            };
+            if pushed.is_none() {
+                break false; // writer gone (socket died)
+            }
+        };
+        let consumed = buf.len() - rest.len();
+        buf.drain(..consumed);
+        open
     }
 
-    fn dispatch(&mut self, argv: &[Vec<u8>]) -> Dispatch {
+    fn dispatch(&mut self, argv: &[&[u8]]) -> Dispatch {
         let cmd = match Command::parse(argv) {
             Ok(cmd) => cmd,
             Err(e) => {
@@ -461,47 +503,44 @@ impl Connection {
                 if let Some(m) = self.multi.as_mut() {
                     m.dirty = true;
                 }
-                return Dispatch::Reply(resp::error(&e));
+                return error(&e);
             }
         };
         match cmd {
-            Command::Ping => Dispatch::Reply(resp::simple("PONG")),
+            Command::Ping => Dispatch::Reply(Cell::Static(resp::PONG)),
             Command::Shutdown => {
                 self.shutdown.store(true, Ordering::SeqCst);
-                Dispatch::Close(resp::simple("OK"))
+                Dispatch::Close(Cell::Static(resp::OK))
             }
             Command::Multi => {
                 if self.multi.is_some() {
-                    Dispatch::Reply(resp::error("ERR MULTI calls can not be nested"))
+                    error("ERR MULTI calls can not be nested")
                 } else {
                     self.multi = Some(MultiState {
                         ops: Vec::new(),
                         kinds: Vec::new(),
                         dirty: false,
                     });
-                    Dispatch::Reply(resp::simple("OK"))
+                    Dispatch::Reply(Cell::Static(resp::OK))
                 }
             }
             Command::Discard => match self.multi.take() {
-                Some(_) => Dispatch::Reply(resp::simple("OK")),
-                None => Dispatch::Reply(resp::error("ERR DISCARD without MULTI")),
+                Some(_) => Dispatch::Reply(Cell::Static(resp::OK)),
+                None => error("ERR DISCARD without MULTI"),
             },
             Command::Exec => match self.multi.take() {
-                None => Dispatch::Reply(resp::error("ERR EXEC without MULTI")),
-                Some(m) if m.dirty => Dispatch::Reply(resp::error(
-                    "EXECABORT Transaction discarded because of previous errors.",
-                )),
-                Some(m) if m.ops.is_empty() => Dispatch::Reply(resp::array_header(0)),
-                Some(m) => Dispatch::Tx(m.ops, Kinds::Exec(m.kinds)),
+                None => error("ERR EXEC without MULTI"),
+                Some(m) if m.dirty => {
+                    error("EXECABORT Transaction discarded because of previous errors.")
+                }
+                Some(m) if m.ops.is_empty() => Dispatch::Reply(Cell::Ready(resp::array_header(0))),
+                Some(m) => Dispatch::Block(m.ops, m.kinds),
             },
             Command::Get(k) | Command::Set(k, _) | Command::IncrBy(k, _) if k >= self.keys => {
                 if let Some(m) = self.multi.as_mut() {
                     m.dirty = true;
                 }
-                Dispatch::Reply(resp::error(&format!(
-                    "ERR key {k} out of range (keys 0..{})",
-                    self.keys
-                )))
+                error(&format!("ERR key {k} out of range (keys 0..{})", self.keys))
             }
             Command::Get(k) => self.queue_or_submit(KvOp::Get(k), OpKind::Get),
             Command::Set(k, v) => self.queue_or_submit(KvOp::Set(k, v), OpKind::Set),
@@ -513,9 +552,9 @@ impl Connection {
         if let Some(m) = self.multi.as_mut() {
             m.ops.push(op);
             m.kinds.push(kind);
-            Dispatch::Reply(resp::simple("QUEUED"))
+            Dispatch::Reply(Cell::Static(resp::QUEUED))
         } else {
-            Dispatch::Tx(vec![op], Kinds::Bare(kind))
+            Dispatch::Bare(op, kind)
         }
     }
 
@@ -534,13 +573,13 @@ impl Connection {
     }
 
     /// Give a transaction its place in the reply order and hold it for
-    /// the next hand-over.
-    fn push_tx(&mut self, ops: Vec<KvOp>, kinds: Kinds) -> Option<u64> {
+    /// the next hand-over. `body` builds it around its result sink.
+    fn push_tx(&mut self, body: impl FnOnce(ResultSink) -> KvTx, kinds: Kinds) -> Option<u64> {
         if self.sinks.is_empty() {
             self.ring.recycled(&mut self.sinks);
         }
         let results = self.sinks.pop().unwrap_or_default();
-        let tx = Box::new(KvTx::new(ops, results.clone()));
+        let tx = Box::new(body(results.clone()));
         let ticket = self.push(Cell::Tx(TxCell {
             kinds,
             results,
@@ -564,11 +603,11 @@ impl Connection {
         self.submits += (offered - self.held.len()) as u64;
         if let Err(why) = refused {
             let reply = match why {
-                Refused::Busy => "BUSY engine queue full, retry later",
-                Refused::Closed => "ERR engine is shut down",
+                Refused::Busy => BUSY,
+                Refused::Closed => ENGINE_CLOSED,
             };
             for job in self.held.drain(..) {
-                self.ring.shed(job.ticket, resp::error(reply));
+                self.ring.shed(job.ticket, reply);
             }
         }
     }
@@ -577,11 +616,18 @@ impl Connection {
 /// What one command asks of the reader.
 enum Dispatch {
     /// Answer at once.
-    Reply(Vec<u8>),
+    Reply(Cell),
     /// Answer at once, then close the connection.
-    Close(Vec<u8>),
-    /// Run a transaction and answer with its outcome.
-    Tx(Vec<KvOp>, Kinds),
+    Close(Cell),
+    /// Run a bare command's op and answer with its outcome.
+    Bare(KvOp, OpKind),
+    /// Run an `EXEC` block's ops and answer with its outcome.
+    Block(Vec<KvOp>, Vec<OpKind>),
+}
+
+/// Answer at once with `-text`.
+fn error(text: &str) -> Dispatch {
+    Dispatch::Reply(Cell::Ready(resp::error(text)))
 }
 
 /// The writer's output side: replies accumulate in `out` and leave in
@@ -646,6 +692,7 @@ fn write_bursts<W: Write>(w: &mut Writer<W>, ring: &ReplyRing) -> io::Result<()>
         }
         for cell in burst.drain(..) {
             match cell {
+                Cell::Static(reply) => w.out.extend_from_slice(reply),
                 Cell::Ready(reply) => w.out.extend_from_slice(&reply),
                 Cell::Tx(tx) => {
                     // `take_ready` hands out settled cells only.
@@ -681,24 +728,24 @@ fn encode_outcome(
 ) {
     if let Err(reason) = outcome {
         // Typed retry error carrying the abort-reason taxonomy key.
-        return out.extend(resp::error(&format!("RETRY {}", reason.key())));
+        return resp::put_error(out, &["RETRY ", reason.key()]);
     }
     let ops = match kinds {
         Kinds::Bare(kind) => std::slice::from_ref(kind),
         Kinds::Exec(kinds) => {
-            out.extend(resp::array_header(kinds.len()));
+            resp::put_array_header(out, kinds.len());
             kinds
         }
     };
     for (i, kind) in ops.iter().enumerate() {
-        out.extend(match (kind, vals.get(i)) {
-            (OpKind::Set, _) => resp::simple("OK"),
-            (OpKind::Get, Some(KvResult::Value(v))) => resp::bulk(v.to_string().as_bytes()),
-            (OpKind::Incr, Some(KvResult::Value(v))) => resp::integer(*v as i64),
+        match (kind, vals.get(i)) {
+            (OpKind::Set, _) => out.extend_from_slice(resp::OK),
+            (OpKind::Get, Some(KvResult::Value(v))) => resp::put_bulk_u64(out, *v),
+            (OpKind::Incr, Some(KvResult::Value(v))) => resp::put_integer(out, *v as i64),
             // A committed tx always recorded one result per op;
             // anything else is an internal invariant break.
-            _ => resp::error("ERR internal: missing op result"),
-        });
+            _ => resp::put_error(out, &["ERR internal: missing op result"]),
+        }
     }
 }
 
@@ -765,7 +812,7 @@ mod tests {
     }
 
     fn pong(ring: &ReplyRing) -> u64 {
-        push(ring, Cell::Ready(resp::simple("PONG")))
+        push(ring, Cell::Static(resp::PONG))
     }
 
     /// Push an in-flight transaction whose body recorded `vals`.
@@ -917,7 +964,7 @@ mod tests {
         complete(&ring, in_flight, Ok(()));
         complete(&ring, in_flight, Ok(()));
         complete(&ring, in_flight + PIPELINE_DEPTH as u64, Ok(()));
-        ring.shed(0, resp::error("BUSY"));
+        ring.shed(0, BUSY);
     }
 
     /// Workers finish in any order; the wire order is the request order.
@@ -951,7 +998,7 @@ mod tests {
         let after = get(&ring, 6);
         let (writes, ended) = recording_writer(&ring);
         complete(&ring, after, Ok(()));
-        ring.shed(shed, resp::error("BUSY engine queue full, retry later"));
+        ring.shed(shed, BUSY);
         complete(&ring, before, Ok(()));
         ring.close();
         let (result, replies, _) = ended.recv_timeout(STUCK).expect("writer is stuck");

@@ -535,6 +535,44 @@ mod tests {
         assert_eq!(report.result.stats.failed, 0);
     }
 
+    /// An error reply is one line, whatever the client sent: a command
+    /// name with a line break in it is echoed with spaces in its place, so
+    /// that request gets exactly one reply and the `PONG` after it is the
+    /// second. (Echoed as sent, `X\r\n+OK` would answer `-ERR unknown
+    /// command 'X` and `+OK'`, and every later reply would go to the wrong
+    /// request.) An argv longer than the reader's stack array gets the
+    /// arity error all the same.
+    #[test]
+    fn an_error_reply_cannot_inject_replies() {
+        let (addr, stop, server) = start_server(8);
+        let mut c = connect(addr);
+        let replies = session(
+            &mut c,
+            &[
+                &["X\r\n+OK"],
+                &["PING"],
+                &["set", "1", "2", "3", "4", "5"],
+                &["PING"],
+            ],
+            4,
+        );
+        assert_eq!(
+            replies,
+            [
+                Reply::Error("ERR unknown command 'X  +OK'".into()),
+                Reply::Simple("PONG".into()),
+                Reply::Error("ERR wrong number of arguments for 'set'".into()),
+                Reply::Simple("PONG".into()),
+            ]
+        );
+        stop.store(true, Ordering::SeqCst);
+        let mut rest = Vec::new();
+        let _ = c.read_to_end(&mut rest);
+        assert!(rest.is_empty(), "bytes past the last reply: {rest:?}");
+        let report = server.join().unwrap().expect("serve failed");
+        assert_eq!(report.replies, 4);
+    }
+
     #[test]
     fn end_to_end_pipelined_session_with_multi_exec() {
         let (addr, _stop, server) = start_server(16);

@@ -9,6 +9,15 @@
 //! input is a terminal `Error` (the connection must close), and both
 //! array frames (`*2\r\n$3\r\nGET\r\n$1\r\n7\r\n`) and inline commands
 //! (`GET 7\r\n`) are accepted, as in Redis.
+//!
+//! The server's side allocates nothing per request: [`parse_frame_into`]
+//! reports a frame's arguments as ranges of the caller's buffer, in a
+//! vector the caller reuses, and the `put_*` encoders append a reply to
+//! the caller's output buffer. [`parse_frame`] and the encoders that
+//! return a `Vec` are wrappers over them for callers that want owned
+//! bytes.
+
+use std::ops::Range;
 
 /// Largest accepted bulk-string payload. Anything bigger is a protocol
 /// error, not an allocation request — the bound is what keeps a hostile
@@ -21,12 +30,33 @@ pub const MAX_INLINE: usize = 1 << 16;
 /// Deepest accepted reply nesting (arrays of arrays).
 const MAX_DEPTH: usize = 8;
 
+/// `+OK\r\n`
+pub const OK: &[u8] = b"+OK\r\n";
+/// `+QUEUED\r\n`
+pub const QUEUED: &[u8] = b"+QUEUED\r\n";
+/// `+PONG\r\n`
+pub const PONG: &[u8] = b"+PONG\r\n";
+
 /// Result of parsing one command frame off the front of a buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseOutcome {
     /// A complete command (argv of byte strings) consuming this many
     /// bytes. An empty argv (blank inline line) should be skipped.
     Frame(Vec<Vec<u8>>, usize),
+    /// More bytes are needed.
+    Incomplete,
+    /// The stream is not valid RESP; the connection must close.
+    Error(String),
+}
+
+/// Result of [`parse_frame_into`]: [`ParseOutcome`] with the argv left in
+/// the caller's vector.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Framed {
+    /// A complete command consuming this many bytes; its arguments are the
+    /// ranges written to the caller's vector. No ranges (a blank inline
+    /// line) means the frame should be skipped.
+    Frame(usize),
     /// More bytes are needed.
     Incomplete,
     /// The stream is not valid RESP; the connection must close.
@@ -114,75 +144,101 @@ fn parse_header(buf: &[u8], pos: usize) -> Result<Option<(i64, usize)>, String> 
 }
 
 /// Parse one command frame (array-of-bulks or inline) off the front of
-/// `buf`. Never panics on any input.
-pub fn parse_frame(buf: &[u8]) -> ParseOutcome {
+/// `buf`, writing its arguments to `args` as ranges of `buf` (whatever
+/// `args` held is cleared first). Never panics on any input.
+pub fn parse_frame_into(buf: &[u8], args: &mut Vec<Range<usize>>) -> Framed {
+    args.clear();
     if buf.is_empty() {
-        return ParseOutcome::Incomplete;
+        return Framed::Incomplete;
     }
     if buf[0] != b'*' {
-        return parse_inline(buf);
+        return parse_inline(buf, args);
     }
     let (n, mut pos) = match parse_header(buf, 0) {
-        Err(e) => return ParseOutcome::Error(e),
-        Ok(None) => return ParseOutcome::Incomplete,
+        Err(e) => return Framed::Error(e),
+        Ok(None) => return Framed::Incomplete,
         Ok(Some((n, pos))) => (n, pos),
     };
     if n < 0 || n as usize > MAX_ARRAY {
-        return ParseOutcome::Error(format!("bad array length {n}"));
+        return Framed::Error(format!("bad array length {n}"));
     }
-    let mut argv = Vec::with_capacity(n as usize);
     for _ in 0..n {
         if pos >= buf.len() {
-            return ParseOutcome::Incomplete;
+            return Framed::Incomplete;
         }
         if buf[pos] != b'$' {
-            return ParseOutcome::Error(format!(
+            return Framed::Error(format!(
                 "expected bulk string, got type byte {:?}",
                 buf[pos] as char
             ));
         }
         let (len, body) = match parse_header(buf, pos) {
-            Err(e) => return ParseOutcome::Error(e),
-            Ok(None) => return ParseOutcome::Incomplete,
+            Err(e) => return Framed::Error(e),
+            Ok(None) => return Framed::Incomplete,
             Ok(Some(v)) => v,
         };
         if len < 0 || len as usize > MAX_BULK {
-            return ParseOutcome::Error(format!("bad bulk length {len}"));
+            return Framed::Error(format!("bad bulk length {len}"));
         }
         let len = len as usize;
         if buf.len() < body + len + 2 {
-            return ParseOutcome::Incomplete;
+            return Framed::Incomplete;
         }
         if &buf[body + len..body + len + 2] != b"\r\n" {
-            return ParseOutcome::Error("bulk string not CRLF-terminated".to_string());
+            return Framed::Error("bulk string not CRLF-terminated".to_string());
         }
-        argv.push(buf[body..body + len].to_vec());
+        args.push(body..body + len);
         pos = body + len + 2;
     }
-    ParseOutcome::Frame(argv, pos)
+    Framed::Frame(pos)
 }
 
 /// Inline commands: a single line, whitespace-separated words. A blank
 /// line parses as an empty argv (callers skip it), matching Redis.
-fn parse_inline(buf: &[u8]) -> ParseOutcome {
+fn parse_inline(buf: &[u8], args: &mut Vec<Range<usize>>) -> Framed {
     let Some(nl) = buf.iter().position(|&b| b == b'\n') else {
         return if buf.len() > MAX_INLINE {
-            ParseOutcome::Error("inline command too long".to_string())
+            Framed::Error("inline command too long".to_string())
         } else {
-            ParseOutcome::Incomplete
+            Framed::Incomplete
         };
     };
     if nl + 1 > MAX_INLINE {
-        return ParseOutcome::Error("inline command too long".to_string());
+        return Framed::Error("inline command too long".to_string());
     }
-    let line = &buf[..nl];
-    let line = line.strip_suffix(b"\r").unwrap_or(line);
-    let argv: Vec<Vec<u8>> = line
-        .split(|&b| b == b' ' || b == b'\t')
-        .filter(|w| !w.is_empty())
-        .map(|w| w.to_vec())
-        .collect();
-    ParseOutcome::Frame(argv, nl + 1)
+    let end = if nl > 0 && buf[nl - 1] == b'\r' {
+        nl - 1
+    } else {
+        nl
+    };
+    let mut word = None;
+    for (i, &b) in buf[..end].iter().enumerate() {
+        match (b == b' ' || b == b'\t', word) {
+            (true, Some(start)) => {
+                args.push(start..i);
+                word = None;
+            }
+            (false, None) => word = Some(i),
+            _ => {}
+        }
+    }
+    if let Some(start) = word {
+        args.push(start..end);
+    }
+    Framed::Frame(nl + 1)
+}
+
+/// Parse one command frame off the front of `buf` into an owned argv:
+/// [`parse_frame_into`] with each argument copied out.
+pub fn parse_frame(buf: &[u8]) -> ParseOutcome {
+    let mut args = Vec::new();
+    match parse_frame_into(buf, &mut args) {
+        Framed::Frame(used) => {
+            ParseOutcome::Frame(args.into_iter().map(|r| buf[r].to_vec()).collect(), used)
+        }
+        Framed::Incomplete => ParseOutcome::Incomplete,
+        Framed::Error(e) => ParseOutcome::Error(e),
+    }
 }
 
 /// Parse one reply off the front of `buf`. Never panics on any input.
@@ -282,32 +338,102 @@ pub fn encode_command<A: AsRef<[u8]>>(args: &[A]) -> Vec<u8> {
     out
 }
 
-/// `+text\r\n`
-pub fn simple(text: &str) -> Vec<u8> {
-    format!("+{text}\r\n").into_bytes()
+/// The decimal digits of `value`, written to the tail of `digits`.
+fn decimal(value: u64, digits: &mut [u8; 20]) -> &[u8] {
+    let mut v = value;
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            return &digits[at..];
+        }
+    }
 }
 
-/// `-text\r\n`
+/// Append `<kind>[-]<magnitude>\r\n`: an integer or a length header.
+fn put_line(out: &mut Vec<u8>, kind: u8, negative: bool, magnitude: u64) {
+    out.push(kind);
+    if negative {
+        out.push(b'-');
+    }
+    out.extend_from_slice(decimal(magnitude, &mut [0; 20]));
+    out.extend_from_slice(b"\r\n");
+}
+
+/// Append `:value\r\n`.
+pub fn put_integer(out: &mut Vec<u8>, value: i64) {
+    put_line(out, b':', value < 0, value.unsigned_abs());
+}
+
+/// Append `*len\r\n` (the element encodings follow).
+pub fn put_array_header(out: &mut Vec<u8>, len: usize) {
+    put_line(out, b'*', false, len as u64);
+}
+
+/// Append `$len\r\nbody\r\n`.
+fn put_bulk(out: &mut Vec<u8>, body: &[u8]) {
+    put_line(out, b'$', false, body.len() as u64);
+    out.extend_from_slice(body);
+    out.extend_from_slice(b"\r\n");
+}
+
+/// Append the bulk string of `value` in decimal: what a `GET` answers.
+pub fn put_bulk_u64(out: &mut Vec<u8>, value: u64) {
+    put_bulk(out, decimal(value, &mut [0; 20]));
+}
+
+/// Append `-text\r\n`, the text being `parts` back to back. Every CR or
+/// LF in it becomes a space, as in Redis: an error reply is one line, and
+/// a line break in it — a client's own command name echoed back — would
+/// inject replies the client never asked for.
+pub fn put_error(out: &mut Vec<u8>, parts: &[&str]) {
+    out.push(b'-');
+    for part in parts {
+        out.extend(
+            part.bytes()
+                .map(|b| if b == b'\r' || b == b'\n' { b' ' } else { b }),
+        );
+    }
+    out.extend_from_slice(b"\r\n");
+}
+
+/// `+text\r\n`
+pub fn simple(text: &str) -> Vec<u8> {
+    let mut out = Vec::with_capacity(text.len() + 3);
+    out.push(b'+');
+    out.extend_from_slice(text.as_bytes());
+    out.extend_from_slice(b"\r\n");
+    out
+}
+
+/// `-text\r\n` (see [`put_error`]).
 pub fn error(text: &str) -> Vec<u8> {
-    format!("-{text}\r\n").into_bytes()
+    let mut out = Vec::new();
+    put_error(&mut out, &[text]);
+    out
 }
 
 /// `:value\r\n`
 pub fn integer(value: i64) -> Vec<u8> {
-    format!(":{value}\r\n").into_bytes()
+    let mut out = Vec::new();
+    put_integer(&mut out, value);
+    out
 }
 
 /// `$len\r\nbody\r\n`
 pub fn bulk(body: &[u8]) -> Vec<u8> {
-    let mut out = format!("${}\r\n", body.len()).into_bytes();
-    out.extend_from_slice(body);
-    out.extend_from_slice(b"\r\n");
+    let mut out = Vec::new();
+    put_bulk(&mut out, body);
     out
 }
 
 /// `*len\r\n` (the element encodings follow).
 pub fn array_header(len: usize) -> Vec<u8> {
-    format!("*{len}\r\n").into_bytes()
+    let mut out = Vec::new();
+    put_array_header(&mut out, len);
+    out
 }
 
 #[cfg(test)]
@@ -350,6 +476,22 @@ mod tests {
             ParseOutcome::Frame(argv, 2) => assert!(argv.is_empty()),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn arguments_are_ranges_of_the_buffer_and_the_vector_is_reused() {
+        let mut args = vec![0..99, 1..2];
+        assert_eq!(
+            parse_frame_into(b" \tSET\t 7  42 \r\n*1", &mut args),
+            Framed::Frame(15)
+        );
+        assert_eq!(args, [2..5, 7..8, 10..12]);
+        let wire = encode_command(&[b"GET".as_ref(), b"12"]);
+        assert_eq!(
+            parse_frame_into(&wire, &mut args),
+            Framed::Frame(wire.len())
+        );
+        assert_eq!(args, [8..11, 17..19]);
     }
 
     #[test]
@@ -403,6 +545,24 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn an_error_reply_is_one_line_whatever_its_text() {
+        assert_eq!(
+            error("ERR unknown command 'X\r\n+OK'"),
+            b"-ERR unknown command 'X  +OK'\r\n"
+        );
+        let mut out = b"+OK\r\n".to_vec();
+        put_error(&mut out, &["RETRY ", "a\nb"]);
+        assert_eq!(out, b"+OK\r\n-RETRY a b\r\n");
+    }
+
+    #[test]
+    fn the_reply_constants_are_the_simple_strings() {
+        assert_eq!(OK, simple("OK"));
+        assert_eq!(QUEUED, simple("QUEUED"));
+        assert_eq!(PONG, simple("PONG"));
     }
 
     #[test]

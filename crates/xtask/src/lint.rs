@@ -75,9 +75,10 @@ const PROTOCOL_WORD_TOKENS: &[&str] = &[
 /// each of them commits through (the server role, run in place), the
 /// engine front door, the network service's per-connection loop (a
 /// panicking connection thread silently drops the client and can leak
-/// in-flight completions), and the two hand-off structures workers run
-/// inside: the engine's intake and jobs (a panic in `refill` or in a
-/// job's `complete` kills a worker mid-batch and leaks a GTS hole) and
+/// in-flight completions), and what workers run inside: the engine's
+/// intake and jobs (a panic in `refill` or in a job's `complete` kills a
+/// worker mid-batch and leaks a GTS hole), the service's transaction body
+/// (`KvTx`'s `TxLogic` impl runs on a worker, with the same effect) and
 /// the connection's reply ring (a panic in it drops the client
 /// mid-pipeline).
 const SERVER_IMPL_TYPES: &[&str] = &[
@@ -90,6 +91,7 @@ const SERVER_IMPL_TYPES: &[&str] = &[
     "NativeEngine",
     "Intake",
     "EngineJob",
+    "KvTx",
     "Connection",
     "ReplyRing",
 ];
@@ -769,6 +771,18 @@ mod tests {
         let f = check_no_panic_in_server_path(Path::new("x.rs"), src);
         let lines: Vec<usize> = f.iter().map(|f| f.line).collect();
         assert_eq!(lines, [2, 5, 8], "the poison recovery on line 11 is clean");
+    }
+
+    #[test]
+    fn the_service_transaction_body_is_a_server_path() {
+        // `KvTx::next` runs on an engine worker, mid-batch.
+        let src = "impl TxLogic for KvTx {\n    \
+                   fn next(&mut self) { self.r.lock().unwrap(); }\n}\n\
+                   impl KvTx {\n    \
+                   fn sink(&self) { self.r.lock().unwrap_or_else(|e| e.into_inner()); }\n}";
+        let f = check_no_panic_in_server_path(Path::new("x.rs"), src);
+        let lines: Vec<usize> = f.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [2], "the poison recovery on line 5 is clean");
     }
 
     #[test]
