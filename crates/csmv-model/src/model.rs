@@ -149,7 +149,7 @@ impl ModelConfig {
 
     /// Server owning `key`.
     pub fn server_of(&self, key: u64) -> usize {
-        (key % self.num_servers as u64) as usize
+        steps::partition_of(key, self.num_servers)
     }
 
     pub fn num_clients(&self) -> usize {

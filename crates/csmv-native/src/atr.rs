@@ -76,6 +76,11 @@ impl NativeAtr {
         }
     }
 
+    /// Write-set capacity of one entry.
+    pub(crate) fn max_ws(&self) -> usize {
+        self.max_ws
+    }
+
     pub(crate) fn capacity(&self) -> u64 {
         self.capacity
     }
@@ -164,9 +169,12 @@ impl NativeAtr {
         steps::reserve_outcome(observed, expected)
     }
 
-    /// Publish the write-set of commit `cts` into its ring slot.
+    /// Publish the write-set of commit `cts` into its ring slot. The
+    /// write-set must fit an entry: a truncated entry would hide writes
+    /// from every validator, so workers fail an over-capacity execution
+    /// before it gets here ([`NativeAtr::max_ws`]).
     pub(crate) fn insert(&self, cts: u64, ws: &[u64]) {
-        debug_assert!(
+        assert!(
             ws.len() <= self.max_ws,
             "write-set exceeds ATR entry capacity"
         );
@@ -179,9 +187,8 @@ impl NativeAtr {
             return;
         }
         self.tags[slot].store(WRITING, Ordering::SeqCst);
-        let n = ws.len().min(self.max_ws);
-        self.lens[slot].store(n as u64, Ordering::SeqCst);
-        for (k, &item) in ws.iter().take(n).enumerate() {
+        self.lens[slot].store(ws.len() as u64, Ordering::SeqCst);
+        for (k, &item) in ws.iter().enumerate() {
             self.items[slot * self.max_ws + k].store(item, Ordering::SeqCst);
         }
         self.tags[slot].store(cts, Ordering::SeqCst);

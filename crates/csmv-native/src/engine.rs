@@ -425,6 +425,13 @@ impl NativeEngine {
         self.shared.atr.gts()
     }
 
+    /// The most distinct items one transaction may write
+    /// ([`crate::NativeConfig::max_ws`]); a transaction writing more fails
+    /// terminally with [`AbortReason::AtrWindowOverflow`].
+    pub fn max_ws(&self) -> usize {
+        self.shared.atr.max_ws()
+    }
+
     /// Close the intake, let the workers drain everything in flight,
     /// join every thread and return the aggregated run result.
     pub fn shutdown(mut self) -> NativeRunResult {

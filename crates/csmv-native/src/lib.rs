@@ -64,7 +64,8 @@ pub struct NativeConfig {
     pub versions_per_box: usize,
     /// ATR ring capacity (entries resident for validation).
     pub atr_capacity: u64,
-    /// Largest write-set an ATR entry can hold.
+    /// Largest write-set an ATR entry can hold: a transaction writing more
+    /// distinct items fails terminally with `AtrWindowOverflow`.
     pub max_ws: usize,
     /// Transactions a worker executes and commits per batch (1..=32).
     /// While a batch awaits its GTS turn the worker speculatively executes
@@ -301,6 +302,72 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stm_core::{AbortReason, TxLogic, TxOp};
+
+    /// Writes `value` to each of `items`.
+    struct WriteAll {
+        items: Vec<u64>,
+        value: u64,
+        next: usize,
+    }
+
+    impl TxLogic for WriteAll {
+        fn is_read_only(&self) -> bool {
+            false
+        }
+        fn reset(&mut self) {
+            self.next = 0;
+        }
+        fn next(&mut self, _last: Option<u64>) -> TxOp {
+            let Some(&item) = self.items.get(self.next) else {
+                return TxOp::Finish;
+            };
+            self.next += 1;
+            TxOp::Write {
+                item,
+                value: self.value,
+            }
+        }
+    }
+
+    struct Txs(Vec<WriteAll>);
+
+    impl TxSource for Txs {
+        type Tx = WriteAll;
+        fn next_tx(&mut self) -> Option<WriteAll> {
+            self.0.pop()
+        }
+    }
+
+    #[test]
+    fn a_write_set_over_the_entry_capacity_fails_and_inserts_nothing() {
+        let cfg = NativeConfig {
+            client_threads: 1,
+            max_ws: 2,
+            ..NativeConfig::default()
+        };
+        let write = |items: &[u64], value| WriteAll {
+            items: items.to_vec(),
+            value,
+            next: 0,
+        };
+        let res = run_checked(
+            &cfg,
+            |_| Txs(vec![write(&[0, 1, 2], 7), write(&[3, 4], 9)]),
+            8,
+            |_| 0,
+        )
+        .expect("the committed history is clean");
+        assert_eq!(
+            res.stats.update_commits, 1,
+            "the 2-write transaction commits"
+        );
+        assert_eq!(res.stats.failed, 1, "the 3-write transaction fails");
+        assert_eq!(res.metrics.aborts.count(AbortReason::AtrWindowOverflow), 1);
+        assert_eq!(res.gts, 1);
+        let state: Vec<u64> = (0..5).map(|i| res.final_state[&i]).collect();
+        assert_eq!(state, [0, 0, 0, 9, 9]);
+    }
 
     #[test]
     fn config_validation_catches_every_zero() {

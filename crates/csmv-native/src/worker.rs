@@ -184,6 +184,9 @@ enum Exec {
     Update(Executed),
     /// A version rolled out of the store ring mid-execution.
     Overflow,
+    /// The write-set has more items than an ATR entry holds: no attempt
+    /// can ever commit it.
+    Oversize,
 }
 
 /// A speculative execution produced while an earlier batch awaited its
@@ -503,6 +506,7 @@ impl NativeWorker {
                 Exec::ReadOnly(ex) => self.commit_rot(p, snap, ex),
                 Exec::Update(ex) => l.execs.push((p, ex, snap)),
                 Exec::Overflow => l.retry.extend(self.overflowed(p, snap)),
+                Exec::Oversize => self.fail(p, AbortReason::AtrWindowOverflow),
             }
         }
         if ran == 0 && l.execs.is_empty() {
@@ -604,6 +608,7 @@ impl NativeWorker {
                 });
             }
             Exec::Overflow => l.pending.extend(self.overflowed(p, snap)),
+            Exec::Oversize => self.fail(p, AbortReason::AtrWindowOverflow),
         }
         true
     }
@@ -731,6 +736,9 @@ impl NativeWorker {
         }
         if ex.ws.is_empty() {
             Exec::ReadOnly(ex)
+        } else if ex.ws.len() > self.ctx.atr.max_ws() {
+            self.release(ex);
+            Exec::Oversize
         } else {
             // The validation footprint, by sort + dedup. Built once at the
             // end — never per read, which would be quadratic in the read

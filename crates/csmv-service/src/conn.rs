@@ -534,6 +534,10 @@ impl Connection {
                     error("EXECABORT Transaction discarded because of previous errors.")
                 }
                 Some(m) if m.ops.is_empty() => Dispatch::Reply(Cell::Ready(resp::array_header(0))),
+                Some(m) if writes_exceed(&m.ops, self.engine.max_ws()) => error(&format!(
+                    "EXECABORT Transaction writes more than {} distinct keys.",
+                    self.engine.max_ws()
+                )),
                 Some(m) => Dispatch::Block(m.ops, m.kinds),
             },
             Command::Get(k) | Command::Set(k, _) | Command::IncrBy(k, _) if k >= self.keys => {
@@ -623,6 +627,25 @@ enum Dispatch {
     Bare(KvOp, OpKind),
     /// Run an `EXEC` block's ops and answer with its outcome.
     Block(Vec<KvOp>, Vec<OpKind>),
+}
+
+/// Does an `EXEC` block write more than `max_ws` distinct keys — more
+/// than one transaction's write-set may hold? Only a block with more
+/// writes than that pays for counting the distinct ones.
+fn writes_exceed(ops: &[KvOp], max_ws: usize) -> bool {
+    let written = || {
+        ops.iter().filter_map(|op| match *op {
+            KvOp::Set(k, _) | KvOp::IncrBy(k, _) => Some(k),
+            KvOp::Get(_) => None,
+        })
+    };
+    if written().count() <= max_ws {
+        return false;
+    }
+    let mut keys: Vec<u64> = written().collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys.len() > max_ws
 }
 
 /// Answer at once with `-text`.

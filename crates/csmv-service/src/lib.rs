@@ -11,7 +11,10 @@
 //!   the `AbortReason` taxonomy key (`retry_budget_exhausted`,
 //!   `server_timeout`, `server_unavailable`, …);
 //! * `-BUSY …` — backpressure: the engine's bounded submit queue was
-//!   full and the request was shed before execution.
+//!   full and the request was shed before execution;
+//! * `-EXECABORT …` — an `EXEC` block refused before execution: a queued
+//!   command failed, or the block writes more distinct keys than one
+//!   transaction may (the engine's `max_ws`).
 //!
 //! Consistency model: bare pipelined commands are *independent
 //! concurrent transactions* — they may execute in any serializable
@@ -571,6 +574,42 @@ mod tests {
         assert!(rest.is_empty(), "bytes past the last reply: {rest:?}");
         let report = server.join().unwrap().expect("serve failed");
         assert_eq!(report.replies, 4);
+    }
+
+    /// An `EXEC` block writing more distinct keys than a transaction's
+    /// write-set holds is refused with one error reply — it never reaches
+    /// the engine, whose ATR entry could not hold it — and the connection
+    /// stays usable.
+    #[test]
+    fn an_exec_block_over_the_write_set_capacity_is_refused() {
+        let max_ws = ServiceConfig::default().engine.max_ws;
+        let (addr, stop, server) = start_server(64);
+        let mut c = connect(addr);
+        let keys: Vec<String> = (0..=max_ws).map(|k| k.to_string()).collect();
+        let mut cmds: Vec<Vec<&str>> = vec![vec!["MULTI"]];
+        cmds.extend(keys.iter().map(|k| vec!["SET", k.as_str(), "1"]));
+        cmds.extend([vec!["EXEC"], vec!["PING"]]);
+        let cmds: Vec<&[&str]> = cmds.iter().map(Vec::as_slice).collect();
+        let replies = session(&mut c, &cmds, cmds.len());
+        let n = replies.len();
+        assert_eq!(replies[0], Reply::Simple("OK".into()));
+        assert!(replies[1..n - 2]
+            .iter()
+            .all(|r| *r == Reply::Simple("QUEUED".into())));
+        assert_eq!(
+            replies[n - 2],
+            Reply::Error(format!(
+                "EXECABORT Transaction writes more than {max_ws} distinct keys."
+            ))
+        );
+        assert_eq!(replies[n - 1], Reply::Simple("PONG".into()));
+        stop.store(true, Ordering::SeqCst);
+        let mut rest = Vec::new();
+        let _ = c.read_to_end(&mut rest);
+        assert!(rest.is_empty(), "bytes past the last reply: {rest:?}");
+        let report = server.join().unwrap().expect("serve failed");
+        assert_eq!(report.replies, n as u64);
+        assert_eq!(report.result.stats.update_commits, 0, "nothing was written");
     }
 
     #[test]

@@ -50,9 +50,9 @@ pub mod server;
 pub mod steps;
 pub mod variant;
 
-use gpu_sim::{AnalysisConfig, Device, FaultPlan, GpuConfig};
-use stm_core::mv_exec::MvExecConfig;
-use stm_core::{RetryPolicy, RunResult, TxSource, VBoxHeap};
+use gpu_sim::{AnalysisConfig, Device, FaultPlan, GpuConfig, WarpId, WarpProgram, WARP_LANES};
+use stm_core::mv_exec::{MvExec, MvExecConfig};
+use stm_core::{MetricsReport, RetryPolicy, RunResult, TxSource, VBoxHeap};
 
 pub use atr::SharedAtr;
 pub use check::{CsmvInvariantChecker, MultiCsmvInvariantChecker};
@@ -109,7 +109,9 @@ pub struct CsmvConfig {
 /// state is allocated.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CsmvConfigError {
-    /// CSMV needs at least one client SM plus the server SM.
+    /// Multi-server CSMV with `num_servers` zero: nothing could commit.
+    NoServers,
+    /// CSMV needs at least one client SM beside its server SM(s).
     NotEnoughSms {
         /// Configured SM count.
         num_sms: usize,
@@ -120,7 +122,7 @@ pub enum CsmvConfigError {
     NoServerWorkers,
     /// `server_queue_cap` was explicitly set to zero.
     ZeroQueueCap,
-    /// The ATR ring plus the dispatch queue exceed the server SM's shared
+    /// The ATR ring plus the dispatch queue exceed a server SM's shared
     /// memory.
     SharedMemoryExhausted {
         /// Words the server-side structures need.
@@ -133,16 +135,17 @@ pub enum CsmvConfigError {
 impl std::fmt::Display for CsmvConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            Self::NoServers => write!(f, "num_servers must be at least 1"),
             Self::NotEnoughSms { num_sms } => write!(
                 f,
-                "CSMV needs at least one client SM and one server SM (got {num_sms})"
+                "CSMV needs at least one client SM beside its server SM(s) (got {num_sms})"
             ),
             Self::NoClientWarps => write!(f, "warps_per_sm must be at least 1"),
             Self::NoServerWorkers => write!(f, "server_workers must be at least 1"),
             Self::ZeroQueueCap => write!(f, "server_queue_cap must be at least 1"),
             Self::SharedMemoryExhausted { needed, available } => write!(
                 f,
-                "shared memory exhausted on the server SM: \
+                "shared memory exhausted on a server SM: \
                  ATR ring + dispatch queue need {needed} words, one SM has {available}"
             ),
         }
@@ -242,34 +245,50 @@ impl CsmvConfig {
     /// device state. [`run_checked`] calls this first; launching an invalid
     /// config through [`run`] panics with the same diagnosis.
     pub fn validate(&self) -> Result<(), CsmvConfigError> {
-        if self.gpu.num_sms < 2 {
-            return Err(CsmvConfigError::NotEnoughSms {
-                num_sms: self.gpu.num_sms,
-            });
-        }
-        if self.warps_per_sm == 0 {
-            return Err(CsmvConfigError::NoClientWarps);
-        }
-        if self.server_workers == 0 {
-            return Err(CsmvConfigError::NoServerWorkers);
-        }
         if self.server_queue_cap == Some(0) {
             return Err(CsmvConfigError::ZeroQueueCap);
         }
-        // Mirror the server-SM shared allocations: the ATR ring
-        // (1 + capacity·(2 + max_ws) words) plus the control block
-        // (3 words + the dispatch queue).
-        let atr_words = 1 + self.atr_capacity as usize * (2 + self.max_ws);
-        let ctl_words = 3 + self.queue_cap();
-        let needed = atr_words + ctl_words;
-        if needed > self.gpu.shared_words_per_sm {
-            return Err(CsmvConfigError::SharedMemoryExhausted {
-                needed,
-                available: self.gpu.shared_words_per_sm,
-            });
-        }
-        Ok(())
+        // The server SM holds the ATR ring (1 + capacity·(2 + max_ws)
+        // words) and the control block (3 words + the dispatch queue).
+        validate_launch(&self.gpu, 1, self.warps_per_sm, self.server_workers, || {
+            1 + self.atr_capacity as usize * (2 + self.max_ws) + 3 + self.queue_cap()
+        })
     }
+}
+
+/// The checks every CSMV launch shares: at least one server SM and one
+/// client SM beside the `server_sms`, client and worker warps to run, and
+/// `server_words()` words of server-side structures that fit one SM's
+/// shared memory (asked only once the geometry is known to be sound).
+fn validate_launch(
+    gpu: &GpuConfig,
+    server_sms: usize,
+    warps_per_sm: usize,
+    server_workers: usize,
+    server_words: impl FnOnce() -> usize,
+) -> Result<(), CsmvConfigError> {
+    if server_sms == 0 {
+        return Err(CsmvConfigError::NoServers);
+    }
+    if gpu.num_sms <= server_sms {
+        return Err(CsmvConfigError::NotEnoughSms {
+            num_sms: gpu.num_sms,
+        });
+    }
+    if warps_per_sm == 0 {
+        return Err(CsmvConfigError::NoClientWarps);
+    }
+    if server_workers == 0 {
+        return Err(CsmvConfigError::NoServerWorkers);
+    }
+    let needed = server_words();
+    if needed > gpu.shared_words_per_sm {
+        return Err(CsmvConfigError::SharedMemoryExhausted {
+            needed,
+            available: gpu.shared_words_per_sm,
+        });
+    }
+    Ok(())
 }
 
 /// Run a workload to completion on CSMV.
@@ -296,7 +315,7 @@ pub fn run_checked<S, F>(
     cfg: &CsmvConfig,
     mut make_source: F,
     num_items: u64,
-    mut initial: impl FnMut(u64) -> u64,
+    initial: impl FnMut(u64) -> u64,
 ) -> Result<RunResult, RunError>
 where
     S: TxSource + 'static,
@@ -305,29 +324,24 @@ where
     cfg.validate().map_err(RunError::Config)?;
     let server_sm = cfg.gpu.num_sms - 1;
     let num_clients = cfg.num_client_warps();
-
-    let mut dev = Device::new(cfg.gpu.clone());
-    let gts_addr = dev.alloc_global(1);
-    let done_addr = dev.alloc_global(1);
-    let heap = VBoxHeap::init(
-        dev.global_mut(),
-        num_items,
-        cfg.versions_per_box,
-        &mut initial,
+    let Launch {
+        mut dev,
+        gts_addr,
+        done_addr,
+        heap,
+        payload: proto,
+        ..
+    } = Launch::new(
+        &cfg.gpu,
+        0,
+        (num_items, cfg.versions_per_box, initial),
+        (num_clients, cfg.max_rs, cfg.max_ws),
     );
-    let proto = CommitProtocol::alloc(dev.global_mut(), num_clients, cfg.max_rs, cfg.max_ws);
     let atr = SharedAtr::alloc(&mut dev, server_sm, cfg.atr_capacity, cfg.max_ws);
     let ctl = ServerControl::alloc_with_queue(&mut dev, server_sm, cfg.queue_cap());
     // next_cts starts at 1 (commit timestamps are 1-based; GTS starts at 0).
     dev.shared_write_host(server_sm, atr.next_cts_addr(), 1);
-
-    if let Some(plan) = &cfg.faults {
-        dev.set_fault_plan(plan.clone());
-    }
-    if let Some(max_idle) = cfg.max_idle_cycles {
-        dev.set_watchdog(max_idle);
-    }
-    dev.enable_analysis(cfg.analysis);
+    arm(&mut dev, &cfg.faults, cfg.max_idle_cycles, cfg.analysis);
     if cfg.analysis.invariants {
         dev.add_invariant_checker(Box::new(check::CsmvInvariantChecker::new(
             atr.clone(),
@@ -337,23 +351,17 @@ where
         )));
     }
 
-    // -- clients -------------------------------------------------------
-    let mut client_ids = Vec::new();
-    let mut thread_id = 0usize;
-    let mut slot = 0usize;
-    for sm in 0..server_sm {
-        for _ in 0..cfg.warps_per_sm {
-            let sources: Vec<S> = (0..gpu_sim::WARP_LANES)
-                .map(|i| make_source(thread_id + i))
-                .collect();
-            let exec_cfg = MvExecConfig {
-                record_history: cfg.record_history,
-                retry: cfg.recovery.clone(),
-                ..MvExecConfig::default()
-            };
+    let clients = spawn_clients(
+        &mut dev,
+        server_sm,
+        cfg.warps_per_sm,
+        cfg.record_history,
+        &cfg.recovery,
+        &mut make_source,
+        |sources, thread_base, exec_cfg, slot| {
             let mut client = CsmvClient::new(
                 sources,
-                thread_id,
+                thread_base,
                 exec_cfg,
                 heap.clone(),
                 proto.clone(),
@@ -363,16 +371,12 @@ where
                 cfg.variant,
             );
             client.set_recovery(cfg.recovery.clone());
-            client_ids.push(dev.spawn(sm, Box::new(client)));
-            thread_id += gpu_sim::WARP_LANES;
-            slot += 1;
-        }
-    }
+            client
+        },
+    );
 
-    // -- server --------------------------------------------------------
     let receiver = ReceiverWarp::new(proto.clone(), ctl.clone(), num_clients, done_addr);
-    let receiver_id = dev.spawn(server_sm, Box::new(receiver));
-    let mut worker_ids = Vec::new();
+    let mut servers = vec![dev.spawn(server_sm, Box::new(receiver))];
     for _ in 0..cfg.server_workers {
         let worker = WorkerWarp::new(
             proto.clone(),
@@ -382,51 +386,151 @@ where
             gts_addr,
             cfg.variant,
         );
-        worker_ids.push(dev.spawn(server_sm, Box::new(worker)));
+        servers.push(dev.spawn(server_sm, Box::new(worker)));
     }
+    finish(
+        dev,
+        &servers,
+        &clients,
+        |w: &WorkerWarp| &w.metrics,
+        |c: &mut CsmvClient<S>| &mut c.exec,
+    )
+}
 
+/// What every CSMV launch allocates the same way, in this order: the GTS
+/// and the done counter, the host's own `extra` global words, the heap,
+/// and the request payload region.
+struct Launch {
+    dev: Device,
+    gts_addr: u64,
+    done_addr: u64,
+    /// The first of the host's own global words.
+    extra_addr: u64,
+    heap: VBoxHeap,
+    /// One read/write-set area per client warp.
+    payload: CommitProtocol,
+}
+
+impl Launch {
+    /// Lay out a device for `gpu`: a heap of `num_items` boxes of
+    /// `versions_per_box` versions initialised by `initial`, and the payload
+    /// of `num_clients` warps of `max_rs`/`max_ws` entries per lane.
+    fn new(
+        gpu: &GpuConfig,
+        extra: usize,
+        (num_items, versions_per_box, mut initial): (u64, u64, impl FnMut(u64) -> u64),
+        (num_clients, max_rs, max_ws): (usize, usize, usize),
+    ) -> Self {
+        let mut dev = Device::new(gpu.clone());
+        let gts_addr = dev.alloc_global(1);
+        let done_addr = dev.alloc_global(1);
+        let extra_addr = dev.alloc_global(extra);
+        let heap = VBoxHeap::init(dev.global_mut(), num_items, versions_per_box, &mut initial);
+        let payload = CommitProtocol::alloc(dev.global_mut(), num_clients, max_rs, max_ws);
+        Self {
+            dev,
+            gts_addr,
+            done_addr,
+            extra_addr,
+            heap,
+            payload,
+        }
+    }
+}
+
+/// Install the fault plan, the stall watchdog and the analysis layer.
+fn arm(
+    dev: &mut Device,
+    faults: &Option<FaultPlan>,
+    max_idle: Option<u64>,
+    analysis: AnalysisConfig,
+) {
+    if let Some(plan) = faults {
+        dev.set_fault_plan(plan.clone());
+    }
+    if let Some(max_idle) = max_idle {
+        dev.set_watchdog(max_idle);
+    }
+    dev.enable_analysis(analysis);
+}
+
+/// Spawn `warps_per_sm` client warps on each of SMs `0..client_sms`, in
+/// slot order; `client(sources, thread_base, exec_cfg, slot)` builds each
+/// warp from its 32 lanes' transaction sources and an execution config
+/// that records histories when `record_history` and retries by `recovery`.
+fn spawn_clients<S, P: WarpProgram + 'static>(
+    dev: &mut Device,
+    client_sms: usize,
+    warps_per_sm: usize,
+    record_history: bool,
+    recovery: &RetryPolicy,
+    make_source: &mut impl FnMut(usize) -> S,
+    mut client: impl FnMut(Vec<S>, usize, MvExecConfig, usize) -> P,
+) -> Vec<WarpId> {
+    let exec_cfg = MvExecConfig {
+        record_history,
+        retry: recovery.clone(),
+        ..MvExecConfig::default()
+    };
+    let mut ids = Vec::new();
+    for sm in 0..client_sms {
+        for _ in 0..warps_per_sm {
+            let (thread_base, slot) = (ids.len() * WARP_LANES, ids.len());
+            let sources = (0..WARP_LANES)
+                .map(|i| make_source(thread_base + i))
+                .collect();
+            let warp = client(sources, thread_base, exec_cfg.clone(), slot);
+            ids.push(dev.spawn(sm, Box::new(warp)));
+        }
+    }
+    ids
+}
+
+/// Run the device to completion, then harvest every warp into the result:
+/// server warps (workers of type `W`, or receivers) in `servers` order,
+/// then the clients' statistics, metrics and records.
+fn finish<S: TxSource + 'static, W: 'static, C: 'static>(
+    mut dev: Device,
+    servers: &[WarpId],
+    clients: &[WarpId],
+    worker_metrics: fn(&W) -> &MetricsReport,
+    client_exec: fn(&mut C) -> &mut MvExec<S>,
+) -> Result<RunResult, RunError> {
     dev.run_to_completion();
-
     if let Some(info) = dev.stalled() {
         return Err(RunError::Stalled {
             cycle: info.cycle,
             live_warps: info.live_warps,
         });
     }
-
     let analysis = dev.finish_analysis();
     let mut result = RunResult {
         elapsed_cycles: dev.elapsed_cycles(),
         analysis,
         ..Default::default()
     };
-    result
-        .server_breakdown
-        .add_warp(dev.warp_stats(receiver_id));
-    {
-        let receiver = dev
-            .take_program(receiver_id)
-            .downcast::<ReceiverWarp>()
-            .expect("receiver program type");
-        result.metrics.merge(&receiver.metrics);
-    }
-    for id in worker_ids {
+    for &id in servers {
         result.server_breakdown.add_warp(dev.warp_stats(id));
-        let worker = dev
-            .take_program(id)
-            .downcast::<WorkerWarp>()
-            .expect("worker program type");
-        result.metrics.merge(&worker.metrics);
+        match dev.take_program(id).downcast::<W>() {
+            Ok(worker) => result.metrics.merge(worker_metrics(&worker)),
+            Err(prog) => {
+                let receiver = prog
+                    .downcast::<ReceiverWarp>()
+                    .expect("server program type");
+                result.metrics.merge(&receiver.metrics);
+            }
+        }
     }
-    for id in client_ids {
+    for &id in clients {
         result.client_breakdown.add_warp(dev.warp_stats(id));
         let mut client = dev
             .take_program(id)
-            .downcast::<CsmvClient<S>>()
+            .downcast::<C>()
             .expect("client program type");
-        result.stats.merge(&client.exec.stats());
-        result.metrics.merge(&client.exec.metrics);
-        result.records.append(&mut client.exec.take_records());
+        let exec = client_exec(&mut client);
+        result.stats.merge(&exec.stats());
+        result.metrics.merge(&exec.metrics);
+        result.records.append(&mut exec.take_records());
     }
     Ok(result)
 }

@@ -28,24 +28,33 @@
 //!   timestamps are no longer consecutive; clients publish **progressively**
 //!   (each committed transaction bumps the GTS when its turn arrives,
 //!   runs of consecutive timestamps bump in one write).
+//!
+//! Everything else is the single-server code: a [`MultiWorker`] takes its
+//! batch in and replies through the same `server::WorkerPort` as a
+//! [`crate::WorkerWarp`], and a [`MultiClient`] executes, pre-validates,
+//! talks to each mailbox and writes back through the same
+//! `client::ClientRound` and `client::Mailbox` as a [`crate::CsmvClient`]. This module keeps what the multi-server design
+//! decides differently: the partitioned ATR, the backward walk under the
+//! reservation lock with the global fetch-add, k-server send/await,
+//! progressive GTS publication, and heartbeat/quarantine.
 
-use gpu_sim::channel::{STATUS_EMPTY, STATUS_REQUEST, STATUS_RESPONSE};
 use gpu_sim::fault::FaultPlan;
 use gpu_sim::{
     full_mask, AnalysisConfig, Device, GpuConfig, Mask, MemOrder, StepOutcome, WarpCtx,
     WarpProgram, WARP_LANES,
 };
-use stm_core::mv_exec::{unpack_ws_entry, MvExec, MvExecConfig};
+use stm_core::mv_exec::{MvExec, MvExecConfig};
 use stm_core::{
     AbortReason, FaultEvent, MetricsReport, Phase, RetryPolicy, RunResult, TxSource, VBoxHeap,
 };
 
-use crate::protocol::{
-    pack_abort, pack_commit, unpack_outcome, CommitProtocol, Outcome, RequestSetArea, OUTCOME_NONE,
+use crate::client::{fail_lanes, ClientRound, Mailbox, Settled};
+use crate::protocol::CommitProtocol;
+use crate::server::{
+    low_lanes, BatchTx, PortNext, PortStep, ReceiverWarp, ServerControl, WorkerPort,
 };
-use crate::server::{ReceiverWarp, ServerControl};
 use crate::steps::{self, TagState};
-use crate::RunError;
+use crate::{arm, finish, spawn_clients, validate_launch, CsmvConfigError, Launch, RunError};
 
 /// Configuration of a multi-server CSMV launch.
 #[derive(Debug, Clone)]
@@ -123,7 +132,23 @@ impl MultiCsmvConfig {
 
     /// The partition an item belongs to.
     pub fn partition_of(&self, item: u64) -> usize {
-        (item % self.num_servers as u64) as usize
+        steps::partition_of(item, self.num_servers)
+    }
+
+    /// Check that this configuration can launch, without allocating any
+    /// device state. [`run_multi_checked`] calls this first; launching an
+    /// invalid config through [`run_multi`] panics with the same diagnosis.
+    pub fn validate(&self) -> Result<(), CsmvConfigError> {
+        // Each server SM holds its partition's ATR
+        // (2 + capacity·(3 + max_ws) words) and a control block (3 words +
+        // a dispatch queue with one entry per client warp).
+        validate_launch(
+            &self.gpu,
+            self.num_servers,
+            self.warps_per_sm,
+            self.server_workers,
+            || 2 + self.atr_capacity as usize * (3 + self.max_ws) + 3 + self.num_client_warps(),
+        )
     }
 }
 
@@ -209,34 +234,10 @@ impl PartitionedAtr {
 // Multi-server worker
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone)]
-struct MTx {
-    lane: usize,
-    snapshot: u64,
-    rs_len: usize,
-    ws_len: usize,
-    rs_items: Vec<u64>,
-    ws_pairs: Vec<(u64, u64)>,
-    valid: bool,
-    reason: AbortReason,
-    cts: u64,
-}
-
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum MState {
-    Pop,
-    PopCas {
-        head: u64,
-    },
-    ReadEntry {
-        head: u64,
-    },
-    /// Read the batch seq word (echoed back with the response so the client
-    /// can tell a fresh outcome from a re-armed stale one).
-    ReadSeq,
-    ReadHdrA,
-    ReadHdrB,
-    Fetch,
+    /// Taking a batch in, or answering it.
+    Port(PortStep),
     /// Read `next_local` → the backward-walk start.
     ReadTail,
     /// Validate tx `txi` walking down from local sequence `hi` (exclusive);
@@ -274,77 +275,45 @@ enum MState {
         tail: u64,
         sub: u8,
     },
-    WriteOutcomes,
-    /// Echo the batch seq (after the outcomes, before the RESPONSE flip).
-    WriteEcho,
-    SetResponse,
     Finished,
 }
 
 /// A commit-server worker for one partition.
 pub struct MultiWorker {
-    /// This server's own mailbox block (status + headers + outcomes).
-    proto: CommitProtocol,
-    /// The device-wide payload region holding every warp's read/write-sets
-    /// (shared across servers — the sets are written once by the clients).
-    payload: CommitProtocol,
-    ctl: ServerControl,
+    port: WorkerPort,
     atr: PartitionedAtr,
     /// Global-memory address of the shared cts counter (next cts to assign).
     global_cts_addr: u64,
-    slot: usize,
-    /// Seq of the batch being processed (echoed with the response).
-    seq: u64,
-    /// Fault-domain channel id (the partition index).
-    fault_channel: u64,
-    txs: Vec<MTx>,
     st: MState,
     /// Server-side observability (public for result harvesting).
     pub metrics: MetricsReport,
 }
 
 impl MultiWorker {
-    /// Build a worker for a server whose control block and mailboxes are
-    /// `ctl`/`proto`; `payload` addresses the shared read/write-set region.
+    /// Build a worker for partition `partition`, whose control block and
+    /// mailboxes are `ctl`/`proto`; `payload` addresses the shared
+    /// read/write-set region, which it always fetches with broadcast reads.
     pub fn new(
         proto: CommitProtocol,
         payload: CommitProtocol,
         ctl: ServerControl,
         atr: PartitionedAtr,
         global_cts_addr: u64,
+        partition: usize,
     ) -> Self {
         Self {
-            proto,
-            payload,
-            ctl,
+            port: WorkerPort::new(proto, payload, ctl, true, partition as u64),
             atr,
             global_cts_addr,
-            slot: 0,
-            seq: 0,
-            fault_channel: 0,
-            txs: Vec::new(),
-            st: MState::Pop,
+            st: MState::Port(PortStep::Pop),
             metrics: MetricsReport::default(),
         }
     }
 
-    /// Set the fault-domain channel id (the partition index).
-    pub fn set_fault_channel(&mut self, channel: u64) {
-        self.fault_channel = channel;
-    }
-
-    fn n_valid(&self) -> u64 {
-        self.txs.iter().filter(|t| t.valid).count() as u64
-    }
-
-    fn next_valid(&self, from: usize) -> Option<usize> {
-        (from..self.txs.len()).find(|&i| self.txs[i].valid)
-    }
-
-    /// Start (or continue) the backward validation walk for the batch from
-    /// local tail `tail`.
-    fn start_walk(&mut self, tail: u64) -> MState {
-        match self.next_valid(0) {
+    /// Validate the first valid tx at or after `from` walking down from
+    /// local tail `tail` (or, with none left, take the lock).
+    fn walk_from(&self, from: usize, tail: u64) -> MState {
+        match self.port.next_valid(from) {
             Some(txi) => MState::WalkBack {
                 txi,
                 hi: tail,
@@ -355,153 +324,132 @@ impl MultiWorker {
         }
     }
 
-    /// Next walk state after finishing (or failing) tx `txi`.
-    fn after_walk(&mut self, txi: usize, tail: u64) -> MState {
-        match self.next_valid(txi + 1) {
-            Some(next) => MState::WalkBack {
-                txi: next,
-                hi: tail,
-                walked: 0,
+    /// One chunk of tx `txi`'s backward walk: up to 32 entries below `hi`.
+    fn walk_back(
+        &mut self,
+        w: &mut WarpCtx,
+        txi: usize,
+        hi: u64,
+        walked: u64,
+        tail: u64,
+    ) -> MState {
+        let budget = self.atr.capacity().saturating_sub(walked);
+        let n = hi.min(WARP_LANES as u64).min(budget);
+        if hi == 0 || n == 0 {
+            // Reached the start of the partition's history, or exhausted
+            // the ring without finding an entry at or before the snapshot
+            // (window abort).
+            if n == 0 && hi > 0 {
+                self.port.txs[txi].refuse(AbortReason::AtrWindowOverflow);
+            }
+            return self.walk_from(txi + 1, tail);
+        }
+        let lo = hi - n;
+        let mask = low_lanes(n as usize);
+        let atr = self.atr.clone();
+        // Acquire: seq tags are the seqlock publish word; a mismatch below
+        // means recycled or in-flight, both handled.
+        let seqs = w.shared_read_ord(
+            mask,
+            |j| atr.slot_seq_addr(atr.slot_of(lo + j as u64)),
+            MemOrder::Acquire,
+        );
+        // seq tag for sequence q is q+1; anything else means the slot was
+        // recycled (newer) or is still being written (older/0).
+        let mut recycled = false;
+        let mut in_flight = false;
+        for (j, &seq) in seqs.iter().enumerate().take(n as usize) {
+            match steps::classify_tag(seq, lo + j as u64 + 1) {
+                TagState::Recycled => recycled = true,
+                TagState::InFlight => in_flight = true,
+                TagState::Published => {}
+            }
+        }
+        if in_flight {
+            w.poll_wait();
+            return MState::WalkBack {
+                txi,
+                hi,
+                walked,
                 tail,
-            },
-            None => MState::Lock { tail },
+            };
+        }
+        if recycled {
+            // Needed history fell out of the ring.
+            self.port.txs[txi].refuse(AbortReason::AtrWindowOverflow);
+            return self.walk_from(txi + 1, tail);
+        }
+        // Acquire: slots may be recycled by a concurrent inserter; the
+        // seq-tag check above makes that an intended race.
+        let ctss = w.shared_read_ord(
+            mask,
+            |j| atr.slot_cts_addr(atr.slot_of(lo + j as u64)),
+            MemOrder::Acquire,
+        );
+        let lens = w.shared_read_ord(
+            mask,
+            |j| atr.slot_len_addr(atr.slot_of(lo + j as u64)),
+            MemOrder::Acquire,
+        );
+        let snapshot = self.port.txs[txi].snapshot;
+        // Which entries in this chunk are newer than the snapshot?
+        let relevant: Vec<usize> = (0..n as usize).filter(|&j| ctss[j] > snapshot).collect();
+        let mut conflict = false;
+        if !relevant.is_empty() {
+            let max_len = relevant.iter().map(|&j| lens[j]).max().unwrap_or(0);
+            let mut items: Vec<Vec<u64>> = vec![Vec::new(); n as usize];
+            for k in 0..max_len {
+                let mut kmask: Mask = 0;
+                for &j in &relevant {
+                    if k < lens[j] {
+                        kmask |= 1 << j;
+                    }
+                }
+                let row = w.shared_read_ord(
+                    kmask,
+                    |j| atr.slot_item_addr(atr.slot_of(lo + j as u64), k),
+                    MemOrder::Acquire,
+                );
+                for &j in &relevant {
+                    if k < lens[j] {
+                        items[j].push(row[j]);
+                    }
+                }
+            }
+            let entries: Vec<(u64, Vec<u64>)> = relevant
+                .iter()
+                .map(|&j| (lens[j], std::mem::take(&mut items[j])))
+                .collect();
+            conflict = self.port.txs[txi].conflicts_with(w, &entries);
+        }
+        if conflict {
+            self.port.txs[txi].refuse(AbortReason::ReadValidation);
+        }
+        if conflict || relevant.len() < n as usize {
+            // A conflict, or an entry at or before the snapshot: done.
+            self.walk_from(txi + 1, tail)
+        } else {
+            MState::WalkBack {
+                txi,
+                hi: lo,
+                walked: walked + n,
+                tail,
+            }
         }
     }
 }
 
 impl WarpProgram for MultiWorker {
     fn step(&mut self, w: &mut WarpCtx) -> StepOutcome {
-        match std::mem::replace(&mut self.st, MState::Pop) {
-            MState::Pop => {
-                w.set_phase(Phase::ServerIdle.id());
-                let ctl = &self.ctl;
-                // Acquire: pairs with the receiver's tail/shutdown releases.
-                let words = w.shared_read_ord(
-                    0b111,
-                    |l| match l {
-                        0 => ctl.q_head_addr(),
-                        1 => ctl.q_tail_addr(),
-                        _ => ctl.shutdown_addr(),
-                    },
-                    MemOrder::Acquire,
-                );
-                let (head, tail, shutdown) = (words[0], words[1], words[2]);
-                if head == tail {
-                    if shutdown != 0 {
-                        self.st = MState::Finished;
-                        return StepOutcome::Done;
-                    }
-                    w.poll_wait();
-                    self.st = MState::Pop;
-                } else {
-                    self.st = MState::PopCas { head };
+        match std::mem::replace(&mut self.st, MState::Port(PortStep::Pop)) {
+            MState::Port(st) => match self.port.step(w, st, &mut self.metrics) {
+                PortNext::Step(st) => self.st = MState::Port(st),
+                PortNext::Fetched => self.st = MState::ReadTail,
+                PortNext::Shutdown => {
+                    self.st = MState::Finished;
+                    return StepOutcome::Done;
                 }
-                StepOutcome::Running
-            }
-            MState::PopCas { head } => {
-                w.set_phase(Phase::ServerIdle.id());
-                let old = w.shared_cas1(0, self.ctl.q_head_addr(), head, head + 1);
-                self.st = if old == head {
-                    MState::ReadEntry { head }
-                } else {
-                    MState::Pop
-                };
-                StepOutcome::Running
-            }
-            MState::ReadEntry { head } => {
-                w.set_phase(Phase::ServerIdle.id());
-                // Acquire: pairs with the receiver's entry-release write.
-                self.slot =
-                    w.shared_read1_ord(0, self.ctl.q_entry_addr(head), MemOrder::Acquire) as usize;
-                self.st = MState::ReadSeq;
-                StepOutcome::Running
-            }
-            MState::ReadSeq => {
-                w.set_phase(Phase::Validation.id());
-                // Acquire: control-plane word, ordered against recovery
-                // resends (a timed-out client may rewrite it concurrently).
-                self.seq =
-                    w.global_read1_ord(0, self.proto.req_seq_addr(self.slot), MemOrder::Acquire);
-                self.st = MState::ReadHdrA;
-                StepOutcome::Running
-            }
-            MState::ReadHdrA => {
-                w.set_phase(Phase::Validation.id());
-                let proto = &self.proto;
-                let slot = self.slot;
-                let hdrs = w.global_read(full_mask(), |l| proto.hdr_a_addr(slot, l));
-                self.txs.clear();
-                for (lane, &h) in hdrs.iter().enumerate() {
-                    let (committing, snapshot) = CommitProtocol::unpack_hdr_a(h);
-                    if committing {
-                        self.txs.push(MTx {
-                            lane,
-                            snapshot,
-                            rs_len: 0,
-                            ws_len: 0,
-                            rs_items: Vec::new(),
-                            ws_pairs: Vec::new(),
-                            valid: true,
-                            reason: AbortReason::ReadValidation,
-                            cts: 0,
-                        });
-                    }
-                }
-                self.metrics.batch_sizes.record(self.txs.len() as u64);
-                self.st = MState::ReadHdrB;
-                StepOutcome::Running
-            }
-            MState::ReadHdrB => {
-                w.set_phase(Phase::Validation.id());
-                let proto = &self.proto;
-                let slot = self.slot;
-                let hdrs = w.global_read(full_mask(), |l| proto.hdr_b_addr(slot, l));
-                for tx in self.txs.iter_mut() {
-                    let (rs_len, ws_len) = CommitProtocol::unpack_hdr_b(hdrs[tx.lane]);
-                    tx.rs_len = rs_len;
-                    tx.ws_len = ws_len;
-                }
-                self.st = MState::Fetch;
-                StepOutcome::Running
-            }
-            MState::Fetch => {
-                w.set_phase(Phase::Validation.id());
-                // Collaborative fetch: broadcast reads, one payload word at a
-                // time (same pattern as the single-server Full variant).
-                let proto = self.payload.clone();
-                let slot = self.slot;
-                let mut sched: Vec<(usize, bool, usize)> = Vec::new();
-                for (ti, tx) in self.txs.iter().enumerate() {
-                    for e in 0..tx.rs_len {
-                        sched.push((ti, false, e));
-                    }
-                    for e in 0..tx.ws_len {
-                        sched.push((ti, true, e));
-                    }
-                }
-                if !sched.is_empty() {
-                    let txs = &self.txs;
-                    let words = w.global_read_bulk(full_mask(), sched.len(), |_, i| {
-                        let (ti, is_ws, e) = sched[i];
-                        let lane = txs[ti].lane;
-                        if is_ws {
-                            proto.ws_addr(slot, lane, e)
-                        } else {
-                            proto.rs_addr(slot, lane, e)
-                        }
-                    });
-                    for (i, &(ti, is_ws, _)) in sched.iter().enumerate() {
-                        let word = words[i][0];
-                        if is_ws {
-                            self.txs[ti].ws_pairs.push(unpack_ws_entry(word));
-                        } else {
-                            self.txs[ti].rs_items.push(word);
-                        }
-                    }
-                }
-                self.st = MState::ReadTail;
-                StepOutcome::Running
-            }
+            },
             MState::ReadTail => {
                 w.set_phase(Phase::Validation.id());
                 // Acquire: pairs with the inserter's next_local release.
@@ -509,8 +457,7 @@ impl WarpProgram for MultiWorker {
                 self.metrics
                     .atr_occupancy
                     .push(w.now(), tail.min(self.atr.capacity()));
-                self.st = self.start_walk(tail);
-                StepOutcome::Running
+                self.st = self.walk_from(0, tail);
             }
             MState::WalkBack {
                 txi,
@@ -519,138 +466,12 @@ impl WarpProgram for MultiWorker {
                 tail,
             } => {
                 w.set_phase(Phase::Validation.id());
-                // Chunk of up to 32 entries below `hi`, walking down.
-                let budget = self.atr.capacity().saturating_sub(walked);
-                let n = hi.min(WARP_LANES as u64).min(budget);
-                if hi == 0 || n == 0 {
-                    // Reached the start of the partition's history, or
-                    // exhausted the ring without finding an entry at or
-                    // before the snapshot (window abort).
-                    if n == 0 && hi > 0 {
-                        self.txs[txi].valid = false;
-                        self.txs[txi].reason = AbortReason::AtrWindowOverflow;
-                    }
-                    self.st = self.after_walk(txi, tail);
-                    return StepOutcome::Running;
-                }
-                let lo = hi - n;
-                let mut mask: Mask = 0;
-                for j in 0..n as usize {
-                    mask |= 1 << j;
-                }
-                let atr = self.atr.clone();
-                // Acquire: seq tags are the seqlock publish word; a mismatch
-                // below means recycled or in-flight, both handled.
-                let seqs = w.shared_read_ord(
-                    mask,
-                    |j| atr.slot_seq_addr(atr.slot_of(lo + j as u64)),
-                    MemOrder::Acquire,
-                );
-                // seq tag for sequence q is q+1; anything else means the slot
-                // was recycled (newer) or is still being written (older/0).
-                let mut recycled = false;
-                let mut in_flight = false;
-                for (j, &seq) in seqs.iter().enumerate().take(n as usize) {
-                    match steps::classify_tag(seq, lo + j as u64 + 1) {
-                        TagState::Recycled => recycled = true,
-                        TagState::InFlight => in_flight = true,
-                        TagState::Published => {}
-                    }
-                }
-                if in_flight {
-                    w.poll_wait();
-                    self.st = MState::WalkBack {
-                        txi,
-                        hi,
-                        walked,
-                        tail,
-                    };
-                    return StepOutcome::Running;
-                }
-                if recycled {
-                    // Needed history fell out of the ring.
-                    self.txs[txi].valid = false;
-                    self.txs[txi].reason = AbortReason::AtrWindowOverflow;
-                    self.st = self.after_walk(txi, tail);
-                    return StepOutcome::Running;
-                }
-                // Acquire: slots may be recycled by a concurrent inserter;
-                // the seq-tag check above makes that an intended race.
-                let ctss = w.shared_read_ord(
-                    mask,
-                    |j| atr.slot_cts_addr(atr.slot_of(lo + j as u64)),
-                    MemOrder::Acquire,
-                );
-                let lens = w.shared_read_ord(
-                    mask,
-                    |j| atr.slot_len_addr(atr.slot_of(lo + j as u64)),
-                    MemOrder::Acquire,
-                );
-                let snapshot = self.txs[txi].snapshot;
-                // Which entries in this chunk are newer than the snapshot?
-                let relevant: Vec<usize> =
-                    (0..n as usize).filter(|&j| ctss[j] > snapshot).collect();
-                let mut conflict = false;
-                if !relevant.is_empty() {
-                    let max_len = relevant.iter().map(|&j| lens[j]).max().unwrap_or(0);
-                    let mut items: Vec<Vec<u64>> = vec![Vec::new(); n as usize];
-                    for k in 0..max_len {
-                        let mut kmask: Mask = 0;
-                        for &j in &relevant {
-                            if k < lens[j] {
-                                kmask |= 1 << j;
-                            }
-                        }
-                        let row = w.shared_read_ord(
-                            kmask,
-                            |j| atr.slot_item_addr(atr.slot_of(lo + j as u64), k),
-                            MemOrder::Acquire,
-                        );
-                        for &j in &relevant {
-                            if k < lens[j] {
-                                items[j].push(row[j]);
-                            }
-                        }
-                    }
-                    let tx = &self.txs[txi];
-                    let total: u64 = relevant.iter().map(|&j| lens[j]).sum();
-                    w.alu(
-                        full_mask(),
-                        (((tx.rs_len + tx.ws_len) as u64 * total.max(1)) / 32).max(1),
-                    );
-                    let entries: Vec<(u64, Vec<u64>)> = relevant
-                        .iter()
-                        .map(|&j| (lens[j], std::mem::take(&mut items[j])))
-                        .collect();
-                    conflict = steps::footprint_conflicts(
-                        tx.rs_items
-                            .iter()
-                            .copied()
-                            .chain(tx.ws_pairs.iter().map(|&(i, _)| i)),
-                        &entries,
-                    );
-                }
-                let done_walking = conflict || relevant.len() < n as usize; // hit cts ≤ snapshot
-                if conflict {
-                    self.txs[txi].valid = false;
-                    self.txs[txi].reason = AbortReason::ReadValidation;
-                }
-                self.st = if done_walking {
-                    self.after_walk(txi, tail)
-                } else {
-                    MState::WalkBack {
-                        txi,
-                        hi: lo,
-                        walked: walked + n,
-                        tail,
-                    }
-                };
-                StepOutcome::Running
+                self.st = self.walk_back(w, txi, hi, walked, tail);
             }
             MState::Lock { tail } => {
                 w.set_phase(Phase::RecordInsert.id());
-                if self.n_valid() == 0 {
-                    self.st = MState::WriteOutcomes;
+                if self.port.n_valid() == 0 {
+                    self.st = MState::Port(PortStep::WriteOutcomes);
                     return StepOutcome::Running;
                 }
                 let old = w.shared_cas1(0, self.atr.lock_addr(), 0, 1);
@@ -659,56 +480,41 @@ impl WarpProgram for MultiWorker {
                 } else {
                     MState::Lock { tail }
                 };
-                StepOutcome::Running
             }
             MState::Recheck { tail } => {
                 w.set_phase(Phase::RecordInsert.id());
                 // Acquire: ordered after the lock CAS; sees the latest
                 // published tail.
                 let cur = w.shared_read1_ord(0, self.atr.next_local_addr(), MemOrder::Acquire);
-                if cur != tail {
+                self.st = if cur != tail {
                     // New entries since validation: drop the lock and
                     // revalidate the delta ([tail, cur) walking back is just
                     // the full walk again — entries below tail are already
                     // proven clean, and the walk stops at cts ≤ snapshot).
                     w.shared_write1_ord(0, self.atr.lock_addr(), 0, MemOrder::Release);
-                    self.st = self.start_walk(cur);
+                    self.walk_from(0, cur)
                 } else {
-                    self.st = MState::ReserveGlobal { tail };
-                }
-                StepOutcome::Running
+                    MState::ReserveGlobal { tail }
+                };
             }
             MState::ReserveGlobal { tail } => {
                 w.set_phase(Phase::RecordInsert.id());
                 // The single global synchronization: one fetch-add per batch
                 // on the device-memory cts counter.
-                let n = self.n_valid();
-                let base = w.global_atomic_add(0, self.global_cts_addr, n);
-                let mut cts = base;
-                for tx in self.txs.iter_mut() {
-                    if tx.valid {
-                        tx.cts = cts;
-                        cts += 1;
-                    }
-                }
+                let base = w.global_atomic_add(0, self.global_cts_addr, self.port.n_valid());
+                self.port.assign_cts(base);
                 self.st = MState::InsertItems { tail, widx: 0 };
-                StepOutcome::Running
             }
             MState::InsertItems { tail, widx } => {
                 w.set_phase(Phase::RecordInsert.id());
-                let valid: Vec<(usize, &MTx)> = self
-                    .txs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, t)| t.valid)
-                    .collect();
-                let max_ws = valid.iter().map(|(_, t)| t.ws_len).max().unwrap_or(0);
+                let valid: Vec<&BatchTx> = self.port.txs.iter().filter(|t| t.valid).collect();
+                let max_ws = valid.iter().map(|t| t.ws_len).max().unwrap_or(0);
                 if widx >= max_ws {
                     self.st = MState::InsertMeta { tail };
                     return StepOutcome::Running;
                 }
                 let mut mask: Mask = 0;
-                for (k, (_, tx)) in valid.iter().enumerate() {
+                for (k, tx) in valid.iter().enumerate() {
                     if widx < tx.ws_len {
                         mask |= 1 << k;
                     }
@@ -717,7 +523,7 @@ impl WarpProgram for MultiWorker {
                 let writes: Vec<(u64, u64)> = valid
                     .iter()
                     .enumerate()
-                    .map(|(k, (_, t))| {
+                    .map(|(k, t)| {
                         (
                             atr.slot_item_addr(atr.slot_of(tail + k as u64), widx as u64),
                             t.ws_pairs.get(widx).map(|&(i, _)| i).unwrap_or(0),
@@ -731,20 +537,17 @@ impl WarpProgram for MultiWorker {
                     tail,
                     widx: widx + 1,
                 };
-                StepOutcome::Running
             }
             MState::InsertMeta { tail } => {
                 w.set_phase(Phase::RecordInsert.id());
                 let valid: Vec<(u64, u64)> = self
+                    .port
                     .txs
                     .iter()
                     .filter(|t| t.valid)
                     .map(|t| (t.cts, t.ws_len as u64))
                     .collect();
-                let mut mask: Mask = 0;
-                for k in 0..valid.len() {
-                    mask |= 1 << k;
-                }
+                let mask = low_lanes(valid.len());
                 let atr = self.atr.clone();
                 w.shared_write_ord(
                     mask,
@@ -759,27 +562,22 @@ impl WarpProgram for MultiWorker {
                     MemOrder::Release,
                 );
                 self.st = MState::Publish { tail, sub: 0 };
-                StepOutcome::Running
             }
             MState::Publish { tail, sub } => {
                 w.set_phase(Phase::RecordInsert.id());
-                let n = self.n_valid();
-                match sub {
+                let n = self.port.n_valid();
+                self.st = match sub {
                     0 => {
                         // Publish the seq tags (entries become visible).
-                        let mut mask: Mask = 0;
-                        for k in 0..n as usize {
-                            mask |= 1 << k;
-                        }
                         let atr = self.atr.clone();
                         // Release: validators acquire these seq tags.
                         w.shared_write_ord(
-                            mask,
+                            low_lanes(n as usize),
                             |k| atr.slot_seq_addr(atr.slot_of(tail + k as u64)),
                             |k| tail + k as u64 + 1,
                             MemOrder::Release,
                         );
-                        self.st = MState::Publish { tail, sub: 1 };
+                        MState::Publish { tail, sub: 1 }
                     }
                     1 => {
                         // Release: publishes the new tail to ReadTail readers.
@@ -789,80 +587,18 @@ impl WarpProgram for MultiWorker {
                             tail + n,
                             MemOrder::Release,
                         );
-                        self.st = MState::Publish { tail, sub: 2 };
+                        MState::Publish { tail, sub: 2 }
                     }
                     _ => {
                         // Release: unlock; the next lock CAS acquires it.
                         w.shared_write1_ord(0, self.atr.lock_addr(), 0, MemOrder::Release);
-                        self.st = MState::WriteOutcomes;
+                        MState::Port(PortStep::WriteOutcomes)
                     }
-                }
-                StepOutcome::Running
+                };
             }
-            MState::WriteOutcomes => {
-                w.set_phase(Phase::RecordInsert.id());
-                let mut outcomes = [OUTCOME_NONE; WARP_LANES];
-                for tx in &self.txs {
-                    outcomes[tx.lane] = if tx.valid {
-                        pack_commit(tx.cts)
-                    } else {
-                        pack_abort(tx.reason)
-                    };
-                }
-                let proto = &self.proto;
-                let slot = self.slot;
-                w.global_write(
-                    full_mask(),
-                    |l| proto.outcome_addr(slot, l),
-                    |l| outcomes[l],
-                );
-                self.st = MState::WriteEcho;
-                StepOutcome::Running
-            }
-            MState::WriteEcho => {
-                w.set_phase(Phase::RecordInsert.id());
-                // The echo must land after the outcome words and before the
-                // RESPONSE flip: echo == seq certifies the payload is
-                // complete (see `gpu_sim::channel`).
-                w.global_write1_ord(
-                    0,
-                    self.proto.resp_seq_addr(self.slot),
-                    self.seq,
-                    MemOrder::Release,
-                );
-                self.st = MState::SetResponse;
-                StepOutcome::Running
-            }
-            MState::SetResponse => {
-                w.set_phase(Phase::RecordInsert.id());
-                let dropped = w.fault_plan().is_some_and(|p| {
-                    p.drop_response(self.fault_channel, self.slot as u64, self.seq, 0)
-                });
-                if dropped {
-                    // Response delivery lost in transit: payload and echo are
-                    // in place, only the flag flip vanishes. The client's
-                    // timed-out re-post lets the receiver re-arm the slot
-                    // without reprocessing the batch.
-                    w.global_write1_ord(
-                        0,
-                        self.proto.resp_seq_addr(self.slot),
-                        self.seq,
-                        MemOrder::Release,
-                    );
-                } else {
-                    // Release: publishes the outcome words to the client.
-                    w.global_write1_ord(
-                        0,
-                        self.proto.mailboxes().status_addr(self.slot),
-                        STATUS_RESPONSE,
-                        MemOrder::Release,
-                    );
-                }
-                self.st = MState::Pop;
-                StepOutcome::Running
-            }
-            MState::Finished => StepOutcome::Done,
+            MState::Finished => return StepOutcome::Done,
         }
+        StepOutcome::Running
     }
 }
 
@@ -923,22 +659,16 @@ enum McPhase {
 pub struct MultiClient<S: TxSource> {
     /// The shared execution engine.
     pub exec: MvExec<S>,
-    heap: VBoxHeap,
-    /// Per-server mailbox blocks (status + headers + outcomes).
-    hdr_protos: Vec<CommitProtocol>,
-    /// The shared payload region: read/write-sets are built here once during
-    /// execution and read by whichever server the batch routes to.
-    area: RequestSetArea,
+    round: ClientRound,
+    /// This warp's mailbox on each server (fault channel = partition).
+    mailboxes: Vec<Mailbox>,
     slot: usize,
     num_servers: usize,
     gts_addr: u64,
-    done_addr: u64,
     phase: McPhase,
     /// Servers involved in the current batch.
     involved: Vec<usize>,
-    lane_cts: [u64; WARP_LANES],
     lane_published: [bool; WARP_LANES],
-    lane_head: [u64; WARP_LANES],
     /// Cycle at which the current GTS-publication episode began.
     gts_wait_start: Option<u64>,
     /// Failure-recovery policy (inert by default).
@@ -968,7 +698,10 @@ pub struct MultiClient<S: TxSource> {
 }
 
 impl<S: TxSource> MultiClient<S> {
-    /// Build a client warp bound to mailbox `slot` on every server.
+    /// Build a client warp bound to mailbox `slot` on every server. The
+    /// shared payload region `payload` holds its read/write-sets, built
+    /// there once during execution and read by whichever server the batch
+    /// routes to.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         sources: Vec<S>,
@@ -984,18 +717,16 @@ impl<S: TxSource> MultiClient<S> {
         let num_servers = hdr_protos.len();
         Self {
             exec: MvExec::new(sources, thread_base, exec_cfg),
-            heap,
-            hdr_protos,
-            area: payload.set_area(slot),
+            round: ClientRound::new(heap, payload.set_area(slot), gts_addr, done_addr),
+            mailboxes: (hdr_protos.into_iter().enumerate())
+                .map(|(srv, proto)| Mailbox::new(proto, slot, srv as u64))
+                .collect(),
             slot,
             num_servers,
             gts_addr,
-            done_addr,
             phase: McPhase::Begin,
             involved: Vec::new(),
-            lane_cts: [0; WARP_LANES],
             lane_published: [false; WARP_LANES],
-            lane_head: [0; WARP_LANES],
             gts_wait_start: None,
             recovery: RetryPolicy::default(),
             hb_base: None,
@@ -1029,17 +760,15 @@ impl<S: TxSource> MultiClient<S> {
         let l = &self.exec.lanes[lane];
         // Update txs always have writes; an empty set degrades to partition 0
         // rather than panicking in the commit path.
-        let part = (l.ws.first().map_or(0, |&(item, _)| item) % self.num_servers as u64) as usize;
-        for &(item, _) in &l.ws {
+        let owner = |item| steps::partition_of(item, self.num_servers);
+        let part = owner(l.ws.first().map_or(0, |&(item, _)| item));
+        let footprint =
+            l.ws.iter()
+                .map(|&(item, _)| item)
+                .chain(l.rs.iter().copied());
+        for item in footprint {
             assert_eq!(
-                (item % self.num_servers as u64) as usize,
-                part,
-                "multi-server CSMV requires partition-confined update transactions"
-            );
-        }
-        for &item in &l.rs {
-            assert_eq!(
-                (item % self.num_servers as u64) as usize,
+                owner(item),
                 part,
                 "multi-server CSMV requires partition-confined update transactions"
             );
@@ -1047,43 +776,26 @@ impl<S: TxSource> MultiClient<S> {
         part
     }
 
-    fn committing_mask(&self) -> u32 {
-        self.exec.committing_update_mask()
-    }
-
     /// Committing lanes belonging to server `srv`.
     fn server_mask(&self, srv: usize) -> u32 {
         let mut m = 0;
         for lane in 0..WARP_LANES {
-            if self.committing_mask() & (1 << lane) != 0 && self.lane_partition(lane) == srv {
+            if self.exec.committing_update_mask() & (1 << lane) != 0
+                && self.lane_partition(lane) == srv
+            {
                 m |= 1 << lane;
             }
         }
         m
     }
 
-    fn committed_mask(&self) -> u32 {
-        let mut m = 0;
-        for (i, &cts) in self.lane_cts.iter().enumerate() {
-            if cts != 0 {
-                m |= 1 << i;
-            }
+    /// The phase after execution or a pre-validation step.
+    fn after(&mut self, from: usize, now: u64) -> McPhase {
+        match ClientRound::settled(&self.exec, from, true) {
+            Settled::Idle => McPhase::Begin,
+            Settled::PreVal(lane) => McPhase::PreVal { lane },
+            Settled::Submit => self.arm_send(now),
         }
-        m
-    }
-
-    fn next_broadcaster(&self, from: usize) -> Option<usize> {
-        (from..WARP_LANES).find(|&l| self.committing_mask() & (1 << l) != 0)
-    }
-
-    fn after_settle(&mut self) -> McAfterSettle {
-        if self.committing_mask() == 0 {
-            return McAfterSettle::Begin;
-        }
-        if let Some(lane) = self.next_broadcaster(0) {
-            return McAfterSettle::PreVal(lane);
-        }
-        McAfterSettle::Send
     }
 
     fn arm_send(&mut self, now: u64) -> McPhase {
@@ -1092,12 +804,7 @@ impl<S: TxSource> MultiClient<S> {
         for srv in 0..self.num_servers {
             if self.quarantined[srv] {
                 let mask = self.server_mask(srv);
-                for lane in 0..WARP_LANES {
-                    if mask & (1 << lane) != 0 {
-                        self.exec
-                            .fail_lane(lane, now, AbortReason::ServerUnavailable);
-                    }
-                }
+                fail_lanes(&mut self.exec, mask, now, AbortReason::ServerUnavailable);
             }
         }
         self.involved = (0..self.num_servers)
@@ -1116,10 +823,14 @@ impl<S: TxSource> MultiClient<S> {
         self.quarantined[srv] = true;
         self.exec.metrics.record_fault(FaultEvent::Quarantine, now);
         let mask = self.server_mask(srv);
-        for lane in 0..WARP_LANES {
-            if mask & (1 << lane) != 0 {
-                self.exec
-                    .fail_lane(lane, now, AbortReason::ServerUnavailable);
+        fail_lanes(&mut self.exec, mask, now, AbortReason::ServerUnavailable);
+    }
+
+    /// Mark the lanes whose commit timestamp is at most `gts` published.
+    fn mark_published(&mut self, gts: u64) {
+        for (l, &cts) in self.round.lane_cts.iter().enumerate() {
+            if cts != 0 && cts <= gts {
+                self.lane_published[l] = true;
             }
         }
     }
@@ -1129,7 +840,7 @@ impl<S: TxSource> MultiClient<S> {
     fn after_wait(&mut self, k: usize) -> McPhase {
         if k + 1 < self.involved.len() {
             McPhase::Wait { k: k + 1 }
-        } else if self.committed_mask() == 0 {
+        } else if self.round.committed_mask() == 0 {
             McPhase::FinishRound
         } else {
             McPhase::WriteBack { widx: 0, sub: 0 }
@@ -1137,126 +848,45 @@ impl<S: TxSource> MultiClient<S> {
     }
 }
 
-enum McAfterSettle {
-    Begin,
-    PreVal(usize),
-    Send,
-}
-
 impl<S: TxSource + 'static> WarpProgram for MultiClient<S> {
     fn step(&mut self, w: &mut WarpCtx) -> StepOutcome {
         match self.phase {
             McPhase::Begin => {
-                self.lane_cts = [0; WARP_LANES];
                 self.lane_published = [false; WARP_LANES];
-                if self.exec.begin_round(w, self.gts_addr) {
-                    self.phase = McPhase::Bodies;
+                self.phase = if self.round.begin(w, &mut self.exec) {
+                    McPhase::Bodies
                 } else {
-                    self.phase = McPhase::SignalDone;
-                }
+                    McPhase::SignalDone
+                };
                 StepOutcome::Running
             }
             McPhase::Bodies => {
-                let heap = self.heap.clone();
-                let area = self.area.clone();
-                if self.exec.step_bodies(w, &heap, &area) {
+                if self.round.bodies(w, &mut self.exec) {
                     self.phase = McPhase::Settle;
                 }
                 StepOutcome::Running
             }
             McPhase::Settle => {
-                w.set_phase(Phase::Execution.id());
-                let now = w.now();
-                let mut settled = 0u64;
-                for lane in 0..WARP_LANES {
-                    let l = &self.exec.lanes[lane];
-                    if l.logic.is_none() {
-                        continue;
-                    }
-                    if l.overflowed() {
-                        self.exec
-                            .abort_lane(lane, now, AbortReason::VersionOverflow);
-                        settled += 1;
-                    } else if l.body_done() && l.is_rot() {
-                        let snapshot = l.snapshot;
-                        self.exec.commit_lane(lane, now, None, snapshot);
-                        settled += 1;
-                    }
-                }
-                w.alu(full_mask(), settled.max(1));
-                self.phase = match self.after_settle() {
-                    McAfterSettle::Begin => McPhase::Begin,
-                    McAfterSettle::PreVal(lane) => McPhase::PreVal { lane },
-                    McAfterSettle::Send => self.arm_send(now),
-                };
+                let now = self.round.settle(w, &mut self.exec);
+                self.phase = self.after(0, now);
                 StepOutcome::Running
             }
             McPhase::PreVal { lane } => {
-                w.set_phase(Phase::PreValidation.id());
-                // Same shuffle-based exchange as the single-server client.
-                let committing = self.committing_mask();
-                let ws_items: Vec<u64> = self.exec.lanes[lane]
-                    .ws
-                    .iter()
-                    .map(|&(item, _)| item)
-                    .collect();
-                let mut regs = [0u64; WARP_LANES];
-                let mut losers: u32 = 0;
-                for &item in &ws_items {
-                    regs[lane] = item;
-                    let got = w.shfl(committing, &regs, |_| lane);
-                    for (j, &e) in got.iter().enumerate().skip(lane + 1) {
-                        if committing & (1 << j) == 0 || losers & (1 << j) != 0 {
-                            continue;
-                        }
-                        let lj = &self.exec.lanes[j];
-                        if lj.rs.contains(&e) || lj.ws.iter().any(|&(it, _)| it == e) {
-                            losers |= 1 << j;
-                        }
-                    }
-                }
-                w.alu(committing, (ws_items.len() as u64).max(1));
-                let now = w.now();
-                for j in 0..WARP_LANES {
-                    if losers & (1 << j) != 0 {
-                        self.exec.abort_lane(j, now, AbortReason::PreValidationKill);
-                    }
-                }
-                self.phase = match self.next_broadcaster(lane + 1) {
-                    Some(next) => McPhase::PreVal { lane: next },
-                    None => {
-                        if self.committing_mask() == 0 {
-                            McPhase::Begin
-                        } else {
-                            self.arm_send(now)
-                        }
-                    }
-                };
+                let now = ClientRound::preval(w, &mut self.exec, lane, |ws_len, _| ws_len.max(1));
+                self.phase = self.after(lane + 1, now);
                 StepOutcome::Running
             }
             McPhase::Send { k, sub } => {
                 w.set_phase(Phase::WaitServer.id());
                 let srv = self.involved[k];
-                let mask = self.server_mask(srv);
-                let proto = self.hdr_protos[srv].clone();
-                let slot = self.slot;
+                let mailbox = &self.mailboxes[srv];
                 match sub {
                     0 => {
-                        let lanes = &self.exec.lanes;
-                        w.global_write(
-                            full_mask(),
-                            |l| proto.hdr_a_addr(slot, l),
-                            |l| CommitProtocol::pack_hdr_a(mask & (1 << l) != 0, lanes[l].snapshot),
-                        );
+                        mailbox.send_hdr_a(w, &self.exec, self.server_mask(srv));
                         self.phase = McPhase::Send { k, sub: 1 };
                     }
                     1 => {
-                        let lanes = &self.exec.lanes;
-                        w.global_write(
-                            full_mask(),
-                            |l| proto.hdr_b_addr(slot, l),
-                            |l| CommitProtocol::pack_hdr_b(lanes[l].rs.len(), lanes[l].ws.len()),
-                        );
+                        mailbox.send_hdr_b(w, &self.exec);
                         self.phase = McPhase::Send { k, sub: 2 };
                     }
                     2 => {
@@ -1265,28 +895,13 @@ impl<S: TxSource + 'static> WarpProgram for MultiClient<S> {
                         self.next_seq += 1;
                         self.srv_attempt[srv] = 0;
                         self.delay_served = false;
-                        // Control-plane word: ordered like the status flag
-                        // (recovery resends rewrite it mid-sweep).
-                        w.global_write1_ord(
-                            0,
-                            proto.req_seq_addr(slot),
-                            self.srv_seq[srv],
-                            MemOrder::Release,
-                        );
+                        mailbox.send_seq(w, self.srv_seq[srv]);
                         self.phase = McPhase::Send { k, sub: 3 };
                     }
                     _ => {
-                        let channel = srv as u64;
                         let seq = self.srv_seq[srv];
-                        let attempt = self.srv_attempt[srv];
-                        let mut delay = 0;
-                        let mut dropped = false;
-                        if let Some(plan) = w.fault_plan() {
-                            if !self.delay_served {
-                                delay = plan.request_delay(channel, slot as u64, seq, attempt);
-                            }
-                            dropped = plan.drop_request(channel, slot as u64, seq, attempt);
-                        }
+                        let (delay, dropped) =
+                            mailbox.send_faults(w, seq, self.srv_attempt[srv], !self.delay_served);
                         if delay > 0 {
                             self.delay_served = true;
                             let now = w.now();
@@ -1302,26 +917,7 @@ impl<S: TxSource + 'static> WarpProgram for MultiClient<S> {
                         }
                         self.delay_served = false;
                         self.srv_sent[srv] = w.now();
-                        if dropped {
-                            // The flag flip is lost in transit: pay the memory
-                            // cost but leave the mailbox status untouched (the
-                            // seq rewrite is idempotent).
-                            w.global_write1_ord(
-                                0,
-                                proto.req_seq_addr(slot),
-                                seq,
-                                MemOrder::Release,
-                            );
-                        } else {
-                            // Release: publishes the headers/payload to the
-                            // server.
-                            w.global_write1_ord(
-                                0,
-                                proto.mailboxes().status_addr(slot),
-                                STATUS_REQUEST,
-                                MemOrder::Release,
-                            );
-                        }
+                        mailbox.post(w, seq, dropped);
                         self.phase = if k + 1 < self.involved.len() {
                             McPhase::Send { k: k + 1, sub: 0 }
                         } else {
@@ -1351,61 +947,31 @@ impl<S: TxSource + 'static> WarpProgram for MultiClient<S> {
             McPhase::Resend { k } => {
                 w.set_phase(Phase::WaitServer.id());
                 let srv = self.involved[k];
-                let proto = &self.hdr_protos[srv];
-                let slot = self.slot;
                 let seq = self.srv_seq[srv];
-                let attempt = self.srv_attempt[srv];
                 self.exec.metrics.record_fault(FaultEvent::Resend, w.now());
-                let dropped = w
-                    .fault_plan()
-                    .is_some_and(|p| p.drop_request(srv as u64, slot as u64, seq, attempt));
+                let mailbox = &self.mailboxes[srv];
+                let (_, dropped) = mailbox.send_faults(w, seq, self.srv_attempt[srv], false);
                 self.srv_sent[srv] = w.now();
-                if dropped {
-                    w.global_write1_ord(0, proto.req_seq_addr(slot), seq, MemOrder::Release);
-                } else {
-                    // The seq word is unchanged, so a successfully delivered
-                    // duplicate is suppressed by the receiver (the response is
-                    // re-armed, not reprocessed).
-                    w.global_write1_ord(
-                        0,
-                        proto.mailboxes().status_addr(slot),
-                        STATUS_REQUEST,
-                        MemOrder::Release,
-                    );
-                }
+                // The seq word is unchanged, so a successfully delivered
+                // duplicate is suppressed by the receiver (the response is
+                // re-armed, not reprocessed).
+                mailbox.post(w, seq, dropped);
                 self.phase = McPhase::Wait { k };
                 StepOutcome::Running
             }
             McPhase::Wait { k } => {
                 w.set_phase(Phase::WaitServer.id());
                 let srv = self.involved[k];
-                // Acquire: seeing RESPONSE makes the outcome words visible.
-                let st = w.global_read1_ord(
-                    0,
-                    self.hdr_protos[srv].mailboxes().status_addr(self.slot),
-                    MemOrder::Acquire,
-                );
-                if st == STATUS_RESPONSE {
-                    // Only a matching seq echo certifies this response answers
-                    // the in-flight batch; a stale echo (re-armed response for
-                    // an earlier seq) falls through to the timeout logic so a
-                    // re-post can reclaim the slot.
-                    let echo = w.global_read1_ord(
-                        0,
-                        self.hdr_protos[srv].resp_seq_addr(self.slot),
-                        MemOrder::Acquire,
-                    );
-                    if echo == self.srv_seq[srv] {
-                        self.phase = McPhase::Outcomes { k, cleared: false };
-                        return StepOutcome::Running;
-                    }
+                if self.mailboxes[srv].response_ready(w, self.srv_seq[srv]) {
+                    self.phase = McPhase::Outcomes { k, cleared: false };
+                    return StepOutcome::Running;
                 }
                 let now = w.now();
                 // Liveness: a stale heartbeat means the partition's server SM
                 // died. Quarantine it — its lanes fail, the others carry on.
                 if let (Some(base), Some(patience)) = (self.hb_base, self.hb_patience) {
                     let hb = w.global_read1_ord(0, base + srv as u64, MemOrder::Acquire);
-                    if now.saturating_sub(hb) > patience {
+                    if steps::heartbeat_stale(now, hb, patience) {
                         self.quarantine(srv, now);
                         self.phase = self.after_wait(k);
                         return StepOutcome::Running;
@@ -1424,11 +990,7 @@ impl<S: TxSource + 'static> WarpProgram for MultiClient<S> {
                 if self.srv_attempt[srv] >= self.recovery.max_send_attempts {
                     // Terminal: this partition is unreachable for the batch.
                     let mask = self.server_mask(srv);
-                    for lane in 0..WARP_LANES {
-                        if mask & (1 << lane) != 0 {
-                            self.exec.fail_lane(lane, now, AbortReason::ServerTimeout);
-                        }
-                    }
+                    fail_lanes(&mut self.exec, mask, now, AbortReason::ServerTimeout);
                     self.phase = self.after_wait(k);
                 } else {
                     let actor = (self.slot * self.num_servers + srv) as u64;
@@ -1448,115 +1010,24 @@ impl<S: TxSource + 'static> WarpProgram for MultiClient<S> {
             McPhase::Outcomes { k, cleared } => {
                 w.set_phase(Phase::WaitServer.id());
                 let srv = self.involved[k];
+                let mailbox = &self.mailboxes[srv];
                 if !cleared {
-                    let proto = &self.hdr_protos[srv];
-                    let slot = self.slot;
-                    let outcomes = w.global_read(full_mask(), |l| proto.outcome_addr(slot, l));
-                    let now = w.now();
-                    for (lane, &outcome) in outcomes.iter().enumerate() {
-                        match unpack_outcome(outcome) {
-                            Outcome::None => {}
-                            Outcome::Abort(reason) => self.exec.abort_lane(lane, now, reason),
-                            Outcome::Commit(cts) => self.lane_cts[lane] = cts,
-                        }
-                    }
+                    mailbox.read_outcomes(w, &mut self.exec, &mut self.round.lane_cts);
                     self.phase = McPhase::Outcomes { k, cleared: true };
                 } else {
-                    let dup = w.fault_plan().is_some_and(|p| {
-                        p.duplicate_request(srv as u64, self.slot as u64, self.srv_seq[srv])
-                    });
-                    if dup {
-                        // Injected duplicate delivery: re-post the served
-                        // request instead of releasing the mailbox. The
-                        // receiver suppresses the stale seq and re-arms the
-                        // response, which the seq-echo check above ignores.
-                        self.exec
-                            .metrics
-                            .record_fault(FaultEvent::DuplicateInjected, w.now());
-                        w.global_write1_ord(
-                            0,
-                            self.hdr_protos[srv].mailboxes().status_addr(self.slot),
-                            STATUS_REQUEST,
-                            MemOrder::Release,
-                        );
-                    } else {
-                        // Release: hands the mailbox back for the next round.
-                        w.global_write1_ord(
-                            0,
-                            self.hdr_protos[srv].mailboxes().status_addr(self.slot),
-                            STATUS_EMPTY,
-                            MemOrder::Release,
-                        );
-                    }
+                    mailbox.release(w, &mut self.exec, self.srv_seq[srv]);
                     self.phase = self.after_wait(k);
                 }
                 StepOutcome::Running
             }
             McPhase::WriteBack { widx, sub } => {
-                w.set_phase(Phase::WriteBack.id());
-                let committed = self.committed_mask();
-                let mut mask = 0u32;
-                for l in 0..WARP_LANES {
-                    if committed & (1 << l) != 0 && widx < self.exec.lanes[l].ws.len() {
-                        mask |= 1 << l;
+                self.phase = match self.round.write_back(w, &self.exec, widx, sub) {
+                    Some((widx, sub)) => McPhase::WriteBack { widx, sub },
+                    None => {
+                        w.alu(full_mask(), 1);
+                        McPhase::GtsPublish
                     }
-                }
-                if mask == 0 {
-                    self.phase = McPhase::GtsPublish;
-                    w.alu(full_mask(), 1);
-                    return StepOutcome::Running;
-                }
-                let heap = self.heap.clone();
-                let lanes = &self.exec.lanes;
-                match sub {
-                    0 => {
-                        // Acquire: pairs with other committers' head updates.
-                        let heads = w.global_read_ord(
-                            mask,
-                            |l| heap.head_addr(lanes[l].ws[widx].0),
-                            MemOrder::Acquire,
-                        );
-                        for (l, &head) in heads.iter().enumerate() {
-                            if mask & (1 << l) != 0 {
-                                self.lane_head[l] = head;
-                            }
-                        }
-                        self.phase = McPhase::WriteBack { widx, sub: 1 };
-                    }
-                    1 => {
-                        let lane_head = self.lane_head;
-                        let lane_cts = self.lane_cts;
-                        // Release: ring-slot overwrite is an intended race
-                        // with probing readers (timestamp re-check).
-                        w.global_write_ord(
-                            mask,
-                            |l| {
-                                let (item, _) = lanes[l].ws[widx];
-                                heap.version_addr(item, heap.next_slot(lane_head[l]))
-                            },
-                            |l| {
-                                let (_, value) = lanes[l].ws[widx];
-                                stm_core::vbox::pack_version(lane_cts[l], value)
-                            },
-                            MemOrder::Release,
-                        );
-                        self.phase = McPhase::WriteBack { widx, sub: 2 };
-                    }
-                    _ => {
-                        let lane_head = self.lane_head;
-                        // Release: publishes the version written above.
-                        w.global_write_ord(
-                            mask,
-                            |l| heap.head_addr(lanes[l].ws[widx].0),
-                            |l| heap.next_slot(lane_head[l]),
-                            MemOrder::Release,
-                        );
-                        self.phase = McPhase::WriteBack {
-                            widx: widx + 1,
-                            sub: 0,
-                        };
-                    }
-                }
+                };
                 StepOutcome::Running
             }
             McPhase::GtsPublish => {
@@ -1573,30 +1044,19 @@ impl<S: TxSource + 'static> WarpProgram for MultiClient<S> {
                 // one of our timestamps; the write-back is already complete
                 // (WriteBack precedes GtsPublish), so the version is visible
                 // and the turn is simply done.
-                for l in 0..WARP_LANES {
-                    if !self.lane_published[l] && self.lane_cts[l] != 0 && self.lane_cts[l] <= gts {
-                        self.lane_published[l] = true;
-                    }
-                }
+                self.mark_published(gts);
+                let cts = self.round.lane_cts;
                 let pending: Vec<u64> = (0..WARP_LANES)
-                    .filter(|&l| !self.lane_published[l] && self.lane_cts[l] != 0)
-                    .map(|l| self.lane_cts[l])
+                    .filter(|&l| !self.lane_published[l] && cts[l] != 0)
+                    .map(|l| cts[l])
                     .collect();
                 let new_gts = steps::gts_run(gts, &pending);
-                for l in 0..WARP_LANES {
-                    if !self.lane_published[l]
-                        && self.lane_cts[l] != 0
-                        && self.lane_cts[l] <= new_gts
-                    {
-                        self.lane_published[l] = true;
-                    }
-                }
+                self.mark_published(new_gts);
                 if new_gts > gts {
                     // Release: snapshot readers must see our write-back.
                     w.global_write1_ord(0, self.gts_addr, new_gts, MemOrder::Release);
                 }
-                let pending =
-                    (0..WARP_LANES).any(|l| self.lane_cts[l] != 0 && !self.lane_published[l]);
+                let pending = (0..WARP_LANES).any(|l| cts[l] != 0 && !self.lane_published[l]);
                 if pending {
                     // Crash fallback: a cts reserved by a server that died
                     // mid-commit is never delivered to any client, leaving a
@@ -1628,7 +1088,9 @@ impl<S: TxSource + 'static> WarpProgram for MultiClient<S> {
                             let hbs =
                                 w.global_read_ord(hb_mask, |l| base + l as u64, MemOrder::Acquire);
                             for (srv, &hb) in hbs.iter().enumerate().take(self.num_servers) {
-                                if !self.quarantined[srv] && now.saturating_sub(hb) > patience {
+                                if !self.quarantined[srv]
+                                    && steps::heartbeat_stale(now, hb, patience)
+                                {
                                     self.quarantined[srv] = true;
                                     self.exec.metrics.record_fault(FaultEvent::Quarantine, now);
                                 }
@@ -1657,24 +1119,12 @@ impl<S: TxSource + 'static> WarpProgram for MultiClient<S> {
                 StepOutcome::Running
             }
             McPhase::FinishRound => {
-                w.set_phase(Phase::Execution.id());
-                let now = w.now();
-                let committed = self.committed_mask();
-                for lane in 0..WARP_LANES {
-                    if committed & (1 << lane) != 0 {
-                        let snapshot = self.exec.lanes[lane].snapshot;
-                        let cts = self.lane_cts[lane];
-                        self.exec.commit_lane(lane, now, Some(cts), snapshot);
-                        self.lane_cts[lane] = 0;
-                    }
-                }
-                w.alu(full_mask(), 1);
+                self.round.finish_round(w, &mut self.exec);
                 self.phase = McPhase::Begin;
                 StepOutcome::Running
             }
             McPhase::SignalDone => {
-                w.set_phase(Phase::Idle.id());
-                w.global_atomic_add(0, self.done_addr, 1);
+                self.round.signal_done(w);
                 self.phase = McPhase::Finished;
                 StepOutcome::Running
             }
@@ -1689,7 +1139,8 @@ impl<S: TxSource + 'static> WarpProgram for MultiClient<S> {
 
 /// Run a workload on multi-server CSMV. Same contract as [`crate::run`];
 /// update transactions must be partition-confined (see the module docs).
-/// Panics on a watchdog stall; use [`run_multi_checked`] to get the error.
+/// Panics on a refused config or a watchdog stall; use
+/// [`run_multi_checked`] to get the error.
 pub fn run_multi<S, F>(
     cfg: &MultiCsmvConfig,
     make_source: F,
@@ -1703,58 +1154,47 @@ where
     run_multi_checked(cfg, make_source, num_items, initial).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Run a workload on multi-server CSMV, converting watchdog stalls into
-/// [`RunError::Stalled`] instead of hanging or panicking.
+/// Run a workload on multi-server CSMV, with launch-time configuration
+/// errors and watchdog-diagnosed stalls reported as values instead of
+/// panics.
 pub fn run_multi_checked<S, F>(
     cfg: &MultiCsmvConfig,
     mut make_source: F,
     num_items: u64,
-    mut initial: impl FnMut(u64) -> u64,
+    initial: impl FnMut(u64) -> u64,
 ) -> Result<RunResult, RunError>
 where
     S: TxSource + 'static,
     F: FnMut(usize) -> S,
 {
-    assert!(cfg.num_servers >= 1);
-    assert!(
-        cfg.gpu.num_sms > cfg.num_servers,
-        "need at least one client SM besides the {} server SMs",
-        cfg.num_servers
-    );
+    cfg.validate().map_err(RunError::Config)?;
     let num_clients = cfg.num_client_warps();
     let first_server_sm = cfg.gpu.num_sms - cfg.num_servers;
-
-    let mut dev = Device::new(cfg.gpu.clone());
-    if let Some(plan) = &cfg.faults {
-        dev.set_fault_plan(plan.clone());
-    }
-    if let Some(max_idle) = cfg.max_idle_cycles {
-        dev.set_watchdog(max_idle);
-    }
-    let gts_addr = dev.alloc_global(1);
-    let done_addr = dev.alloc_global(1);
-    let global_cts_addr = dev.alloc_global(1);
-    // Per-partition liveness heartbeats (word srv is stamped by
-    // partition srv's receiver on every poll sweep).
-    let hb_base = dev.alloc_global(cfg.num_servers);
-    dev.global_mut().write(global_cts_addr, 1); // cts are 1-based
-    let heap = VBoxHeap::init(
-        dev.global_mut(),
-        num_items,
-        cfg.versions_per_box,
-        &mut initial,
+    // Host words: the global cts counter, then one liveness heartbeat per
+    // partition (word srv is stamped by partition srv's receiver on every
+    // poll sweep).
+    let Launch {
+        mut dev,
+        gts_addr,
+        done_addr,
+        extra_addr: global_cts_addr,
+        heap,
+        payload,
+    } = Launch::new(
+        &cfg.gpu,
+        1 + cfg.num_servers,
+        (num_items, cfg.versions_per_box, initial),
+        (num_clients, cfg.max_rs, cfg.max_ws),
     );
-
-    dev.enable_analysis(cfg.analysis);
-
-    // Shared payload region (rs/ws) + per-server header/outcome mailboxes.
-    let payload = CommitProtocol::alloc(dev.global_mut(), num_clients, cfg.max_rs, cfg.max_ws);
+    let hb_base = global_cts_addr + 1;
+    dev.global_mut().write(global_cts_addr, 1); // cts are 1-based
+    arm(&mut dev, &cfg.faults, cfg.max_idle_cycles, cfg.analysis);
+    // Per-server header/outcome mailboxes beside the shared payload region.
     let hdr_protos: Vec<CommitProtocol> = (0..cfg.num_servers)
         .map(|_| CommitProtocol::alloc(dev.global_mut(), num_clients, 1, 1))
         .collect();
 
-    // -- servers --------------------------------------------------------
-    let mut server_ids = Vec::new();
+    let mut servers = Vec::new();
     let mut atrs = Vec::new();
     for (srv, hdr_proto) in hdr_protos.iter().enumerate() {
         let sm = first_server_sm + srv;
@@ -1767,17 +1207,17 @@ where
         if cfg.heartbeat_patience.is_some() {
             receiver.set_heartbeat(hb_base + srv as u64);
         }
-        server_ids.push(dev.spawn(sm, Box::new(receiver)));
+        servers.push(dev.spawn(sm, Box::new(receiver)));
         for _ in 0..cfg.server_workers {
-            let mut worker = MultiWorker::new(
+            let worker = MultiWorker::new(
                 hdr_proto.clone(),
                 payload.clone(),
                 ctl.clone(),
                 atr.clone(),
                 global_cts_addr,
+                srv,
             );
-            worker.set_fault_channel(srv as u64);
-            server_ids.push(dev.spawn(sm, Box::new(worker)));
+            servers.push(dev.spawn(sm, Box::new(worker)));
         }
     }
     if cfg.analysis.invariants {
@@ -1798,23 +1238,17 @@ where
         )));
     }
 
-    // -- clients --------------------------------------------------------
-    let mut client_ids = Vec::new();
-    let mut thread_id = 0usize;
-    let mut slot = 0usize;
-    for sm in 0..first_server_sm {
-        for _ in 0..cfg.warps_per_sm {
-            let sources: Vec<S> = (0..WARP_LANES)
-                .map(|i| make_source(thread_id + i))
-                .collect();
-            let exec_cfg = MvExecConfig {
-                record_history: cfg.record_history,
-                retry: cfg.recovery.clone(),
-                ..MvExecConfig::default()
-            };
+    let clients = spawn_clients(
+        &mut dev,
+        first_server_sm,
+        cfg.warps_per_sm,
+        cfg.record_history,
+        &cfg.recovery,
+        &mut make_source,
+        |sources, thread_base, exec_cfg, slot| {
             let mut client = MultiClient::new(
                 sources,
-                thread_id,
+                thread_base,
                 exec_cfg,
                 heap.clone(),
                 hdr_protos.clone(),
@@ -1827,49 +1261,16 @@ where
             if let Some(patience) = cfg.heartbeat_patience {
                 client.set_liveness(hb_base, patience);
             }
-            client_ids.push(dev.spawn(sm, Box::new(client)));
-            thread_id += WARP_LANES;
-            slot += 1;
-        }
-    }
-
-    dev.run_to_completion();
-
-    if let Some(info) = dev.stalled() {
-        return Err(RunError::Stalled {
-            cycle: info.cycle,
-            live_warps: info.live_warps,
-        });
-    }
-
-    let analysis = dev.finish_analysis();
-    let mut result = RunResult {
-        elapsed_cycles: dev.elapsed_cycles(),
-        analysis,
-        ..Default::default()
-    };
-    for id in server_ids {
-        result.server_breakdown.add_warp(dev.warp_stats(id));
-        match dev.take_program(id).downcast::<MultiWorker>() {
-            Ok(worker) => result.metrics.merge(&worker.metrics),
-            Err(prog) => {
-                if let Ok(receiver) = prog.downcast::<ReceiverWarp>() {
-                    result.metrics.merge(&receiver.metrics);
-                }
-            }
-        }
-    }
-    for id in client_ids {
-        result.client_breakdown.add_warp(dev.warp_stats(id));
-        let mut client = dev
-            .take_program(id)
-            .downcast::<MultiClient<S>>()
-            .expect("client program type");
-        result.stats.merge(&client.exec.stats());
-        result.metrics.merge(&client.exec.metrics);
-        result.records.append(&mut client.exec.take_records());
-    }
-    Ok(result)
+            client
+        },
+    );
+    finish(
+        dev,
+        &servers,
+        &clients,
+        |w: &MultiWorker| &w.metrics,
+        |c: &mut MultiClient<S>| &mut c.exec,
+    )
 }
 
 #[cfg(test)]
@@ -2265,6 +1666,71 @@ mod tests {
         // Committed transactions stay opaque even with the crash mid-run.
         let initial: HashMap<u64, u64> = (0..ITEMS).map(|i| (i, 100)).collect();
         check_history(&res.records, &initial, true).expect("opaque history for survivors");
+    }
+
+    /// `run_multi_checked` refuses `cfg` before allocating anything, with
+    /// the error `validate` gives.
+    fn refused(cfg: MultiCsmvConfig) -> CsmvConfigError {
+        let err = cfg.validate().expect_err("the config must be refused");
+        let ran = run_multi_checked(&cfg, |t| make_src(&cfg, t, 1), ITEMS, |_| 100);
+        assert_eq!(ran.err(), Some(RunError::Config(err.clone())));
+        err
+    }
+
+    fn valid() -> MultiCsmvConfig {
+        MultiCsmvConfig {
+            gpu: GpuConfig {
+                num_sms: 4,
+                ..Default::default()
+            },
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn zero_servers_are_refused() {
+        assert_eq!(valid().validate(), Ok(()));
+        let cfg = MultiCsmvConfig {
+            num_servers: 0,
+            ..valid()
+        };
+        assert_eq!(refused(cfg), CsmvConfigError::NoServers);
+    }
+
+    #[test]
+    fn a_device_of_only_server_sms_is_refused() {
+        let mut cfg = valid();
+        cfg.num_servers = cfg.gpu.num_sms;
+        assert_eq!(refused(cfg), CsmvConfigError::NotEnoughSms { num_sms: 4 });
+    }
+
+    #[test]
+    fn an_atr_beyond_a_server_sms_shared_memory_is_refused() {
+        let cfg = MultiCsmvConfig {
+            atr_capacity: 1 << 20,
+            ..valid()
+        };
+        let err = refused(cfg);
+        assert!(matches!(err, CsmvConfigError::SharedMemoryExhausted { .. }));
+        assert!(err.to_string().contains("shared memory exhausted"));
+    }
+
+    #[test]
+    fn zero_server_workers_are_refused() {
+        let cfg = MultiCsmvConfig {
+            server_workers: 0,
+            ..valid()
+        };
+        assert_eq!(refused(cfg), CsmvConfigError::NoServerWorkers);
+    }
+
+    #[test]
+    fn zero_client_warps_are_refused() {
+        let cfg = MultiCsmvConfig {
+            warps_per_sm: 0,
+            ..valid()
+        };
+        assert_eq!(refused(cfg), CsmvConfigError::NoClientWarps);
     }
 
     #[test]

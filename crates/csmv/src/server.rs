@@ -552,32 +552,385 @@ impl WarpProgram for ReceiverWarp {
 
 /// One transaction of a batch under commit.
 #[derive(Debug, Clone)]
-struct TxD {
+pub(crate) struct BatchTx {
     /// Client-warp lane the transaction came from.
-    lane: usize,
-    snapshot: u64,
-    rs_len: usize,
-    ws_len: usize,
+    pub(crate) lane: usize,
+    pub(crate) snapshot: u64,
+    pub(crate) rs_len: usize,
+    pub(crate) ws_len: usize,
     /// Cached read-set items (fetched from the request payload).
-    rs_items: Vec<u64>,
+    pub(crate) rs_items: Vec<u64>,
     /// Cached write-set `(item, value)` pairs.
-    ws_pairs: Vec<(u64, u64)>,
+    pub(crate) ws_pairs: Vec<(u64, u64)>,
     /// Still passing validation.
-    valid: bool,
+    pub(crate) valid: bool,
     /// Why validation refused the transaction (meaningful when `!valid`).
-    reason: AbortReason,
-    /// Commit timestamps `(snapshot, validated_to]` have been checked.
-    validated_to: u64,
+    pub(crate) reason: AbortReason,
+    /// Commit timestamps `(snapshot, validated_to]` have been checked
+    /// (the single server's forward walk; the multi-server backward walk
+    /// does not use it).
+    pub(crate) validated_to: u64,
     /// Assigned commit timestamp (0 until reserved).
-    cts: u64,
+    pub(crate) cts: u64,
 }
 
-impl TxD {
+impl BatchTx {
     fn items_to_check(&self) -> impl Iterator<Item = u64> + '_ {
         self.rs_items
             .iter()
             .copied()
             .chain(self.ws_pairs.iter().map(|&(i, _)| i))
+    }
+
+    /// Refuse the transaction for `reason`.
+    pub(crate) fn refuse(&mut self, reason: AbortReason) {
+        self.valid = false;
+        self.reason = reason;
+    }
+
+    /// Conflict test against a decoded chunk of committed entries; charges
+    /// the comparison ALU work spread over the warp's lanes.
+    pub(crate) fn conflicts_with(&self, w: &mut WarpCtx, chunk: &[(u64, Vec<u64>)]) -> bool {
+        let total_items: u64 = chunk.iter().map(|(l, _)| *l).sum();
+        let compares = (self.rs_len + self.ws_len) as u64 * total_items.max(1);
+        w.alu(full_mask(), (compares / WARP_LANES as u64).max(1));
+        steps::footprint_conflicts(self.items_to_check(), chunk)
+    }
+}
+
+/// A commit-server worker's steps of taking a batch in and answering it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum PortStep {
+    /// Read queue head/tail and the shutdown flag.
+    Pop,
+    /// Try to claim queue entry `head`.
+    PopCas { head: u64 },
+    /// Read the claimed queue entry.
+    ReadEntry { head: u64 },
+    /// Read the batch's sequence number (echoed into the response).
+    ReadBatchSeq,
+    /// Read the batch's A headers.
+    ReadHdrA,
+    /// Read the batch's B headers.
+    ReadHdrB,
+    /// Fetch the transactions' read/write-sets from the request payload.
+    Fetch,
+    /// Write the 32 outcome words back to the client.
+    WriteOutcomes,
+    /// Write the response seq echo (last payload write before the flip).
+    WriteEcho,
+    /// Flip the mailbox status to RESPONSE.
+    SetResponse,
+}
+
+/// Where a [`PortStep`] leads.
+pub(crate) enum PortNext {
+    /// Another step of the port.
+    Step(PortStep),
+    /// The batch is in [`WorkerPort::txs`], read/write-sets fetched: the
+    /// worker decides it, then replies from [`PortStep::WriteOutcomes`].
+    Fetched,
+    /// The queue is empty and the receiver has shut the server down.
+    Shutdown,
+}
+
+/// The part of a commit-server worker every CSMV server shares: pop a
+/// request off the SM's dispatch queue, read its seq word, headers and
+/// read/write-sets into [`BatchTx`]s, and — once the worker has decided
+/// them — write the outcomes, the seq echo and the RESPONSE flag back.
+pub(crate) struct WorkerPort {
+    /// Mailbox block: status, headers, outcomes and seq words.
+    proto: CommitProtocol,
+    /// Region holding the requests' read/write-sets.
+    payload: CommitProtocol,
+    ctl: ServerControl,
+    /// Fetch the payload with broadcast reads (collaborative validation)
+    /// instead of one transaction per lane.
+    broadcast: bool,
+    /// Fault-domain channel id (partition index in multi-server setups).
+    fault_channel: u64,
+    slot: usize,
+    /// Batch seq of the request being processed (echoed in the response).
+    seq: u64,
+    /// The batch's committing transactions.
+    pub(crate) txs: Vec<BatchTx>,
+}
+
+impl WorkerPort {
+    /// A port on mailboxes `proto` whose read/write-sets live in `payload`.
+    pub(crate) fn new(
+        proto: CommitProtocol,
+        payload: CommitProtocol,
+        ctl: ServerControl,
+        broadcast: bool,
+        fault_channel: u64,
+    ) -> Self {
+        Self {
+            proto,
+            payload,
+            ctl,
+            broadcast,
+            fault_channel,
+            slot: 0,
+            seq: 0,
+            txs: Vec::new(),
+        }
+    }
+
+    /// Count of transactions that passed validation.
+    pub(crate) fn n_valid(&self) -> u64 {
+        self.txs.iter().filter(|t| t.valid).count() as u64
+    }
+
+    /// Next still-valid transaction index at or after `from`.
+    pub(crate) fn next_valid(&self, from: usize) -> Option<usize> {
+        (from..self.txs.len()).find(|&i| self.txs[i].valid)
+    }
+
+    /// Hand the valid transactions consecutive timestamps from `base`.
+    pub(crate) fn assign_cts(&mut self, base: u64) {
+        for (cts, tx) in (base..).zip(self.txs.iter_mut().filter(|t| t.valid)) {
+            tx.cts = cts;
+        }
+    }
+
+    /// Run one step; `metrics` records the batch size.
+    pub(crate) fn step(
+        &mut self,
+        w: &mut WarpCtx,
+        st: PortStep,
+        metrics: &mut MetricsReport,
+    ) -> PortNext {
+        let next = match st {
+            PortStep::Pop => {
+                w.set_phase(Phase::ServerIdle.id());
+                let ctl = &self.ctl;
+                // Acquire: pairs with the receiver's tail/shutdown releases.
+                let words = w.shared_read_ord(
+                    0b111,
+                    |l| match l {
+                        0 => ctl.q_head_addr(),
+                        1 => ctl.q_tail_addr(),
+                        _ => ctl.shutdown_addr(),
+                    },
+                    MemOrder::Acquire,
+                );
+                let (head, tail, shutdown) = (words[0], words[1], words[2]);
+                if head != tail {
+                    PortStep::PopCas { head }
+                } else if shutdown != 0 {
+                    return PortNext::Shutdown;
+                } else {
+                    w.poll_wait();
+                    PortStep::Pop
+                }
+            }
+            PortStep::PopCas { head } => {
+                w.set_phase(Phase::ServerIdle.id());
+                let old = w.shared_cas1(0, self.ctl.q_head_addr(), head, head + 1);
+                if old == head {
+                    PortStep::ReadEntry { head }
+                } else {
+                    PortStep::Pop
+                }
+            }
+            PortStep::ReadEntry { head } => {
+                w.set_phase(Phase::ServerIdle.id());
+                // Acquire: pairs with the receiver's entry-release write.
+                self.slot =
+                    w.shared_read1_ord(0, self.ctl.q_entry_addr(head), MemOrder::Acquire) as usize;
+                PortStep::ReadBatchSeq
+            }
+            PortStep::ReadBatchSeq => {
+                w.set_phase(Phase::Validation.id());
+                // Acquire: control-plane word, ordered against recovery
+                // resends (see the receiver's seq sweep).
+                self.seq =
+                    w.global_read1_ord(0, self.proto.req_seq_addr(self.slot), MemOrder::Acquire);
+                PortStep::ReadHdrA
+            }
+            PortStep::ReadHdrA => {
+                w.set_phase(Phase::Validation.id());
+                let proto = &self.proto;
+                let slot = self.slot;
+                let hdrs = w.global_read(full_mask(), |l| proto.hdr_a_addr(slot, l));
+                self.txs.clear();
+                for (lane, &h) in hdrs.iter().enumerate() {
+                    let (committing, snapshot) = CommitProtocol::unpack_hdr_a(h);
+                    if committing {
+                        self.txs.push(BatchTx {
+                            lane,
+                            snapshot,
+                            rs_len: 0,
+                            ws_len: 0,
+                            rs_items: Vec::new(),
+                            ws_pairs: Vec::new(),
+                            valid: true,
+                            reason: AbortReason::ReadValidation,
+                            validated_to: snapshot,
+                            cts: 0,
+                        });
+                    }
+                }
+                metrics.batch_sizes.record(self.txs.len() as u64);
+                PortStep::ReadHdrB
+            }
+            PortStep::ReadHdrB => {
+                w.set_phase(Phase::Validation.id());
+                let proto = &self.proto;
+                let slot = self.slot;
+                let hdrs = w.global_read(full_mask(), |l| proto.hdr_b_addr(slot, l));
+                for tx in self.txs.iter_mut() {
+                    let (rs_len, ws_len) = CommitProtocol::unpack_hdr_b(hdrs[tx.lane]);
+                    tx.rs_len = rs_len;
+                    tx.ws_len = ws_len;
+                }
+                PortStep::Fetch
+            }
+            PortStep::Fetch => {
+                w.set_phase(Phase::Validation.id());
+                self.fetch(w);
+                return PortNext::Fetched;
+            }
+            PortStep::WriteOutcomes => {
+                w.set_phase(Phase::RecordInsert.id());
+                let mut outcomes = [OUTCOME_NONE; WARP_LANES];
+                for tx in &self.txs {
+                    outcomes[tx.lane] = if tx.valid {
+                        pack_commit(tx.cts)
+                    } else {
+                        pack_abort(tx.reason)
+                    };
+                }
+                let proto = &self.proto;
+                let slot = self.slot;
+                w.global_write(
+                    full_mask(),
+                    |l| proto.outcome_addr(slot, l),
+                    |l| outcomes[l],
+                );
+                PortStep::WriteEcho
+            }
+            PortStep::WriteEcho => {
+                w.set_phase(Phase::RecordInsert.id());
+                // The echo must land after the outcome words and before the
+                // RESPONSE flip: echo == seq certifies the payload is
+                // complete (see `gpu_sim::channel`). Release pairs with the
+                // receiver's/client's echo-check acquires.
+                w.global_write1_ord(
+                    0,
+                    self.proto.resp_seq_addr(self.slot),
+                    self.seq,
+                    MemOrder::Release,
+                );
+                PortStep::SetResponse
+            }
+            PortStep::SetResponse => {
+                w.set_phase(Phase::RecordInsert.id());
+                let dropped = w.fault_plan().is_some_and(|p| {
+                    p.drop_response(self.fault_channel, self.slot as u64, self.seq, 0)
+                });
+                if dropped {
+                    // Response delivery lost in transit: the payload and echo
+                    // are in place, only the flag flip vanishes. The client's
+                    // timed-out re-post lets the receiver re-arm the slot
+                    // without reprocessing the batch.
+                    w.global_write1_ord(
+                        0,
+                        self.proto.resp_seq_addr(self.slot),
+                        self.seq,
+                        MemOrder::Release,
+                    );
+                } else {
+                    // Release: publishes the outcome words to the client.
+                    w.global_write1_ord(
+                        0,
+                        self.proto.mailboxes().status_addr(self.slot),
+                        STATUS_RESPONSE,
+                        MemOrder::Release,
+                    );
+                }
+                PortStep::Pop
+            }
+        };
+        PortNext::Step(next)
+    }
+
+    /// Fetch the batch's read/write-sets from the payload region.
+    fn fetch(&mut self, w: &mut WarpCtx) {
+        let proto = &self.payload;
+        let slot = self.slot;
+        if self.broadcast {
+            // Broadcast reads: every lane targets the same payload word
+            // (one 128-byte segment per access) — the coalescing pattern
+            // of collaborative validation.
+            let mut sched: Vec<(usize, bool, usize)> = Vec::new();
+            for (ti, tx) in self.txs.iter().enumerate() {
+                for e in 0..tx.rs_len {
+                    sched.push((ti, false, e));
+                }
+                for e in 0..tx.ws_len {
+                    sched.push((ti, true, e));
+                }
+            }
+            if !sched.is_empty() {
+                let txs = &self.txs;
+                let words = w.global_read_bulk(full_mask(), sched.len(), |_, i| {
+                    let (ti, is_ws, e) = sched[i];
+                    let lane = txs[ti].lane;
+                    if is_ws {
+                        proto.ws_addr(slot, lane, e)
+                    } else {
+                        proto.rs_addr(slot, lane, e)
+                    }
+                });
+                for (i, &(ti, is_ws, _)) in sched.iter().enumerate() {
+                    let word = words[i][0];
+                    if is_ws {
+                        self.txs[ti].ws_pairs.push(unpack_ws_entry(word));
+                    } else {
+                        self.txs[ti].rs_items.push(word);
+                    }
+                }
+            }
+        } else {
+            // Independent fetches: lane j reads its own tx's entries —
+            // scattered, one segment per lane.
+            let rounds = self
+                .txs
+                .iter()
+                .map(|t| t.rs_len + t.ws_len)
+                .max()
+                .unwrap_or(0);
+            if rounds > 0 {
+                let txs = &self.txs;
+                let words = w.global_read_bulk(full_mask(), rounds, |l, i| {
+                    // Lane l handles tx l when it exists.
+                    if l < txs.len() && i < txs[l].rs_len + txs[l].ws_len {
+                        let tx = &txs[l];
+                        if i < tx.rs_len {
+                            proto.rs_addr(slot, tx.lane, i)
+                        } else {
+                            proto.ws_addr(slot, tx.lane, i - tx.rs_len)
+                        }
+                    } else {
+                        // Inactive lanes re-read word 0 of the payload
+                        // (harmless, keeps masks simple).
+                        proto.hdr_a_addr(slot, 0)
+                    }
+                });
+                for (l, tx) in self.txs.iter_mut().enumerate() {
+                    for (i, row) in words.iter().enumerate().take(tx.rs_len + tx.ws_len) {
+                        let word = row[l];
+                        if i < tx.rs_len {
+                            tx.rs_items.push(word);
+                        } else {
+                            tx.ws_pairs.push(unpack_ws_entry(word));
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -593,24 +946,8 @@ enum ChunkRead {
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum WState {
-    /// Read queue head/tail and the shutdown flag.
-    Pop,
-    /// Try to claim queue entry `head`.
-    PopCas {
-        head: u64,
-    },
-    /// Read the claimed queue entry.
-    ReadEntry {
-        head: u64,
-    },
-    /// Read the batch's sequence number (echoed into the response).
-    ReadBatchSeq,
-    /// Read the batch's A headers.
-    ReadHdrA,
-    /// Read the batch's B headers.
-    ReadHdrB,
-    /// Fetch the transactions' read/write-sets from the request payload.
-    Fetch,
+    /// Taking a batch in, or answering it.
+    Port(PortStep),
     /// Read `next_cts` to fix the validation target.
     ReadTarget,
     /// Collaborative validation: tx `txi`, ATR chunk starting at cts `lo`.
@@ -664,30 +1001,20 @@ enum WState {
     ScGts {
         txi: usize,
     },
-    /// Write the 32 outcome words back to the client.
-    WriteOutcomes,
-    /// Write the response seq echo (last payload write before the flip).
-    WriteEcho,
-    /// Flip the mailbox status to RESPONSE.
-    SetResponse,
     /// Retired.
     Finished,
 }
 
+/// The worker's reply: write the outcomes back to the client.
+const REPLY: WState = WState::Port(PortStep::WriteOutcomes);
+
 /// One worker warp of the commit server.
 pub struct WorkerWarp {
-    proto: CommitProtocol,
-    ctl: ServerControl,
+    port: WorkerPort,
     atr: SharedAtr,
     heap: VBoxHeap,
     gts_addr: u64,
     variant: CsmvVariant,
-    slot: usize,
-    /// Batch seq of the request being processed (echoed in the response).
-    seq: u64,
-    /// Fault-domain channel id (partition index in multi-server setups).
-    fault_channel: u64,
-    txs: Vec<TxD>,
     st: WState,
     /// Seeded bug (see [`WorkerWarp::inject_publish_tag_first`]).
     #[cfg(feature = "seeded-bugs")]
@@ -706,27 +1033,18 @@ impl WorkerWarp {
         gts_addr: u64,
         variant: CsmvVariant,
     ) -> Self {
+        let broadcast = variant.collaborative_validation();
         Self {
-            proto,
-            ctl,
+            port: WorkerPort::new(proto.clone(), proto, ctl, broadcast, 0),
             atr,
             heap,
             gts_addr,
             variant,
-            slot: 0,
-            seq: 0,
-            fault_channel: 0,
-            txs: Vec::new(),
-            st: WState::Pop,
+            st: WState::Port(PortStep::Pop),
             #[cfg(feature = "seeded-bugs")]
             bug_publish_tag_first: false,
             metrics: MetricsReport::default(),
         }
-    }
-
-    /// Set the fault-domain channel id (multi-server partition index).
-    pub fn set_fault_channel(&mut self, channel: u64) {
-        self.fault_channel = channel;
     }
 
     /// Seed a protocol bug for checker-validation tests: the insert writes
@@ -823,53 +1141,19 @@ impl WorkerWarp {
         )
     }
 
-    /// Conflict test of one transaction against a decoded chunk; charges the
-    /// comparison ALU work spread over the warp.
-    fn tx_conflicts_with_chunk(
-        w: &mut WarpCtx,
-        tx: &TxD,
-        chunk: &[(u64, Vec<u64>)],
-        lanes_sharing_work: u64,
-    ) -> bool {
-        let total_items: u64 = chunk.iter().map(|(l, _)| *l).sum();
-        let compares = (tx.rs_len + tx.ws_len) as u64 * total_items.max(1);
-        w.alu(full_mask(), (compares / lanes_sharing_work).max(1));
-        steps::footprint_conflicts(tx.items_to_check(), chunk)
-    }
-
-    /// Next still-valid transaction index at or after `from`.
-    fn next_valid(&self, from: usize) -> Option<usize> {
-        (from..self.txs.len()).find(|&i| self.txs[i].valid)
-    }
-
-    /// Count of transactions that passed validation.
-    fn n_valid(&self) -> u64 {
-        self.txs.iter().filter(|t| t.valid).count() as u64
-    }
-
     /// After target moved (CAS lost): arm revalidation of the delta window.
     fn start_validation(&mut self, target: u64) -> WState {
         // Window check: a snapshot too far behind the ring can't validate.
-        for tx in self.txs.iter_mut() {
+        for tx in self.port.txs.iter_mut() {
             if tx.valid && !self.atr.snapshot_in_window(tx.snapshot, target) {
-                tx.valid = false; // spurious (capacity) abort
-                tx.reason = AbortReason::AtrWindowOverflow;
+                tx.refuse(AbortReason::AtrWindowOverflow); // spurious (capacity) abort
             }
         }
         match self.variant {
-            CsmvVariant::Full => match self.next_valid(0) {
-                Some(txi) => {
-                    let lo = self.txs[txi].validated_to + 1;
-                    if lo >= target {
-                        self.advance_cv(txi, target)
-                    } else {
-                        WState::CvChunk { txi, lo, target }
-                    }
-                }
-                None => WState::Reserve { target },
-            },
+            CsmvVariant::Full => self.cv_next(0, target),
             CsmvVariant::NoCv => {
                 if self
+                    .port
                     .txs
                     .iter()
                     .any(|t| t.valid && t.validated_to + 1 < target)
@@ -883,205 +1167,32 @@ impl WorkerWarp {
         }
     }
 
-    /// Move collaborative validation to the next tx (or to Reserve).
-    fn advance_cv(&mut self, txi: usize, target: u64) -> WState {
-        self.txs[txi].validated_to = target - 1;
-        match self.next_valid(txi + 1) {
-            Some(next) => {
-                let lo = self.txs[next].validated_to + 1;
-                if lo >= target {
-                    self.advance_cv(next, target)
-                } else {
-                    WState::CvChunk {
-                        txi: next,
-                        lo,
-                        target,
-                    }
-                }
+    /// Collaborative validation of the first valid tx at or after `from`
+    /// with entries below `target` left to check (or on to Reserve).
+    fn cv_next(&mut self, from: usize, target: u64) -> WState {
+        let mut from = from;
+        while let Some(txi) = self.port.next_valid(from) {
+            let lo = self.port.txs[txi].validated_to + 1;
+            if lo < target {
+                return WState::CvChunk { txi, lo, target };
             }
-            None => WState::Reserve { target },
+            from = txi + 1;
         }
+        WState::Reserve { target }
     }
 }
 
 impl WarpProgram for WorkerWarp {
     fn step(&mut self, w: &mut WarpCtx) -> StepOutcome {
-        match std::mem::replace(&mut self.st, WState::Pop) {
-            WState::Pop => {
-                w.set_phase(Phase::ServerIdle.id());
-                let ctl = &self.ctl;
-                // Acquire: pairs with the receiver's tail/shutdown releases.
-                let words = w.shared_read_ord(
-                    0b111,
-                    |l| match l {
-                        0 => ctl.q_head_addr(),
-                        1 => ctl.q_tail_addr(),
-                        _ => ctl.shutdown_addr(),
-                    },
-                    MemOrder::Acquire,
-                );
-                let (head, tail, shutdown) = (words[0], words[1], words[2]);
-                if head == tail {
-                    if shutdown != 0 {
-                        self.st = WState::Finished;
-                        return StepOutcome::Done;
-                    }
-                    w.poll_wait();
-                    self.st = WState::Pop;
-                } else {
-                    self.st = WState::PopCas { head };
+        match std::mem::replace(&mut self.st, WState::Port(PortStep::Pop)) {
+            WState::Port(st) => match self.port.step(w, st, &mut self.metrics) {
+                PortNext::Step(st) => self.st = WState::Port(st),
+                PortNext::Fetched => self.st = WState::ReadTarget,
+                PortNext::Shutdown => {
+                    self.st = WState::Finished;
+                    return StepOutcome::Done;
                 }
-                StepOutcome::Running
-            }
-            WState::PopCas { head } => {
-                w.set_phase(Phase::ServerIdle.id());
-                let old = w.shared_cas1(0, self.ctl.q_head_addr(), head, head + 1);
-                self.st = if old == head {
-                    WState::ReadEntry { head }
-                } else {
-                    WState::Pop
-                };
-                StepOutcome::Running
-            }
-            WState::ReadEntry { head } => {
-                w.set_phase(Phase::ServerIdle.id());
-                // Acquire: pairs with the receiver's entry-release write.
-                self.slot =
-                    w.shared_read1_ord(0, self.ctl.q_entry_addr(head), MemOrder::Acquire) as usize;
-                self.st = WState::ReadBatchSeq;
-                StepOutcome::Running
-            }
-            WState::ReadBatchSeq => {
-                w.set_phase(Phase::Validation.id());
-                // Acquire: control-plane word, ordered against recovery
-                // resends (see the receiver's seq sweep).
-                self.seq =
-                    w.global_read1_ord(0, self.proto.req_seq_addr(self.slot), MemOrder::Acquire);
-                self.st = WState::ReadHdrA;
-                StepOutcome::Running
-            }
-            WState::ReadHdrA => {
-                w.set_phase(Phase::Validation.id());
-                let proto = &self.proto;
-                let slot = self.slot;
-                let hdrs = w.global_read(full_mask(), |l| proto.hdr_a_addr(slot, l));
-                self.txs.clear();
-                for (lane, &h) in hdrs.iter().enumerate() {
-                    let (committing, snapshot) = CommitProtocol::unpack_hdr_a(h);
-                    if committing {
-                        self.txs.push(TxD {
-                            lane,
-                            snapshot,
-                            rs_len: 0,
-                            ws_len: 0,
-                            rs_items: Vec::new(),
-                            ws_pairs: Vec::new(),
-                            valid: true,
-                            reason: AbortReason::ReadValidation,
-                            validated_to: snapshot,
-                            cts: 0,
-                        });
-                    }
-                }
-                self.metrics.batch_sizes.record(self.txs.len() as u64);
-                self.st = WState::ReadHdrB;
-                StepOutcome::Running
-            }
-            WState::ReadHdrB => {
-                w.set_phase(Phase::Validation.id());
-                let proto = &self.proto;
-                let slot = self.slot;
-                let hdrs = w.global_read(full_mask(), |l| proto.hdr_b_addr(slot, l));
-                for tx in self.txs.iter_mut() {
-                    let (rs_len, ws_len) = CommitProtocol::unpack_hdr_b(hdrs[tx.lane]);
-                    tx.rs_len = rs_len;
-                    tx.ws_len = ws_len;
-                }
-                self.st = WState::Fetch;
-                StepOutcome::Running
-            }
-            WState::Fetch => {
-                w.set_phase(Phase::Validation.id());
-                let proto = self.proto.clone();
-                let slot = self.slot;
-                match self.variant {
-                    CsmvVariant::Full => {
-                        // Broadcast reads: every lane targets the same payload
-                        // word (one 128-byte segment per access) — the
-                        // coalescing pattern of collaborative validation.
-                        let mut sched: Vec<(usize, bool, usize)> = Vec::new();
-                        for (ti, tx) in self.txs.iter().enumerate() {
-                            for e in 0..tx.rs_len {
-                                sched.push((ti, false, e));
-                            }
-                            for e in 0..tx.ws_len {
-                                sched.push((ti, true, e));
-                            }
-                        }
-                        if !sched.is_empty() {
-                            let txs = &self.txs;
-                            let words = w.global_read_bulk(full_mask(), sched.len(), |_, i| {
-                                let (ti, is_ws, e) = sched[i];
-                                let lane = txs[ti].lane;
-                                if is_ws {
-                                    proto.ws_addr(slot, lane, e)
-                                } else {
-                                    proto.rs_addr(slot, lane, e)
-                                }
-                            });
-                            for (i, &(ti, is_ws, _)) in sched.iter().enumerate() {
-                                let word = words[i][0];
-                                if is_ws {
-                                    self.txs[ti].ws_pairs.push(unpack_ws_entry(word));
-                                } else {
-                                    self.txs[ti].rs_items.push(word);
-                                }
-                            }
-                        }
-                    }
-                    CsmvVariant::NoCv | CsmvVariant::OnlyCs => {
-                        // Independent fetches: lane j reads its own tx's
-                        // entries — scattered, one segment per lane.
-                        let rounds = self
-                            .txs
-                            .iter()
-                            .map(|t| t.rs_len + t.ws_len)
-                            .max()
-                            .unwrap_or(0);
-                        if rounds > 0 {
-                            let txs = &self.txs;
-                            let words = w.global_read_bulk(full_mask(), rounds, |l, i| {
-                                // Lane l handles tx l when it exists.
-                                if l < txs.len() && i < txs[l].rs_len + txs[l].ws_len {
-                                    let tx = &txs[l];
-                                    if i < tx.rs_len {
-                                        proto.rs_addr(slot, tx.lane, i)
-                                    } else {
-                                        proto.ws_addr(slot, tx.lane, i - tx.rs_len)
-                                    }
-                                } else {
-                                    // Inactive lanes re-read word 0 of the
-                                    // payload (harmless, keeps masks simple).
-                                    proto.hdr_a_addr(slot, 0)
-                                }
-                            });
-                            for (l, tx) in self.txs.iter_mut().enumerate() {
-                                for (i, row) in words.iter().enumerate().take(tx.rs_len + tx.ws_len)
-                                {
-                                    let word = row[l];
-                                    if i < tx.rs_len {
-                                        tx.rs_items.push(word);
-                                    } else {
-                                        tx.ws_pairs.push(unpack_ws_entry(word));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                self.st = WState::ReadTarget;
-                StepOutcome::Running
-            }
+            },
             WState::ReadTarget => {
                 w.set_phase(Phase::Validation.id());
                 // Acquire: the reservation CAS on next_cts orders access to
@@ -1091,213 +1202,62 @@ impl WarpProgram for WorkerWarp {
                     .atr_occupancy
                     .push(w.now(), self.atr.occupancy(target));
                 self.st = if self.variant == CsmvVariant::OnlyCs {
-                    match self.next_valid(0) {
-                        Some(txi) => {
-                            let lo = self.txs[txi].validated_to + 1;
-                            WState::ScValidate { txi, lo, target }
-                        }
-                        None => WState::WriteOutcomes,
-                    }
+                    self.sc_next(0, target)
                 } else {
                     self.start_validation(target)
                 };
-                StepOutcome::Running
             }
             WState::CvChunk { txi, lo, target } => {
                 w.set_phase(Phase::Validation.id());
-                match self.read_chunk(w, lo, target) {
+                self.st = match self.read_chunk(w, lo, target) {
                     ChunkRead::InFlight => {
                         w.poll_wait();
-                        self.st = WState::CvChunk { txi, lo, target };
+                        WState::CvChunk { txi, lo, target }
                     }
                     ChunkRead::Recycled => {
                         // Spurious (capacity) abort, as §V's discussion of the
                         // bounded shared-memory ATR anticipates.
-                        self.txs[txi].valid = false;
-                        self.txs[txi].reason = AbortReason::AtrWindowOverflow;
-                        self.st = match self.next_valid(txi + 1) {
-                            Some(next) => {
-                                let nlo = self.txs[next].validated_to + 1;
-                                if nlo >= target {
-                                    self.advance_cv(next, target)
-                                } else {
-                                    WState::CvChunk {
-                                        txi: next,
-                                        lo: nlo,
-                                        target,
-                                    }
-                                }
-                            }
-                            None => WState::Reserve { target },
-                        };
+                        self.port.txs[txi].refuse(AbortReason::AtrWindowOverflow);
+                        self.cv_next(txi + 1, target)
                     }
                     ChunkRead::Ready(chunk) => {
-                        let conflict = Self::tx_conflicts_with_chunk(w, &self.txs[txi], &chunk, 32);
-                        if conflict {
-                            self.txs[txi].valid = false;
-                            self.txs[txi].reason = AbortReason::ReadValidation;
-                            self.st = match self.next_valid(txi + 1) {
-                                Some(next) => {
-                                    let nlo = self.txs[next].validated_to + 1;
-                                    if nlo >= target {
-                                        self.advance_cv(next, target)
-                                    } else {
-                                        WState::CvChunk {
-                                            txi: next,
-                                            lo: nlo,
-                                            target,
-                                        }
-                                    }
-                                }
-                                None => WState::Reserve { target },
-                            };
+                        let tx = &mut self.port.txs[txi];
+                        if tx.conflicts_with(w, &chunk) {
+                            tx.refuse(AbortReason::ReadValidation);
+                            self.cv_next(txi + 1, target)
                         } else {
-                            let nlo = lo + chunk.len() as u64;
-                            self.st = if nlo >= target {
-                                self.advance_cv(txi, target)
-                            } else {
-                                WState::CvChunk {
-                                    txi,
-                                    lo: nlo,
-                                    target,
-                                }
-                            };
+                            tx.validated_to = lo + chunk.len() as u64 - 1;
+                            self.cv_next(txi, target)
                         }
                     }
-                }
-                StepOutcome::Running
+                };
             }
             WState::NcWalk { target } => {
                 w.set_phase(Phase::Validation.id());
-                // Lane j walks its own tx's window at its own pace: the next
-                // entry is cts = validated_to + 1. Different slots per lane ⇒
-                // bank conflicts and divergence, the price of
-                // non-collaboration.
-                let mut mask: Mask = 0;
-                let mut ctss = [0u64; WARP_LANES];
-                for (j, tx) in self.txs.iter().enumerate() {
-                    let cts = tx.validated_to + 1;
-                    if tx.valid && cts < target {
-                        mask |= 1 << j;
-                        ctss[j] = cts;
-                    }
-                }
-                if mask == 0 {
-                    self.st = WState::Reserve { target };
-                    return StepOutcome::Running;
-                }
-                let atr = self.atr.clone();
-                // Acquire: same seqlock-tag pattern as `read_chunk`.
-                let tags = w.shared_read_ord(
-                    mask,
-                    |j| atr.slot_cts_addr(atr.slot_of(ctss[j])),
-                    MemOrder::Acquire,
-                );
-                let mut in_flight = false;
-                for j in 0..WARP_LANES {
-                    if mask & (1 << j) == 0 {
-                        continue;
-                    }
-                    match steps::classify_tag(tags[j], ctss[j]) {
-                        TagState::Recycled => {
-                            // Entry recycled: spurious abort for this lane's
-                            // tx.
-                            self.txs[j].valid = false;
-                            self.txs[j].reason = AbortReason::AtrWindowOverflow;
-                            mask &= !(1 << j);
-                        }
-                        TagState::InFlight => in_flight = true,
-                        TagState::Published => {}
-                    }
-                }
-                if in_flight {
-                    w.poll_wait();
-                    self.st = WState::NcWalk { target };
-                    return StepOutcome::Running;
-                }
-                if mask == 0 {
-                    self.st = WState::NcWalk { target };
-                    return StepOutcome::Running;
-                }
-                let lens = w.shared_read_ord(
-                    mask,
-                    |j| atr.slot_len_addr(atr.slot_of(ctss[j])),
-                    MemOrder::Acquire,
-                );
-                let max_len = (0..WARP_LANES)
-                    .filter(|&j| mask & (1 << j) != 0)
-                    .map(|j| lens[j])
-                    .max()
-                    .unwrap_or(0);
-                let mut conflict = [false; WARP_LANES];
-                let mut compares = 0u64;
-                for kk in 0..max_len {
-                    let mut kmask: Mask = 0;
-                    for (j, &len) in lens.iter().enumerate() {
-                        if mask & (1 << j) != 0 && kk < len {
-                            kmask |= 1 << j;
-                        }
-                    }
-                    let row = w.shared_read_ord(
-                        kmask,
-                        |j| atr.slot_item_addr(atr.slot_of(ctss[j]), kk),
-                        MemOrder::Acquire,
-                    );
-                    for (j, tx) in self.txs.iter().enumerate() {
-                        if kmask & (1 << j) != 0 {
-                            compares = compares.max((tx.rs_len + tx.ws_len) as u64);
-                            if tx.items_to_check().any(|e| e == row[j]) {
-                                conflict[j] = true;
-                            }
-                        }
-                    }
-                }
-                // Independent (per-lane, serial) compares: no /32 sharing.
-                w.alu(mask, compares.max(1) * max_len.max(1));
-                for (j, tx) in self.txs.iter_mut().enumerate() {
-                    if mask & (1 << j) != 0 {
-                        if conflict[j] {
-                            tx.valid = false;
-                            tx.reason = AbortReason::ReadValidation;
-                        } else {
-                            tx.validated_to = ctss[j];
-                        }
-                    }
-                }
-                self.st = WState::NcWalk { target };
-                StepOutcome::Running
+                self.st = self.nc_walk(w, target);
             }
             WState::Reserve { target } => {
                 w.set_phase(Phase::RecordInsert.id());
-                let n = self.n_valid();
+                let n = self.port.n_valid();
                 if n == 0 {
-                    self.st = WState::WriteOutcomes;
+                    self.st = REPLY;
                     return StepOutcome::Running;
                 }
                 // Batched insert: a single CAS reserves the whole batch.
                 let old = w.shared_cas1(0, self.atr.next_cts_addr(), target, target + n);
-                match steps::reserve_outcome(old, target) {
+                self.st = match steps::reserve_outcome(old, target) {
                     ReserveOutcome::Won { base } => {
-                        let mut cts = base;
-                        for tx in self.txs.iter_mut() {
-                            if tx.valid {
-                                tx.cts = cts;
-                                cts += 1;
-                            }
-                        }
-                        self.st = self.after_reserve(base);
+                        self.port.assign_cts(base);
+                        self.after_reserve(base)
                     }
-                    ReserveOutcome::Lost { target } => {
-                        // Entries [expected, target) appeared: revalidate the
-                        // delta.
-                        self.st = self.start_validation(target);
-                    }
-                }
-                StepOutcome::Running
+                    // Entries [expected, target) appeared: revalidate the
+                    // delta.
+                    ReserveOutcome::Lost { target } => self.start_validation(target),
+                };
             }
             WState::InsertItems { base, widx } => {
                 w.set_phase(Phase::RecordInsert.id());
-                let valid: Vec<&TxD> = self.txs.iter().filter(|t| t.valid).collect();
+                let valid: Vec<&BatchTx> = self.port.txs.iter().filter(|t| t.valid).collect();
                 let max_ws = valid.iter().map(|t| t.ws_len).max().unwrap_or(0);
                 if widx >= max_ws {
                     self.st = WState::InsertLens { base };
@@ -1326,59 +1286,54 @@ impl WarpProgram for WorkerWarp {
                     base,
                     widx: widx + 1,
                 };
-                StepOutcome::Running
             }
             WState::InsertLens { base } => {
                 w.set_phase(Phase::RecordInsert.id());
                 let valid: Vec<(u64, u64)> = self
+                    .port
                     .txs
                     .iter()
                     .filter(|t| t.valid)
                     .map(|t| (t.cts, t.ws_len as u64))
                     .collect();
-                let mut mask: Mask = 0;
-                for k in 0..valid.len() {
-                    mask |= 1 << k;
-                }
                 let atr = self.atr.clone();
                 w.shared_write_ord(
-                    mask,
+                    low_lanes(valid.len()),
                     |k| atr.slot_len_addr(atr.slot_of(valid[k].0)),
                     |k| valid[k].1,
                     MemOrder::Release,
                 );
                 self.st = if self.publish_tag_first() {
                     // Seeded bug: the tag already went out first.
-                    WState::WriteOutcomes
+                    REPLY
                 } else {
                     WState::InsertCts { base }
                 };
-                StepOutcome::Running
             }
             WState::InsertCts { base } => {
                 w.set_phase(Phase::RecordInsert.id());
-                let valid: Vec<u64> = self.txs.iter().filter(|t| t.valid).map(|t| t.cts).collect();
-                let mut mask: Mask = 0;
-                for k in 0..valid.len() {
-                    mask |= 1 << k;
-                }
+                let valid: Vec<u64> = self
+                    .port
+                    .txs
+                    .iter()
+                    .filter(|t| t.valid)
+                    .map(|t| t.cts)
+                    .collect();
                 let atr = self.atr.clone();
                 // Publishing write: validators polling these tags may now
                 // read the entries. Release pairs with their tag acquires.
                 w.shared_write_ord(
-                    mask,
+                    low_lanes(valid.len()),
                     |k| atr.slot_cts_addr(atr.slot_of(valid[k])),
                     |k| valid[k],
                     MemOrder::Release,
                 );
-                let _ = base;
                 self.st = if self.publish_tag_first() {
                     // Seeded bug: items and lens follow the published tag.
                     WState::InsertItems { base, widx: 0 }
                 } else {
-                    WState::WriteOutcomes
+                    REPLY
                 };
-                StepOutcome::Running
             }
             // --------------------------------------------------------------
             // OnlyCs: strictly serial per-transaction commit, server-side
@@ -1386,80 +1341,26 @@ impl WarpProgram for WorkerWarp {
             // --------------------------------------------------------------
             WState::ScValidate { txi, lo, target } => {
                 w.set_phase(Phase::Validation.id());
-                if !self.atr.snapshot_in_window(self.txs[txi].snapshot, target) {
-                    self.txs[txi].valid = false;
-                    self.txs[txi].reason = AbortReason::AtrWindowOverflow;
-                    self.st = self.sc_next(txi, target);
-                    return StepOutcome::Running;
-                }
-                if lo >= target {
-                    self.st = WState::ScReserve { txi, target };
-                    return StepOutcome::Running;
-                }
-                // Single-lane serial walk: one entry per step.
-                let atr = self.atr.clone();
-                let s = atr.slot_of(lo);
-                // Acquire: seqlock tag, as in the parallel paths.
-                let tag = w.shared_read1_ord(0, atr.slot_cts_addr(s), MemOrder::Acquire);
-                match steps::classify_tag(tag, lo) {
-                    TagState::Recycled => {
-                        // Entry recycled mid-validation: spurious abort.
-                        self.txs[txi].valid = false;
-                        self.txs[txi].reason = AbortReason::AtrWindowOverflow;
-                        self.st = self.sc_next(txi, target);
-                        return StepOutcome::Running;
-                    }
-                    TagState::InFlight => {
-                        w.poll_wait();
-                        self.st = WState::ScValidate { txi, lo, target };
-                        return StepOutcome::Running;
-                    }
-                    TagState::Published => {}
-                }
-                let len = w.shared_read1_ord(0, atr.slot_len_addr(s), MemOrder::Acquire);
-                let mut conflict = false;
-                for k in 0..len {
-                    let item = w.shared_read1_ord(0, atr.slot_item_addr(s, k), MemOrder::Acquire);
-                    if self.txs[txi].items_to_check().any(|e| e == item) {
-                        conflict = true;
-                    }
-                }
-                w.alu(
-                    single_lane(0),
-                    ((self.txs[txi].rs_len + self.txs[txi].ws_len) as u64 * len.max(1)).max(1),
-                );
-                if conflict {
-                    self.txs[txi].valid = false;
-                    self.txs[txi].reason = AbortReason::ReadValidation;
-                    self.st = self.sc_next(txi, target);
-                } else {
-                    self.txs[txi].validated_to = lo;
-                    self.st = WState::ScValidate {
-                        txi,
-                        lo: lo + 1,
-                        target,
-                    };
-                }
-                StepOutcome::Running
+                self.st = self.sc_validate(w, txi, lo, target);
             }
             WState::ScReserve { txi, target } => {
                 w.set_phase(Phase::RecordInsert.id());
                 let old = w.shared_cas1(0, self.atr.next_cts_addr(), target, target + 1);
-                if old == target {
-                    self.txs[txi].cts = target;
-                    self.st = WState::ScInsert { txi, sub: 0 };
+                let tx = &mut self.port.txs[txi];
+                self.st = if old == target {
+                    tx.cts = target;
+                    WState::ScInsert { txi, sub: 0 }
                 } else {
-                    self.st = WState::ScValidate {
+                    WState::ScValidate {
                         txi,
-                        lo: self.txs[txi].validated_to + 1,
+                        lo: tx.validated_to + 1,
                         target: old,
-                    };
-                }
-                StepOutcome::Running
+                    }
+                };
             }
             WState::ScInsert { txi, sub } => {
                 w.set_phase(Phase::RecordInsert.id());
-                let tx = &self.txs[txi];
+                let tx = &self.port.txs[txi];
                 let s = self.atr.slot_of(tx.cts);
                 match sub {
                     0 => {
@@ -1501,7 +1402,6 @@ impl WarpProgram for WorkerWarp {
                         };
                     }
                 }
-                StepOutcome::Running
             }
             WState::ScWriteBack {
                 txi,
@@ -1510,23 +1410,24 @@ impl WarpProgram for WorkerWarp {
                 head,
             } => {
                 w.set_phase(Phase::WriteBack.id());
-                let tx = &self.txs[txi];
+                let tx = &self.port.txs[txi];
                 if widx >= tx.ws_pairs.len() {
                     self.st = WState::ScGts { txi };
                     return StepOutcome::Running;
                 }
                 let (item, value) = tx.ws_pairs[widx];
-                match sub {
+                self.st = match sub {
                     0 => {
                         // Acquire/Release on head/version words: same
                         // version-ring discipline as the client write-back.
-                        let h = w.global_read1_ord(0, self.heap.head_addr(item), MemOrder::Acquire);
-                        self.st = WState::ScWriteBack {
+                        let head =
+                            w.global_read1_ord(0, self.heap.head_addr(item), MemOrder::Acquire);
+                        WState::ScWriteBack {
                             txi,
                             widx,
                             sub: 1,
-                            head: h,
-                        };
+                            head,
+                        }
                     }
                     1 => {
                         let slot = self.heap.next_slot(head);
@@ -1536,132 +1437,223 @@ impl WarpProgram for WorkerWarp {
                             stm_core::vbox::pack_version(tx.cts, value),
                             MemOrder::Release,
                         );
-                        self.st = WState::ScWriteBack {
+                        WState::ScWriteBack {
                             txi,
                             widx,
                             sub: 2,
                             head,
-                        };
+                        }
                     }
                     _ => {
                         let slot = self.heap.next_slot(head);
                         w.global_write1_ord(0, self.heap.head_addr(item), slot, MemOrder::Release);
-                        self.st = WState::ScWriteBack {
+                        WState::ScWriteBack {
                             txi,
                             widx: widx + 1,
                             sub: 0,
                             head: 0,
-                        };
+                        }
                     }
-                }
-                StepOutcome::Running
+                };
             }
             WState::ScGts { txi } => {
                 w.set_phase(Phase::WriteBack.id());
-                let cts = self.txs[txi].cts;
+                let cts = self.port.txs[txi].cts;
                 // Acquire/Release GTS turn-taking, as in the client.
                 let gts = w.global_read1_ord(0, self.gts_addr, MemOrder::Acquire);
                 if steps::gts_turn_reached(gts, cts) {
                     w.global_write1_ord(0, self.gts_addr, cts, MemOrder::Release);
-                    let target = cts + 1;
-                    self.st = self.sc_next(txi, target);
+                    self.st = self.sc_next(txi + 1, cts + 1);
                 } else {
                     w.poll_wait();
                     self.st = WState::ScGts { txi };
                 }
-                StepOutcome::Running
             }
-            WState::WriteOutcomes => {
-                w.set_phase(Phase::RecordInsert.id());
-                let mut outcomes = [OUTCOME_NONE; WARP_LANES];
-                for tx in &self.txs {
-                    outcomes[tx.lane] = if tx.valid {
-                        pack_commit(tx.cts)
-                    } else {
-                        pack_abort(tx.reason)
-                    };
-                }
-                let proto = &self.proto;
-                let slot = self.slot;
-                w.global_write(
-                    full_mask(),
-                    |l| proto.outcome_addr(slot, l),
-                    |l| outcomes[l],
-                );
-                self.st = WState::WriteEcho;
-                StepOutcome::Running
-            }
-            WState::WriteEcho => {
-                w.set_phase(Phase::RecordInsert.id());
-                // The echo must land after the outcome words and before the
-                // RESPONSE flip: echo == seq certifies the payload is
-                // complete (see `gpu_sim::channel`). Release pairs with the
-                // receiver's/client's echo-check acquires.
-                w.global_write1_ord(
-                    0,
-                    self.proto.resp_seq_addr(self.slot),
-                    self.seq,
-                    MemOrder::Release,
-                );
-                self.st = WState::SetResponse;
-                StepOutcome::Running
-            }
-            WState::SetResponse => {
-                w.set_phase(Phase::RecordInsert.id());
-                let dropped = w.fault_plan().is_some_and(|p| {
-                    p.drop_response(self.fault_channel, self.slot as u64, self.seq, 0)
-                });
-                if dropped {
-                    // Response delivery lost in transit: the payload and echo
-                    // are in place, only the flag flip vanishes. The client's
-                    // timed-out re-post lets the receiver re-arm the slot
-                    // without reprocessing the batch.
-                    w.global_write1_ord(
-                        0,
-                        self.proto.resp_seq_addr(self.slot),
-                        self.seq,
-                        MemOrder::Release,
-                    );
-                } else {
-                    // Release: publishes the outcome words to the client.
-                    w.global_write1_ord(
-                        0,
-                        self.proto.mailboxes().status_addr(self.slot),
-                        STATUS_RESPONSE,
-                        MemOrder::Release,
-                    );
-                }
-                self.st = WState::Pop;
-                StepOutcome::Running
-            }
-            WState::Finished => StepOutcome::Done,
+            WState::Finished => return StepOutcome::Done,
         }
+        StepOutcome::Running
     }
 }
 
 impl WorkerWarp {
     /// Current state, for diagnostics.
     pub fn debug_state(&self) -> String {
-        format!("{:?} slot={} txs={}", self.st, self.slot, self.txs.len())
+        format!(
+            "{:?} slot={} txs={}",
+            self.st,
+            self.port.slot,
+            self.port.txs.len()
+        )
     }
 
-    /// OnlyCs: advance to the next transaction of the batch (serial).
-    fn sc_next(&mut self, txi: usize, target: u64) -> WState {
-        match self.next_valid_unprocessed(txi + 1) {
-            Some(next) => {
-                let lo = self.txs[next].validated_to + 1;
-                WState::ScValidate {
-                    txi: next,
-                    lo,
-                    target,
+    /// NoCv: lane j walks its own tx's window at its own pace: the next
+    /// entry is cts = validated_to + 1. Different slots per lane ⇒ bank
+    /// conflicts and divergence, the price of non-collaboration.
+    fn nc_walk(&mut self, w: &mut WarpCtx, target: u64) -> WState {
+        let txs = &mut self.port.txs;
+        let mut mask: Mask = 0;
+        let mut ctss = [0u64; WARP_LANES];
+        for (j, tx) in txs.iter().enumerate() {
+            let cts = tx.validated_to + 1;
+            if tx.valid && cts < target {
+                mask |= 1 << j;
+                ctss[j] = cts;
+            }
+        }
+        if mask == 0 {
+            return WState::Reserve { target };
+        }
+        let atr = self.atr.clone();
+        // Acquire: same seqlock-tag pattern as `read_chunk`.
+        let tags = w.shared_read_ord(
+            mask,
+            |j| atr.slot_cts_addr(atr.slot_of(ctss[j])),
+            MemOrder::Acquire,
+        );
+        let mut in_flight = false;
+        for j in 0..WARP_LANES {
+            if mask & (1 << j) == 0 {
+                continue;
+            }
+            match steps::classify_tag(tags[j], ctss[j]) {
+                TagState::Recycled => {
+                    // Entry recycled: spurious abort for this lane's tx.
+                    txs[j].refuse(AbortReason::AtrWindowOverflow);
+                    mask &= !(1 << j);
+                }
+                TagState::InFlight => in_flight = true,
+                TagState::Published => {}
+            }
+        }
+        if in_flight {
+            w.poll_wait();
+            return WState::NcWalk { target };
+        }
+        if mask == 0 {
+            return WState::NcWalk { target };
+        }
+        let lens = w.shared_read_ord(
+            mask,
+            |j| atr.slot_len_addr(atr.slot_of(ctss[j])),
+            MemOrder::Acquire,
+        );
+        let max_len = (0..WARP_LANES)
+            .filter(|&j| mask & (1 << j) != 0)
+            .map(|j| lens[j])
+            .max()
+            .unwrap_or(0);
+        let mut conflict = [false; WARP_LANES];
+        let mut compares = 0u64;
+        for kk in 0..max_len {
+            let mut kmask: Mask = 0;
+            for (j, &len) in lens.iter().enumerate() {
+                if mask & (1 << j) != 0 && kk < len {
+                    kmask |= 1 << j;
                 }
             }
-            None => WState::WriteOutcomes,
+            let row = w.shared_read_ord(
+                kmask,
+                |j| atr.slot_item_addr(atr.slot_of(ctss[j]), kk),
+                MemOrder::Acquire,
+            );
+            for (j, tx) in txs.iter().enumerate() {
+                if kmask & (1 << j) != 0 {
+                    compares = compares.max((tx.rs_len + tx.ws_len) as u64);
+                    if tx.items_to_check().any(|e| e == row[j]) {
+                        conflict[j] = true;
+                    }
+                }
+            }
+        }
+        // Independent (per-lane, serial) compares: no /32 sharing.
+        w.alu(mask, compares.max(1) * max_len.max(1));
+        for (j, tx) in txs.iter_mut().enumerate() {
+            if mask & (1 << j) != 0 {
+                if conflict[j] {
+                    tx.refuse(AbortReason::ReadValidation);
+                } else {
+                    tx.validated_to = ctss[j];
+                }
+            }
+        }
+        WState::NcWalk { target }
+    }
+
+    /// OnlyCs: validate tx `txi` against the entry at cts `lo`, one entry
+    /// per step on a single lane.
+    fn sc_validate(&mut self, w: &mut WarpCtx, txi: usize, lo: u64, target: u64) -> WState {
+        if !self
+            .atr
+            .snapshot_in_window(self.port.txs[txi].snapshot, target)
+        {
+            self.port.txs[txi].refuse(AbortReason::AtrWindowOverflow);
+            return self.sc_next(txi + 1, target);
+        }
+        if lo >= target {
+            return WState::ScReserve { txi, target };
+        }
+        let atr = self.atr.clone();
+        let s = atr.slot_of(lo);
+        // Acquire: seqlock tag, as in the parallel paths.
+        let tag = w.shared_read1_ord(0, atr.slot_cts_addr(s), MemOrder::Acquire);
+        match steps::classify_tag(tag, lo) {
+            TagState::Recycled => {
+                // Entry recycled mid-validation: spurious abort.
+                self.port.txs[txi].refuse(AbortReason::AtrWindowOverflow);
+                return self.sc_next(txi + 1, target);
+            }
+            TagState::InFlight => {
+                w.poll_wait();
+                return WState::ScValidate { txi, lo, target };
+            }
+            TagState::Published => {}
+        }
+        let len = w.shared_read1_ord(0, atr.slot_len_addr(s), MemOrder::Acquire);
+        let tx = &mut self.port.txs[txi];
+        let mut conflict = false;
+        for k in 0..len {
+            let item = w.shared_read1_ord(0, atr.slot_item_addr(s, k), MemOrder::Acquire);
+            if tx.items_to_check().any(|e| e == item) {
+                conflict = true;
+            }
+        }
+        w.alu(
+            single_lane(0),
+            ((tx.rs_len + tx.ws_len) as u64 * len.max(1)).max(1),
+        );
+        if conflict {
+            tx.refuse(AbortReason::ReadValidation);
+            self.sc_next(txi + 1, target)
+        } else {
+            tx.validated_to = lo;
+            WState::ScValidate {
+                txi,
+                lo: lo + 1,
+                target,
+            }
         }
     }
 
-    /// OnlyCs helper: next valid tx with no cts yet.
-    fn next_valid_unprocessed(&self, from: usize) -> Option<usize> {
-        (from..self.txs.len()).find(|&i| self.txs[i].valid && self.txs[i].cts == 0)
+    /// OnlyCs: on to the first valid tx at or after `from` with no cts yet
+    /// (serial), or to the reply.
+    fn sc_next(&mut self, from: usize, target: u64) -> WState {
+        let txs = &self.port.txs;
+        match (from..txs.len()).find(|&i| txs[i].valid && txs[i].cts == 0) {
+            Some(txi) => WState::ScValidate {
+                txi,
+                lo: txs[txi].validated_to + 1,
+                target,
+            },
+            None => REPLY,
+        }
     }
+}
+
+/// The mask of lanes `0..n`.
+pub(crate) fn low_lanes(n: usize) -> Mask {
+    let mut mask: Mask = 0;
+    for k in 0..n {
+        mask |= 1 << k;
+    }
+    mask
 }

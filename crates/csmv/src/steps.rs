@@ -170,6 +170,21 @@ pub fn gts_run(gts: u64, pending: &[u64]) -> u64 {
     }
 }
 
+/// Multi-server owner-of: the partition (the commit server) owning `item`
+/// when items are hash-partitioned over `partitions` servers.
+#[inline]
+pub fn partition_of(item: u64, partitions: usize) -> usize {
+    (item % partitions as u64) as usize
+}
+
+/// Multi-server liveness: is a partition whose receiver last stamped its
+/// heartbeat at cycle `heartbeat` dead at cycle `now`? Only a stamp older
+/// than `patience` cycles says so.
+#[inline]
+pub fn heartbeat_stale(now: u64, heartbeat: u64, patience: u64) -> bool {
+    now.saturating_sub(heartbeat) > patience
+}
+
 /// The version-GC watermark: the minimum over the active reader snapshots,
 /// clamped to the GTS (an in-flight registration of a future timestamp can
 /// never raise the watermark above the committed frontier). With no active
@@ -332,6 +347,23 @@ pub fn retry_may_succeed(rejected_at: u64, gts: u64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn items_are_owned_by_their_residue_class() {
+        assert_eq!(partition_of(7, 1), 0);
+        assert_eq!(partition_of(7, 2), 1);
+        assert_eq!(partition_of(8, 4), 0);
+        assert_eq!(partition_of(u64::MAX, 3), (u64::MAX % 3) as usize);
+    }
+
+    #[test]
+    fn a_heartbeat_goes_stale_only_past_its_patience() {
+        assert!(!heartbeat_stale(100, 100, 0));
+        assert!(!heartbeat_stale(150, 100, 50));
+        assert!(heartbeat_stale(151, 100, 50));
+        // A stamp from the future (read before a racing write) is fresh.
+        assert!(!heartbeat_stale(100, 200, 0));
+    }
 
     #[test]
     fn tag_classification() {

@@ -18,7 +18,9 @@ pub enum AbortReason {
     /// (single-versioned baselines only).
     WriteWrite = 1,
     /// The transaction's snapshot fell out of the ATR ring's window before
-    /// it could be validated (slot recycled / walk budget exhausted).
+    /// it could be validated (slot recycled / walk budget exhausted). The
+    /// native engine also fails, terminally, a transaction whose
+    /// write-set is larger than one ATR entry holds.
     AtrWindowOverflow = 2,
     /// Intra-warp pre-validation killed this lane in favour of a warp-mate
     /// writing the same item (CSMV clients only).

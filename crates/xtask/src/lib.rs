@@ -16,7 +16,9 @@
 //!   an `_ord` access passing `Plain`, is a finding.
 //! - **R2 `no-panic-in-server-path`** — no `.unwrap()` / `.expect(...)`
 //!   inside the commit-server impls, simulated (`ReceiverWarp`,
-//!   `WorkerWarp`, `ServerControl`, `MultiWorker`) or native
+//!   `WorkerWarp`, `ServerControl`, `MultiWorker`, and the batch intake,
+//!   reply and validation steps both workers share: `WorkerPort`,
+//!   `BatchTx`) or native
 //!   (`Validator`, `NativeWorker`): a panicking server warp deadlocks
 //!   every client in the simulator the same way a crashed SM does on a
 //!   GPU, except unreported — and a native worker that panics between

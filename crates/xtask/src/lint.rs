@@ -71,7 +71,8 @@ const PROTOCOL_WORD_TOKENS: &[&str] = &[
 ];
 
 /// Commit-server types whose impl blocks must be panic-free: the
-/// simulated warps, the native backend's worker threads and the validator
+/// simulated warps and the steps both simulated workers share (the batch
+/// intake and reply of `WorkerPort`, the conflict test of `BatchTx`), the native backend's worker threads and the validator
 /// each of them commits through (the server role, run in place), the
 /// engine front door, the network service's per-connection loop (a
 /// panicking connection thread silently drops the client and can leak
@@ -86,6 +87,8 @@ const SERVER_IMPL_TYPES: &[&str] = &[
     "WorkerWarp",
     "ServerControl",
     "MultiWorker",
+    "WorkerPort",
+    "BatchTx",
     "Validator",
     "NativeWorker",
     "NativeEngine",
@@ -743,6 +746,17 @@ mod tests {
         let f = check_no_panic_in_server_path(Path::new("x.rs"), src);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].line, 2);
+    }
+
+    #[test]
+    fn the_shared_worker_steps_are_server_paths() {
+        // The simulated workers pop, fetch, validate and reply through
+        // these; a panic in them wedges a server SM like one in the warp.
+        let src = "impl WorkerPort {\n    fn f(&self) { self.x.unwrap(); }\n}\n\
+                   impl BatchTx {\n    fn g(&self) { self.y.expect(\"boom\"); }\n}";
+        let f = check_no_panic_in_server_path(Path::new("x.rs"), src);
+        let lines: Vec<usize> = f.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [2, 5]);
     }
 
     #[test]
