@@ -32,10 +32,11 @@ use stm_core::{AbortReason, FaultEvent};
 /// but baselines were regenerated to carry them.
 ///
 /// Still v3 (additive): the pipelined-commit PR appended `gts_stall_ns`
-/// (mean GTS-turn stall per commit), the
-/// `server_stall.*` series summaries (server-side version-wait during
-/// validation) and the `pipeline.*` speculation counters. Missing rows in
-/// an older baseline are additive, never an error.
+/// (mean GTS-turn stall per commit) and the `server_stall.*` series
+/// summaries (server-side version-wait during validation). Missing rows in
+/// an older baseline are additive, never an error. Its three
+/// `pipeline.spec_*` counters left the schema with the mechanism they
+/// counted, and the baselines were stripped of them.
 pub const SCHEMA_VERSION: u64 = 3;
 
 /// One benchmark invocation's structured output.
@@ -171,17 +172,12 @@ fn flatten(row: &Row) -> Vec<(String, f64)> {
         m.push((format!("{prefix}.max"), s.max() as f64));
         m.push((format!("{prefix}.sum"), s.sum() as f64));
     }
-    // v3, additive: the pipelined commit path. `gts_stall_ns` is the mean
-    // GTS-turn stall charged to each commit (the stall the pipeline exists
-    // to shrink); the `pipeline.*` counters account for speculation volume.
+    // v3, additive: `gts_stall_ns` is the mean GTS-turn stall charged to
+    // each commit.
     m.push((
         "gts_stall_ns".into(),
         metrics.gts_stall.sum() as f64 / (row.commits.max(1) as f64),
     ));
-    let p = &metrics.pipeline;
-    m.push(("pipeline.spec_executed".into(), p.spec_executed as f64));
-    m.push(("pipeline.spec_squashed".into(), p.spec_squashed as f64));
-    m.push(("pipeline.spec_submitted".into(), p.spec_submitted as f64));
     // v3, additive: version-GC and memory-footprint observability. The
     // footprint row is the *peak* sampled bytes so a bounded-memory gate
     // compares worst-case residency, not whatever the final sample was.
@@ -411,9 +407,6 @@ mod tests {
         metrics.footprint.push(5, 4096);
         metrics.footprint.push(15, 8192);
         metrics.server_stall.push(30, 11);
-        metrics.pipeline.spec_executed = 6;
-        metrics.pipeline.spec_squashed = 2;
-        metrics.pipeline.spec_submitted = 4;
         let client_bd = TimeBreakdown {
             poll_stall_cycles: 55,
             ..Default::default()
@@ -469,14 +462,11 @@ mod tests {
         assert_eq!(row.metric("gc.pruned"), Some(3.0));
         assert_eq!(row.metric("gc.pinned_commits"), Some(1.0));
         assert_eq!(row.metric("aborts.snapshot_too_old"), Some(0.0));
-        // Pipeline rows are additive v3: server-side stall summaries, the
-        // per-commit GTS stall, and the speculation counters.
+        // Additive v3 rows: server-side stall summaries and the
+        // per-commit GTS stall.
         assert_eq!(row.metric("server_stall.samples"), Some(1.0));
         assert_eq!(row.metric("server_stall.sum"), Some(11.0));
         assert_eq!(row.metric("gts_stall_ns"), Some(7.0 / 1000.0));
-        assert_eq!(row.metric("pipeline.spec_executed"), Some(6.0));
-        assert_eq!(row.metric("pipeline.spec_squashed"), Some(2.0));
-        assert_eq!(row.metric("pipeline.spec_submitted"), Some(4.0));
         assert_eq!(row.metric("no_such_metric"), None);
         // Every abort reason appears exactly once.
         for reason in AbortReason::ALL {

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! model_check [--mutation NAME] [--clients N] [--txs N] [--servers N]
-//!             [--keys N] [--capacity N] [--depth N] [--faults] [--pipeline]
+//!             [--keys N] [--capacity N] [--depth N] [--faults]
 //!             [--expect-violation] [--trace-out PATH] [--quiet]
 //! ```
 //!
@@ -24,7 +24,6 @@ struct Args {
     capacity: u64,
     depth: usize,
     faults: bool,
-    pipeline: bool,
     expect_violation: bool,
     trace_out: Option<String>,
     quiet: bool,
@@ -40,7 +39,6 @@ fn parse_args() -> Result<Args, String> {
         capacity: 2,
         depth: 64,
         faults: false,
-        pipeline: false,
         expect_violation: false,
         trace_out: None,
         quiet: false,
@@ -67,7 +65,6 @@ fn parse_args() -> Result<Args, String> {
             "--capacity" => args.capacity = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
             "--depth" => args.depth = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
             "--faults" => args.faults = true,
-            "--pipeline" => args.pipeline = true,
             "--expect-violation" => args.expect_violation = true,
             "--trace-out" => args.trace_out = Some(value(&mut i)?),
             "--quiet" => args.quiet = true,
@@ -104,7 +101,6 @@ fn main() {
         max_req_dups: if args.faults { 1 } else { 0 },
         max_resp_drops: if args.faults { 1 } else { 0 },
         mutation: args.mutation,
-        pipeline: args.pipeline,
     };
     let xcfg = ExploreConfig {
         max_depth: args.depth,
@@ -115,14 +111,13 @@ fn main() {
     let elapsed = started.elapsed();
     if !args.quiet {
         println!(
-            "mutation={} clients={} servers={} keys={} faults={} pipeline={}: {} states, \
+            "mutation={} clients={} servers={} keys={} faults={}: {} states, \
              {} transitions, depth {}, {} terminal, truncated={}, {:.2?}",
             args.mutation.name(),
             args.clients,
             args.servers,
             args.keys,
             args.faults,
-            args.pipeline,
             r.states,
             r.transitions,
             r.depth_reached,

@@ -248,22 +248,6 @@ fn serialize(s: &State, cfg: &ModelConfig, r: &Relabel) -> Vec<u64> {
         v.push(cl.cts);
         v.push(cl.req_inflight as u64);
         v.push(cl.dup_inflight as u64);
-        match cl.spec {
-            None => {
-                v.push(0);
-                v.push(0);
-                v.push(0);
-                v.push(0);
-                v.push(0);
-            }
-            Some(sp) => {
-                v.push(1);
-                v.push(sp.for_tx as u64);
-                v.push(sp.snapshot);
-                v.push(r.kmap[sp.key as usize]);
-                v.push(sp.read_value);
-            }
-        }
     }
 
     for &old_s in sinv.iter().take(ns) {

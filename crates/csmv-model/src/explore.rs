@@ -419,7 +419,6 @@ mod tests {
             max_req_dups: 0,
             max_resp_drops: 0,
             mutation: crate::model::Mutation::None,
-            pipeline: false,
         };
         let r = explore(&cfg, &ExploreConfig::default());
         assert!(r.counterexample.is_none(), "{:?}", r.counterexample);

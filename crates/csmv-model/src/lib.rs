@@ -37,7 +37,7 @@ pub use canon::{canonical_hash, canonical_key};
 pub use explore::{explore, Counterexample, ExploreConfig, ExploreResult};
 pub use model::{
     apply, enabled_actions, Action, Client, ClientPhase, CommittedTx, Entry, Job, JobPhase,
-    ModelAbort, ModelConfig, Mutation, Outcome, Resp, Server, SpecRead, State,
+    ModelAbort, ModelConfig, Mutation, Outcome, Resp, Server, State,
 };
 pub use props::{check_state, check_step, check_terminal, history_records, Violation};
 pub use trace::{confirm, final_records, render, replay};

@@ -38,22 +38,14 @@ pub enum Mutation {
     /// The worker publishes an ATR entry's tag before its write-set items
     /// (`csmv::WorkerWarp::inject_publish_tag_first`).
     PublishTagFirst,
-    /// A pipelined client begins a speculated transaction claiming the
-    /// *current* GTS as its snapshot while keeping the stale speculative
-    /// read — the bug the speculative-preval/own-snapshot discipline
-    /// exists to prevent (the native worker submits speculative work at
-    /// the snapshot it actually executed at). Only meaningful with
-    /// [`ModelConfig::pipeline`] on.
-    SpecFreshSnapshot,
 }
 
 impl Mutation {
     /// All mutations, for exhaustive seeded-bug sweeps.
-    pub const ALL: [Mutation; 4] = [
+    pub const ALL: [Mutation; 3] = [
         Mutation::SkipGtsWait,
         Mutation::PlainSeqRead,
         Mutation::PublishTagFirst,
-        Mutation::SpecFreshSnapshot,
     ];
 
     /// Stable CLI name.
@@ -63,7 +55,6 @@ impl Mutation {
             Mutation::SkipGtsWait => "skip-gts-wait",
             Mutation::PlainSeqRead => "plain-seq-read",
             Mutation::PublishTagFirst => "publish-tag-first",
-            Mutation::SpecFreshSnapshot => "spec-fresh-snapshot",
         }
     }
 
@@ -74,7 +65,6 @@ impl Mutation {
             "skip-gts-wait" => Some(Mutation::SkipGtsWait),
             "plain-seq-read" => Some(Mutation::PlainSeqRead),
             "publish-tag-first" => Some(Mutation::PublishTagFirst),
-            "spec-fresh-snapshot" => Some(Mutation::SpecFreshSnapshot),
             _ => None,
         }
     }
@@ -98,15 +88,6 @@ pub struct ModelConfig {
     pub max_req_drops: u8,
     pub max_req_dups: u8,
     pub max_resp_drops: u8,
-    /// Model the native backend's commit pipeline: while a
-    /// transaction is in flight (awaiting its verdict, its write-back, or
-    /// its GTS turn) the client may speculatively read its *next*
-    /// transaction's key at the current GTS, park the read, and begin that
-    /// transaction later at the parked snapshot without re-reading —
-    /// unless the just-published write-set overlaps the speculative
-    /// footprint, in which case the speculation is squashed
-    /// ([`csmv::steps::speculative_preval`]).
-    pub pipeline: bool,
     /// The seeded bug under test.
     pub mutation: Mutation,
 }
@@ -124,16 +105,7 @@ impl ModelConfig {
             max_req_drops: 0,
             max_req_dups: 0,
             max_resp_drops: 0,
-            pipeline: false,
             mutation: Mutation::None,
-        }
-    }
-
-    /// The CI instance with the commit pipeline enabled.
-    pub fn small_with_pipeline() -> Self {
-        ModelConfig {
-            pipeline: true,
-            ..Self::small()
         }
     }
 
@@ -255,21 +227,6 @@ pub enum ClientPhase {
     GtsWait,
 }
 
-/// A parked speculative read (commit pipeline): the next transaction's
-/// key, read at `snapshot` while an earlier transaction was in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpecRead {
-    /// Program index this speculation executed (always the transaction
-    /// after the one in flight when it was taken).
-    pub for_tx: usize,
-    /// GTS value the speculative read resolved against.
-    pub snapshot: u64,
-    /// The key read (== `programs[c][for_tx]`).
-    pub key: u64,
-    /// The value read at `snapshot`.
-    pub read_value: u64,
-}
-
 /// One client warp.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Client {
@@ -293,11 +250,6 @@ pub struct Client {
     pub req_inflight: bool,
     /// A fault-injected duplicate REQUEST copy is in flight.
     pub dup_inflight: bool,
-    /// Parked speculative read (only with [`ModelConfig::pipeline`]).
-    /// Survives [`reset_idle`]: a speculation outlives the transaction it
-    /// overlapped, exactly as the native worker's parked executions
-    /// survive into the next batch.
-    pub spec: Option<SpecRead>,
 }
 
 impl Client {
@@ -351,7 +303,6 @@ impl State {
                     cts: 0,
                     req_inflight: false,
                     dup_inflight: false,
-                    spec: None,
                 })
                 .collect(),
             servers: (0..cfg.num_servers)
@@ -423,10 +374,6 @@ pub enum Action {
     WriteBack { client: usize },
     /// Client publishes its batch's GTS value (healthy: only in turn).
     GtsBump { client: usize },
-    /// Pipelined client speculatively reads its next transaction's key at
-    /// the current GTS while the current transaction is in flight
-    /// ([`csmv::steps::pipeline_admissible`]).
-    SpecExec { client: usize },
 }
 
 impl std::fmt::Display for Action {
@@ -455,9 +402,6 @@ impl std::fmt::Display for Action {
             Action::RecvResp { client } => write!(f, "client {client}: consume RESPONSE"),
             Action::WriteBack { client } => write!(f, "client {client}: write back version"),
             Action::GtsBump { client } => write!(f, "client {client}: publish GTS"),
-            Action::SpecExec { client } => {
-                write!(f, "client {client}: speculatively read next tx's key")
-            }
         }
     }
 }
@@ -493,21 +437,6 @@ pub fn enabled_actions(s: &State, cfg: &ModelConfig) -> Vec<Action> {
                     out.push(Action::GtsBump { client: c });
                 }
             }
-        }
-        // Pipeline: with a transaction in flight, the client may
-        // speculatively read its next transaction's key. Admission goes
-        // through the same pure step as the native worker, with the
-        // model's unit batch (`max_batch = 1`, one parked slot).
-        let tx_in_flight = matches!(
-            cl.phase,
-            ClientPhase::AwaitResp | ClientPhase::WriteBack | ClientPhase::GtsWait
-        );
-        if cfg.pipeline
-            && tx_in_flight
-            && cl.tx_idx + 1 < cfg.programs[c].len()
-            && steps::pipeline_admissible(tx_in_flight, usize::from(cl.spec.is_some()), 1)
-        {
-            out.push(Action::SpecExec { client: c });
         }
         // Fault injections on in-flight messages.
         if cl.req_inflight && s.req_drops_left > 0 {
@@ -575,28 +504,8 @@ pub fn apply(s: &mut State, a: Action, cfg: &ModelConfig) {
         Action::Begin { client } => {
             let tx_idx = s.clients[client].tx_idx;
             let key = cfg.programs[client][tx_idx];
-            // A parked speculation for this transaction begins at the
-            // (older) snapshot it actually read — no re-read, exactly as
-            // the native worker submits parked executions. The
-            // SpecFreshSnapshot mutation claims the *current* GTS while
-            // keeping the stale read, which is the lie the history oracle
-            // must catch.
-            let spec = s.clients[client].spec.take_if(|sp| sp.for_tx == tx_idx);
-            let (snapshot, read_value) = match spec {
-                Some(sp) => {
-                    debug_assert_eq!(sp.key, key);
-                    let snapshot = if cfg.mutation == Mutation::SpecFreshSnapshot {
-                        s.gts
-                    } else {
-                        sp.snapshot
-                    };
-                    (snapshot, sp.read_value)
-                }
-                None => {
-                    let snapshot = s.gts;
-                    (snapshot, s.read_at(key, snapshot))
-                }
-            };
+            let snapshot = s.gts;
+            let read_value = s.read_at(key, snapshot);
             let sv = cfg.server_of(key);
             let cl = &mut s.clients[client];
             cl.seqs[sv] = if cl.seqs[sv] == 1 { 2 } else { 1 };
@@ -709,37 +618,14 @@ pub fn apply(s: &mut State, a: Action, cfg: &ModelConfig) {
             // Blind write, exactly like the implementation: under the
             // SkipGtsWait mutation this can regress the GTS.
             s.gts = steps::gts_publish_value(cl.cts, 1);
-            // Post-publish squash, mirroring the native worker: a parked
-            // speculation whose footprint overlaps the write-set just
-            // published read too early and is discarded (the transaction
-            // will re-read at Begin).
-            if let Some(sp) = cl.spec {
-                if steps::speculative_preval(&[sp.key], &[sp.key], [cl.key]) {
-                    cl.spec = None;
-                }
-            }
             cl.tx_idx += 1;
             reset_idle(cl);
-        }
-        Action::SpecExec { client } => {
-            let snapshot = s.gts;
-            let for_tx = s.clients[client].tx_idx + 1;
-            let key = cfg.programs[client][for_tx];
-            let read_value = s.read_at(key, snapshot);
-            s.clients[client].spec = Some(SpecRead {
-                for_tx,
-                snapshot,
-                key,
-                read_value,
-            });
         }
     }
 }
 
 /// Clear a client's transient per-transaction fields so symmetric idle
-/// states collapse to one canonical form. `spec` deliberately survives:
-/// a parked speculation belongs to the *next* transaction, not the one
-/// being retired or retried.
+/// states collapse to one canonical form.
 fn reset_idle(cl: &mut Client) {
     cl.phase = ClientPhase::Idle;
     cl.snapshot = 0;

@@ -186,13 +186,6 @@ pub fn check_step(pre: &State, a: Action, post: &State, cfg: &ModelConfig) -> Op
 /// every client with a live transaction, a pseudo read-only record
 /// claiming its snapshot read. The latter catches doomed reads (opacity
 /// covers live transactions, not just committed ones).
-///
-/// A parked speculative read (pipelined execution of the *next* tx while
-/// the current one is in flight) contributes its own pseudo record: the
-/// value it captured must be exactly what its claimed snapshot serves.
-/// This is the pipeline opacity obligation — speculation at a
-/// pre-write-back snapshot is only safe because GTS = g implies every
-/// cts ≤ g is already written back, so `read_at(key, g)` is stable.
 pub fn history_records(s: &State) -> Vec<TxRecord> {
     let mut records: Vec<TxRecord> = s
         .committed
@@ -215,15 +208,6 @@ pub fn history_records(s: &State) -> Vec<TxRecord> {
                 read_point: cl.snapshot,
                 cts: None,
                 reads: vec![(cl.key, cl.read_value)],
-                writes: vec![],
-            });
-        }
-        if let Some(sp) = cl.spec {
-            records.push(TxRecord {
-                thread: c,
-                read_point: sp.snapshot,
-                cts: None,
-                reads: vec![(sp.key, sp.read_value)],
                 writes: vec![],
             });
         }

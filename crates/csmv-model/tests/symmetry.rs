@@ -86,7 +86,6 @@ fn arb_instance() -> impl Strategy<Value = Instance> {
                 max_req_dups: 0,
                 max_resp_drops: 0,
                 mutation: Mutation::None,
-                pipeline: false,
             };
             let cperms = permutations(cfg.num_clients());
             let cperm = cperms[ci as usize % cperms.len()].clone();

@@ -52,11 +52,11 @@ pub(crate) struct NativeAtr {
     /// The Global Timestamp: newest fully written-back commit.
     gts: AtomicU64,
     /// Event-driven turn handoff: a worker waiting for its write-back
-    /// turn with nothing left to speculate registers `(base, thread)`
-    /// here and parks; the publisher unparks exactly the waiter whose
-    /// window the bump unblocked ([`csmv::steps::gts_turn_reached`]) — one
-    /// wake per publish, no thundering herd. Scanning an empty list is a
-    /// single uncontended lock.
+    /// turn registers `(base, thread)` here and parks; the publisher
+    /// unparks exactly the waiter whose window the bump unblocked
+    /// ([`csmv::steps::gts_turn_reached`]) — one wake per publish, no
+    /// thundering herd. Scanning an empty list is a single uncontended
+    /// lock.
     turn_waiters: Mutex<Vec<(u64, std::thread::Thread)>>,
 }
 
@@ -141,6 +141,12 @@ impl NativeAtr {
     /// batch based at `seen + 2` is reached or passed.
     pub(crate) fn wait_gts_past(&self, seen: u64, timeout: Duration) {
         self.wait_turn(seen + 2, timeout);
+    }
+
+    /// Threads parked for a turn right now.
+    #[cfg(test)]
+    pub(crate) fn parked_waiters(&self) -> usize {
+        self.turn_waiters.lock().len()
     }
 
     /// Current reservation counter.

@@ -68,10 +68,8 @@ pub struct NativeConfig {
     /// distinct items fails terminally with `AtrWindowOverflow`.
     pub max_ws: usize,
     /// Transactions a worker executes and commits per batch (1..=32).
-    /// While a batch awaits its GTS turn the worker speculatively executes
-    /// up to one more batch at its current snapshot
-    /// ([`csmv::steps::pipeline_admissible`]); at most one batch per
-    /// worker ever holds a reservation.
+    /// A worker holds at most one batch's reservation at a time, and
+    /// executes nothing while that batch awaits its GTS turn.
     pub max_batch: usize,
     /// Jobs the engine's intake queues per worker (the backpressure
     /// bound is `channel_depth × client_threads`); a closed-loop

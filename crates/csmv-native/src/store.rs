@@ -152,24 +152,6 @@ impl NativeStore {
         self.heads.len() as u64
     }
 
-    /// Timestamp of the newest committed version of `item`, or `None` if
-    /// the item was never written. Used by the carry-time freshness
-    /// re-check ([`csmv::steps::spec_carry_fresh`]): a speculative
-    /// execution whose footprint has a newer commit than its snapshot is
-    /// squashed instead of taking a batch lane. Racing write-backs may
-    /// publish a still-newer version right after this load — that is fine,
-    /// the check is an optimization and validation tests the footprint
-    /// against the ATR window anyway.
-    pub fn newest_ts(&self, item: u64) -> Option<u64> {
-        let head = self.heads[item as usize].load(Ordering::Acquire) as usize;
-        let word = self.slots[item as usize * self.versions_per_box + head].load(Ordering::Acquire);
-        if word == EMPTY {
-            None
-        } else {
-            Some(unpack(word).0)
-        }
-    }
-
     /// Newest committed value with `cts <= snapshot`, or `None` when the
     /// version rolled out of the ring and was not retained for any
     /// registered reader (the `VersionOverflow` / `SnapshotTooOld` abort).

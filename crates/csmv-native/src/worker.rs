@@ -9,25 +9,13 @@
 //! batch windows ([`csmv::steps::batch_window`] /
 //! [`csmv::steps::window_is_dense`]) and GTS turn-taking
 //! ([`csmv::steps::gts_turn_reached`] / [`csmv::steps::gts_publish_value`]).
-//! The one wait a commit can block in is the turn wait, and that is where
-//! the worker speculates — at most one batch of executions parked behind
-//! the batch holding a reservation — which adds three more: admission of
-//! speculative work while a batch awaits its turn
-//! ([`csmv::steps::pipeline_admissible`]), the
-//! post-publish squash rule ([`csmv::steps::speculative_preval`]) that
-//! recycles any speculative execution whose footprint overlaps the writes
-//! the batch just published, and the carry-time freshness re-check
-//! ([`csmv::steps::spec_carry_fresh`]) that squashes a parked execution
-//! any *other* client's commit has invalidated — and, when it passes,
-//! justifies promoting the execution to the round snapshot (see
-//! `round`'s carry loop). One more decides what is *not* run: a
-//! transaction that aborted at snapshot `s` for a reason that is a
-//! function of `s` — validation rejected it, or a version it reads is
-//! gone — stays where it is while the GTS still reads `s`
-//! ([`csmv::steps::retry_may_succeed`]).
-//! Turn waits — and the wait for the GTS to move when nothing else is
-//! runnable — park on the ATR's event-driven handoff
-//! ([`crate::atr::NativeAtr::wait_turn`]) once speculation runs dry.
+//! The one wait a commit can block in is the turn wait, a park on the
+//! ATR's event-driven handoff ([`crate::atr::NativeAtr::wait_turn`]); a
+//! round with nothing runnable parks on the same handoff until the GTS
+//! moves. One more step decides what is *not* run: a transaction that
+//! aborted at snapshot `s` for a reason that is a function of `s` —
+//! validation rejected it, or a version it reads is gone — stays where it
+//! is while the GTS still reads `s` ([`csmv::steps::retry_may_succeed`]).
 //!
 //! Transactions reach the worker through one feed loop
 //! ([`NativeWorker::feed`]) with two intakes: a closed-loop `TxSource`
@@ -161,8 +149,8 @@ fn pop_runnable<T>(pending: &mut VecDeque<Pending<T>>, gts: u64) -> Option<Pendi
 }
 
 /// The buffers of one execution. They come off the worker's free list
-/// and go back to it however the attempt ends — commit, abort, squash or
-/// overflow ([`NativeWorker::release`]) — so they are allocated once per
+/// and go back to it however the attempt ends — commit, abort or overflow
+/// ([`NativeWorker::release`]) — so they are allocated once per
 /// execution in flight, not once per execution.
 #[derive(Default)]
 struct Executed {
@@ -189,18 +177,6 @@ enum Exec {
     Oversize,
 }
 
-/// A speculative execution produced while an earlier batch awaited its
-/// turn: an update transaction executed at `snapshot`, parked until that
-/// batch publishes. If the published write-set overlaps its
-/// footprint it is squashed
-/// ([`csmv::steps::speculative_preval`]); otherwise it joins the next
-/// batch — at its own, older snapshot — without re-executing.
-struct Spec<T> {
-    p: Pending<T>,
-    ex: Executed,
-    snapshot: u64,
-}
-
 /// What an intake hands the feed loop when asked for the next transaction.
 enum Next<T> {
     Tx(T),
@@ -216,8 +192,6 @@ enum Next<T> {
 struct Lanes<T> {
     /// Transactions waiting to run (or re-run).
     pending: VecDeque<Pending<T>>,
-    /// Executions parked behind the batch awaiting its turn.
-    spec: Vec<Spec<T>>,
     /// The round's executed update transactions, each with its snapshot.
     execs: Vec<(Pending<T>, Executed, u64)>,
     /// Those of `execs` that pre-validation kept.
@@ -239,7 +213,6 @@ impl<T> Lanes<T> {
     fn new() -> Self {
         Self {
             pending: VecDeque::new(),
-            spec: Vec::new(),
             execs: Vec::new(),
             survivors: Vec::new(),
             subs: Vec::new(),
@@ -269,8 +242,7 @@ pub(crate) struct NativeWorker {
     read_items: Vec<u64>,
     /// The registered reader snapshots a write-back retains versions for.
     readers: Vec<u64>,
-    /// Write-set-items scratch for the pre-validation broadcast and the
-    /// post-publish squash.
+    /// Write-set-items scratch for the pre-validation broadcast.
     scratch_ws: Vec<u64>,
 }
 
@@ -358,11 +330,12 @@ impl NativeWorker {
         })
     }
 
-    /// The feed loop: keep up to two batches of work buffered (one to
-    /// commit, one to speculate on while it awaits its turn) and commit
-    /// it round by round until the intake closes and
-    /// nothing is pending. `next(idle)` yields the next transaction;
-    /// `idle` tells it the worker holds no work and may block briefly.
+    /// The feed loop: keep up to two batches of work buffered and commit
+    /// it round by round until the intake closes and nothing is pending.
+    /// A round passes over the transactions rejected at its snapshot
+    /// ([`pop_runnable`]), so the second batch lets it fill anyway.
+    /// `next(idle)` yields the next transaction; `idle` tells it the
+    /// worker holds no work and may block briefly.
     ///
     /// At the run deadline everything buffered *and* everything the intake
     /// still holds is failed with `ServerTimeout`, so commits + failed
@@ -377,8 +350,8 @@ impl NativeWorker {
             // only the first call can block (it alone is made idle), and
             // the stamp must not predate that wait.
             let mut stamp = None;
-            while !closed && l.pending.len() + l.spec.len() < target {
-                let got = next(l.pending.is_empty() && l.spec.is_empty());
+            while !closed && l.pending.len() < target {
+                let got = next(l.pending.is_empty());
                 let now = *stamp.get_or_insert_with(Instant::now);
                 match got {
                     Next::Tx(tx) => l.pending.push_back(Pending::new(tx, now)),
@@ -388,9 +361,6 @@ impl NativeWorker {
             }
             self.now = stamp.unwrap_or_else(Instant::now);
             if self.now >= self.ctx.deadline {
-                for s in l.spec.drain(..) {
-                    self.fail(s.p, AbortReason::ServerTimeout);
-                }
                 for p in l.pending.drain(..) {
                     self.fail(p, AbortReason::ServerTimeout);
                 }
@@ -399,7 +369,7 @@ impl NativeWorker {
                 }
                 break;
             }
-            if l.pending.is_empty() && l.spec.is_empty() {
+            if l.pending.is_empty() {
                 if closed {
                     break;
                 }
@@ -424,12 +394,6 @@ impl NativeWorker {
     /// on. Pinned transactions (see [`NativeWorker::maybe_pin`]) execute
     /// at their own pinned snapshot instead.
     ///
-    /// Speculative executions parked in `spec` by the previous batch's
-    /// turn wait enter this batch already executed, at their own (older)
-    /// snapshots: they went through the post-publish squash, so their
-    /// footprints are disjoint from everything published since they ran,
-    /// and validation tests them against the ATR window anyway.
-    ///
     /// Transactions that validation rejected, or that could not read a
     /// version, at this very snapshot are passed over
     /// ([`Pending::runnable_at`]): no execution, no budget charge.
@@ -444,52 +408,11 @@ impl NativeWorker {
         }
         let snapshot = self.ctx.atr.gts();
         let round_slot = self.ctx.registry.register(snapshot);
-        // Unsquashed speculations first (they are the oldest work), then
-        // fill the batch with fresh executions at the round snapshot.
-        // Each carried speculation passes the carry-time freshness
-        // re-check ([`csmv::steps::spec_carry_fresh`]) before it may
-        // occupy a batch lane: the post-publish squash only saw *this*
-        // client's write-set, but other clients kept committing while the
-        // speculation was parked, and the store's newest-version
-        // timestamps see all of them. A stale speculation is recycled to
-        // the front of `pending` so it re-executes at this very round's
-        // fresh snapshot instead of burning a lane on a doomed validation.
-        let carry = l.spec.len().min(self.ctx.max_batch);
-        for s in l.spec.drain(..carry) {
-            let newest =
-                s.ex.rs
-                    .iter()
-                    .chain(s.ex.ws.iter().map(|(i, _)| i))
-                    .filter_map(|&i| self.ctx.store.newest_ts(i));
-            if !steps::spec_carry_fresh(s.snapshot, newest) {
-                self.metrics.pipeline.spec_squashed += 1;
-                self.release(s.ex);
-                if let Some(p) = self.recycle(s.p, AbortReason::PreValidationKill) {
-                    l.pending.push_front(p);
-                }
-                continue;
-            }
-            self.metrics.pipeline.spec_submitted += 1;
-            // Snapshot promotion: the freshness check just proved no
-            // commit in `(s.snapshot, snapshot]` touched this footprint
-            // (versions at or below the GTS are immutable, fully
-            // written-back history), so executing at the round snapshot
-            // would have read byte-identical values — the parked
-            // execution *is* an execution at the round snapshot. Claiming
-            // it shrinks the validation window to the same
-            // `(snapshot, reservation]` a fresh execution gets, instead
-            // of a window that grew the whole time the speculation was
-            // parked. The model's `spec-fresh-snapshot` mutation shows
-            // exactly this promotion *without* the freshness proof is an
-            // opacity violation.
-            l.execs.push((s.p, s.ex, snapshot));
-        }
         // Fill the batch straight out of `pending`. What runs ends in
         // `execs` or `retry` (or commits), never back in `pending`, so no
         // transaction runs twice in a round.
-        let room = self.ctx.max_batch - l.execs.len();
         let mut ran = 0;
-        while ran < room {
+        while ran < self.ctx.max_batch {
             let Some(mut p) = pop_runnable(&mut l.pending, snapshot) else {
                 break;
             };
@@ -509,7 +432,7 @@ impl NativeWorker {
                 Exec::Oversize => self.fail(p, AbortReason::AtrWindowOverflow),
             }
         }
-        if ran == 0 && l.execs.is_empty() {
+        if ran == 0 {
             // Everything pending aborted at this snapshot against a batch
             // another worker has reserved and not yet published.
             // `TURN_WAIT_SLICE` bounds the park, so the feed loop still
@@ -565,52 +488,6 @@ impl NativeWorker {
             self.commit_batch(l);
         }
         l.pending.extend(l.retry.drain(..));
-    }
-
-    /// Execute at most one unit of speculative work while a batch awaits
-    /// its turn. Admission goes through
-    /// [`csmv::steps::pipeline_admissible`]: at most `max_batch`
-    /// executions are parked. The snapshot is registered around the
-    /// execution just like a round's, so the GC retains whatever the
-    /// speculative reads resolve on. Read-only transactions commit on the
-    /// spot — they never validate — update executions are parked
-    /// for the post-publish squash check, and overflows take the ordinary
-    /// retry/pin path. A transaction rejected at the current snapshot is
-    /// not speculated either ([`Pending::runnable_at`]). Returns false
-    /// when no speculative work was admissible; the caller then blocks.
-    fn speculate_one<T: Finish>(&mut self, l: &mut Lanes<T>) -> bool {
-        if !steps::pipeline_admissible(true, l.spec.len(), self.ctx.max_batch) {
-            return false;
-        }
-        let snapshot = self.ctx.atr.gts();
-        let Some(mut p) = pop_runnable(&mut l.pending, snapshot) else {
-            return false;
-        };
-        if p.attempts > 0 {
-            p.tx.reset();
-        }
-        p.attempt_start = self.now;
-        let slot = self.ctx.registry.register(snapshot);
-        let snap = p.pin.map_or(snapshot, |(s, _)| s);
-        let exec = self.execute(&mut p.tx, snap);
-        self.stamp();
-        if let Some(slot) = slot {
-            self.ctx.registry.deregister(slot);
-        }
-        match exec {
-            Exec::ReadOnly(ex) => self.commit_rot(p, snap, ex),
-            Exec::Update(ex) => {
-                self.metrics.pipeline.spec_executed += 1;
-                l.spec.push(Spec {
-                    p,
-                    ex,
-                    snapshot: snap,
-                });
-            }
-            Exec::Overflow => l.pending.extend(self.overflowed(p, snap)),
-            Exec::Oversize => self.fail(p, AbortReason::AtrWindowOverflow),
-        }
-        true
     }
 
     /// A read of `p` at `snapshot` found no version: recycle it with the
@@ -696,6 +573,10 @@ impl NativeWorker {
 
     /// Execute one transaction body at `snapshot` against the store, into
     /// buffers off the free list.
+    ///
+    /// Kept out of line: inlined into `round`, its only caller, the read
+    /// loop ran 6 % slower (`store.reads_per_s` on `native-scan`).
+    #[inline(never)]
     fn execute<T: TxLogic>(&mut self, tx: &mut T, snapshot: u64) -> Exec {
         let mut ex = self.free.pop().unwrap_or_default();
         self.read_items.clear();
@@ -758,10 +639,7 @@ impl NativeWorker {
 
     /// Validate the surviving batch and reserve its timestamps in place
     /// and, for what was granted, perform the in-order write-back and
-    /// single GTS publication. The GTS-turn wait drains speculative work
-    /// from `pending` into `spec`; after the write-back publishes, parked
-    /// speculations whose footprints overlap the published write-set are
-    /// squashed and recycled.
+    /// single GTS publication.
     fn commit_batch<T: Finish>(&mut self, l: &mut Lanes<T>) {
         let n = l.survivors.len();
         if l.subs.len() < n {
@@ -811,7 +689,7 @@ impl NativeWorker {
         l.ctss.extend(l.granted.iter().map(|&(_, _, _, c)| c));
         let (base, nw) = steps::batch_window(&l.ctss);
         debug_assert!(steps::window_is_dense(&l.ctss));
-        if !self.await_turn(base, l) {
+        if !self.await_turn(base) {
             // Deadline while waiting: nothing was written back, so the
             // committed history stays consistent (the GTS hole just
             // stalls everyone else until their own deadline).
@@ -840,7 +718,6 @@ impl NativeWorker {
         // One stamp ends every attempt of the batch: latency runs from
         // each attempt's start to the publication.
         self.stamp();
-        self.squash_overlapping(l);
         for (p, mut ex, snap, cts) in l.granted.drain(..) {
             let latency = self.elapsed(p.attempt_start);
             self.stats.update_commits += 1;
@@ -860,64 +737,25 @@ impl NativeWorker {
         }
     }
 
-    /// Post-publish squash ([`csmv::steps::speculative_preval`]): a parked
-    /// speculative execution whose footprint intersects the write-set this
-    /// batch just published ran at a snapshot that predates those writes —
-    /// validation would reject it, so recycle it now and save the batch
-    /// lane. The recycle goes through the ordinary
-    /// retriable-abort path, so a perpetually-squashed transaction still
-    /// terminates via its retry budget instead of livelocking. Disjoint
-    /// speculations stay parked and join the next batch at their own
-    /// snapshots.
-    fn squash_overlapping<T: Finish>(&mut self, l: &mut Lanes<T>) {
-        let mut k = 0;
-        while k < l.spec.len() {
-            let ex = &l.spec[k].ex;
-            self.scratch_ws.clear();
-            self.scratch_ws.extend(ex.ws.iter().map(|&(i, _)| i));
-            let published = l
-                .granted
-                .iter()
-                .flat_map(|(_, ex, _, _)| ex.ws.iter().map(|&(i, _)| i));
-            if !steps::speculative_preval(&ex.rs, &self.scratch_ws, published) {
-                k += 1;
-                continue;
-            }
-            // Removed in place, so the parked order is kept.
-            let s = l.spec.remove(k);
-            self.metrics.pipeline.spec_squashed += 1;
-            self.release(s.ex);
-            l.pending
-                .extend(self.recycle(s.p, AbortReason::PreValidationKill));
-        }
-    }
-
     /// Wait until it is `base`'s turn to publish
-    /// ([`csmv::steps::gts_turn_reached`]); false on deadline. The stall
-    /// is drained into speculative execution of the next batch; once
-    /// nothing is left to overlap, the worker parks on the ATR's turn
-    /// handoff — off the run queue while other clients speculate, and
-    /// woken by the publisher the moment its predecessor's window lands.
+    /// ([`csmv::steps::gts_turn_reached`]); false on deadline. The worker
+    /// parks on the ATR's turn handoff and is woken by the publisher the
+    /// moment its predecessor's window lands; `TURN_WAIT_SLICE` bounds
+    /// each park, so the run deadline is seen between parks.
     ///
     /// A turn that is already there costs no clock read and no sample:
     /// only a wait is timed and recorded into `gts_stall`.
-    fn await_turn<T: Finish>(&mut self, base: u64, l: &mut Lanes<T>) -> bool {
+    fn await_turn(&mut self, base: u64) -> bool {
         if steps::gts_turn_reached(self.ctx.atr.gts(), base) {
             return true;
         }
         let wait_start = self.stamp();
         loop {
-            // Speculation can keep succeeding indefinitely (e.g. a pinned
-            // reader recycling), so the watchdog deadline is re-checked
-            // on every unit, not only between parks. Every unit and every
-            // park ends in a fresh stamp.
             if self.now >= self.ctx.deadline {
                 return false;
             }
-            if !self.speculate_one(l) {
-                self.ctx.atr.wait_turn(base, TURN_WAIT_SLICE);
-                self.stamp();
-            }
+            self.ctx.atr.wait_turn(base, TURN_WAIT_SLICE);
+            self.stamp();
             if steps::gts_turn_reached(self.ctx.atr.gts(), base) {
                 let waited = self.elapsed(wait_start);
                 self.metrics.gts_stall.push(self.now_ns(), waited);
@@ -1122,9 +960,9 @@ mod tests {
     /// The deadline drain is the same for both intakes. Another committer
     /// holds commit timestamp 1 and never publishes — a GTS hole — so the
     /// worker's first batch is granted a window whose turn never comes:
-    /// what holds that reservation, what was parked as speculation behind
-    /// it or buffered, and everything the intake still holds, each get
-    /// exactly one terminal `ServerTimeout`.
+    /// what holds that reservation, what is buffered behind it, and
+    /// everything the intake still holds, each get exactly one terminal
+    /// `ServerTimeout`.
     #[test]
     fn deadline_fails_every_transaction_of_either_intake_exactly_once() {
         const PRODUCED: u64 = 40;
@@ -1179,25 +1017,29 @@ mod tests {
         }
     }
 
-    /// While a batch waits for its turn the worker executes the next one
-    /// speculatively; after the publish each parked execution is carried
-    /// into the next batch unexecuted, or squashed if the batch wrote what
-    /// it read. The other committer holds the turn until all 16 bodies
-    /// have been run, which only speculation can achieve; the last of them
-    /// repeats the first batch's `transfer(0)`, so it is the one squashed.
+    /// A batch waiting for its turn holds the worker: nothing buffered
+    /// behind it runs until the turn comes. The other committer holds
+    /// cts 1, so the first batch of eight is granted the window 2..=9 and
+    /// the worker parks for its turn; the eight transfers buffered behind
+    /// it have not run by then, and run once each after the test
+    /// publishes the GTS.
     #[test]
-    fn work_buffered_behind_a_batch_in_flight_is_speculated_and_carried() {
+    fn work_buffered_behind_a_batch_awaiting_its_turn_waits_with_it() {
         let (w, atr) = bank_worker(32, 8, Duration::from_secs(10));
         atr.reserve_and_insert(1, &[ELSEWHERE]);
         let executed = Arc::new(AtomicUsize::new(0));
         let out = std::thread::scope(|s| {
             let seen = executed.clone();
             s.spawn(move || {
-                let all_ran = wait_for(&seen, 16);
+                let give_up = Instant::now() + Duration::from_secs(5);
+                while atr.parked_waiters() == 0 && Instant::now() < give_up {
+                    std::thread::yield_now();
+                }
+                let ran = seen.load(Ordering::SeqCst);
                 // The other committer's write-back lands: the worker's
-                // window, cts 2..=9, is next.
+                // window is next.
                 atr.publish_gts(1);
-                assert!(all_ran, "the held turn was not used to speculate");
+                assert_eq!(ran, 8, "bodies run while the turn was held");
             });
             let mut k = 0;
             w.feed(|_idle| {
@@ -1205,67 +1047,13 @@ mod tests {
                     return Next::Closed;
                 }
                 k += 1;
-                Next::Tx(counted(transfer((k - 1) % 15), &executed))
+                Next::Tx(counted(transfer(k - 1), &executed))
             })
         });
         assert_eq!(out.stats.update_commits, 16);
         assert_eq!(out.stats.failed, 0);
-        assert_eq!(out.metrics.pipeline.spec_executed, 8);
-        assert_eq!(
-            out.metrics.pipeline.spec_submitted, 7,
-            "carried as executed"
-        );
-        assert_eq!(
-            out.metrics.pipeline.spec_squashed, 1,
-            "the repeated transfer"
-        );
-        assert_eq!(out.stats.aborts(), 1);
-        assert_eq!(
-            executed.load(Ordering::SeqCst),
-            17,
-            "only the squashed one re-executed"
-        );
-    }
-
-    /// Speculation needs work buffered behind the batch: three rounds
-    /// that each cut everything pending into their batch speculate
-    /// nothing, however long the first of them is kept waiting for its
-    /// turn.
-    #[test]
-    fn nothing_is_speculated_when_every_batch_takes_all_pending_work() {
-        let (w, atr) = bank_worker(48, 8, Duration::from_secs(10));
-        atr.reserve_and_insert(1, &[ELSEWHERE]);
-        let out = std::thread::scope(|s| {
-            s.spawn(move || {
-                // Hold the turn until the first batch has its window and
-                // has had time to look for work to speculate on.
-                let give_up = Instant::now() + Duration::from_secs(5);
-                while atr.next_cts() < 10 && Instant::now() < give_up {
-                    std::thread::yield_now();
-                }
-                std::thread::sleep(Duration::from_millis(5));
-                atr.publish_gts(1);
-            });
-            // Eight transactions, then a pause until the worker has
-            // nothing left, three times over.
-            let (mut k, mut paused) = (0, false);
-            w.feed(|_idle| {
-                if k == 24 {
-                    return Next::Closed;
-                }
-                if k % 8 == 0 && k > 0 && !paused {
-                    paused = true;
-                    return Next::Empty;
-                }
-                paused = false;
-                k += 1;
-                Next::Tx(Fire(transfer(k - 1)))
-            })
-        });
-        assert_eq!(out.stats.update_commits, 24);
-        assert_eq!(out.stats.failed, 0);
-        assert_eq!(out.metrics.pipeline.spec_executed, 0);
-        assert_eq!(out.metrics.pipeline.spec_submitted, 0);
+        assert_eq!(out.stats.aborts(), 0);
+        assert_eq!(executed.load(Ordering::SeqCst), 16, "each body ran once");
     }
 
     /// The doomed retry at a frozen GTS. Another committer has reserved

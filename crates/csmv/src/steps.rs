@@ -279,55 +279,6 @@ pub fn preval_losers(
     losers
 }
 
-/// Pipelined commit admission: may a client start one more *speculative*
-/// execution while a batch it already submitted is still awaiting its
-/// verdicts or its GTS turn? At most one batch of speculative executions
-/// (`max_batch`) is parked behind the single in-flight batch. Recovery's
-/// per-client seq certification allows only one *submitted* batch at a
-/// time, so this bounds speculation volume, never outstanding
-/// submissions.
-#[inline]
-pub fn pipeline_admissible(in_flight: bool, buffered: usize, max_batch: usize) -> bool {
-    in_flight && buffered < max_batch
-}
-
-/// Speculative pre-validation: must a transaction executed speculatively
-/// at a pre-write-back snapshot be squashed once the in-flight batch
-/// publishes the write-set items `batch_ws`? This is the server's own
-/// validation predicate (a transaction is invalid iff a commit after its
-/// snapshot wrote something it read *or wrote* — see
-/// [`footprint_conflicts`]) applied client-side to the one batch the
-/// client itself just published: `true` saves a round-trip the server
-/// would reject anyway, and `false` is always safe because server-side
-/// ATR validation still covers every other client's commits and
-/// intra-batch pre-validation ([`preval_losers`]) covers batch-mates.
-pub fn speculative_preval<I>(spec_rs: &[u64], spec_ws: &[u64], batch_ws: I) -> bool
-where
-    I: IntoIterator<Item = u64>,
-{
-    batch_ws
-        .into_iter()
-        .any(|item| spec_rs.contains(&item) || spec_ws.contains(&item))
-}
-
-/// Carry-time freshness re-check for a parked speculative execution: may
-/// it still be submitted, given the newest committed timestamp of each
-/// item in its footprint? This is again the server's validation predicate
-/// applied client-side — a transaction is rejected iff some commit after
-/// its snapshot touched its footprint — but measured against the *whole
-/// published history* (the shared store) rather than one batch's
-/// write-set, so it also catches staleness caused by other clients'
-/// commits between the speculative execution and the submit. `false`
-/// (squash) saves a round-trip the server would reject anyway; `true` is
-/// always safe because the server re-validates against its ATR window on
-/// arrival.
-pub fn spec_carry_fresh<I>(snapshot: u64, footprint_newest: I) -> bool
-where
-    I: IntoIterator<Item = u64>,
-{
-    footprint_newest.into_iter().all(|ts| ts <= snapshot)
-}
-
 /// May re-running a transaction the server's validation rejected at
 /// snapshot `rejected_at` end differently, now that the GTS reads `gts`?
 ///
@@ -492,40 +443,6 @@ mod tests {
         assert!(should_pin(7, Some(8)));
         assert!(should_pin(1, Some(1)));
         assert!(!should_pin(1000, None));
-    }
-
-    #[test]
-    fn pipeline_admission_follows_depth_and_buffer() {
-        // Up to one extra batch of speculative work behind the flight.
-        assert!(pipeline_admissible(true, 0, 8));
-        assert!(pipeline_admissible(true, 7, 8));
-        assert!(!pipeline_admissible(true, 8, 8));
-        // No in-flight batch: nothing to overlap with.
-        assert!(!pipeline_admissible(false, 0, 8));
-    }
-
-    #[test]
-    fn speculative_preval_is_footprint_intersection() {
-        // A read under the just-published write is doomed: squash.
-        assert!(speculative_preval(&[1, 2], &[9], [2]));
-        // So is a blind overwrite — the server counts ws in the footprint.
-        assert!(speculative_preval(&[1], &[9], [9]));
-        // Disjoint footprints submit.
-        assert!(!speculative_preval(&[1, 2], &[9], [3, 4]));
-        assert!(!speculative_preval(&[], &[], [1]));
-        assert!(!speculative_preval(&[1], &[2], []));
-    }
-
-    #[test]
-    fn spec_carry_fresh_requires_no_newer_commits() {
-        // Every footprint item's newest commit is at or before the
-        // snapshot: still fresh, submit.
-        assert!(spec_carry_fresh(5, [3, 5, 1]));
-        // One item was overwritten after the snapshot: doomed, squash.
-        assert!(!spec_carry_fresh(5, [3, 6]));
-        // An empty footprint (never-written items read as initial state)
-        // is trivially fresh.
-        assert!(spec_carry_fresh(0, []));
     }
 
     #[test]

@@ -448,20 +448,16 @@ impl Series {
     }
 }
 
-/// Commit-pipeline counters (filled by backends that overlap speculative
-/// execution with verdict/GTS waits; zero elsewhere). Reported as the
-/// `pipeline.*` rows in the bench JSON schema.
+/// Counters of a commit pipeline no backend has any more: every field is
+/// always zero. The repository benchmark (`benchmark/`) still reads both
+/// fields, so they stay until the benchmark's own change deletes them
+/// with this struct (ROADMAP item 1c).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineStats {
-    /// Transactions executed speculatively while a submitted batch was
-    /// still awaiting its verdicts or its GTS turn.
+    /// Executions run while a batch awaited its turn: always zero.
     pub spec_executed: u64,
-    /// Speculative executions squashed by the client-side speculative
-    /// pre-validation against the just-published batch's write-set.
+    /// Of those, executions discarded before validation: always zero.
     pub spec_squashed: u64,
-    /// Speculative executions that survived squashing and were carried
-    /// into the next submitted batch.
-    pub spec_submitted: u64,
 }
 
 impl PipelineStats {
@@ -469,7 +465,6 @@ impl PipelineStats {
     pub fn merge(&mut self, other: &PipelineStats) {
         self.spec_executed += other.spec_executed;
         self.spec_squashed += other.spec_squashed;
-        self.spec_submitted += other.spec_submitted;
     }
 }
 
@@ -501,7 +496,7 @@ pub struct MetricsReport {
     /// wait on an in-flight (reserved but unpublished) entry, `value` =
     /// cycles spent waiting. Empty for STMs without a commit server.
     pub server_stall: Series,
-    /// Commit-pipeline counters; all zero on unpipelined backends.
+    /// Always zero; kept for the benchmark's reads ([`PipelineStats`]).
     pub pipeline: PipelineStats,
     /// Injected-fault and recovery event counters; all zero on fault-free
     /// runs.
@@ -795,14 +790,11 @@ mod tests {
         let mut a = MetricsReport::default();
         a.pipeline.spec_executed = 10;
         a.pipeline.spec_squashed = 2;
-        a.pipeline.spec_submitted = 8;
         let mut b = MetricsReport::default();
         b.pipeline.spec_executed = 5;
         b.pipeline.spec_squashed = 1;
-        b.pipeline.spec_submitted = 4;
         a.merge(&b);
         assert_eq!(a.pipeline.spec_executed, 15);
         assert_eq!(a.pipeline.spec_squashed, 3);
-        assert_eq!(a.pipeline.spec_submitted, 12);
     }
 }

@@ -1,12 +1,10 @@
-//! Pipelined-commit equivalence for the native backend.
+//! Serial equivalence for the native backend.
 //!
-//! The worker overlaps the next batch's execution with the current
-//! batch's GTS-turn wait. The obligation is bit-equal final states: on a
-//! commutative bank configuration (a balance floor the transfer clamp can
-//! never reach) the final state is a function of the transaction multiset
-//! alone, so a native run must land exactly where a serial execution of
-//! the same seeded sources does, and where its own committed records
-//! replay to — speculation may reorder commits, never change them.
+//! The obligation is bit-equal final states: on a commutative bank
+//! configuration (a balance floor the transfer clamp can never reach) the
+//! final state is a function of the transaction multiset alone, so a
+//! native run must land exactly where a serial execution of the same
+//! seeded sources does, and where its own committed records replay to.
 
 use std::time::Duration;
 
@@ -35,10 +33,10 @@ fn commutative_bank() -> BankConfig {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8 })]
 
-    /// A pipelined run of a seeded commutative workload commits
+    /// A native run of a seeded commutative workload commits
     /// everything and lands on the serial execution's final state.
     #[test]
-    fn pipelined_run_agrees_with_serial_execution_on_commutative_bank(
+    fn native_run_agrees_with_serial_execution_on_commutative_bank(
         seed in proptest::num::u64::ANY,
         clients in 1usize..=4,
     ) {
