@@ -30,11 +30,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use bench::hdr::HdrHistogram;
 use bench::report::BenchReport;
 use bench::{ClassLatency, Row, ServiceStats};
 use csmv_service::resp::{self, parse_reply, Reply, ReplyOutcome};
-use stm_core::{MetricsReport, TimeBreakdown};
+use stm_core::{Histogram, MetricsReport, TimeBreakdown};
 
 const USAGE: &str = "\
 loadgen — open-loop RESP load generator for csmv-service
@@ -183,15 +182,13 @@ struct ConnOutcome {
     busy: u64,
     err: u64,
     unaccounted: u64,
-    class_hist: Vec<HdrHistogram>,
+    class_hist: Vec<Histogram>,
 }
 
 impl ConnOutcome {
     fn new() -> Self {
         Self {
-            class_hist: (0..CLASSES.len())
-                .map(|_| HdrHistogram::default())
-                .collect(),
+            class_hist: vec![Histogram::default(); CLASSES.len()],
             ..Default::default()
         }
     }
@@ -353,7 +350,7 @@ fn run_rate(
     for o in outcomes {
         total.merge(&o?);
     }
-    let mut all = HdrHistogram::default();
+    let mut all = Histogram::default();
     for h in &total.class_hist {
         all.merge(h);
     }

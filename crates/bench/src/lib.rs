@@ -23,7 +23,6 @@
 
 pub mod cli;
 pub mod gate;
-pub mod hdr;
 pub mod json;
 pub mod report;
 

@@ -608,6 +608,25 @@ mod tests {
     }
 
     #[test]
+    fn full_bank_finishes_under_a_tight_watchdog() {
+        // A 500 000-cycle watchdog turns a stall of this run into
+        // `RunError::Stalled` instead of a hang.
+        let cfg = CsmvConfig {
+            max_idle_cycles: Some(500_000),
+            ..small_cfg(CsmvVariant::Full)
+        };
+        let bank = BankConfig::small(64, 30);
+        let res = run_checked(
+            &cfg,
+            |t| BankSource::new(&bank, 42, t, 3),
+            bank.accounts,
+            |_| bank.initial_balance,
+        );
+        let res = res.unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(res.stats.commits(), (cfg.num_threads() * 3) as u64);
+    }
+
+    #[test]
     fn nocv_variant_bank_is_correct() {
         let (cfg, bank, res) = bank_run(CsmvVariant::NoCv, 30, 43);
         assert_correct(&cfg, &bank, &res, 3);
@@ -861,130 +880,5 @@ mod tests {
         let res = run(&cfg, |_| Once(Some(Incr { step: 0, seen: 0 })), 4, |_| 0);
         assert_metrics_consistent(&res);
         assert!(res.metrics.aborts.count(AbortReason::VersionOverflow) > 0);
-    }
-}
-
-#[cfg(test)]
-mod debug_hang {
-    use super::*;
-    use workloads::{BankConfig, BankSource};
-
-    #[test]
-    fn diagnose() {
-        let gpu = GpuConfig {
-            num_sms: 5,
-            ..Default::default()
-        };
-        let cfg = CsmvConfig {
-            gpu,
-            variant: CsmvVariant::Full,
-            server_workers: 3,
-            ..Default::default()
-        };
-        let bank = BankConfig::small(64, 30);
-        // Inline copy of run() with a bounded loop and state dump.
-        let server_sm = cfg.gpu.num_sms - 1;
-        let num_clients = cfg.num_client_warps();
-        let mut dev = Device::new(cfg.gpu.clone());
-        let gts_addr = dev.alloc_global(1);
-        let done_addr = dev.alloc_global(1);
-        let heap = VBoxHeap::init(
-            dev.global_mut(),
-            bank.accounts,
-            cfg.versions_per_box,
-            |_| bank.initial_balance,
-        );
-        let proto = CommitProtocol::alloc(dev.global_mut(), num_clients, cfg.max_rs, cfg.max_ws);
-        let atr = SharedAtr::alloc(&mut dev, server_sm, cfg.atr_capacity, cfg.max_ws);
-        let ctl = ServerControl::alloc(&mut dev, server_sm, num_clients);
-        dev.shared_write_host(server_sm, atr.next_cts_addr(), 1);
-        let mut ids = Vec::new();
-        let mut thread_id = 0;
-        let mut slot = 0;
-        for sm in 0..server_sm {
-            for _ in 0..cfg.warps_per_sm {
-                let sources: Vec<BankSource> = (0..32)
-                    .map(|i| BankSource::new(&bank, 42, thread_id + i, 3))
-                    .collect();
-                let c = CsmvClient::new(
-                    sources,
-                    thread_id,
-                    Default::default(),
-                    heap.clone(),
-                    proto.clone(),
-                    slot,
-                    gts_addr,
-                    done_addr,
-                    cfg.variant,
-                );
-                ids.push(("client", dev.spawn(sm, Box::new(c))));
-                thread_id += 32;
-                slot += 1;
-            }
-        }
-        ids.push((
-            "receiver",
-            dev.spawn(
-                server_sm,
-                Box::new(ReceiverWarp::new(
-                    proto.clone(),
-                    ctl.clone(),
-                    num_clients,
-                    done_addr,
-                )),
-            ),
-        ));
-        for _ in 0..cfg.server_workers {
-            ids.push((
-                "worker",
-                dev.spawn(
-                    server_sm,
-                    Box::new(WorkerWarp::new(
-                        proto.clone(),
-                        ctl.clone(),
-                        atr.clone(),
-                        heap.clone(),
-                        gts_addr,
-                        cfg.variant,
-                    )),
-                ),
-            ));
-        }
-        dev.set_watchdog(500_000);
-        dev.run_to_completion();
-        let Some(info) = dev.stalled() else {
-            return; // completed normally
-        };
-        println!(
-            "STALLED at cycle {} ({} live warps). GTS={} done={} next_cts={}",
-            info.cycle,
-            info.live_warps,
-            dev.global()[gts_addr as usize],
-            dev.global()[done_addr as usize],
-            dev.shared_read_host(server_sm, atr.next_cts_addr())
-        );
-        for (kind, id) in &ids {
-            if dev.warp_done(*id) {
-                continue;
-            }
-            let dbg = dev.program(*id);
-            let state = if let Some(c) = dbg.downcast_ref::<CsmvClient<BankSource>>() {
-                format!("{:?}", c.debug_phase())
-            } else if let Some(w) = dbg.downcast_ref::<WorkerWarp>() {
-                format!("{:?}", w.debug_state())
-            } else if let Some(r) = dbg.downcast_ref::<ReceiverWarp>() {
-                format!("{:?}", r.debug_state())
-            } else {
-                "?".into()
-            };
-            println!("warp {id} {kind}: {state}");
-        }
-        panic!(
-            "{}",
-            RunError::Stalled {
-                cycle: info.cycle,
-                live_warps: info.live_warps,
-            }
-        );
     }
 }

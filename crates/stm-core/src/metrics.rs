@@ -267,13 +267,58 @@ impl GcStats {
     }
 }
 
-/// A power-of-two-bucket histogram of `u64` samples (cycle counts). Bucket
-/// `i` holds samples whose value has bit-length `i`, i.e. values in
-/// `[2^(i-1), 2^i)` (bucket 0 holds the value 0). Exact min/max/sum are kept
-/// alongside so means are not quantized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// log2 of the exact region: values below `1 << SUB_BITS` (128) have a
+/// slot each.
+const SUB_BITS: u32 = 7;
+/// Linear sub-buckets per power of two above the exact region (64), so a
+/// slot is at most 1/64 (1.6 %) of its values wide.
+const SUB_BUCKETS: usize = 1 << (SUB_BITS - 1);
+
+/// Slot of `v`: `v` itself below 128, then [`SUB_BUCKETS`] linear
+/// sub-buckets per power of two. Monotone in `v`; `u64::MAX` is slot 3775.
+#[inline]
+fn slot_of(v: u64) -> usize {
+    // Or-ing in 127 makes the shift 0 in the exact region, without a branch.
+    let shift = (v | ((1 << SUB_BITS) - 1)).ilog2() + 1 - SUB_BITS;
+    shift as usize * SUB_BUCKETS + (v >> shift) as usize
+}
+
+/// Largest value in `slot` (the inverse of [`slot_of`]'s upper edge).
+fn slot_max(slot: usize) -> u64 {
+    let shift = (slot / SUB_BUCKETS).saturating_sub(1);
+    (((slot - shift * SUB_BUCKETS) as u64) << shift) | ((1u64 << shift) - 1)
+}
+
+/// `counts`, which starts at slot `first`, widened to span slots
+/// `lo..=hi` as well; returns the new first slot with it. Takes and
+/// returns the vector by value so that the recording path lends the
+/// histogram to no call, and a loop of records keeps its totals in
+/// registers.
+#[cold]
+#[inline(never)]
+fn widen(first: usize, mut counts: Vec<u64>, lo: usize, hi: usize) -> (usize, Vec<u64>) {
+    let first = if counts.is_empty() { lo } else { first };
+    let lo = lo.min(first);
+    let end = (hi + 1).max(first + counts.len());
+    counts.reserve_exact(end - lo - counts.len());
+    counts.resize(end - first, 0);
+    counts.splice(0..0, std::iter::repeat_n(0, first - lo));
+    (lo, counts)
+}
+
+/// A log-linear histogram of `u64` samples (cycles, microseconds): values
+/// below 128 are exact, and each power of two above has 64 linear
+/// sub-buckets, so a quantile is at most 1.6 % above the sample it stands
+/// for. Counts are stored only from the lowest recorded slot to the
+/// highest, so an empty histogram allocates nothing, and two histograms
+/// holding the same samples compare equal however they were recorded and
+/// merged. Exact min/max/sum are kept alongside so means are not quantized.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
-    buckets: [u64; 65],
+    /// Slot of `counts[0]`; 0 while empty.
+    first: usize,
+    /// Counts of the slots from `first` on; the first and last are nonzero.
+    counts: Vec<u64>,
     count: u64,
     sum: u64,
     min: u64,
@@ -283,7 +328,8 @@ pub struct Histogram {
 impl Default for Histogram {
     fn default() -> Self {
         Self {
-            buckets: [0; 65],
+            first: 0,
+            counts: Vec::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -294,9 +340,17 @@ impl Default for Histogram {
 
 impl Histogram {
     /// Record one sample.
+    #[inline]
     pub fn record(&mut self, value: u64) {
-        let bucket = (64 - value.leading_zeros()) as usize;
-        self.buckets[bucket] += 1;
+        let slot = slot_of(value);
+        match self.counts.get_mut(slot.wrapping_sub(self.first)) {
+            Some(n) => *n += 1,
+            None => {
+                let counts = std::mem::take(&mut self.counts);
+                (self.first, self.counts) = widen(self.first, counts, slot, slot);
+                self.counts[slot - self.first] += 1;
+            }
+        }
         self.count += 1;
         self.sum += value;
         self.min = self.min.min(value);
@@ -336,21 +390,19 @@ impl Histogram {
         }
     }
 
-    /// Quantile estimate: the inclusive upper bound of the bucket containing
-    /// the `q`-quantile sample (`q` in `[0, 1]`). 0 when empty.
+    /// Quantile estimate: the inclusive upper bound of the slot containing
+    /// the `q`-quantile sample (`q` in `[0, 1]`), clamped into
+    /// `[min, max]`. 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
         let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0;
-        for (i, &n) in self.buckets.iter().enumerate() {
+        for (i, &n) in self.counts.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                // Upper bound of bucket i is 2^i - 1 (bucket 0 holds only 0),
-                // clamped to the exact max so outliers don't over-report.
-                let ub = if i == 0 { 0 } else { (1u64 << i.min(63)) - 1 };
-                return ub.min(self.max);
+                return slot_max(self.first + i).clamp(self.min, self.max);
             }
         }
         self.max
@@ -358,7 +410,16 @@ impl Histogram {
 
     /// Accumulate another histogram.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+        if other.count == 0 {
+            return;
+        }
+        let (lo, hi) = (other.first, other.first + other.counts.len() - 1);
+        if lo < self.first || hi - self.first >= self.counts.len() {
+            let counts = std::mem::take(&mut self.counts);
+            (self.first, self.counts) = widen(self.first, counts, lo, hi);
+        }
+        let offset = lo - self.first;
+        for (a, b) in self.counts[offset..].iter_mut().zip(&other.counts) {
             *a += b;
         }
         self.count += other.count;
@@ -378,13 +439,16 @@ pub struct Sample {
 }
 
 /// A bounded time series of [`Sample`]s. Samples beyond
-/// [`Series::MAX_SAMPLES`] are counted but dropped, so pathological runs
-/// cannot balloon the report; `merge` re-sorts by cycle (then value) to keep
-/// the aggregate deterministic regardless of harvest order.
+/// [`Series::MAX_SAMPLES`] are dropped, so pathological runs cannot
+/// balloon the report, but the count, sum and max cover every
+/// observation; `merge` re-sorts by cycle (then value) to keep the
+/// aggregate deterministic regardless of harvest order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Series {
     samples: Vec<Sample>,
     dropped: u64,
+    sum: u64,
+    max: u64,
 }
 
 impl Series {
@@ -393,6 +457,8 @@ impl Series {
 
     /// Record one observation.
     pub fn push(&mut self, cycle: u64, value: u64) {
+        self.sum += value;
+        self.max = self.max.max(value);
         if self.samples.len() < Self::MAX_SAMPLES {
             self.samples.push(Sample { cycle, value });
         } else {
@@ -415,28 +481,30 @@ impl Series {
         self.len() == 0
     }
 
-    /// Mean of the retained samples' values (0 when empty).
+    /// Mean of every observation's value (0 when empty).
     pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.is_empty() {
             0.0
         } else {
-            self.samples.iter().map(|s| s.value).sum::<u64>() as f64 / self.samples.len() as f64
+            self.sum as f64 / self.len() as f64
         }
     }
 
-    /// Largest retained value (0 when empty).
+    /// Largest observed value (0 when empty).
     pub fn max(&self) -> u64 {
-        self.samples.iter().map(|s| s.value).max().unwrap_or(0)
+        self.max
     }
 
-    /// Sum of the retained samples' values.
+    /// Sum of every observation's value.
     pub fn sum(&self) -> u64 {
-        self.samples.iter().map(|s| s.value).sum()
+        self.sum
     }
 
     /// Append another series, keeping cycle order and the retention cap.
     pub fn merge(&mut self, other: &Series) {
         self.dropped += other.dropped;
+        self.sum += other.sum;
+        self.max = self.max.max(other.max);
         for s in &other.samples {
             if self.samples.len() < Self::MAX_SAMPLES {
                 self.samples.push(*s);
@@ -701,23 +769,127 @@ mod tests {
         assert_eq!(h.max(), 0);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.quantile(0.5), 0);
+        assert_eq!(
+            h.counts.capacity(),
+            0,
+            "an empty histogram allocates nothing"
+        );
+        // Merging an empty histogram changes nothing, empty or not.
+        let mut g = Histogram::default();
+        g.merge(&h);
+        assert_eq!(g, h);
+        g.record(300);
+        let before = g.clone();
+        g.merge(&h);
+        assert_eq!(g, before);
     }
 
     #[test]
     fn quantile_bounds_the_right_bucket() {
         let mut h = Histogram::default();
         for _ in 0..99 {
-            h.record(10); // bucket 4: [8, 16)
+            h.record(10); // below 128: a slot of its own
         }
         h.record(1 << 20);
-        assert_eq!(h.quantile(0.5), 15);
-        // p100 lands in the outlier's bucket, clamped to the exact max.
+        assert_eq!(h.quantile(0.5), 10);
+        // p100 lands in the outlier's slot, clamped to the exact max.
         assert_eq!(h.quantile(1.0), 1 << 20);
         let mut lo = Histogram::default();
         lo.record(0);
         lo.record(1);
         assert_eq!(lo.quantile(0.25), 0);
         assert_eq!(lo.quantile(1.0), 1);
+        // Above 128 the quantile is its slot's upper edge: 1000 shares
+        // [1000, 1007] with its neighbours.
+        let mut mid = Histogram::default();
+        mid.record(1000);
+        mid.record(5000);
+        assert_eq!(mid.quantile(0.5), 1007);
+    }
+
+    #[test]
+    fn slots_are_monotone_and_in_range_across_the_u64_domain() {
+        let top = slot_of(u64::MAX);
+        assert_eq!(slot_max(top), u64::MAX);
+        let mut last = 0;
+        let mut v: u64 = 0;
+        loop {
+            let s = slot_of(v);
+            assert!(s <= top, "v={v} slot={s}");
+            assert!(s >= last, "slot regressed at v={v}");
+            assert!(slot_max(s) >= v, "upper bound below value at v={v}");
+            assert!(
+                s == 0 || slot_max(s - 1) < v,
+                "v={v} also fits slot {}",
+                s - 1
+            );
+            last = s;
+            if v > u64::MAX / 3 {
+                break;
+            }
+            v = v * 3 + 1;
+        }
+    }
+
+    #[test]
+    fn small_values_are_exact() {
+        let mut h = Histogram::default();
+        for v in 0..128 {
+            h.record(v);
+        }
+        assert_eq!(h.quantile(0.0), 0);
+        assert_eq!(h.quantile(0.5), 63);
+        assert_eq!(h.quantile(1.0), 127);
+        assert_eq!(h.max(), 127);
+        assert_eq!(h.count(), 128);
+    }
+
+    #[test]
+    fn large_values_have_bounded_relative_error() {
+        for v in [1_500u64, 23_456, 987_654, 12_345_678, 3_000_000_000] {
+            // A second, larger sample keeps the max clamp out of the way.
+            let mut h = Histogram::default();
+            h.record(v);
+            h.record(2 * v);
+            let q = h.quantile(0.5);
+            assert!(q >= v && (q - v) as f64 <= v as f64 * 0.016, "v={v} q={q}");
+        }
+    }
+
+    #[test]
+    fn p999_separates_a_tail_from_the_body() {
+        let mut h = Histogram::default();
+        for _ in 0..999 {
+            h.record(100);
+        }
+        h.record(1_000_000);
+        assert_eq!(h.quantile(0.5), 100);
+        assert_eq!(h.quantile(0.99), 100);
+        assert!(h.quantile(0.999) >= 100);
+        assert!(h.quantile(1.0) >= 990_000);
+    }
+
+    #[test]
+    fn merge_equals_recording_into_one() {
+        let (mut a, mut b, mut whole) = (
+            Histogram::default(),
+            Histogram::default(),
+            Histogram::default(),
+        );
+        for v in 0..2_000u64 {
+            let x = v * v % 77_777;
+            if v % 2 == 0 {
+                a.record(x);
+            } else {
+                b.record(x);
+            }
+            whole.record(x);
+        }
+        a.merge(&b);
+        assert_eq!(a, whole);
+        for q in [0.1, 0.5, 0.9, 0.99, 0.999, 1.0] {
+            assert_eq!(a.quantile(q), whole.quantile(q));
+        }
     }
 
     #[test]
@@ -764,6 +936,29 @@ mod tests {
     }
 
     #[test]
+    fn series_totals_cover_dropped_observations() {
+        let n = Series::MAX_SAMPLES as u64;
+        let mut s = Series::default();
+        for i in 0..n {
+            s.push(i, 1);
+        }
+        for i in 0..10 {
+            s.push(n + i, 1000);
+        }
+        assert_eq!(s.samples().len(), Series::MAX_SAMPLES);
+        assert_eq!(s.sum(), n + 10_000);
+        assert_eq!(s.max(), 1000);
+        assert!((s.mean() - (n + 10_000) as f64 / (n + 10) as f64).abs() < 1e-9);
+        // A merge past the cap keeps them too.
+        let mut t = Series::default();
+        t.push(0, 7);
+        t.merge(&s);
+        assert_eq!(t.len(), n + 11);
+        assert_eq!(t.sum(), n + 10_007);
+        assert_eq!(t.max(), 1000);
+    }
+
+    #[test]
     fn report_records_and_merges() {
         let mut a = MetricsReport::default();
         a.record_commit(100);
@@ -796,5 +991,44 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.pipeline.spec_executed, 15);
         assert_eq!(a.pipeline.spec_squashed, 3);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 24 })]
+            /// A quantile is at or above the exact order statistic and at
+            /// most 1/64 above it; recording into two histograms and
+            /// merging equals recording into one.
+            #[test]
+            fn quantiles_bound_the_order_statistic_and_merge_is_exact(
+                samples in proptest::collection::vec(
+                    (0u8..2, 24u32..64, proptest::num::u64::ANY),
+                    1..80,
+                ),
+                permille in 0u32..1001,
+            ) {
+                let values: Vec<u64> = samples.iter().map(|&(_, s, x)| x >> s).collect();
+                let (mut a, mut b, mut whole) =
+                    (Histogram::default(), Histogram::default(), Histogram::default());
+                for (&(side, _, _), &v) in samples.iter().zip(&values) {
+                    if side == 0 { a.record(v) } else { b.record(v) }
+                    whole.record(v);
+                }
+                b.merge(&a);
+                prop_assert_eq!(&b, &whole);
+
+                let mut sorted = values.clone();
+                sorted.sort_unstable();
+                let q = permille as f64 / 1000.0;
+                let rank = ((q * sorted.len() as f64).ceil() as usize).max(1);
+                let exact = sorted[rank - 1];
+                let got = whole.quantile(q);
+                prop_assert!(got >= exact, "q={} got={} exact={}", q, got, exact);
+                prop_assert!(got - exact <= exact / 64, "q={} got={} exact={}", q, got, exact);
+            }
+        }
     }
 }
