@@ -31,6 +31,12 @@ use std::time::Duration;
 
 use csmv::steps::{self, ReserveOutcome, TagState};
 
+/// The one slice of every park on the GTS handoff ([`NativeAtr::wait_turn`]):
+/// a publisher unparks its waiter long before this in a healthy run, so
+/// the slice only bounds how late a parked thread sees the run deadline —
+/// and, for a worker, arrivals its feed loop has not taken yet.
+pub(crate) const TURN_WAIT_SLICE: Duration = Duration::from_micros(200);
+
 /// Tag value marking an insert in progress. Classified as in-flight by
 /// readers; never a valid cts (cts fits 32 bits).
 const WRITING: u64 = u64::MAX;

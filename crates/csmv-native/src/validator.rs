@@ -17,12 +17,12 @@
 //! lint covers every `impl Validator` block.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use csmv::steps::{self, ReserveOutcome, TagState};
 use stm_core::metrics::{AbortReason, MetricsReport};
 
-use crate::atr::NativeAtr;
+use crate::atr::{NativeAtr, TURN_WAIT_SLICE};
 use crate::pool::Shared;
 
 /// One transaction's commit submission: its snapshot and footprint.
@@ -179,19 +179,20 @@ impl Validator {
         }
     }
 
-    /// Read ATR entry `cts` into `self.entry`, polling while its inserter
+    /// Read ATR entry `cts` into `self.entry`, waiting while its inserter
     /// is in flight. False means recycled (or the run deadline passed
-    /// while polling).
+    /// while waiting).
     ///
-    /// The wait is a ladder — brief spin, then yield, then sleeps that
-    /// *graduate* from 1µs up to a 50µs cap
-    /// instead of jumping straight to the full nap when the inserter is
-    /// one store away. Any stall actually waited out is recorded into the
+    /// The wait is the GTS handoff's, the one way a worker waits: park
+    /// until the GTS reaches `cts`. That is enough, because a reserved
+    /// entry is inserted before its batch writes back, and written back
+    /// before the GTS reaches it — and its inserter waits on nothing this
+    /// validator holds, since a worker validates holding no reservation.
+    /// Each park is one [`TURN_WAIT_SLICE`], so the deadline is checked
+    /// between parks. A stall actually waited out is recorded into the
     /// `server_stall` series, so validation waits are visible alongside
     /// the `gts_stall` of the turn wait.
     fn read_entry_blocking(&mut self, cts: u64, metrics: &mut MetricsReport) -> bool {
-        let mut spins: u32 = 0;
-        let mut nap = Duration::from_micros(1);
         let mut wait_start: Option<Instant> = None;
         loop {
             match self.atr.read_entry_into(cts, &mut self.entry) {
@@ -205,25 +206,13 @@ impl Validator {
                 }
                 TagState::Recycled => return false,
                 TagState::InFlight => {
-                    // The inserter is between its CAS and its publish —
-                    // a few instructions, unless it was descheduled. Wait
-                    // adaptively so an oversubscribed host gets the
-                    // inserter scheduled instead of burning its quantum.
-                    if wait_start.is_none() {
-                        wait_start = Some(Instant::now());
+                    let now = Instant::now();
+                    wait_start.get_or_insert(now);
+                    if now >= self.deadline {
+                        return false;
                     }
-                    spins += 1;
-                    if spins < 64 {
-                        std::hint::spin_loop();
-                    } else if spins < 1024 {
-                        std::thread::yield_now();
-                    } else {
-                        if Instant::now() >= self.deadline {
-                            return false;
-                        }
-                        std::thread::sleep(nap);
-                        nap = (nap * 2).min(Duration::from_micros(50));
-                    }
+                    self.atr
+                        .wait_gts_past(cts.saturating_sub(1), TURN_WAIT_SLICE);
                 }
             }
         }
@@ -234,6 +223,7 @@ impl Validator {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::time::Duration;
 
     const READ_VALIDATION: Verdict = Verdict::Rejected {
         reason: AbortReason::ReadValidation,
@@ -256,6 +246,43 @@ mod tests {
         let mut verdicts = vec![Verdict::Granted { cts: 0 }; 3];
         v.validate_and_reserve(txs, &mut MetricsReport::default(), &mut verdicts);
         verdicts
+    }
+
+    /// An entry reserved but not yet inserted is waited out on the GTS
+    /// handoff, not polled: the validator parks as a turn waiter, and the
+    /// inserter's write-back publication wakes it to a verdict on the
+    /// entry, with the wait recorded as one `server_stall` sample.
+    #[test]
+    fn an_in_flight_entry_is_waited_out_parked_on_the_gts() {
+        let atr = Arc::new(NativeAtr::new(8, 2));
+        assert_eq!(atr.try_reserve(1, 1), ReserveOutcome::Won { base: 1 });
+        let validating = {
+            let atr = atr.clone();
+            std::thread::spawn(move || {
+                let mut v = validator(&atr);
+                let mut metrics = MetricsReport::default();
+                let txs = [TxSubmit {
+                    snapshot: 0,
+                    rs: vec![3],
+                    ws: vec![4],
+                }];
+                let mut verdicts = Vec::new();
+                v.validate_and_reserve(&txs, &mut metrics, &mut verdicts);
+                (verdicts, metrics.server_stall.len())
+            })
+        };
+        let give_up = Instant::now() + Duration::from_secs(3);
+        while atr.parked_waiters() == 0 {
+            assert!(Instant::now() < give_up, "the validator never parked");
+            std::thread::yield_now();
+        }
+        // The other committer inserts entry 1, a write to what the batch
+        // read, and writes it back.
+        atr.insert(1, &[3]);
+        atr.publish_gts(1);
+        let (verdicts, stalls) = validating.join().expect("validator panicked");
+        assert_eq!(verdicts, [READ_VALIDATION]);
+        assert_eq!(stalls, 1, "one wait, one sample");
     }
 
     /// A lost CAS is answered by scanning the delta and nothing below it:

@@ -35,7 +35,7 @@
 //! lint covers every `impl NativeWorker` block.
 
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use csmv::steps;
 use stm_core::history::TxRecord;
@@ -43,15 +43,10 @@ use stm_core::metrics::{AbortReason, MetricsReport};
 use stm_core::stats::CommitStats;
 use stm_core::{TxLogic, TxOp, TxSource};
 
+use crate::atr::TURN_WAIT_SLICE;
 use crate::engine::{EngineJob, Intake};
 use crate::pool::Shared;
 use crate::validator::{TxSubmit, Validator, Verdict};
-
-/// Backstop timeout for a turn-waiter parked in
-/// [`crate::atr::NativeAtr::wait_turn`]: publishers unpark it long before
-/// this in a healthy run; the timeout only bounds how late the
-/// run-deadline watchdog can fire.
-const TURN_WAIT_SLICE: Duration = Duration::from_micros(200);
 
 /// How a transaction reports its terminal outcome. Closed-loop batch
 /// sources use the no-op [`Fire`] wrapper (the harness only reads the
@@ -840,6 +835,7 @@ mod tests {
     use crate::store::NativeStore;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Mutex};
+    use std::time::Duration;
     use stm_core::{RetryPolicy, SnapshotRegistry};
     use workloads::BankTx;
 

@@ -123,9 +123,9 @@ fn main() -> ExitCode {
                 gc.spill_pruned,
                 gc.pinned_commits
             );
-            // What the coalescing writers and the batching readers did,
-            // one greppable line (the CI service-smoke job copies it into
-            // its step summary).
+            // How the connections batched their replies and their
+            // submissions, one greppable line (the CI service-smoke job
+            // copies it into its step summary).
             println!(
                 "csmv-service: io: replies={} writes={} replies_per_write={:.2} \
                  submits={} submit_calls={} jobs_per_submit={:.2}",

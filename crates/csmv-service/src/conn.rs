@@ -1,38 +1,21 @@
-//! One client connection: a reader half that parses frames, tracks
-//! `MULTI` state and submits transactions, and a writer half that sends
-//! replies strictly in request order.
+//! One client connection, served by one thread: it parses frames, tracks
+//! `MULTI` state, submits transactions and writes their replies strictly
+//! in request order.
 //!
-//! Between the halves — and between the connection and the engine — sits
-//! one [`ReplyRing`]: the reader appends a cell per request, in request
-//! order; the engine settles a transaction's cell by ticket (its sequence
-//! number) from whichever worker finished it; the writer takes the ready
-//! prefix. No request owns a channel or a result sink. Pipelining falls
-//! out of the split: the reader keeps accepting and submitting requests
-//! while earlier ones are still in flight. The ring is bounded, so one
-//! connection can hold at most [`PIPELINE_DEPTH`] replies outstanding —
-//! past that the reader stops draining the socket and TCP pushes back on
-//! the client.
+//! The loop is half-duplex. Parse every complete frame the read buffer
+//! holds, hand the engine every transaction they held in one
+//! [`NativeEngine::submit_batch`] call ([`Connection::hand_over`]), write
+//! every reply owed ([`Replies::answer_all`]), and only then read the
+//! socket again. Workers settle transactions by ticket (the request's
+//! sequence number) into the connection's [`Settled`] sink; the thread
+//! moves the outcomes into their cells itself, so no reply is handed to
+//! another thread to be written. At [`PIPELINE_DEPTH`] replies owed, the
+//! thread answers them before it takes the next request, and a client
+//! that keeps sending meets TCP back-pressure.
 //!
-//! Both crossings are burst-granular. The reader hands the engine every
-//! transaction one socket read brought in with one
-//! [`NativeEngine::submit_batch`] call ([`Connection::hand_over`]) — always
-//! before it blocks, on the socket or on a full ring, because the writer
-//! may be waiting for a job still in the reader's hand. The writer
-//! ([`write_loop`]) appends every reply that is already available to one
-//! output buffer, and the socket gets one `write_all` per burst — just
-//! before the writer would block, so no reply ever waits on a sleeping
-//! writer.
-//!
-//! A request allocates once: the boxed transaction body the engine's
-//! [`Submission`] takes. The reader parses frames in place — argument
-//! ranges into its read buffer, borrowed as the command's argv — and a
-//! bare command's op rides inline in its body; the writer encodes every
-//! reply straight into its output buffer, and the constant ones are
-//! `'static` bytes.
-//!
-//! Nothing in `impl Connection` or `impl ReplyRing` may panic: the `xtask`
-//! `no-panic-in-server-path` lint covers this file. The ring's lock is
-//! recovered from poison: every update leaves it consistent.
+//! Nothing in `impl Connection`, `impl Replies` or `impl Settled` may
+//! panic: the `xtask` `no-panic-in-server-path` lint covers this file.
+//! Locks are recovered from poison: every update leaves them consistent.
 
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read, Write};
@@ -48,16 +31,15 @@ use stm_core::metrics::AbortReason;
 use crate::command::{Command, KvOp, KvResult, KvTx, ResultSink};
 use crate::resp;
 
-/// Replies one connection may have outstanding before the reader stops
-/// draining its socket.
+/// Replies one connection may owe before it stops reading its socket.
 pub const PIPELINE_DEPTH: usize = 128;
 
-/// How often a blocked socket read wakes up to notice service shutdown.
-const READ_SLICE: Duration = Duration::from_millis(200);
+/// How long a blocking socket read or write may wait before the
+/// connection looks at the service's stop flag again.
+const IO_SLICE: Duration = Duration::from_millis(200);
 
-/// Output-buffer size at which the writer flushes mid-burst, so a slow or
-/// vanished reader meets TCP back-pressure (through the bounded ring)
-/// instead of growing server memory.
+/// Output-buffer size at which replies are flushed mid-burst: a slow
+/// client meets TCP back-pressure instead of growing server memory.
 const OUT_CAP: usize = 16 * 1024;
 
 /// Words of the longest command the service knows (`SET key value`,
@@ -70,19 +52,22 @@ const BUSY: &[u8] = b"-BUSY engine queue full, retry later\r\n";
 /// What a transaction answers that reached an engine already shut down.
 const ENGINE_CLOSED: &[u8] = b"-ERR engine is shut down\r\n";
 
-/// What the two halves of all connections did, summed as each one ends
-/// (plain statistics: `Relaxed`).
+/// What all connections did, summed as each one ends (plain statistics:
+/// `Relaxed`).
 #[derive(Default)]
 pub(crate) struct IoCounters {
     /// Replies encoded.
     pub(crate) replies: AtomicU64,
-    /// `write_all` calls that carried them.
+    /// Flushes that carried them: each hands one buffer to the socket.
     pub(crate) reply_writes: AtomicU64,
     /// Transactions the engine accepted.
     pub(crate) submits: AtomicU64,
     /// `submit_batch` calls that carried them.
     pub(crate) submit_calls: AtomicU64,
 }
+
+/// A transaction's terminal outcome, as the engine reported it.
+type Outcome = Result<(), AbortReason>;
 
 /// How each committed op encodes into its reply.
 #[derive(Debug, Clone, Copy)]
@@ -106,11 +91,11 @@ enum Kinds {
 /// A submitted transaction's place in the reply order.
 struct TxCell {
     kinds: Kinds,
-    /// Where the body records its per-op results. Recycled through the
-    /// ring once the reply is encoded.
+    /// Where the body records its per-op results. Recycled once the reply
+    /// is encoded.
     results: ResultSink,
     /// The engine's verdict; `None` while the job is in flight.
-    outcome: Option<Result<(), AbortReason>>,
+    outcome: Option<Outcome>,
 }
 
 /// One reply, in request order.
@@ -120,7 +105,7 @@ enum Cell {
     Static(&'static [u8]),
     /// An immediate, already-encoded reply (an error naming the request).
     Ready(Vec<u8>),
-    /// A transaction: encoded by the writer once it is settled.
+    /// A transaction: encoded once it is settled.
     Tx(TxCell),
 }
 
@@ -130,216 +115,221 @@ impl Cell {
     }
 }
 
-/// Why [`ReplyRing::push`] did not append.
-enum PushError {
-    /// [`PIPELINE_DEPTH`] replies are outstanding; the cell comes back.
-    Full(Cell),
-    /// The writer ended (its socket died): the connection is over.
-    WriterGone,
+/// Where workers settle a connection's transactions: outcomes by ticket,
+/// in completion order, until the connection collects them. A completion
+/// wakes the connection only when it settles the ticket it is parked on.
+#[derive(Default)]
+pub(crate) struct Settled {
+    state: Mutex<SettledState>,
+    /// The connection parks here, on an unsettled head.
+    head_settled: Condvar,
 }
 
-/// What [`ReplyRing::take_ready`] found.
-enum Take {
-    /// At least one cell was moved out.
-    Cells,
-    /// The head is still in flight, or the ring is empty.
-    WouldBlock,
-    /// The reader is done and every reply has been taken.
-    Finished,
+#[derive(Default)]
+struct SettledState {
+    /// Outcomes not collected yet.
+    outcomes: Vec<(u64, Outcome)>,
+    /// The ticket the connection is parked on, while it is parked.
+    parked_on: Option<u64>,
 }
 
-/// The connection's one queue: replies in request order, bounded at
-/// [`PIPELINE_DEPTH`]. Three parties lock it, each briefly and never
-/// while holding another lock: the reader per request ([`Self::push`]),
-/// a worker per finished job ([`CompletionSink::complete`]), the writer
-/// per burst ([`Self::take_ready`]). Wake-ups are targeted, and issued
-/// after the lock is released: the writer is notified only when it is
-/// parked *and* the head became ready, the reader only when it is parked
-/// on a full ring. Whoever notifies clears the `parked` flag, so one park
-/// costs one notify.
-pub(crate) struct ReplyRing {
-    state: Mutex<RingState>,
-    /// The writer parks here, on an empty ring or an unsettled head.
-    head_ready: Condvar,
-    /// The reader parks here, on a full ring.
-    room: Condvar,
-}
-
-struct RingState {
-    cells: VecDeque<Cell>,
-    /// Ticket of `cells[0]`: cell `t` sits at index `t - head`.
-    head: u64,
-    /// Result sinks whose replies are written, for the reader to reuse.
-    free: Vec<ResultSink>,
-    writer_parked: bool,
-    reader_parked: bool,
-    /// The reader is done: nothing more will be pushed.
-    closed: bool,
-    /// The writer ended on a write error: pushes fail from now on.
-    writer_gone: bool,
-}
-
-impl ReplyRing {
-    fn new() -> Self {
-        Self {
-            state: Mutex::new(RingState {
-                cells: VecDeque::with_capacity(PIPELINE_DEPTH),
-                head: 0,
-                free: Vec::new(),
-                writer_parked: false,
-                reader_parked: false,
-                closed: false,
-                writer_gone: false,
-            }),
-            head_ready: Condvar::new(),
-            room: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, RingState> {
+impl Settled {
+    fn lock(&self) -> MutexGuard<'_, SettledState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Append `cell` and return its ticket. On a full ring: wait for the
-    /// writer to make room if `wait`, else hand the cell back.
-    fn push(&self, cell: Cell, wait: bool) -> Result<u64, PushError> {
+    /// Park the connection until `head` is settled, unless anything
+    /// settled is waiting to be collected (which may be `head`).
+    fn await_head(&self, head: u64) {
         let mut s = self.lock();
-        loop {
-            if s.writer_gone {
-                return Err(PushError::WriterGone);
-            }
-            if s.cells.len() < PIPELINE_DEPTH {
-                break;
-            }
-            if !wait {
-                return Err(PushError::Full(cell));
-            }
-            s.reader_parked = true;
-            s = self.room.wait(s).unwrap_or_else(|e| e.into_inner());
-            s.reader_parked = false;
+        if s.outcomes.is_empty() {
+            s.parked_on = Some(head);
         }
-        let ticket = s.head + s.cells.len() as u64;
-        // A parked writer behind a non-empty ring waits for its head to
-        // settle, which this push does not change.
-        let wake = s.cells.is_empty() && cell.is_ready() && std::mem::take(&mut s.writer_parked);
-        s.cells.push_back(cell);
-        drop(s);
-        if wake {
-            self.head_ready.notify_one();
-        }
-        Ok(ticket)
-    }
-
-    /// Change the in-flight cell `ticket` and wake the writer if that made
-    /// the head ready. A ticket that is not in the ring any more (the
-    /// writer died and took the replies with it) is ignored.
-    fn update(&self, ticket: u64, change: impl FnOnce(&mut RingState, usize)) {
-        let mut s = self.lock();
-        let Some(at) = ticket.checked_sub(s.head).map(|at| at as usize) else {
-            return;
-        };
-        if at >= s.cells.len() {
-            return;
-        }
-        change(&mut s, at);
-        let wake = at == 0 && std::mem::take(&mut s.writer_parked);
-        drop(s);
-        if wake {
-            self.head_ready.notify_one();
-        }
-    }
-
-    /// The engine's verdict on transaction `ticket`.
-    fn settle(&self, ticket: u64, outcome: Result<(), AbortReason>) {
-        self.update(ticket, |s, at| {
-            if let Some(Cell::Tx(tx)) = s.cells.get_mut(at) {
-                tx.outcome = Some(outcome);
-            }
-        });
-    }
-
-    /// The engine refused transaction `ticket`: `reply` takes its place,
-    /// in its own position.
-    fn shed(&self, ticket: u64, reply: &'static [u8]) {
-        self.update(ticket, |s, at| {
-            if let Some(cell) = s.cells.get_mut(at) {
-                if let Cell::Tx(tx) = std::mem::replace(cell, Cell::Static(reply)) {
-                    s.free.push(tx.results);
-                }
-            }
-        });
-    }
-
-    /// Move the recycled result sinks into `stash` (which is empty).
-    fn recycled(&self, stash: &mut Vec<ResultSink>) {
-        std::mem::swap(&mut self.lock().free, stash);
-    }
-
-    /// The reader is done.
-    fn close(&self) {
-        let mut s = self.lock();
-        s.closed = true;
-        let wake = std::mem::take(&mut s.writer_parked);
-        drop(s);
-        if wake {
-            self.head_ready.notify_one();
-        }
-    }
-
-    /// The writer ended; a reader parked on a full ring must not wait for
-    /// it.
-    fn writer_gone(&self) {
-        let mut s = self.lock();
-        s.writer_gone = true;
-        let wake = std::mem::take(&mut s.reader_parked);
-        drop(s);
-        if wake {
-            self.room.notify_one();
-        }
-    }
-
-    /// Writer side, one lock per burst: give back the `spent` sinks of the
-    /// previous burst and move the whole ready prefix into `burst`. With
-    /// nothing ready, park until the head settles (or the reader is done)
-    /// if `wait`.
-    fn take_ready(&self, burst: &mut Vec<Cell>, spent: &mut Vec<ResultSink>, wait: bool) -> Take {
-        let mut s = self.lock();
-        s.free.append(spent);
-        loop {
-            let ready = s.cells.iter().take_while(|c| c.is_ready()).count();
-            if ready > 0 {
-                burst.extend(s.cells.drain(..ready));
-                s.head += ready as u64;
-                let wake = std::mem::take(&mut s.reader_parked);
-                drop(s);
-                if wake {
-                    self.room.notify_one();
-                }
-                return Take::Cells;
-            }
-            if s.closed && s.cells.is_empty() {
-                return Take::Finished;
-            }
-            if !wait {
-                return Take::WouldBlock;
-            }
-            s.writer_parked = true;
-            s = self.head_ready.wait(s).unwrap_or_else(|e| e.into_inner());
-            s.writer_parked = false;
+        while s.parked_on.is_some() {
+            s = self.head_settled.wait(s).unwrap_or_else(|e| e.into_inner());
         }
     }
 }
 
-impl CompletionSink for ReplyRing {
+impl CompletionSink for Settled {
     fn complete(&self, ticket: u64, completion: Completion) {
         // The body goes first, outside the lock: what it recorded is in
         // the cell's result sink, and the sink is the cell's alone again.
         drop(completion.tx);
-        self.settle(ticket, completion.outcome);
+        let mut s = self.lock();
+        s.outcomes.push((ticket, completion.outcome));
+        let wake = s.parked_on == Some(ticket);
+        if wake {
+            s.parked_on = None;
+        }
+        drop(s);
+        if wake {
+            self.head_settled.notify_one();
+        }
     }
 }
 
-/// Reader-side `MULTI` bookkeeping.
+/// The connection's reply half: the replies it owes, in request order,
+/// and the buffer they are encoded into on their way to `wire`. Only the
+/// connection's thread touches it.
+struct Replies<W> {
+    wire: W,
+    settled: Arc<Settled>,
+    /// Owed replies: cell `t` sits at index `t - head`.
+    cells: VecDeque<Cell>,
+    head: u64,
+    /// Swapped with the sink's vector, so a collection allocates nothing.
+    collected: Vec<(u64, Outcome)>,
+    /// Result sinks of encoded replies, for the next transactions.
+    free: Vec<ResultSink>,
+    out: Vec<u8>,
+    /// The service's stop flag.
+    stop: Arc<AtomicBool>,
+    replies: u64,
+    /// Flushes.
+    writes: u64,
+}
+
+impl<W: Write> Replies<W> {
+    fn new(wire: W, stop: Arc<AtomicBool>) -> Self {
+        Self {
+            wire,
+            settled: Arc::default(),
+            cells: VecDeque::with_capacity(PIPELINE_DEPTH),
+            head: 0,
+            collected: Vec::new(),
+            free: Vec::new(),
+            out: Vec::with_capacity(OUT_CAP),
+            stop,
+            replies: 0,
+            writes: 0,
+        }
+    }
+
+    fn is_full(&self) -> bool {
+        self.cells.len() >= PIPELINE_DEPTH
+    }
+
+    /// Append `cell` in request order and return its ticket. A full
+    /// pipeline is answered first, so the engine must hold every job the
+    /// head may be.
+    fn push(&mut self, cell: Cell) -> io::Result<u64> {
+        if self.is_full() {
+            self.answer_all()?;
+        }
+        let ticket = self.head + self.cells.len() as u64;
+        self.cells.push_back(cell);
+        Ok(ticket)
+    }
+
+    /// The owed cell `ticket`, if it is owed.
+    fn cell(&mut self, ticket: u64) -> Option<&mut Cell> {
+        let at = usize::try_from(ticket.checked_sub(self.head)?).ok()?;
+        self.cells.get_mut(at)
+    }
+
+    /// The engine refused transaction `ticket`: `reply` takes its place,
+    /// in its own position, and its result sink is free again.
+    fn shed(&mut self, ticket: u64, reply: &'static [u8]) {
+        let Some(cell) = self.cell(ticket) else {
+            return;
+        };
+        if let Cell::Tx(tx) = std::mem::replace(cell, Cell::Static(reply)) {
+            self.free.push(tx.results);
+        }
+    }
+
+    /// Move every outcome settled since the last collection into its
+    /// cell; a ticket not owed is ignored.
+    fn collect(&mut self) {
+        std::mem::swap(&mut self.settled.lock().outcomes, &mut self.collected);
+        let mut collected = std::mem::take(&mut self.collected);
+        for (ticket, outcome) in collected.drain(..) {
+            if let Some(Cell::Tx(tx)) = self.cell(ticket) {
+                tx.outcome = Some(outcome);
+            }
+        }
+        self.collected = collected;
+    }
+
+    /// Write every reply owed, in request order, by three rules: append
+    /// whatever is ready; flush before every wait (on the head here, on
+    /// the socket after return); flush at [`OUT_CAP`]. No timer is
+    /// needed: a reply is held back only while another is being encoded.
+    fn answer_all(&mut self) -> io::Result<()> {
+        while !self.cells.is_empty() {
+            self.collect();
+            self.append_ready()?;
+            if !self.cells.is_empty() {
+                self.flush()?;
+                self.settled.await_head(self.head);
+            }
+        }
+        self.flush()
+    }
+
+    /// Encode the ready prefix of the owed replies into the buffer.
+    fn append_ready(&mut self) -> io::Result<()> {
+        while self.cells.front().is_some_and(Cell::is_ready) {
+            let Some(cell) = self.cells.pop_front() else {
+                break;
+            };
+            self.head += 1;
+            match cell {
+                Cell::Static(reply) => self.out.extend_from_slice(reply),
+                Cell::Ready(reply) => self.out.extend_from_slice(&reply),
+                Cell::Tx(tx) => {
+                    // Only a settled cell is ready.
+                    let outcome = tx.outcome.unwrap_or(Err(AbortReason::ServerUnavailable));
+                    let mut vals = tx.results.lock().unwrap_or_else(|e| e.into_inner());
+                    encode_outcome(&mut self.out, &outcome, &vals, &tx.kinds);
+                    // An aborted attempt may have recorded results too.
+                    vals.clear();
+                    drop(vals);
+                    self.free.push(tx.results);
+                }
+            }
+            self.replies += 1;
+            if self.out.len() >= OUT_CAP {
+                self.flush()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Hand everything buffered to the wire, in as many `write` calls as
+    /// it takes. A write that ran out its slice goes on from where it
+    /// stopped, unless the service is stopping: a client that does not
+    /// read then loses its connection instead of holding the service up.
+    fn flush(&mut self) -> io::Result<()> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        self.writes += 1;
+        let mut at = 0;
+        while let Some(rest) = self.out.get(at..).filter(|rest| !rest.is_empty()) {
+            match self.wire.write(rest) {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                Ok(n) => at += n,
+                Err(e) if timed_out(&e) && !self.stop.load(Ordering::Relaxed) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        self.out.clear();
+        Ok(())
+    }
+}
+
+/// A socket call that ran out its slice, or was interrupted: it may be
+/// made again.
+fn timed_out(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+    )
+}
+
+/// Connection-side `MULTI` bookkeeping.
 struct MultiState {
     ops: Vec<KvOp>,
     kinds: Vec<OpKind>,
@@ -348,20 +338,17 @@ struct MultiState {
 }
 
 pub(crate) struct Connection {
-    stream: TcpStream,
     engine: Arc<NativeEngine>,
     /// Valid keys are `0..keys`.
     keys: u64,
-    shutdown: Arc<AtomicBool>,
     io: Arc<IoCounters>,
-    ring: Arc<ReplyRing>,
-    /// The ring again, as the engine sees it.
+    /// The replies, on the socket requests are read from too.
+    replies: Replies<TcpStream>,
+    /// The replies' sink, as the engine sees it.
     sink: Arc<dyn CompletionSink>,
     multi: Option<MultiState>,
     /// Transactions parsed since the last hand-over, in ticket order.
     held: Vec<Submission>,
-    /// Recycled result sinks, taken from the ring a burst at a time.
-    sinks: Vec<ResultSink>,
     submits: u64,
     submit_calls: u64,
 }
@@ -374,85 +361,74 @@ impl Connection {
         shutdown: Arc<AtomicBool>,
         io: Arc<IoCounters>,
     ) -> Self {
-        let ring = Arc::new(ReplyRing::new());
+        let replies = Replies::new(stream, shutdown);
         Self {
-            stream,
             engine,
             keys,
-            shutdown,
             io,
-            sink: ring.clone(),
-            ring,
+            sink: replies.settled.clone(),
+            replies,
             multi: None,
             held: Vec::with_capacity(PIPELINE_DEPTH),
-            sinks: Vec::new(),
             submits: 0,
             submit_calls: 0,
         }
     }
 
-    /// Serve the connection to completion (client hangup, protocol
-    /// error, or service shutdown).
+    /// Serve the connection to completion (client hangup, protocol error,
+    /// `SHUTDOWN`, service shutdown, or a socket error).
     pub(crate) fn run(mut self) {
-        if self.stream.set_read_timeout(Some(READ_SLICE)).is_err() {
-            return;
+        // An error ends the connection; there is nobody to tell.
+        let _ = self.serve();
+        let io = &self.io;
+        for (total, n) in [
+            (&io.replies, self.replies.replies),
+            (&io.reply_writes, self.replies.writes),
+            (&io.submits, self.submits),
+            (&io.submit_calls, self.submit_calls),
+        ] {
+            total.fetch_add(n, Ordering::Relaxed);
         }
-        let Ok(wstream) = self.stream.try_clone() else {
-            return;
-        };
-        let ring = self.ring.clone();
-        let io = self.io.clone();
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let mut writer = Writer::new(wstream);
-                // A write error ends the writer, and with it the
-                // connection: the reader's next push fails.
-                let _ = write_loop(&mut writer, &ring);
-                io.replies.fetch_add(writer.replies, Ordering::Relaxed);
-                io.reply_writes.fetch_add(writer.writes, Ordering::Relaxed);
-            });
-            self.read_loop();
-            self.ring.close();
-        });
-        self.io.submits.fetch_add(self.submits, Ordering::Relaxed);
-        self.io
-            .submit_calls
-            .fetch_add(self.submit_calls, Ordering::Relaxed);
     }
 
-    fn read_loop(&mut self) {
+    fn serve(&mut self) -> io::Result<()> {
+        self.replies.wire.set_read_timeout(Some(IO_SLICE))?;
+        self.replies.wire.set_write_timeout(Some(IO_SLICE))?;
         let mut buf: Vec<u8> = Vec::new();
         let mut args: Vec<Range<usize>> = Vec::new();
         let mut chunk = [0u8; 4096];
         loop {
-            // Drain complete frames before reading more bytes, then hand
-            // the engine what they held — on every way out of the loop,
-            // since an unsubmitted transaction's reply would never come.
-            let open = self.drain_frames(&mut buf, &mut args);
+            // Every reply owed is written before the socket is read again,
+            // and before the connection ends.
+            let open = self.drain_frames(&mut buf, &mut args)?;
             self.hand_over();
-            if !open || self.shutdown.load(Ordering::Relaxed) {
-                return;
+            self.replies.answer_all()?;
+            if !open || self.replies.stop.load(Ordering::Relaxed) {
+                return Ok(());
             }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return, // EOF
+            match self.replies.wire.read(&mut chunk) {
+                Ok(0) => return Ok(()), // EOF
                 Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return,
+                Err(e) if timed_out(&e) => {}
+                Err(e) => return Err(e),
             }
         }
     }
 
     /// Parse and answer every complete frame in `buf`, then drain the
     /// bytes they took, once. False once the connection must close:
-    /// protocol error, `SHUTDOWN`, writer gone.
-    fn drain_frames(&mut self, buf: &mut Vec<u8>, args: &mut Vec<Range<usize>>) -> bool {
+    /// protocol error or `SHUTDOWN`.
+    fn drain_frames(
+        &mut self,
+        buf: &mut Vec<u8>,
+        args: &mut Vec<Range<usize>>,
+    ) -> io::Result<bool> {
         let mut rest: &[u8] = buf;
         let open = loop {
             let used = match resp::parse_frame_into(rest, args) {
                 resp::Framed::Incomplete => break true,
                 resp::Framed::Error(e) => {
-                    let _ = self.push(Cell::Ready(resp::error(&format!("ERR protocol: {e}"))));
+                    self.push(Cell::Ready(resp::error(&format!("ERR protocol: {e}"))))?;
                     break false;
                 }
                 resp::Framed::Frame(used) => used,
@@ -472,26 +448,25 @@ impl Connection {
             } else {
                 self.dispatch(&args.iter().map(word).collect::<Vec<_>>())
             };
-            let pushed = match dispatch {
-                Dispatch::Reply(cell) => self.push(cell),
+            match dispatch {
+                Dispatch::Reply(cell) => {
+                    self.push(cell)?;
+                }
                 Dispatch::Close(cell) => {
-                    let _ = self.push(cell);
+                    self.push(cell)?;
                     break false;
                 }
                 Dispatch::Bare(op, kind) => {
-                    self.push_tx(|sink| KvTx::one(op, sink), Kinds::Bare(kind))
+                    self.push_tx(|sink| KvTx::one(op, sink), Kinds::Bare(kind))?
                 }
                 Dispatch::Block(ops, kinds) => {
-                    self.push_tx(|sink| KvTx::new(ops, sink), Kinds::Exec(kinds))
+                    self.push_tx(|sink| KvTx::new(ops, sink), Kinds::Exec(kinds))?
                 }
-            };
-            if pushed.is_none() {
-                break false; // writer gone (socket died)
             }
         };
         let consumed = buf.len() - rest.len();
         buf.drain(..consumed);
-        open
+        Ok(open)
     }
 
     fn dispatch(&mut self, argv: &[&[u8]]) -> Dispatch {
@@ -509,7 +484,7 @@ impl Connection {
         match cmd {
             Command::Ping => Dispatch::Reply(Cell::Static(resp::PONG)),
             Command::Shutdown => {
-                self.shutdown.store(true, Ordering::SeqCst);
+                self.replies.stop.store(true, Ordering::SeqCst);
                 Dispatch::Close(Cell::Static(resp::OK))
             }
             Command::Multi => {
@@ -562,27 +537,20 @@ impl Connection {
         }
     }
 
-    /// Append `cell` in request order; `None` once the writer is gone. A
-    /// full ring blocks the reader — that is the pipeline bound — but
-    /// first everything held goes to the engine: the writer may be
-    /// waiting on the very jobs in the reader's hand.
-    fn push(&mut self, cell: Cell) -> Option<u64> {
-        let cell = match self.ring.push(cell, false) {
-            Ok(ticket) => return Some(ticket),
-            Err(PushError::WriterGone) => return None,
-            Err(PushError::Full(cell)) => cell,
-        };
-        self.hand_over();
-        self.ring.push(cell, true).ok()
+    /// Append `cell` in request order. A full pipeline is answered first,
+    /// so everything held goes to the engine first: the head may be one of
+    /// those jobs.
+    fn push(&mut self, cell: Cell) -> io::Result<u64> {
+        if self.replies.is_full() {
+            self.hand_over();
+        }
+        self.replies.push(cell)
     }
 
     /// Give a transaction its place in the reply order and hold it for
     /// the next hand-over. `body` builds it around its result sink.
-    fn push_tx(&mut self, body: impl FnOnce(ResultSink) -> KvTx, kinds: Kinds) -> Option<u64> {
-        if self.sinks.is_empty() {
-            self.ring.recycled(&mut self.sinks);
-        }
-        let results = self.sinks.pop().unwrap_or_default();
+    fn push_tx(&mut self, body: impl FnOnce(ResultSink) -> KvTx, kinds: Kinds) -> io::Result<()> {
+        let results = self.replies.free.pop().unwrap_or_default();
         let tx = Box::new(body(results.clone()));
         let ticket = self.push(Cell::Tx(TxCell {
             kinds,
@@ -590,7 +558,7 @@ impl Connection {
             outcome: None,
         }))?;
         self.held.push(Submission { ticket, tx });
-        Some(ticket)
+        Ok(())
     }
 
     /// Hand the engine every held transaction in one call. It accepts
@@ -611,13 +579,13 @@ impl Connection {
                 Refused::Closed => ENGINE_CLOSED,
             };
             for job in self.held.drain(..) {
-                self.ring.shed(job.ticket, reply);
+                self.replies.shed(job.ticket, reply);
             }
         }
     }
 }
 
-/// What one command asks of the reader.
+/// What one command asks of the connection.
 enum Dispatch {
     /// Answer at once.
     Reply(Cell),
@@ -653,102 +621,12 @@ fn error(text: &str) -> Dispatch {
     Dispatch::Reply(Cell::Ready(resp::error(text)))
 }
 
-/// The writer's output side: replies accumulate in `out` and leave in
-/// one `write_all` per [`Writer::flush`].
-struct Writer<W> {
-    sink: W,
-    out: Vec<u8>,
-    replies: u64,
-    writes: u64,
-}
-
-impl<W: Write> Writer<W> {
-    fn new(sink: W) -> Self {
-        Self {
-            sink,
-            out: Vec::with_capacity(OUT_CAP),
-            replies: 0,
-            writes: 0,
-        }
-    }
-
-    /// Hand everything buffered to the sink in one write.
-    fn flush(&mut self) -> io::Result<()> {
-        if self.out.is_empty() {
-            return Ok(());
-        }
-        self.writes += 1;
-        let written = self.sink.write_all(&self.out);
-        self.out.clear();
-        written
-    }
-}
-
-/// Writer half: encode replies strictly in request order and send them a
-/// burst at a time. Three rules: append whatever is ready (the ring's
-/// whole ready prefix is taken without blocking, under one lock); flush
-/// before every block — only when nothing is ready is the buffer written
-/// out and the blocking take made, so a buffered reply never waits while
-/// the writer sleeps; flush whenever the buffer reaches [`OUT_CAP`]. No
-/// timer is needed: a reply is held back only while the writer has more
-/// replies to encode right now.
-fn write_loop<W: Write>(w: &mut Writer<W>, ring: &ReplyRing) -> io::Result<()> {
-    let written = write_bursts(w, ring);
-    // Whatever ended the writer, the reader must not wait for it.
-    ring.writer_gone();
-    written
-}
-
-fn write_bursts<W: Write>(w: &mut Writer<W>, ring: &ReplyRing) -> io::Result<()> {
-    let mut burst: Vec<Cell> = Vec::with_capacity(PIPELINE_DEPTH);
-    let mut spent: Vec<ResultSink> = Vec::new();
-    loop {
-        match ring.take_ready(&mut burst, &mut spent, false) {
-            Take::Cells => {}
-            Take::Finished => break,
-            Take::WouldBlock => {
-                w.flush()?;
-                if let Take::Finished = ring.take_ready(&mut burst, &mut spent, true) {
-                    break;
-                }
-            }
-        }
-        for cell in burst.drain(..) {
-            match cell {
-                Cell::Static(reply) => w.out.extend_from_slice(reply),
-                Cell::Ready(reply) => w.out.extend_from_slice(&reply),
-                Cell::Tx(tx) => {
-                    // `take_ready` hands out settled cells only.
-                    let outcome = tx.outcome.unwrap_or(Err(AbortReason::ServerUnavailable));
-                    let mut vals = tx.results.lock().unwrap_or_else(|e| e.into_inner());
-                    encode_outcome(&mut w.out, &outcome, &vals, &tx.kinds);
-                    // An aborted attempt may have recorded results too.
-                    vals.clear();
-                    drop(vals);
-                    spent.push(tx.results);
-                }
-            }
-            w.replies += 1;
-            if w.out.len() >= OUT_CAP {
-                w.flush()?;
-            }
-        }
-    }
-    w.flush()?;
-    w.sink.flush()
-}
-
 /// Append one terminal transaction outcome's RESP reply to `out`. The
 /// error arm is **total** over [`stm_core::metrics::AbortReason`]: every
 /// reason (including additions like `snapshot_too_old`) is carried as a
 /// typed `-RETRY <key>` reply through the same generic path — see the
 /// taxonomy test below.
-fn encode_outcome(
-    out: &mut Vec<u8>,
-    outcome: &Result<(), AbortReason>,
-    vals: &[KvResult],
-    kinds: &Kinds,
-) {
+fn encode_outcome(out: &mut Vec<u8>, outcome: &Outcome, vals: &[KvResult], kinds: &Kinds) {
     if let Err(reason) = outcome {
         // Typed retry error carrying the abort-reason taxonomy key.
         return resp::put_error(out, &["RETRY ", reason.key()]);
@@ -776,8 +654,10 @@ fn encode_outcome(
 mod tests {
     use super::*;
     use std::sync::mpsc::{self, Receiver};
+    use std::time::Instant;
 
-    /// How long a test waits for the writer before declaring it stuck.
+    /// How long a test waits for the reply half before declaring it
+    /// stuck.
     const STUCK: Duration = Duration::from_secs(10);
 
     /// A `Write` that hands every `write` call's bytes to the test.
@@ -805,60 +685,85 @@ mod tests {
         }
     }
 
-    /// What a finished writer reports: the loop's result, replies, writes.
-    type Ended = (io::Result<()>, u64, u64);
+    /// A `Write` whose peer drains slowly: each call takes at most five
+    /// bytes, and every other call times out instead.
+    #[derive(Default)]
+    struct Slow {
+        taken: Vec<u8>,
+        calls: u64,
+    }
 
-    /// Run the writer on its own thread, so a writer that blocks where it
-    /// must not fails the test on a timeout instead of hanging it.
-    fn spawn_writer<W: Write + Send + 'static>(sink: W, ring: &Arc<ReplyRing>) -> Receiver<Ended> {
+    impl Write for Slow {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls % 2 == 1 {
+                return Err(ErrorKind::TimedOut.into());
+            }
+            let n = buf.len().min(5);
+            self.taken.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A reply half writing to `wire`, with a sink of its own.
+    fn replies<W: Write>(wire: W) -> Replies<W> {
+        Replies::new(wire, Arc::new(AtomicBool::new(false)))
+    }
+
+    /// A reply half recording into the returned channel.
+    fn recording() -> (Replies<Recording>, Receiver<Vec<u8>>) {
+        let (write_tx, writes) = mpsc::channel();
+        (replies(Recording(write_tx)), writes)
+    }
+
+    /// What a reply half that answered everything hands back.
+    type Answered<W> = (io::Result<()>, Replies<W>);
+
+    /// Answer everything owed on a thread of its own, so a reply half
+    /// that waits where it must not fails the test on a timeout instead
+    /// of hanging it.
+    fn spawn_answer<W: Write + Send + 'static>(mut r: Replies<W>) -> Receiver<Answered<W>> {
         let (ended_tx, ended_rx) = mpsc::channel();
-        let ring = ring.clone();
         std::thread::spawn(move || {
-            let mut w = Writer::new(sink);
-            let result = write_loop(&mut w, &ring);
-            let _ = ended_tx.send((result, w.replies, w.writes));
+            let result = r.answer_all();
+            let _ = ended_tx.send((result, r));
         });
         ended_rx
     }
 
-    /// A writer recording into the returned channel.
-    fn recording_writer(ring: &Arc<ReplyRing>) -> (Receiver<Vec<u8>>, Receiver<Ended>) {
-        let (write_tx, writes) = mpsc::channel();
-        (writes, spawn_writer(Recording(write_tx), ring))
+    /// [`spawn_answer`], waited for.
+    fn answered<W: Write + Send + 'static>(r: Replies<W>) -> Answered<W> {
+        spawn_answer(r)
+            .recv_timeout(STUCK)
+            .expect("replies are stuck")
     }
 
-    fn push(ring: &ReplyRing, cell: Cell) -> u64 {
-        match ring.push(cell, false) {
-            Ok(ticket) => ticket,
-            Err(_) => panic!("the ring has room and a writer"),
-        }
-    }
-
-    fn pong(ring: &ReplyRing) -> u64 {
-        push(ring, Cell::Static(resp::PONG))
+    fn pong<W: Write>(r: &mut Replies<W>) -> u64 {
+        r.push(Cell::Static(resp::PONG)).unwrap()
     }
 
     /// Push an in-flight transaction whose body recorded `vals`.
-    fn in_flight(ring: &ReplyRing, kinds: Kinds, vals: &[KvResult]) -> u64 {
-        push(
-            ring,
-            Cell::Tx(TxCell {
-                kinds,
-                results: Arc::new(Mutex::new(vals.to_vec())),
-                outcome: None,
-            }),
-        )
+    fn in_flight<W: Write>(r: &mut Replies<W>, kinds: Kinds, vals: &[KvResult]) -> u64 {
+        r.push(Cell::Tx(TxCell {
+            kinds,
+            results: Arc::new(Mutex::new(vals.to_vec())),
+            outcome: None,
+        }))
+        .unwrap()
     }
 
     /// Push an in-flight bare `GET` that read `val`.
-    fn get(ring: &ReplyRing, val: u64) -> u64 {
-        in_flight(ring, Kinds::Bare(OpKind::Get), &[KvResult::Value(val)])
+    fn get<W: Write>(r: &mut Replies<W>, val: u64) -> u64 {
+        in_flight(r, Kinds::Bare(OpKind::Get), &[KvResult::Value(val)])
     }
 
     /// Complete `ticket` the way a worker does.
-    fn complete(ring: &ReplyRing, ticket: u64, outcome: Result<(), AbortReason>) {
+    fn complete(settled: &Settled, ticket: u64, outcome: Outcome) {
         let tx = Box::new(KvTx::new(Vec::new(), ResultSink::default()));
-        ring.complete(
+        settled.complete(
             ticket,
             Completion {
                 tx,
@@ -868,73 +773,81 @@ mod tests {
         );
     }
 
+    /// Wait until the reply half is parked on `ticket`.
+    fn parked_on(settled: &Settled, ticket: u64) {
+        let give_up = Instant::now() + STUCK;
+        while settled.lock().parked_on != Some(ticket) {
+            assert!(Instant::now() < give_up, "never parked on ticket {ticket}");
+            std::thread::yield_now();
+        }
+    }
+
     /// A burst that is entirely available — immediate replies, committed
     /// and aborted transactions, an `EXEC` block — leaves in one write
     /// whose bytes are the per-reply encodings back to back.
     #[test]
     fn a_ready_burst_leaves_in_one_write_in_request_order() {
-        let ring = Arc::new(ReplyRing::new());
+        let (mut r, writes) = recording();
+        let settled = r.settled.clone();
         let mut expected = Vec::new();
         for round in 0..8u64 {
-            pong(&ring);
+            pong(&mut r);
             expected.extend(resp::simple("PONG"));
 
-            complete(&ring, get(&ring, round), Ok(()));
+            complete(&settled, get(&mut r, round), Ok(()));
             expected.extend(resp::bulk(round.to_string().as_bytes()));
 
-            let aborted = in_flight(&ring, Kinds::Bare(OpKind::Incr), &[]);
-            complete(&ring, aborted, Err(AbortReason::RetryBudgetExhausted));
+            let aborted = in_flight(&mut r, Kinds::Bare(OpKind::Incr), &[]);
+            complete(&settled, aborted, Err(AbortReason::RetryBudgetExhausted));
             expected.extend(resp::error("RETRY retry_budget_exhausted"));
 
             let block = in_flight(
-                &ring,
+                &mut r,
                 Kinds::Exec(vec![OpKind::Get, OpKind::Incr, OpKind::Set]),
                 &[KvResult::Value(7), KvResult::Value(round + 1), KvResult::Ok],
             );
-            complete(&ring, block, Ok(()));
+            complete(&settled, block, Ok(()));
             expected.extend(resp::array_header(3));
             expected.extend(resp::bulk(b"7"));
             expected.extend(resp::integer(round as i64 + 1));
             expected.extend(resp::simple("OK"));
         }
-        ring.close();
-        let (writes, ended) = recording_writer(&ring);
-        let (result, replies, write_calls) = ended.recv_timeout(STUCK).expect("writer is stuck");
+        let (result, r) = answered(r);
         assert!(result.is_ok());
         let writes: Vec<Vec<u8>> = writes.try_iter().collect();
         assert_eq!(writes.len(), 1, "one burst, one write");
         assert_eq!(writes[0], expected);
-        assert_eq!((replies, write_calls), (32, 1));
+        assert_eq!((r.replies, r.writes), (32, 1));
     }
 
-    /// Flush before every block: with the head cell still in flight, the
-    /// reply buffered before it must reach the sink *before* the writer
-    /// sleeps. The completion is delivered only after that write was
-    /// seen, so a writer that blocks first times the test out.
+    /// Flush before every wait: with the head cell still in flight, the
+    /// reply buffered before it must reach the wire *before* the thread
+    /// parks. The completion is delivered only after that write was
+    /// seen, so a reply half that parks first times the test out.
     #[test]
     fn buffered_replies_are_written_before_the_writer_blocks() {
-        let ring = Arc::new(ReplyRing::new());
-        pong(&ring);
-        let set = in_flight(&ring, Kinds::Bare(OpKind::Set), &[KvResult::Ok]);
-        let (writes, ended) = recording_writer(&ring);
+        let (mut r, writes) = recording();
+        let settled = r.settled.clone();
+        pong(&mut r);
+        let set = in_flight(&mut r, Kinds::Bare(OpKind::Set), &[KvResult::Ok]);
+        let ended = spawn_answer(r);
 
         let first = writes.recv_timeout(STUCK);
         assert_eq!(
-            first.expect("the writer blocked on an unsettled head while holding a reply back"),
+            first.expect("parked on an unsettled head while holding a reply back"),
             b"+PONG\r\n"
         );
-        complete(&ring, set, Ok(()));
+        complete(&settled, set, Ok(()));
         // Nothing follows the settled cell, so its reply must not wait for
         // the next one either.
         let second = writes.recv_timeout(STUCK);
         assert_eq!(
-            second.expect("the writer blocked on the empty ring while holding a reply back"),
+            second.expect("returned to the socket while holding a reply back"),
             b"+OK\r\n"
         );
-        ring.close();
-        let (result, replies, write_calls) = ended.recv_timeout(STUCK).expect("writer is stuck");
+        let (result, r) = ended.recv_timeout(STUCK).expect("replies are stuck");
         assert!(result.is_ok());
-        assert_eq!((replies, write_calls), (2, 2));
+        assert_eq!((r.replies, r.writes), (2, 2));
     }
 
     /// The buffer is bounded: a burst larger than `OUT_CAP` is cut into
@@ -944,70 +857,93 @@ mod tests {
         let big = resp::bulk(&[b'x'; 300]);
         let n = 2 * OUT_CAP / big.len(); // just under two caps' worth
         assert!(n <= PIPELINE_DEPTH);
-        let ring = Arc::new(ReplyRing::new());
+        let (mut r, writes) = recording();
         for _ in 0..n {
-            push(&ring, Cell::Ready(big.clone()));
+            r.push(Cell::Ready(big.clone())).unwrap();
         }
-        ring.close();
-        let (writes, ended) = recording_writer(&ring);
-        let (result, replies, write_calls) = ended.recv_timeout(STUCK).expect("writer is stuck");
+        let (result, r) = answered(r);
         assert!(result.is_ok());
         let writes: Vec<Vec<u8>> = writes.try_iter().collect();
         assert_eq!(writes.len(), 2);
         assert!((OUT_CAP..OUT_CAP + big.len()).contains(&writes[0].len()));
         assert_eq!(writes.concat(), big.repeat(n));
-        assert_eq!((replies, write_calls), (n as u64, 2));
+        assert_eq!((r.replies, r.writes), (n as u64, 2));
     }
 
-    /// A write error ends the writer at once, although the reader half
-    /// still holds the ring open; the reader notices on its next push.
+    /// A write error ends the connection at once: it is returned, not
+    /// retried, and nothing waits for the head after it.
     #[test]
     fn a_failing_write_ends_the_writer() {
-        let ring = Arc::new(ReplyRing::new());
-        pong(&ring);
-        let ended = spawn_writer(Broken, &ring);
-        let (result, _, write_calls) = ended.recv_timeout(STUCK).expect("writer is stuck");
+        let mut r = replies(Broken);
+        pong(&mut r);
+        get(&mut r, 1); // in flight: answering would wait for it
+        let (result, r) = answered(r);
         assert_eq!(result.map_err(|e| e.kind()), Err(ErrorKind::BrokenPipe));
-        assert_eq!(write_calls, 1);
-        let refused = ring.push(Cell::Ready(resp::simple("PONG")), true);
-        assert!(matches!(refused, Err(PushError::WriterGone)));
+        assert_eq!(r.writes, 1);
     }
 
-    /// A worker that settles a cell after the writer died — nobody will
-    /// ever write it — finds nothing to break, whether its ticket is
-    /// still in the ring, was settled before, or never was in it.
+    /// A write that times out keeps its offset and goes on while the
+    /// service runs, so a slow client gets every byte; once the service
+    /// is stopping, a timed-out write ends the connection.
+    #[test]
+    fn a_timed_out_write_resumes_until_the_service_stops() {
+        let mut r = replies(Slow::default());
+        for _ in 0..3 {
+            pong(&mut r);
+        }
+        assert!(r.answer_all().is_ok());
+        assert_eq!(r.wire.taken, b"+PONG\r\n".repeat(3));
+        assert_eq!(r.writes, 1);
+
+        let mut r = replies(Slow::default());
+        pong(&mut r);
+        r.stop.store(true, Ordering::Relaxed);
+        let ended = r.answer_all();
+        assert_eq!(ended.map_err(|e| e.kind()), Err(ErrorKind::TimedOut));
+        assert!(r.wire.taken.is_empty());
+    }
+
+    /// A worker that settles a ticket after the connection's write failed
+    /// — nobody will ever write its reply — finds nothing to break,
+    /// whether its ticket is still owed, was settled before, or never was
+    /// owed, and whether or not the reply half still exists.
     #[test]
     fn a_cell_settled_after_the_writer_died_is_harmless() {
-        let ring = Arc::new(ReplyRing::new());
-        pong(&ring);
-        let in_flight = get(&ring, 1);
-        let ended = spawn_writer(Broken, &ring);
-        let (result, _, _) = ended.recv_timeout(STUCK).expect("writer is stuck");
-        assert!(result.is_err());
-        complete(&ring, in_flight, Ok(()));
-        complete(&ring, in_flight, Ok(()));
-        complete(&ring, in_flight + PIPELINE_DEPTH as u64, Ok(()));
-        ring.shed(0, BUSY);
+        let mut r = replies(Broken);
+        let settled = r.settled.clone();
+        pong(&mut r);
+        let in_flight = get(&mut r, 1);
+        assert!(r.answer_all().is_err());
+        complete(&settled, in_flight, Ok(()));
+        complete(&settled, in_flight, Ok(()));
+        complete(&settled, in_flight + PIPELINE_DEPTH as u64, Ok(()));
+        r.collect();
+        r.shed(0, BUSY);
+        drop(r);
+        complete(&settled, in_flight, Ok(()));
     }
 
     /// Workers finish in any order; the wire order is the request order.
-    /// Settling anything but the head does not even wake the writer, so
-    /// the four replies leave together once the head settles.
+    /// Settling anything but the head does not even wake the parked
+    /// thread, so the four replies leave together once the head settles.
     #[test]
     fn tickets_settled_in_reverse_order_still_reply_in_request_order() {
-        let ring = Arc::new(ReplyRing::new());
-        let tickets: Vec<u64> = (0..4).map(|val| get(&ring, val)).collect();
+        let (mut r, writes) = recording();
+        let settled = r.settled.clone();
+        let tickets: Vec<u64> = (0..4).map(|val| get(&mut r, val)).collect();
         assert_eq!(tickets, [0, 1, 2, 3]);
-        let (writes, ended) = recording_writer(&ring);
-        for &ticket in tickets.iter().rev() {
-            complete(&ring, ticket, Ok(()));
+        let ended = spawn_answer(r);
+        parked_on(&settled, 0);
+        for &ticket in tickets[1..].iter().rev() {
+            complete(&settled, ticket, Ok(()));
         }
-        ring.close();
-        let (result, replies, _) = ended.recv_timeout(STUCK).expect("writer is stuck");
+        assert_eq!(settled.lock().parked_on, Some(0), "only the head wakes");
+        complete(&settled, 0, Ok(()));
+        let (result, r) = ended.recv_timeout(STUCK).expect("replies are stuck");
         assert!(result.is_ok());
         let writes: Vec<Vec<u8>> = writes.try_iter().collect();
         assert_eq!(writes, [b"$1\r\n0\r\n$1\r\n1\r\n$1\r\n2\r\n$1\r\n3\r\n"]);
-        assert_eq!(replies, 4);
+        assert_eq!(r.replies, 4);
     }
 
     /// A transaction the engine shed is answered `-BUSY` where its reply
@@ -1015,53 +951,58 @@ mod tests {
     /// its result sink goes back for reuse.
     #[test]
     fn a_shed_job_answers_busy_in_its_own_position() {
-        let ring = Arc::new(ReplyRing::new());
-        let before = get(&ring, 4);
-        let shed = in_flight(&ring, Kinds::Bare(OpKind::Get), &[]); // never ran
-        let after = get(&ring, 6);
-        let (writes, ended) = recording_writer(&ring);
-        complete(&ring, after, Ok(()));
-        ring.shed(shed, BUSY);
-        complete(&ring, before, Ok(()));
-        ring.close();
-        let (result, replies, _) = ended.recv_timeout(STUCK).expect("writer is stuck");
+        let (mut r, writes) = recording();
+        let settled = r.settled.clone();
+        let before = get(&mut r, 4);
+        let shed = in_flight(&mut r, Kinds::Bare(OpKind::Get), &[]); // never ran
+        let after = get(&mut r, 6);
+        complete(&settled, after, Ok(()));
+        r.shed(shed, BUSY);
+        assert_eq!(r.free.len(), 1, "the shed job's sink is free at once");
+        let ended = spawn_answer(r);
+        complete(&settled, before, Ok(()));
+        let (result, r) = ended.recv_timeout(STUCK).expect("replies are stuck");
         assert!(result.is_ok());
         assert_eq!(
             writes.try_iter().collect::<Vec<_>>().concat(),
             b"$1\r\n4\r\n-BUSY engine queue full, retry later\r\n$1\r\n6\r\n"
         );
-        assert_eq!(replies, 3);
-        let mut recycled = Vec::new();
-        ring.recycled(&mut recycled);
-        assert_eq!(recycled.len(), 3, "every sink comes back, shed or written");
-        assert!(recycled.iter().all(|sink| sink.lock().unwrap().is_empty()));
+        assert_eq!(r.replies, 3);
+        assert_eq!(r.free.len(), 3, "every sink comes back, shed or written");
+        assert!(r.free.iter().all(|sink| sink.lock().unwrap().is_empty()));
     }
 
-    /// The ring is the pipeline bound: at `PIPELINE_DEPTH` outstanding
-    /// replies a push hands the cell back (the reader then submits what
-    /// it holds and waits), and a waiting push gets its place as soon as
-    /// the writer has taken a burst.
+    /// The pipeline bound: with `PIPELINE_DEPTH` replies owed, a push
+    /// answers all of them — waiting for the head — before its cell gets
+    /// its place.
     #[test]
-    fn a_full_ring_refuses_until_the_writer_makes_room() {
-        let ring = Arc::new(ReplyRing::new());
-        for _ in 0..PIPELINE_DEPTH {
-            pong(&ring);
+    fn a_full_pipeline_is_answered_before_the_next_push() {
+        let (mut r, writes) = recording();
+        let settled = r.settled.clone();
+        let head = get(&mut r, 9);
+        for _ in 1..PIPELINE_DEPTH {
+            pong(&mut r);
         }
-        let refused = ring.push(Cell::Ready(resp::simple("PONG")), false);
-        let Err(PushError::Full(cell)) = refused else {
-            panic!("the ring is full");
-        };
-        let (writes, ended) = recording_writer(&ring);
-        assert_eq!(ring.push(cell, true).ok(), Some(PIPELINE_DEPTH as u64));
-        ring.close();
-        let (result, replies, _) = ended.recv_timeout(STUCK).expect("writer is stuck");
-        assert!(result.is_ok());
-        assert_eq!(replies, PIPELINE_DEPTH as u64 + 1);
-        let written = writes.try_iter().collect::<Vec<_>>().concat();
-        assert_eq!(written, b"+PONG\r\n".repeat(PIPELINE_DEPTH + 1));
+        assert!(r.is_full());
+        let (pushed_tx, pushed) = mpsc::channel();
+        std::thread::spawn(move || {
+            let ticket = r.push(Cell::Static(resp::PONG));
+            let _ = pushed_tx.send((ticket.ok(), r));
+        });
+        parked_on(&settled, head);
+        assert!(writes.try_recv().is_err(), "nothing passes the head");
+        complete(&settled, head, Ok(()));
+        let (ticket, mut r) = pushed.recv_timeout(STUCK).expect("the push is stuck");
+        assert_eq!(ticket, Some(PIPELINE_DEPTH as u64));
+        let mut owed = b"$1\r\n9\r\n".to_vec();
+        owed.extend(b"+PONG\r\n".repeat(PIPELINE_DEPTH - 1));
+        assert_eq!(writes.try_iter().collect::<Vec<_>>(), [owed]);
+        assert!(r.answer_all().is_ok());
+        assert_eq!(r.replies, PIPELINE_DEPTH as u64 + 1);
+        assert_eq!(writes.try_iter().collect::<Vec<_>>(), [b"+PONG\r\n"]);
     }
 
-    fn encoded(outcome: Result<(), AbortReason>, kinds: Kinds) -> Vec<u8> {
+    fn encoded(outcome: Outcome, kinds: Kinds) -> Vec<u8> {
         let mut out = Vec::new();
         encode_outcome(&mut out, &outcome, &[], &kinds);
         out

@@ -97,9 +97,9 @@ pub struct ServiceReport {
     pub connections: u64,
     /// Replies written, over all connections.
     pub replies: u64,
-    /// Socket writes that carried them: the writer coalesces every reply
-    /// that is ready into one write, so `replies / reply_writes` is the
-    /// mean burst size.
+    /// Flushes that carried them: a connection coalesces every reply that
+    /// is ready into one buffer and hands it to the socket at once, so
+    /// `replies / reply_writes` is the mean burst size.
     pub reply_writes: u64,
     /// Transactions the engine accepted, over all connections.
     pub submits: u64,
@@ -131,8 +131,10 @@ impl std::fmt::Display for ServiceError {
 impl std::error::Error for ServiceError {}
 
 /// Bind `addr`, serve connections until a client issues `SHUTDOWN` (or
-/// `stop` is set externally — either is noticed within 20 ms),
-/// then drain the engine and return the aggregated report.
+/// `stop` is set externally), then drain the engine and return the
+/// aggregated report. The accept loop notices the flag within 20 ms, and
+/// every connection within one 200 ms socket slice, even one blocked
+/// writing to a client that does not read.
 ///
 /// `on_ready` is called with the bound local address before the first
 /// accept — tests use it to learn an OS-assigned port.
@@ -189,9 +191,9 @@ pub fn serve<A: ToSocketAddrs>(
         watcher.thread().unpark();
     });
     drop(listener);
-    // Connections notice the stop flag on their next read slice; join
-    // them all so every in-flight reply is written before the engine
-    // drains.
+    // Connections notice the stop flag within one socket slice, reading
+    // or writing; join them all so every in-flight reply is written
+    // before the engine drains.
     for h in handles {
         let _ = h.join();
     }
@@ -342,11 +344,11 @@ mod tests {
         stream
     }
 
-    /// The coalescing writer on the wire, at both extremes: 64 pipelined
+    /// Coalesced replies on the wire, at both extremes: 64 pipelined
     /// commands sent in one write come back complete and in order, and a
     /// strict ping-pong client — one request in flight — never waits on a
-    /// reply the writer is holding back. The caller-set stop flag ends the
-    /// session.
+    /// reply the connection is holding back. The caller-set stop flag
+    /// ends the session.
     #[test]
     fn a_pipelined_burst_stays_in_order_and_ping_pong_is_never_held_back() {
         let (addr, stop, server) = start_server(128);
@@ -467,14 +469,15 @@ mod tests {
         assert_eq!(report.result.stats.failed, 0);
     }
 
-    /// One write of four rings' worth of commands against an engine whose
-    /// intake holds two jobs. A single socket read brings in more
-    /// commands than the ring has cells, so the reader runs into the full
-    /// ring with transactions still in its hand — which it must submit
-    /// before it waits for room, because the writer is waiting for exactly
-    /// those (a reader that waits first hangs here, and the client's read
-    /// times out). Most transactions are shed, each `-BUSY` in its own
-    /// position: every reply must match the command at its index.
+    /// One write of four pipelines' worth of commands against an engine
+    /// whose intake holds two jobs. A single socket read brings in more
+    /// commands than one pipeline holds, so the connection runs into the
+    /// pipeline bound with transactions still in its hand — which it must
+    /// submit before it waits for the head, because the head may be one of
+    /// exactly those (a connection that waits first hangs here, and the
+    /// client's read times out). Most transactions are shed, each `-BUSY`
+    /// in its own position: every reply must match the command at its
+    /// index.
     #[test]
     fn a_burst_deeper_than_the_ring_completes_in_order_on_a_tiny_engine() {
         let (addr, stop, server) = start_server_with(64, 1);
@@ -610,6 +613,66 @@ mod tests {
         let report = server.join().unwrap().expect("serve failed");
         assert_eq!(report.replies, n as u64);
         assert_eq!(report.result.stats.update_commits, 0, "nothing was written");
+    }
+
+    /// A client that sends everything and then shuts its sending half
+    /// still gets every reply, in order, and then EOF: the connection
+    /// answers what it owes before it reads again, so the EOF it reads
+    /// comes after the last reply went out.
+    #[test]
+    fn a_half_closed_client_gets_every_reply_then_eof() {
+        let (addr, stop, server) = start_server(32);
+        let mut c = connect(addr);
+        let mut cmds: Vec<Vec<String>> = Vec::new();
+        let mut want: Vec<Reply> = Vec::new();
+        for i in 0..64u64 {
+            let key = (i % 32).to_string();
+            let (cmd, reply) = match i % 4 {
+                0 => (vec!["PING".into()], Reply::Simple("PONG".into())),
+                1 => (
+                    vec!["SET".into(), key, "7".into()],
+                    Reply::Simple("OK".into()),
+                ),
+                2 => (
+                    vec!["BOGUS".into()],
+                    Reply::Error("ERR unknown command 'BOGUS'".into()),
+                ),
+                _ => (
+                    vec!["INCRBY".into(), (32 + i).to_string(), "1".into()],
+                    Reply::Error(format!("ERR key {} out of range (keys 0..32)", 32 + i)),
+                ),
+            };
+            cmds.push(cmd);
+            want.push(reply);
+        }
+        let mut wire = Vec::new();
+        for cmd in &cmds {
+            let args: Vec<&[u8]> = cmd.iter().map(|s| s.as_bytes()).collect();
+            wire.extend(crate::resp::encode_command(&args));
+        }
+        c.write_all(&wire).unwrap();
+        c.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut got = Vec::new();
+        c.read_to_end(&mut got).unwrap();
+        let mut replies = Vec::new();
+        let mut rest = &got[..];
+        while !rest.is_empty() {
+            match parse_reply(rest) {
+                ReplyOutcome::Reply(r, used) => {
+                    replies.push(r);
+                    rest = &rest[used..];
+                }
+                other => panic!(
+                    "bad reply stream after {} replies: {other:?}",
+                    replies.len()
+                ),
+            }
+        }
+        assert_eq!(replies, want);
+        stop.store(true, Ordering::SeqCst);
+        let report = server.join().unwrap().expect("serve failed");
+        assert_eq!(report.replies, 64);
+        assert_eq!(report.submits, 16);
     }
 
     #[test]

@@ -79,8 +79,9 @@ const PROTOCOL_WORD_TOKENS: &[&str] = &[
 /// in-flight completions), and what workers run inside: the engine's
 /// intake and jobs (a panic in `refill` or in a job's `complete` kills a
 /// worker mid-batch and leaks a GTS hole), the service's transaction body
-/// (`KvTx`'s `TxLogic` impl runs on a worker, with the same effect) and
-/// the connection's reply ring (a panic in it drops the client
+/// (`KvTx`'s `TxLogic` impl runs on a worker, with the same effect), the
+/// sink workers settle a connection's tickets into (`Settled`) and the
+/// connection's reply half (`Replies`; a panic in either drops the client
 /// mid-pipeline).
 const SERVER_IMPL_TYPES: &[&str] = &[
     "ReceiverWarp",
@@ -96,7 +97,8 @@ const SERVER_IMPL_TYPES: &[&str] = &[
     "EngineJob",
     "KvTx",
     "Connection",
-    "ReplyRing",
+    "Settled",
+    "Replies",
 ];
 
 // --- lexical infrastructure ---------------------------------------------
@@ -773,18 +775,26 @@ mod tests {
 
     #[test]
     fn the_hand_off_types_are_server_paths() {
-        // Workers run inside the intake, their jobs and the reply ring —
-        // trait impls included (`complete` is where a worker enters the
-        // ring).
+        // Workers run inside the intake, their jobs and a connection's
+        // sink — trait impls included (`complete` is where a worker enters
+        // the sink) — and the connection's reply half, generic impls
+        // included.
         let src = "impl Intake {\n    fn f(&self) { self.s.lock().unwrap(); }\n}\n\
                    impl Drop for EngineJob {\n    fn drop(&mut self) { self.d.take().unwrap(); }\n}\n\
-                   impl CompletionSink for ReplyRing {\n    \
+                   impl CompletionSink for Settled {\n    \
                    fn complete(&self) { self.s.lock().expect(\"poisoned\"); }\n}\n\
-                   impl ReplyRing {\n    \
+                   impl<W: Write> Replies<W> {\n    \
+                   fn push(&mut self) { self.cells.pop_front().unwrap(); }\n}\n\
+                   impl Settled {\n    \
                    fn lock(&self) { self.s.lock().unwrap_or_else(|e| e.into_inner()); }\n}";
         let f = check_no_panic_in_server_path(Path::new("x.rs"), src);
-        let lines: Vec<usize> = f.iter().map(|f| f.line).collect();
-        assert_eq!(lines, [2, 5, 8], "the poison recovery on line 11 is clean");
+        let mut lines: Vec<usize> = f.iter().map(|f| f.line).collect();
+        lines.sort_unstable();
+        assert_eq!(
+            lines,
+            [2, 5, 8, 11],
+            "the poison recovery on line 14 is clean"
+        );
     }
 
     #[test]
