@@ -179,8 +179,8 @@ fn flatten(row: &Row) -> Vec<(String, f64)> {
         metrics.gts_stall.sum() as f64 / (row.commits.max(1) as f64),
     ));
     // v3, additive: version-GC and memory-footprint observability. The
-    // footprint row is the *peak* sampled bytes so a bounded-memory gate
-    // compares worst-case residency, not whatever the final sample was.
+    // footprint row is the *peak* observed bytes so a bounded-memory gate
+    // compares worst-case residency, not the end-of-run footprint.
     let gc = &metrics.gc;
     m.push((
         "memory_footprint_bytes".into(),
@@ -397,16 +397,16 @@ mod tests {
         metrics.record_commit(80);
         metrics.record_abort(AbortReason::PreValidationKill, 40);
         metrics.batch_sizes.record(17);
-        metrics.atr_occupancy.push(10, 3);
-        metrics.gts_stall.push(20, 7);
+        metrics.atr_occupancy.push(3);
+        metrics.gts_stall.push(7);
         metrics.gc.versions_reclaimed = 9;
         metrics.gc.versions_spilled = 4;
         metrics.gc.spill_pruned = 3;
         metrics.gc.pinned_commits = 1;
         metrics.gc.max_version_list_len = 5;
-        metrics.footprint.push(5, 4096);
-        metrics.footprint.push(15, 8192);
-        metrics.server_stall.push(30, 11);
+        metrics.footprint.push(4096);
+        metrics.footprint.push(8192);
+        metrics.server_stall.push(11);
         let client_bd = TimeBreakdown {
             poll_stall_cycles: 55,
             ..Default::default()

@@ -16,10 +16,15 @@
 //! - **Write-back discipline**: a client only writes back a version whose
 //!   ATR entry is published.
 //! - **GC retention**: pruning every key's version list at the watermark
-//!   computed from the live snapshots and the GTS (the exact
-//!   `csmv::steps::watermark` / `retain_from` pair the native store's
-//!   ring-recycle path uses) never changes what any live snapshot — or
-//!   the GTS itself — reads.
+//!   computed from the live snapshots and the GTS
+//!   (`csmv::steps::watermark` / `retain_from`, prefix pruning) never
+//!   changes what any live snapshot — or the GTS itself — reads.
+//! - **Per-version retention**: the rule the native store's ring-recycle
+//!   path runs. `NativeStore::publish_gated` keeps or drops each version
+//!   by `csmv::steps::version_needed`, which leaves holes; retaining the
+//!   model's versions the same way (`retained_with_cover`) must never
+//!   serve any snapshot a stale value, nor lose a registered snapshot's
+//!   version.
 //!
 //! Terminal states additionally require a **gap-free** timestamp line:
 //! every reserved cts was published and the GTS caught up

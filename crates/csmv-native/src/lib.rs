@@ -45,7 +45,7 @@ use std::time::Duration;
 use stm_core::history::{HistoryError, TxRecord};
 use stm_core::metrics::MetricsReport;
 use stm_core::stats::CommitStats;
-use stm_core::{RetryPolicy, TxSource};
+use stm_core::TxSource;
 
 pub use engine::{Completion, CompletionSink, NativeEngine, Refused, Submission, SubmitError};
 
@@ -85,11 +85,10 @@ pub struct NativeConfig {
     pub reader_slots: usize,
     /// Record per-transaction histories for the correctness oracle.
     pub record_history: bool,
-    /// Retry policy. Only `retry_budget` is read: the send-attempt,
-    /// response-timeout and backoff members belong to the simulator's
-    /// client–server mailboxes, and this backend has no hand-off to
-    /// resend over.
-    pub recovery: RetryPolicy,
+    /// Aborted attempts per transaction before it is failed terminally with
+    /// `RetryBudgetExhausted`; `None` retries forever. A pinned read-only
+    /// transaction's aborts are not charged against it.
+    pub retry_budget: Option<u32>,
     /// Hard wall-clock watchdog: every wait in the system re-checks this
     /// deadline, so `run` always joins every thread in bounded time.
     pub max_run: Duration,
@@ -107,7 +106,7 @@ impl Default for NativeConfig {
             channel_depth: 128,
             reader_slots: 64,
             record_history: true,
-            recovery: RetryPolicy::default(),
+            retry_budget: None,
             max_run: Duration::from_secs(30),
         }
     }
@@ -205,7 +204,7 @@ pub struct NativeRunResult {
     pub stats: CommitStats,
     /// Committed-transaction records (empty unless `record_history`).
     pub records: Vec<TxRecord>,
-    /// Merged worker metrics; latency samples in nanoseconds.
+    /// Merged worker metrics; times in nanoseconds.
     pub metrics: MetricsReport,
     /// The final committed value of every item.
     pub final_state: HashMap<u64, u64>,

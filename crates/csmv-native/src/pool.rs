@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use stm_core::{RetryPolicy, SnapshotRegistry};
+use stm_core::SnapshotRegistry;
 
 use crate::atr::NativeAtr;
 use crate::store::NativeStore;
@@ -23,7 +23,7 @@ pub(crate) struct Shared {
     pub store: Arc<NativeStore>,
     pub atr: Arc<NativeAtr>,
     pub registry: Arc<SnapshotRegistry>,
-    pub policy: RetryPolicy,
+    pub retry_budget: Option<u32>,
     pub start: Instant,
     /// `start + max_run`: every wait in the system re-checks it.
     pub deadline: Instant,
@@ -45,7 +45,7 @@ pub(crate) fn build(
         store,
         atr: Arc::new(NativeAtr::new(cfg.atr_capacity, cfg.max_ws)),
         registry: Arc::new(SnapshotRegistry::new(cfg.reader_slots)),
-        policy: cfg.recovery.clone(),
+        retry_budget: cfg.retry_budget,
         start,
         deadline: start + cfg.max_run,
         max_batch: cfg.max_batch,
@@ -74,13 +74,9 @@ impl Shared {
             result.records.extend(out.records);
             result.metrics.merge(&out.metrics);
         }
-        // The store's GC counters are shared by every worker: merge exactly
-        // once, plus a final footprint sample for the plateau checks.
+        // The store's GC counters and its end-of-run footprint are shared
+        // by every worker: merge them exactly once.
         result.metrics.gc.merge(&self.store.gc_stats());
-        result
-            .metrics
-            .footprint
-            .push(elapsed.as_nanos() as u64, self.store.footprint_bytes());
         result.final_state = self.store.final_state();
         result
     }

@@ -283,9 +283,10 @@ impl NativeStore {
         words * 8 + self.spill_total.load(Ordering::Relaxed) * 24
     }
 
-    /// GC counters accumulated so far (`pinned_commits` is a worker-side
-    /// counter and stays 0 here). Merge this into the run report exactly
-    /// once — the store is shared by every worker.
+    /// GC counters accumulated so far and the footprint now
+    /// (`pinned_commits` is a worker-side counter and stays 0 here). Merge
+    /// this into the run report exactly once — the store is shared by
+    /// every worker.
     pub fn gc_stats(&self) -> GcStats {
         GcStats {
             versions_reclaimed: self.reclaimed.load(Ordering::Relaxed),
@@ -293,6 +294,7 @@ impl NativeStore {
             spill_pruned: self.spill_pruned.load(Ordering::Relaxed),
             pinned_commits: 0,
             max_version_list_len: self.max_list_len.load(Ordering::Relaxed),
+            footprint_bytes: self.footprint_bytes(),
         }
     }
 }

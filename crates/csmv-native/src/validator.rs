@@ -53,7 +53,6 @@ const WINDOW_CLOSED: Verdict = Verdict::Rejected {
 
 pub(crate) struct Validator {
     atr: Arc<NativeAtr>,
-    start: Instant,
     deadline: Instant,
     /// The write-set of the entry being scanned; one buffer, reused for
     /// every entry read.
@@ -67,7 +66,6 @@ impl Validator {
     pub(crate) fn new(ctx: &Shared) -> Self {
         Self {
             atr: ctx.atr.clone(),
-            start: ctx.start,
             deadline: ctx.deadline,
             entry: Vec::new(),
             decided: Vec::new(),
@@ -78,8 +76,11 @@ impl Validator {
     /// survivors. Replaces the contents of `verdicts` with one verdict per
     /// transaction, in order.
     ///
-    /// `batch_sizes` and any stall waited out on an in-flight entry
-    /// (`server_stall`) are recorded into `metrics`, the caller's report.
+    /// A won reservation records the batch's size (`batch_sizes`) and the
+    /// ATR occupancy right after it, this batch included
+    /// (`atr_occupancy`); any stall waited out on an in-flight entry is
+    /// recorded as `server_stall`. All go into `metrics`, the caller's
+    /// report.
     pub(crate) fn validate_and_reserve(
         &mut self,
         txs: &[TxSubmit],
@@ -105,6 +106,7 @@ impl Validator {
                         *v = Some(Verdict::Granted { cts });
                     }
                     metrics.batch_sizes.record(txs.len() as u64);
+                    metrics.atr_occupancy.push(self.atr.occupancy());
                     break;
                 }
                 // Entries [expected, target) appeared concurrently; loop
@@ -198,9 +200,7 @@ impl Validator {
             match self.atr.read_entry_into(cts, &mut self.entry) {
                 TagState::Published => {
                     if let Some(began) = wait_start {
-                        let waited = began.elapsed().as_nanos() as u64;
-                        let now = self.start.elapsed().as_nanos() as u64;
-                        metrics.server_stall.push(now, waited);
+                        metrics.server_stall.push(began.elapsed().as_nanos() as u64);
                     }
                     return true;
                 }
@@ -230,11 +230,9 @@ mod tests {
     };
 
     fn validator(atr: &Arc<NativeAtr>) -> Validator {
-        let start = Instant::now();
         Validator {
             atr: atr.clone(),
-            start,
-            deadline: start + Duration::from_secs(10),
+            deadline: Instant::now() + Duration::from_secs(10),
             entry: Vec::new(),
             decided: Vec::new(),
         }
@@ -251,7 +249,7 @@ mod tests {
     /// An entry reserved but not yet inserted is waited out on the GTS
     /// handoff, not polled: the validator parks as a turn waiter, and the
     /// inserter's write-back publication wakes it to a verdict on the
-    /// entry, with the wait recorded as one `server_stall` sample.
+    /// entry, with the wait recorded as one `server_stall` observation.
     #[test]
     fn an_in_flight_entry_is_waited_out_parked_on_the_gts() {
         let atr = Arc::new(NativeAtr::new(8, 2));
@@ -282,7 +280,7 @@ mod tests {
         atr.publish_gts(1);
         let (verdicts, stalls) = validating.join().expect("validator panicked");
         assert_eq!(verdicts, [READ_VALIDATION]);
-        assert_eq!(stalls, 1, "one wait, one sample");
+        assert_eq!(stalls, 1, "one wait, one observation");
     }
 
     /// A lost CAS is answered by scanning the delta and nothing below it:

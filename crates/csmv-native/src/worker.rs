@@ -22,8 +22,8 @@
 //! ([`NativeWorker::run`]) or the engine's shared submit queue
 //! ([`NativeWorker::serve`]).
 //!
-//! Retries follow the `retry_budget` of `stm_core::recovery::RetryPolicy`.
-//! Latency samples recorded into the metrics report are **nanoseconds**.
+//! Retries follow [`crate::NativeConfig::retry_budget`]. Times recorded
+//! into the metrics report are **nanoseconds**.
 //!
 //! In steady state a commit allocates nothing and reads the clock about
 //! once. Every buffer a round fills — executions, footprints, validation
@@ -83,11 +83,6 @@ pub(crate) struct WorkerOutput {
     pub records: Vec<TxRecord>,
     pub metrics: MetricsReport,
 }
-
-/// Rounds between two samples of the store's memory footprint and of the
-/// ATR's occupancy pushed into the metrics report (both reads are O(1);
-/// this bounds sample volume, so the capped series span the whole run).
-const FOOTPRINT_SAMPLE_ROUNDS: u64 = 64;
 
 /// A transaction waiting to run (or re-run after an abort).
 struct Pending<T> {
@@ -223,7 +218,6 @@ pub(crate) struct NativeWorker {
     id: usize,
     ctx: Shared,
     validator: Validator,
-    rounds: u64,
     stats: CommitStats,
     records: Vec<TxRecord>,
     metrics: MetricsReport,
@@ -249,7 +243,6 @@ impl NativeWorker {
             validator: Validator::new(&ctx),
             now: ctx.start,
             ctx,
-            rounds: 0,
             stats: CommitStats::default(),
             records: Vec::new(),
             metrics: MetricsReport::default(),
@@ -275,11 +268,6 @@ impl NativeWorker {
     /// Nanoseconds from `since` to the latest stamp.
     fn elapsed(&self, since: Instant) -> u64 {
         self.now.saturating_duration_since(since).as_nanos() as u64
-    }
-
-    /// The latest stamp on the run's time axis (for sampled series).
-    fn now_ns(&self) -> u64 {
-        self.elapsed(self.ctx.start)
     }
 
     /// Hand an execution's buffers back to the free list, emptied.
@@ -395,12 +383,9 @@ impl NativeWorker {
     /// A round left with nothing to run waits for the next GTS
     /// publication on the ATR's waiter list instead of re-running them.
     fn round<T: Finish>(&mut self, l: &mut Lanes<T>) {
-        self.rounds += 1;
-        if self.sampling_round() {
-            self.metrics
-                .footprint
-                .push(self.now_ns(), self.ctx.store.footprint_bytes());
-        }
+        self.metrics
+            .footprint
+            .push(self.ctx.store.footprint_bytes());
         let snapshot = self.ctx.atr.gts();
         let round_slot = self.ctx.registry.register(snapshot);
         // Fill the batch straight out of `pending`. What runs ends in
@@ -550,7 +535,7 @@ impl NativeWorker {
             p.pin = Some((snap, slot));
             return;
         }
-        if !steps::should_pin(p.attempts, self.ctx.policy.retry_budget) {
+        if !steps::should_pin(p.attempts, self.ctx.retry_budget) {
             return;
         }
         let snap = self.ctx.atr.gts();
@@ -626,12 +611,6 @@ impl NativeWorker {
         }
     }
 
-    /// Is this one of the rounds whose footprint and occupancy are
-    /// sampled?
-    fn sampling_round(&self) -> bool {
-        self.rounds % FOOTPRINT_SAMPLE_ROUNDS == 1
-    }
-
     /// Validate the surviving batch and reserve its timestamps in place
     /// and, for what was granted, perform the in-order write-back and
     /// single GTS publication.
@@ -671,14 +650,6 @@ impl NativeWorker {
         }
         if l.granted.is_empty() {
             return;
-        }
-        // The live window right after a reservation, this batch included;
-        // sampled, because a push per batch fills the capped series within
-        // the first half second of a run.
-        if self.sampling_round() {
-            self.metrics
-                .atr_occupancy
-                .push(self.now_ns(), self.ctx.atr.occupancy());
         }
         l.ctss.clear();
         l.ctss.extend(l.granted.iter().map(|&(_, _, _, c)| c));
@@ -738,8 +709,8 @@ impl NativeWorker {
     /// moment its predecessor's window lands; `TURN_WAIT_SLICE` bounds
     /// each park, so the run deadline is seen between parks.
     ///
-    /// A turn that is already there costs no clock read and no sample:
-    /// only a wait is timed and recorded into `gts_stall`.
+    /// A turn that is already there costs no clock read and records
+    /// nothing: only a wait is timed and recorded into `gts_stall`.
     fn await_turn(&mut self, base: u64) -> bool {
         if steps::gts_turn_reached(self.ctx.atr.gts(), base) {
             return true;
@@ -753,7 +724,7 @@ impl NativeWorker {
             self.stamp();
             if steps::gts_turn_reached(self.ctx.atr.gts(), base) {
                 let waited = self.elapsed(wait_start);
-                self.metrics.gts_stall.push(self.now_ns(), waited);
+                self.metrics.gts_stall.push(waited);
                 return true;
             }
         }
@@ -807,7 +778,7 @@ impl NativeWorker {
         self.metrics.record_abort(reason, latency);
         if p.pin.is_none() {
             p.attempts += 1;
-            if self.ctx.policy.budget_exhausted(p.attempts) {
+            if self.ctx.retry_budget.is_some_and(|b| p.attempts >= b) {
                 self.fail(p, AbortReason::RetryBudgetExhausted);
                 return None;
             }
@@ -836,7 +807,7 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Mutex};
     use std::time::Duration;
-    use stm_core::{RetryPolicy, SnapshotRegistry};
+    use stm_core::SnapshotRegistry;
     use workloads::BankTx;
 
     /// Worker 0 of a one-worker pool. Where a scenario needs a second
@@ -855,10 +826,7 @@ mod tests {
             store,
             atr,
             registry,
-            policy: RetryPolicy {
-                retry_budget: Some(budget),
-                ..RetryPolicy::default()
-            },
+            retry_budget: Some(budget),
             start,
             deadline: start + max_run,
             max_batch: 8,

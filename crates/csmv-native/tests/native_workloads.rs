@@ -47,6 +47,20 @@ fn bank_on_native_across_thread_counts() {
 }
 
 #[test]
+fn atr_occupancy_is_observed_at_every_reservation() {
+    // The validator records the batch size and the ATR occupancy once per
+    // won reservation, and the worker the store footprint once per round,
+    // so over hundreds of rounds the counts stay tied.
+    let bank = BankConfig::small(64, 50);
+    let res = run_bank(&native_cfg(4), &bank, 5, 512);
+    let m = &res.metrics;
+    assert!(m.batch_sizes.count() > 64, "the run must take many rounds");
+    assert_eq!(m.atr_occupancy.len(), m.batch_sizes.count());
+    assert!(m.footprint.len() >= m.atr_occupancy.len());
+    assert!(m.gc.footprint_bytes > 0, "the end-of-run footprint is read");
+}
+
+#[test]
 fn bank_rots_commit_without_server_round_trips() {
     let bank = BankConfig::small(32, 100); // all Balance scans
     let res = run_bank(&native_cfg(4), &bank, 7, 32);
@@ -185,7 +199,6 @@ fn eight_concurrent_validators_on_a_hot_list_stay_opaque_and_account_for_every_t
     // must end as a commit or as a budget exhaustion — nothing lost,
     // nothing timed out.
     use stm_core::metrics::AbortReason;
-    use stm_core::RetryPolicy;
     let list = ListConfig {
         key_range: 16,
         initial_nodes: 8,
@@ -196,10 +209,7 @@ fn eight_concurrent_validators_on_a_hot_list_stay_opaque_and_account_for_every_t
     let init = list.initial_state();
     let txs = 200;
     let cfg = NativeConfig {
-        recovery: RetryPolicy {
-            retry_budget: Some(64),
-            ..RetryPolicy::default()
-        },
+        retry_budget: Some(64),
         ..native_cfg(8)
     };
     let res = csmv_native::run_checked(
@@ -233,7 +243,6 @@ fn long_full_scan_reader_commits_against_a_saturating_write_stream() {
     // and snapshot pinning the scans must all commit inside the retry
     // budget, with zero budget exhaustions.
     use stm_core::metrics::AbortReason;
-    use stm_core::RetryPolicy;
     let scan_bank = BankConfig {
         accounts: 131_072,
         initial_balance: 1_000,
@@ -248,10 +257,7 @@ fn long_full_scan_reader_commits_against_a_saturating_write_stream() {
     let cfg = NativeConfig {
         client_threads: 8,
         versions_per_box: 1,
-        recovery: RetryPolicy {
-            retry_budget: Some(12),
-            ..RetryPolicy::default()
-        },
+        retry_budget: Some(12),
         max_run: Duration::from_secs(20),
         ..Default::default()
     };
@@ -299,7 +305,7 @@ fn long_full_scan_reader_commits_against_a_saturating_write_stream() {
     );
     assert!(
         !res.metrics.footprint.is_empty(),
-        "the run must sample its memory footprint"
+        "the run must observe its memory footprint"
     );
 }
 
@@ -317,4 +323,10 @@ fn single_client_single_server_is_bounded_and_clean() {
         res.metrics.aborts.count(AbortReason::PreValidationKill)
     );
     assert_eq!(res.metrics.aborts.count(AbortReason::ReadValidation), 0);
+    // With no other reader registered, nothing is ever spilled: the
+    // end-of-run footprint is the store's ring words and head indices.
+    let cfg = native_cfg(1);
+    let words = bank.accounts * (cfg.versions_per_box as u64 + 1);
+    assert_eq!(res.metrics.gc.versions_spilled, 0);
+    assert_eq!(res.metrics.gc.footprint_bytes, words * 8);
 }

@@ -56,8 +56,7 @@ fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
                 args.cfg.engine.reader_slots = parse_num("--reader-slots", argv.next())?
             }
             "--retry-budget" => {
-                args.cfg.engine.recovery.retry_budget =
-                    Some(parse_num("--retry-budget", argv.next())?)
+                args.cfg.engine.retry_budget = Some(parse_num("--retry-budget", argv.next())?)
             }
             "--max-run-secs" => {
                 args.cfg.engine.max_run =
@@ -107,16 +106,10 @@ fn main() -> ExitCode {
             // Version-GC and memory-footprint summary, one greppable line
             // (scripts/soak.sh asserts the plateau off these fields).
             let gc = &r.result.metrics.gc;
-            let footprint = r
-                .result
-                .metrics
-                .footprint
-                .samples()
-                .last()
-                .map_or(0, |s| s.value);
             println!(
-                "csmv-service: gc: footprint_bytes={footprint} max_version_list_len={} \
+                "csmv-service: gc: footprint_bytes={} max_version_list_len={} \
                  reclaimed={} spilled={} pruned={} pinned_commits={}",
+                gc.footprint_bytes,
                 gc.max_version_list_len,
                 gc.versions_reclaimed,
                 gc.versions_spilled,

@@ -75,10 +75,7 @@ impl Default for ServiceConfig {
                 // Unbounded retry makes overload invisible; a budget
                 // turns pathological contention into typed -RETRY
                 // replies the client can act on.
-                recovery: stm_core::RetryPolicy {
-                    retry_budget: Some(64),
-                    ..Default::default()
-                },
+                retry_budget: Some(64),
                 record_history: false,
                 ..Default::default()
             },

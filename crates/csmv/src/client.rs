@@ -403,8 +403,7 @@ impl Mailbox {
         if w.fault_plan()
             .is_some_and(|p| p.duplicate_request(self.channel, slot, seq))
         {
-            exec.metrics
-                .record_fault(FaultEvent::DuplicateInjected, w.now());
+            exec.metrics.record_fault(FaultEvent::DuplicateInjected);
             self.set_status(w, STATUS_REQUEST);
         } else {
             self.set_status(w, STATUS_EMPTY);
@@ -614,17 +613,14 @@ impl<S: TxSource + 'static> WarpProgram for CsmvClient<S> {
                         .send_faults(w, seq, attempt, !self.delay_served);
                 if delay > 0 {
                     self.delay_served = true;
-                    let now = w.now();
-                    self.exec
-                        .metrics
-                        .record_fault(FaultEvent::DelayInjected, now);
+                    self.exec.metrics.record_fault(FaultEvent::DelayInjected);
                     self.phase = Phase_::Backoff {
-                        resume_at: now + delay,
+                        resume_at: w.now() + delay,
                     };
                     return StepOutcome::Running;
                 }
                 if attempt > 0 {
-                    self.exec.metrics.record_fault(FaultEvent::Resend, w.now());
+                    self.exec.metrics.record_fault(FaultEvent::Resend);
                 }
                 self.mailbox.post(w, seq, dropped);
                 self.delay_served = false;
@@ -656,7 +652,7 @@ impl<S: TxSource + 'static> WarpProgram for CsmvClient<S> {
                     return StepOutcome::Running;
                 }
                 let now = w.now();
-                self.exec.metrics.record_fault(FaultEvent::Timeout, now);
+                self.exec.metrics.record_fault(FaultEvent::Timeout);
                 self.send_attempt += 1;
                 if self.send_attempt >= self.recovery.max_send_attempts {
                     // Terminal: the server is unreachable for this batch.
@@ -737,7 +733,7 @@ impl<S: TxSource + 'static> WarpProgram for CsmvClient<S> {
                     self.exec
                         .metrics
                         .gts_stall
-                        .push(now, now.saturating_sub(started));
+                        .push(now.saturating_sub(started));
                     self.phase = Phase_::GtsBump { base, n };
                 } else {
                     debug_assert!(gts < base, "GTS overtook this batch");

@@ -456,7 +456,7 @@ impl WarpProgram for MultiWorker {
                 let tail = w.shared_read1_ord(0, self.atr.next_local_addr(), MemOrder::Acquire);
                 self.metrics
                     .atr_occupancy
-                    .push(w.now(), tail.min(self.atr.capacity()));
+                    .push(tail.min(self.atr.capacity()));
                 self.st = self.walk_from(0, tail);
             }
             MState::WalkBack {
@@ -821,7 +821,7 @@ impl<S: TxSource> MultiClient<S> {
     /// sending to it for the rest of the run.
     fn quarantine(&mut self, srv: usize, now: u64) {
         self.quarantined[srv] = true;
-        self.exec.metrics.record_fault(FaultEvent::Quarantine, now);
+        self.exec.metrics.record_fault(FaultEvent::Quarantine);
         let mask = self.server_mask(srv);
         fail_lanes(&mut self.exec, mask, now, AbortReason::ServerUnavailable);
     }
@@ -904,13 +904,10 @@ impl<S: TxSource + 'static> WarpProgram for MultiClient<S> {
                             mailbox.send_faults(w, seq, self.srv_attempt[srv], !self.delay_served);
                         if delay > 0 {
                             self.delay_served = true;
-                            let now = w.now();
-                            self.exec
-                                .metrics
-                                .record_fault(FaultEvent::DelayInjected, now);
+                            self.exec.metrics.record_fault(FaultEvent::DelayInjected);
                             self.phase = McPhase::Backoff {
                                 k,
-                                resume_at: now + delay,
+                                resume_at: w.now() + delay,
                                 resend: false,
                             };
                             return StepOutcome::Running;
@@ -948,7 +945,7 @@ impl<S: TxSource + 'static> WarpProgram for MultiClient<S> {
                 w.set_phase(Phase::WaitServer.id());
                 let srv = self.involved[k];
                 let seq = self.srv_seq[srv];
-                self.exec.metrics.record_fault(FaultEvent::Resend, w.now());
+                self.exec.metrics.record_fault(FaultEvent::Resend);
                 let mailbox = &self.mailboxes[srv];
                 let (_, dropped) = mailbox.send_faults(w, seq, self.srv_attempt[srv], false);
                 self.srv_sent[srv] = w.now();
@@ -985,7 +982,7 @@ impl<S: TxSource + 'static> WarpProgram for MultiClient<S> {
                     w.poll_wait();
                     return StepOutcome::Running;
                 }
-                self.exec.metrics.record_fault(FaultEvent::Timeout, now);
+                self.exec.metrics.record_fault(FaultEvent::Timeout);
                 self.srv_attempt[srv] += 1;
                 if self.srv_attempt[srv] >= self.recovery.max_send_attempts {
                     // Terminal: this partition is unreachable for the batch.
@@ -1092,7 +1089,7 @@ impl<S: TxSource + 'static> WarpProgram for MultiClient<S> {
                                     && steps::heartbeat_stale(now, hb, patience)
                                 {
                                     self.quarantined[srv] = true;
-                                    self.exec.metrics.record_fault(FaultEvent::Quarantine, now);
+                                    self.exec.metrics.record_fault(FaultEvent::Quarantine);
                                 }
                             }
                         }
@@ -1113,7 +1110,7 @@ impl<S: TxSource + 'static> WarpProgram for MultiClient<S> {
                     self.exec
                         .metrics
                         .gts_stall
-                        .push(now, now.saturating_sub(started));
+                        .push(now.saturating_sub(started));
                     self.phase = McPhase::FinishRound;
                 }
                 StepOutcome::Running

@@ -345,14 +345,12 @@ impl WarpProgram for ReceiverWarp {
                 // response payload for that batch is complete.
                 let echoes =
                     w.global_read_ord(mask, |l| proto.resp_seq_addr(dups[l].0), MemOrder::Acquire);
-                let now = w.now();
                 let mut rearm = Vec::new();
                 for (l, &(slot, seq)) in dups.iter().enumerate() {
                     if steps::response_certified(echoes[l], seq) {
                         // Already processed: suppress the duplicate and just
                         // re-deliver the response.
-                        self.metrics
-                            .record_fault(FaultEvent::DuplicateSuppressed, now);
+                        self.metrics.record_fault(FaultEvent::DuplicateSuppressed);
                         rearm.push(slot);
                     }
                     // echo != seq: a worker still owns the batch — leave the
@@ -1019,7 +1017,7 @@ pub struct WorkerWarp {
     /// Seeded bug (see [`WorkerWarp::inject_publish_tag_first`]).
     #[cfg(feature = "seeded-bugs")]
     bug_publish_tag_first: bool,
-    /// Server-side observability: batch sizes and ATR occupancy samples.
+    /// Server-side observability: batch sizes and ATR occupancy.
     pub metrics: MetricsReport,
 }
 
@@ -1198,9 +1196,7 @@ impl WarpProgram for WorkerWarp {
                 // Acquire: the reservation CAS on next_cts orders access to
                 // the ATR entries below the target.
                 let target = w.shared_read1_ord(0, self.atr.next_cts_addr(), MemOrder::Acquire);
-                self.metrics
-                    .atr_occupancy
-                    .push(w.now(), self.atr.occupancy(target));
+                self.metrics.atr_occupancy.push(self.atr.occupancy(target));
                 self.st = if self.variant == CsmvVariant::OnlyCs {
                     self.sc_next(0, target)
                 } else {

@@ -197,17 +197,6 @@ where
     active_snapshots.into_iter().fold(gts, |w, s| w.min(s))
 }
 
-/// May the oldest retained version of an item be reclaimed (its ring slot
-/// recycled) without starving any reader at or above the watermark?
-///
-/// A snapshot read returns the newest version with `ts <= snapshot`. After
-/// the oldest version is gone, a reader at the watermark still succeeds
-/// iff the *next*-oldest retained version already covers it.
-#[inline]
-pub fn recycle_safe(next_oldest_ts: u64, watermark: u64) -> bool {
-    next_oldest_ts <= watermark
-}
-
 /// Adaptive retention: which versions of one item must survive a GC pass
 /// at `watermark`? Keeps the newest version with `ts <= watermark` (the
 /// one every snapshot in `[watermark, gts]` at or below it resolves to)
@@ -382,15 +371,6 @@ mod tests {
         assert_eq!(watermark([], 10), 10);
         assert_eq!(watermark([15], 10), 10);
         assert_eq!(watermark([0], 10), 0);
-    }
-
-    #[test]
-    fn recycle_needs_a_covering_successor() {
-        // Versions {2, 5}: dropping 2 is safe iff the watermark reader
-        // (snapshot >= watermark) still resolves on 5.
-        assert!(recycle_safe(5, 5));
-        assert!(recycle_safe(5, 8));
-        assert!(!recycle_safe(5, 4));
     }
 
     #[test]

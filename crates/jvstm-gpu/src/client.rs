@@ -396,7 +396,7 @@ impl<S: TxSource> JvstmGpuClient<S> {
                 // Release: publishes the inserted entry to validators.
                 w.global_write1_ord(lane, self.atr.next_addr(), cur + 1, MemOrder::Release);
                 // The global ATR is append-only: `next` IS its occupancy.
-                self.exec.metrics.atr_occupancy.push(w.now(), cur + 1);
+                self.exec.metrics.atr_occupancy.push(cur + 1);
                 CPhase::Commit {
                     lane,
                     st: LaneCommit::Unlock { cur },
@@ -573,7 +573,7 @@ mod tests {
             "contended increments must abort on validation: {:?}",
             res.metrics.aborts
         );
-        // The append-only ATR's occupancy was sampled at each publication.
+        // The append-only ATR's occupancy was observed at each publication.
         assert_eq!(res.metrics.atr_occupancy.len(), n);
         assert_eq!(res.metrics.atr_occupancy.max(), n);
     }

@@ -32,8 +32,7 @@ pub use gc::SnapshotRegistry;
 pub use history::{check_history, replay_committed, HistoryError, TxRecord};
 pub use logic::{TxLogic, TxOp, TxSource};
 pub use metrics::{
-    AbortCounts, AbortReason, FaultCounts, FaultEvent, GcStats, Histogram, MetricsReport, Sample,
-    Series,
+    AbortCounts, AbortReason, FaultCounts, FaultEvent, GcStats, Histogram, MetricsReport, Series,
 };
 pub use mv_exec::{MvExec, MvExecConfig, PlainSetArea, SetArea};
 pub use phase::Phase;

@@ -1,6 +1,6 @@
 //! Structured per-run observability: an abort-reason taxonomy, latency
-//! histograms in simulated cycles, and protocol time series (ATR occupancy,
-//! GTS-stall episodes, server batch sizes).
+//! histograms, and count/sum/max aggregates of protocol observations (ATR
+//! occupancy, GTS-stall episodes, store footprint).
 //!
 //! Every STM implementation fills a [`MetricsReport`] while it runs and the
 //! launcher merges the per-warp reports into [`crate::RunResult::metrics`],
@@ -119,9 +119,8 @@ impl AbortReason {
     }
 }
 
-/// Classes of fault-injection / recovery events observed during a run.
-/// Counted in [`FaultCounts`] and time-stamped in
-/// [`MetricsReport::fault_events`].
+/// Classes of fault-injection / recovery events observed during a run,
+/// counted in [`FaultCounts`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum FaultEvent {
@@ -151,7 +150,7 @@ impl FaultEvent {
         FaultEvent::Quarantine,
     ];
 
-    /// Dense id, usable as an array index and a series value.
+    /// Dense id, usable as an array index.
     #[inline]
     pub const fn id(self) -> u8 {
         self as u8
@@ -253,17 +252,21 @@ pub struct GcStats {
     /// Largest per-item version-list length (ring + live spill entries)
     /// observed at any sample point.
     pub max_version_list_len: u64,
+    /// Bytes of live version storage (ring words + spill entries) when the
+    /// run ended, read once from the store.
+    pub footprint_bytes: u64,
 }
 
 impl GcStats {
     /// Accumulate another counter set. Counters add; the list-length
-    /// high-water mark takes the max.
+    /// high-water mark and the end-of-run footprint take the max.
     pub fn merge(&mut self, other: &GcStats) {
         self.versions_reclaimed += other.versions_reclaimed;
         self.versions_spilled += other.versions_spilled;
         self.spill_pruned += other.spill_pruned;
         self.pinned_commits += other.pinned_commits;
         self.max_version_list_len = self.max_version_list_len.max(other.max_version_list_len);
+        self.footprint_bytes = self.footprint_bytes.max(other.footprint_bytes);
     }
 }
 
@@ -429,56 +432,34 @@ impl Histogram {
     }
 }
 
-/// One time-series sample: a value observed at a simulated cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Sample {
-    /// Simulated time of the observation, in cycles.
-    pub cycle: u64,
-    /// Observed value (meaning depends on the series).
-    pub value: u64,
-}
-
-/// A bounded time series of [`Sample`]s. Samples beyond
-/// [`Series::MAX_SAMPLES`] are dropped, so pathological runs cannot
-/// balloon the report, but the count, sum and max cover every
-/// observation; `merge` re-sorts by cycle (then value) to keep the
-/// aggregate deterministic regardless of harvest order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// A count/sum/max aggregate of `u64` observations (occupancies, stall
+/// lengths, footprints). It keeps no samples, so it never grows however
+/// long a run is, and two series holding the same observations compare
+/// equal however they were recorded and merged.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Series {
-    samples: Vec<Sample>,
-    dropped: u64,
+    count: u64,
     sum: u64,
     max: u64,
 }
 
 impl Series {
-    /// Retention cap per series.
-    pub const MAX_SAMPLES: usize = 1 << 16;
-
     /// Record one observation.
-    pub fn push(&mut self, cycle: u64, value: u64) {
+    #[inline]
+    pub fn push(&mut self, value: u64) {
+        self.count += 1;
         self.sum += value;
         self.max = self.max.max(value);
-        if self.samples.len() < Self::MAX_SAMPLES {
-            self.samples.push(Sample { cycle, value });
-        } else {
-            self.dropped += 1;
-        }
     }
 
-    /// The retained samples, sorted by cycle after a `merge`.
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
-    }
-
-    /// Observations recorded, including dropped ones.
+    /// Observations recorded.
     pub fn len(&self) -> u64 {
-        self.samples.len() as u64 + self.dropped
+        self.count
     }
 
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.count == 0
     }
 
     /// Mean of every observation's value (0 when empty).
@@ -486,7 +467,7 @@ impl Series {
         if self.is_empty() {
             0.0
         } else {
-            self.sum as f64 / self.len() as f64
+            self.sum as f64 / self.count as f64
         }
     }
 
@@ -500,19 +481,11 @@ impl Series {
         self.sum
     }
 
-    /// Append another series, keeping cycle order and the retention cap.
+    /// Accumulate another series.
     pub fn merge(&mut self, other: &Series) {
-        self.dropped += other.dropped;
+        self.count += other.count;
         self.sum += other.sum;
         self.max = self.max.max(other.max);
-        for s in &other.samples {
-            if self.samples.len() < Self::MAX_SAMPLES {
-                self.samples.push(*s);
-            } else {
-                self.dropped += 1;
-            }
-        }
-        self.samples.sort_by_key(|s| (s.cycle, s.value));
     }
 }
 
@@ -536,9 +509,9 @@ impl PipelineStats {
     }
 }
 
-/// The per-run observability report. All counters are in simulated cycles /
-/// simulated events; wall-clock-measured systems (the CPU baseline) leave
-/// the report empty.
+/// The per-run observability report. Times are in simulated cycles on the
+/// simulator's STMs and in nanoseconds on the native host
+/// (`csmv-native`); the CPU baseline leaves the report empty.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsReport {
     /// Aborts by reason.
@@ -553,31 +526,30 @@ pub struct MetricsReport {
     /// ATR ring occupancy (live records in the window) sampled when a
     /// committer reserves timestamps; empty for STMs without an ATR.
     pub atr_occupancy: Series,
-    /// GTS turn-taking stall episodes: one sample per wait, `value` = cycles
+    /// GTS turn-taking stall episodes: one observation per wait, the time
     /// spent waiting for the publication turn. What counts as a wait is the
     /// host's: the simulator's CSMV client records every turn, a zero for
     /// one already reached, while the native worker records only turns
     /// that actually waited. The sum per commit means the same on both;
-    /// the sample count and the mean do not.
+    /// the count and the mean do not.
     pub gts_stall: Series,
-    /// Server-side ATR entry-wait stall episodes: one sample per blocking
-    /// wait on an in-flight (reserved but unpublished) entry, `value` =
-    /// cycles spent waiting. Empty for STMs without a commit server.
+    /// ATR entry-wait stall episodes: one observation per blocking wait on
+    /// an in-flight (reserved but unpublished) entry, the time spent
+    /// waiting. Only the native host records it, and there the waiter is
+    /// the committing worker's validator (the paper's server role, run in
+    /// place); empty on the simulator's STMs.
     pub server_stall: Series,
     /// Always zero; kept for the benchmark's reads ([`PipelineStats`]).
     pub pipeline: PipelineStats,
     /// Injected-fault and recovery event counters; all zero on fault-free
     /// runs.
     pub faults: FaultCounts,
-    /// Time series of fault/recovery events: one sample per event, `value` =
-    /// the [`FaultEvent`] id. Empty on fault-free runs.
-    pub fault_events: Series,
     /// Version-GC counters; all zero on backends without a watermark-gated
     /// store.
     pub gc: GcStats,
-    /// Multi-version store memory footprint samples, `value` = bytes of
-    /// live version storage (ring words + spill entries). Empty on
-    /// backends that do not sample it.
+    /// Multi-version store memory footprint, bytes of live version storage
+    /// (ring words + spill entries), observed once per worker round. Empty
+    /// on backends that do not observe it.
     pub footprint: Series,
 }
 
@@ -588,10 +560,9 @@ impl MetricsReport {
         self.abort_latency.record(latency_cycles);
     }
 
-    /// Record a fault/recovery event at a cycle.
-    pub fn record_fault(&mut self, event: FaultEvent, cycle: u64) {
+    /// Record a fault/recovery event.
+    pub fn record_fault(&mut self, event: FaultEvent) {
         self.faults.record(event);
-        self.fault_events.push(cycle, event.id() as u64);
     }
 
     /// Record a commit latency.
@@ -610,7 +581,6 @@ impl MetricsReport {
         self.server_stall.merge(&other.server_stall);
         self.pipeline.merge(&other.pipeline);
         self.faults.merge(&other.faults);
-        self.fault_events.merge(&other.fault_events);
         self.gc.merge(&other.gc);
         self.footprint.merge(&other.footprint);
     }
@@ -667,18 +637,14 @@ mod tests {
     #[test]
     fn fault_counts_record_and_merge_through_reports() {
         let mut a = MetricsReport::default();
-        a.record_fault(FaultEvent::Timeout, 100);
-        a.record_fault(FaultEvent::Resend, 150);
+        a.record_fault(FaultEvent::Timeout);
+        a.record_fault(FaultEvent::Resend);
         let mut b = MetricsReport::default();
-        b.record_fault(FaultEvent::Resend, 50);
+        b.record_fault(FaultEvent::Resend);
         a.merge(&b);
         assert_eq!(a.faults.count(FaultEvent::Timeout), 1);
         assert_eq!(a.faults.count(FaultEvent::Resend), 2);
         assert_eq!(a.faults.total(), 3);
-        assert_eq!(a.fault_events.len(), 3);
-        // Merge re-sorts by cycle.
-        let cycles: Vec<u64> = a.fault_events.samples().iter().map(|s| s.cycle).collect();
-        assert_eq!(cycles, vec![50, 100, 150]);
     }
 
     #[test]
@@ -716,6 +682,7 @@ mod tests {
             spill_pruned: 1,
             pinned_commits: 1,
             max_version_list_len: 8,
+            footprint_bytes: 4096,
         };
         let b = GcStats {
             versions_reclaimed: 3,
@@ -723,6 +690,7 @@ mod tests {
             spill_pruned: 2,
             pinned_commits: 0,
             max_version_list_len: 12,
+            footprint_bytes: 0,
         };
         a.merge(&b);
         assert_eq!(a.versions_reclaimed, 8);
@@ -730,17 +698,18 @@ mod tests {
         assert_eq!(a.spill_pruned, 3);
         assert_eq!(a.pinned_commits, 1);
         assert_eq!(a.max_version_list_len, 12);
+        assert_eq!(a.footprint_bytes, 4096);
     }
 
     #[test]
     fn report_merge_covers_gc_and_footprint() {
         let mut a = MetricsReport::default();
         a.gc.versions_reclaimed = 2;
-        a.footprint.push(10, 100);
+        a.footprint.push(100);
         let mut b = MetricsReport::default();
         b.gc.versions_reclaimed = 3;
         b.gc.max_version_list_len = 7;
-        b.footprint.push(5, 200);
+        b.footprint.push(200);
         a.merge(&b);
         assert_eq!(a.gc.versions_reclaimed, 5);
         assert_eq!(a.gc.max_version_list_len, 7);
@@ -910,52 +879,17 @@ mod tests {
     }
 
     #[test]
-    fn series_merge_sorts_by_cycle_and_caps() {
+    fn series_merge_adds_counts_and_keeps_max() {
         let mut a = Series::default();
-        a.push(10, 1);
-        a.push(30, 3);
+        a.push(1);
+        a.push(3);
         let mut b = Series::default();
-        b.push(20, 2);
+        b.push(2);
         a.merge(&b);
-        let cycles: Vec<u64> = a.samples().iter().map(|s| s.cycle).collect();
-        assert_eq!(cycles, vec![10, 20, 30]);
         assert_eq!(a.len(), 3);
         assert_eq!(a.sum(), 6);
         assert_eq!(a.max(), 3);
         assert!((a.mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn series_drops_beyond_cap_but_keeps_count() {
-        let mut s = Series::default();
-        for i in 0..(Series::MAX_SAMPLES as u64 + 10) {
-            s.push(i, 1);
-        }
-        assert_eq!(s.samples().len(), Series::MAX_SAMPLES);
-        assert_eq!(s.len(), Series::MAX_SAMPLES as u64 + 10);
-    }
-
-    #[test]
-    fn series_totals_cover_dropped_observations() {
-        let n = Series::MAX_SAMPLES as u64;
-        let mut s = Series::default();
-        for i in 0..n {
-            s.push(i, 1);
-        }
-        for i in 0..10 {
-            s.push(n + i, 1000);
-        }
-        assert_eq!(s.samples().len(), Series::MAX_SAMPLES);
-        assert_eq!(s.sum(), n + 10_000);
-        assert_eq!(s.max(), 1000);
-        assert!((s.mean() - (n + 10_000) as f64 / (n + 10) as f64).abs() < 1e-9);
-        // A merge past the cap keeps them too.
-        let mut t = Series::default();
-        t.push(0, 7);
-        t.merge(&s);
-        assert_eq!(t.len(), n + 11);
-        assert_eq!(t.sum(), n + 10_007);
-        assert_eq!(t.max(), 1000);
     }
 
     #[test]
@@ -966,9 +900,9 @@ mod tests {
         let mut b = MetricsReport::default();
         b.record_commit(200);
         b.batch_sizes.record(8);
-        b.atr_occupancy.push(50, 3);
-        b.gts_stall.push(60, 12);
-        b.server_stall.push(70, 9);
+        b.atr_occupancy.push(3);
+        b.gts_stall.push(12);
+        b.server_stall.push(9);
         a.merge(&b);
         assert_eq!(a.commit_latency.count(), 2);
         assert_eq!(a.abort_latency.count(), 1);
@@ -1028,6 +962,48 @@ mod tests {
                 let got = whole.quantile(q);
                 prop_assert!(got >= exact, "q={} got={} exact={}", q, got, exact);
                 prop_assert!(got - exact <= exact / 64, "q={} got={} exact={}", q, got, exact);
+            }
+        }
+
+        /// splitmix64: the observations and their split of one case.
+        fn next(state: &mut u64) -> u64 {
+            *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 16 })]
+            /// However a long run's observations are split across series
+            /// and in whatever order those are merged, the result is the
+            /// series that recorded them all.
+            #[test]
+            fn series_merges_in_any_order_equal_one_recording(
+                seed in proptest::num::u64::ANY,
+                parts in 2usize..9,
+                n in 70_000u64..72_000,
+            ) {
+                let mut state = seed;
+                let mut whole = Series::default();
+                let mut split = vec![Series::default(); parts];
+                for _ in 0..n {
+                    let value = next(&mut state) >> 24;
+                    split[(next(&mut state) % parts as u64) as usize].push(value);
+                    whole.push(value);
+                }
+                let mut order: Vec<usize> = (0..parts).collect();
+                for i in (1..parts).rev() {
+                    order.swap(i, (next(&mut state) % (i as u64 + 1)) as usize);
+                }
+                for order in [order.clone(), order.into_iter().rev().collect()] {
+                    let mut merged = Series::default();
+                    for &i in &order {
+                        merged.merge(&split[i]);
+                    }
+                    prop_assert_eq!(merged, whole);
+                }
             }
         }
     }

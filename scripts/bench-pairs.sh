@@ -31,9 +31,10 @@
 # The last lines printed are JSON records for the BENCH_native.json /
 # BENCH_service.json trajectory, one per workload in the order given
 # (append each as a line): both checkouts' commits (`git describe --always
-# --dirty`), the host's nproc, the workload, the complete pairs,
-# commit_tps [q1, median, q3] per side, and the summed failed/attempted per
-# side.
+# --dirty`), the host's nproc, the workload, the complete pairs, each
+# end-to-end metric BENCHMARK.json names (commit_tps, setup_s, peak_rss_mb)
+# as {"parent": [q1, median, q3], "change": [...]}, and the summed
+# failed/attempted per side.
 #
 # Env: PAIRS (or 4th argument, default 10), SEED (first seed, default 1),
 #      TRACE (0 = end-to-end metrics, 1 = per-layer; default 0),
@@ -92,6 +93,7 @@ spec, out, workloads, trace, pairs = sys.argv[1], sys.argv[2], sys.argv[3].split
 parent_commit, change_commit = sys.argv[6], sys.argv[7]
 spec = json.load(open(spec))
 better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+end_to_end = [m["name"] for m in spec["end_to_end"]]
 
 def quartiles(xs):
     if len(xs) < 2:
@@ -119,7 +121,7 @@ def summarize(workload):
               f"{sum(not r['correct'] for r in side)} passes failed a correctness gate")
 
     names = sorted({n for p, c in complete for n in p["metrics"] if n in c["metrics"]})
-    commit_tps = None
+    quarts = {}
     for name in names:
         # A per-layer metric may be missing from a pass; keep the pairs that have it on both sides.
         both = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
@@ -130,8 +132,8 @@ def summarize(workload):
         losses = sum(sign * (c - p) < 0 for p, c in both)
         (pq1, pq3), (cq1, cq3) = quartiles(ps), quartiles(cs)
         pm, cm = median(ps), median(cs)
-        if name == "commit_tps":
-            commit_tps = {"parent": [pq1, pm, pq3], "change": [cq1, cm, cq3]}
+        if name in end_to_end:
+            quarts[name] = {"parent": [pq1, pm, pq3], "change": [cq1, cm, cq3]}
         move = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
         apart = abs(cm - pm) > (pq3 - pq1)
         if wins * 10 >= 9 * len(ps) and apart:
@@ -148,7 +150,7 @@ def summarize(workload):
     return {
         "commit": change_commit, "parent": parent_commit, "nproc": os.cpu_count(),
         "workload": workload, "pairs": len(complete),
-        "commit_tps": commit_tps,
+        **{name: quarts.get(name) for name in end_to_end},
         "failed": failed, "attempted": attempted,
     }
 
