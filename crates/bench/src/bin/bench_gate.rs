@@ -14,8 +14,8 @@
 //! directory must have a same-named candidate.
 //!
 //! `--equal` switches from thresholded regression gating to the strict
-//! equivalence check (`bench::gate::equal`): the CI parallel-equivalence
-//! matrix uses it to prove that reports produced at different `--threads`
+//! equivalence check (`bench::gate::equal`): the CI bench-smoke job uses
+//! it to prove that reports produced at different `--threads`
 //! values are identical apart from the recorded thread count and the
 //! non-reproducible wall-clock rows.
 

@@ -315,8 +315,8 @@ pub fn compare_advisory(baseline: &BenchReport, candidate: &BenchReport) -> Vec<
     warnings
 }
 
-/// Strict equivalence check, used by the CI `parallel-equivalence` matrix to
-/// prove `--threads N` reports match the `--threads 1` report.
+/// Strict equivalence check, used by the CI `bench-smoke` job to prove its
+/// `--threads 2` and `--threads 8` reports match the `--threads 1` report.
 ///
 /// Everything must match exactly — row order, identities, metric names and
 /// order, and every simulated metric value bit for bit — except the two

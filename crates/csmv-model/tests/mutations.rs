@@ -334,7 +334,7 @@ mod real {
                 .take_program(id)
                 .downcast::<CsmvClient<BankSource>>()
                 .expect("client program type");
-            records.append(&mut client.exec.take_records());
+            records.append(&mut client.exec.harvest().2);
         }
         let err = stm_core::check_history(&records, &bank.initial_state(), true);
         assert!(

@@ -27,15 +27,9 @@
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::Instant;
 
 use csmv::steps::{self, ReserveOutcome, TagState};
-
-/// The one slice of every park on the GTS handoff ([`NativeAtr::wait_turn`]):
-/// a publisher unparks its waiter long before this in a healthy run, so
-/// the slice only bounds how late a parked thread sees the run deadline —
-/// and, for a worker, arrivals its feed loop has not taken yet.
-pub(crate) const TURN_WAIT_SLICE: Duration = Duration::from_micros(200);
 
 /// Tag value marking an insert in progress. Classified as in-flight by
 /// readers; never a valid cts (cts fits 32 bits).
@@ -118,10 +112,10 @@ impl NativeAtr {
     }
 
     /// Block until it is (or may be) `base`'s write-back turn, or
-    /// `timeout` elapses. Spurious wakeups are fine; callers re-check
-    /// their turn predicate in a loop, and the timeout backstops the
-    /// run-deadline watchdog.
-    pub(crate) fn wait_turn(&self, base: u64, timeout: Duration) {
+    /// `deadline` passes: a park ends at the publication that unblocks it,
+    /// or at the run deadline, never on a timer of its own. Spurious
+    /// wakeups are fine; callers re-check their turn predicate in a loop.
+    pub(crate) fn wait_turn(&self, base: u64, deadline: Instant) {
         {
             let mut waiters = self.turn_waiters.lock();
             let gts = self.gts.load(Ordering::SeqCst);
@@ -130,8 +124,8 @@ impl NativeAtr {
             }
             waiters.push((base, std::thread::current()));
         }
-        std::thread::park_timeout(timeout);
-        // Timeout or stale-token path: withdraw the registration if the
+        std::thread::park_timeout(deadline.saturating_duration_since(Instant::now()));
+        // Deadline or stale-token path: withdraw the registration if the
         // publisher has not already consumed it.
         let me = std::thread::current().id();
         self.turn_waiters
@@ -140,13 +134,13 @@ impl NativeAtr {
     }
 
     /// Block until the GTS has (or may have) moved past `seen`, or
-    /// `timeout` elapses — the wait of a worker whose every runnable
+    /// `deadline` passes — the wait of a worker whose every runnable
     /// retry needs a newer snapshot
     /// ([`csmv::steps::retry_may_succeed`]). It parks on the turn-waiter
     /// list: the GTS first exceeds `seen` exactly when the turn of a
     /// batch based at `seen + 2` is reached or passed.
-    pub(crate) fn wait_gts_past(&self, seen: u64, timeout: Duration) {
-        self.wait_turn(seen + 2, timeout);
+    pub(crate) fn wait_gts_past(&self, seen: u64, deadline: Instant) {
+        self.wait_turn(seen + 2, deadline);
     }
 
     /// Threads parked for a turn right now.
@@ -249,6 +243,12 @@ impl NativeAtr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    /// A deadline no test reaches.
+    fn far() -> Instant {
+        Instant::now() + Duration::from_secs(5)
+    }
 
     #[test]
     fn counters_start_at_protocol_origin() {
@@ -308,8 +308,8 @@ mod tests {
         atr.publish_gts(2);
         // Exact turn (gts + 1 == base) and already-passed windows must not
         // park at all — no registration is left behind either way.
-        atr.wait_turn(3, Duration::from_secs(5));
-        atr.wait_turn(1, Duration::from_secs(5));
+        atr.wait_turn(3, far());
+        atr.wait_turn(1, far());
         assert!(atr.turn_waiters.lock().is_empty());
     }
 
@@ -324,7 +324,7 @@ mod tests {
                 // Loop like the worker does: spurious wakeups are allowed,
                 // only a reached turn ends the wait.
                 while !steps::gts_turn_reached(atr.gts(), 4) {
-                    atr.wait_turn(4, Duration::from_secs(5));
+                    atr.wait_turn(4, far());
                 }
             })
         };
@@ -346,13 +346,13 @@ mod tests {
         let atr = Arc::new(NativeAtr::new(8, 2));
         atr.publish_gts(5);
         // Already past: no park, no registration.
-        atr.wait_gts_past(4, Duration::from_secs(5));
+        atr.wait_gts_past(4, far());
         assert!(atr.turn_waiters.lock().is_empty());
         let waiter = {
             let atr = Arc::clone(&atr);
             std::thread::spawn(move || {
                 while atr.gts() <= 5 {
-                    atr.wait_gts_past(5, Duration::from_secs(5));
+                    atr.wait_gts_past(5, far());
                 }
             })
         };
@@ -367,9 +367,36 @@ mod tests {
     #[test]
     fn wait_turn_timeout_withdraws_registration() {
         let atr = NativeAtr::new(4, 2);
-        // Nobody publishes; the park times out and the waiter must remove
-        // its own registration so dead entries cannot accumulate.
-        atr.wait_turn(7, Duration::from_millis(5));
+        // Nobody publishes; the park ends at the deadline and the waiter
+        // must remove its own registration so dead entries cannot
+        // accumulate.
+        atr.wait_turn(7, Instant::now() + Duration::from_millis(5));
+        assert!(atr.turn_waiters.lock().is_empty());
+        // A deadline already passed parks for no time at all.
+        atr.wait_turn(7, Instant::now() - Duration::from_millis(1));
+        assert!(atr.turn_waiters.lock().is_empty());
+    }
+
+    /// With no publisher, a park lasts until the deadline: it does not end
+    /// early on a slice of its own. (Spurious wakeups are allowed, so the
+    /// caller's loop is what is timed, as the worker's is.)
+    #[test]
+    fn a_park_with_no_publisher_returns_at_the_deadline() {
+        let atr = NativeAtr::new(4, 2);
+        let wait = Duration::from_millis(30);
+        let start = Instant::now();
+        let deadline = start + wait;
+        let mut parks = 0;
+        while Instant::now() < deadline {
+            atr.wait_turn(7, deadline);
+            parks += 1;
+        }
+        let waited = start.elapsed();
+        assert!(waited >= wait);
+        assert!(
+            parks < 10,
+            "{parks} parks in {waited:?}: a park must last until the deadline"
+        );
         assert!(atr.turn_waiters.lock().is_empty());
     }
 }

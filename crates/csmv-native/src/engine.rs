@@ -12,8 +12,8 @@
 //! per lock ([`Intake::refill`]); and each job's terminal [`Completion`] is
 //! delivered to the submitter's [`CompletionSink`] under the ticket the
 //! submitter chose, so no job carries a channel of its own.
-//! [`NativeEngine::try_submit`] is the one-job form of the same call, with
-//! an `mpsc` sender as its completion target.
+//! [`NativeEngine::try_submit`] is the one-job form of the same call, whose
+//! sink is an `mpsc` sender.
 //!
 //! Backpressure is explicit: the intake is bounded, a call accepts the
 //! first `room` jobs in order and hands the rest back ([`Refused::Busy`]),
@@ -99,6 +99,14 @@ impl TxLogic for Spent {
     }
 }
 
+/// An `mpsc` sender as a sink: [`NativeEngine::try_submit`]'s. A
+/// submitter that hung up just discards its completion.
+impl CompletionSink for Sender<Completion> {
+    fn complete(&self, _ticket: u64, completion: Completion) {
+        drop(self.send(completion));
+    }
+}
+
 /// One accepted transaction in flight through the worker pool. It settles
 /// its ticket exactly once: through [`Finish::finish`], or — should it be
 /// dropped unfinished, which only a dying worker or an abandoned engine
@@ -107,22 +115,14 @@ impl TxLogic for Spent {
 pub(crate) struct EngineJob {
     tx: Box<dyn TxLogic>,
     accepted: Instant,
-    /// Where the outcome goes; `None` once it went.
-    done: Option<Done>,
-}
-
-/// A job's completion target.
-enum Done {
-    /// The submitter's sink, under the submitter's ticket.
-    Sink(Arc<dyn CompletionSink>, u64),
-    /// The channel of a [`NativeEngine::try_submit`] call.
-    Channel(Sender<Completion>),
+    /// The submitter's sink and ticket; `None` once the outcome went.
+    done: Option<(Arc<dyn CompletionSink>, u64)>,
 }
 
 impl EngineJob {
     /// Deliver `outcome`, reached at `at`, unless it went already.
     fn settle(&mut self, outcome: Result<(), AbortReason>, at: Instant) {
-        let Some(done) = self.done.take() else {
+        let Some((sink, ticket)) = self.done.take() else {
             return;
         };
         let completion = Completion {
@@ -131,11 +131,7 @@ impl EngineJob {
             outcome,
             latency: at.saturating_duration_since(self.accepted),
         };
-        match done {
-            Done::Sink(sink, ticket) => sink.complete(ticket, completion),
-            // A submitter that hung up just discards its completion.
-            Done::Channel(channel) => drop(channel.send(completion)),
-        }
+        sink.complete(ticket, completion);
     }
 }
 
@@ -210,67 +206,35 @@ impl Intake {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Lock the intake for a submission: the guard and the room left in
-    /// the queue, or the refusal of a closed intake.
-    fn admit(&self) -> Result<(MutexGuard<'_, IntakeState>, usize), Refused> {
-        let s = self.lock();
-        if s.closed {
-            return Err(Refused::Closed);
-        }
-        let room = self.depth.saturating_sub(s.jobs.len());
-        Ok((s, room))
-    }
-
-    /// End a submission that queued `took` jobs: unlock, then wake a
-    /// worker if one is parked.
-    fn admitted(&self, s: MutexGuard<'_, IntakeState>, took: usize) {
-        let wake = took > 0 && s.parked > 0;
-        drop(s);
-        if wake {
-            self.arrival.notify_one();
-        }
-    }
-
-    /// Accept the first `room` of `jobs` in order, under one lock, and
-    /// leave the rest where they are.
+    /// Accept as many of `jobs`, in order, as the queue has room for,
+    /// under one lock, and leave the rest where they are; then, unlocked,
+    /// wake a worker if one is parked.
     pub(crate) fn offer(
         &self,
         sink: &Arc<dyn CompletionSink>,
         jobs: &mut Vec<Submission>,
     ) -> Result<(), Refused> {
         let accepted = Instant::now();
-        let (mut s, room) = self.admit()?;
-        let take = jobs.len().min(room);
+        let mut s = self.lock();
+        if s.closed {
+            return Err(Refused::Closed);
+        }
+        let take = jobs.len().min(self.depth.saturating_sub(s.jobs.len()));
         s.jobs.extend(jobs.drain(..take).map(|job| EngineJob {
             tx: job.tx,
             accepted,
-            done: Some(Done::Sink(sink.clone(), job.ticket)),
+            done: Some((sink.clone(), job.ticket)),
         }));
-        self.admitted(s, take);
+        let wake = take > 0 && s.parked > 0;
+        drop(s);
+        if wake {
+            self.arrival.notify_one();
+        }
         if jobs.is_empty() {
             Ok(())
         } else {
             Err(Refused::Busy)
         }
-    }
-
-    /// [`Intake::offer`] for one job completing to a channel.
-    fn offer_one(&self, tx: Box<dyn TxLogic>, done: Sender<Completion>) -> Result<(), SubmitError> {
-        let accepted = Instant::now();
-        let (mut s, room) = match self.admit() {
-            Ok(open) => open,
-            Err(_) => return Err(SubmitError::Closed(tx)),
-        };
-        if room == 0 {
-            return Err(SubmitError::Busy(tx));
-        }
-        s.jobs.push_back(EngineJob {
-            tx,
-            accepted,
-            done: Some(Done::Channel(done)),
-        });
-        self.admitted(s, 1);
-        Ok(())
     }
 
     /// Refuse further submissions; workers drain what is queued and leave.
@@ -410,14 +374,22 @@ impl NativeEngine {
     }
 
     /// [`NativeEngine::submit_batch`] for one transaction completing to a
-    /// channel: same intake, same workers. It stays because
+    /// channel: the same call, with `done` as the sink. It stays because
     /// `benchmark/`'s engine probe compiles against it.
     pub fn try_submit(
         &self,
         tx: Box<dyn TxLogic>,
         done: Sender<Completion>,
     ) -> Result<(), SubmitError> {
-        self.intake.offer_one(tx, done)
+        let sink: Arc<dyn CompletionSink> = Arc::new(done);
+        let mut jobs = vec![Submission { ticket: 0, tx }];
+        let refused = self.submit_batch(&sink, &mut jobs).err();
+        // A refused call leaves the job in `jobs`; an accepted one took it.
+        match (refused, jobs.pop()) {
+            (Some(Refused::Busy), Some(job)) => Err(SubmitError::Busy(job.tx)),
+            (Some(Refused::Closed), Some(job)) => Err(SubmitError::Closed(job.tx)),
+            _ => Ok(()),
+        }
     }
 
     /// Current Global Timestamp (counts committed update transactions).

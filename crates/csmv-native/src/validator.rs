@@ -22,7 +22,7 @@ use std::time::Instant;
 use csmv::steps::{self, ReserveOutcome, TagState};
 use stm_core::metrics::{AbortReason, MetricsReport};
 
-use crate::atr::{NativeAtr, TURN_WAIT_SLICE};
+use crate::atr::NativeAtr;
 use crate::pool::Shared;
 
 /// One transaction's commit submission: its snapshot and footprint.
@@ -190,8 +190,7 @@ impl Validator {
     /// entry is inserted before its batch writes back, and written back
     /// before the GTS reaches it — and its inserter waits on nothing this
     /// validator holds, since a worker validates holding no reservation.
-    /// Each park is one [`TURN_WAIT_SLICE`], so the deadline is checked
-    /// between parks. A stall actually waited out is recorded into the
+    /// A park ends at that publication or at the run deadline. A stall actually waited out is recorded into the
     /// `server_stall` series, so validation waits are visible alongside
     /// the `gts_stall` of the turn wait.
     fn read_entry_blocking(&mut self, cts: u64, metrics: &mut MetricsReport) -> bool {
@@ -211,8 +210,7 @@ impl Validator {
                     if now >= self.deadline {
                         return false;
                     }
-                    self.atr
-                        .wait_gts_past(cts.saturating_sub(1), TURN_WAIT_SLICE);
+                    self.atr.wait_gts_past(cts.saturating_sub(1), self.deadline);
                 }
             }
         }

@@ -43,7 +43,6 @@ use stm_core::metrics::{AbortReason, MetricsReport};
 use stm_core::stats::CommitStats;
 use stm_core::{TxLogic, TxOp, TxSource};
 
-use crate::atr::TURN_WAIT_SLICE;
 use crate::engine::{EngineJob, Intake};
 use crate::pool::Shared;
 use crate::validator::{TxSubmit, Validator, Verdict};
@@ -414,13 +413,14 @@ impl NativeWorker {
         }
         if ran == 0 {
             // Everything pending aborted at this snapshot against a batch
-            // another worker has reserved and not yet published.
-            // `TURN_WAIT_SLICE` bounds the park, so the feed loop still
-            // sees the run deadline and new arrivals.
+            // another worker has reserved and is committing, so the
+            // publication that ends this park comes within one commit (or
+            // the run deadline does). Arrivals meanwhile wait in the
+            // intake, for this worker's next round or an idle worker.
             if let Some(slot) = round_slot {
                 self.ctx.registry.deregister(slot);
             }
-            self.ctx.atr.wait_gts_past(snapshot, TURN_WAIT_SLICE);
+            self.ctx.atr.wait_gts_past(snapshot, self.ctx.deadline);
             return;
         }
 
@@ -706,8 +706,7 @@ impl NativeWorker {
     /// Wait until it is `base`'s turn to publish
     /// ([`csmv::steps::gts_turn_reached`]); false on deadline. The worker
     /// parks on the ATR's turn handoff and is woken by the publisher the
-    /// moment its predecessor's window lands; `TURN_WAIT_SLICE` bounds
-    /// each park, so the run deadline is seen between parks.
+    /// moment its predecessor's window lands, or at the run deadline.
     ///
     /// A turn that is already there costs no clock read and records
     /// nothing: only a wait is timed and recorded into `gts_stall`.
@@ -720,7 +719,7 @@ impl NativeWorker {
             if self.now >= self.ctx.deadline {
                 return false;
             }
-            self.ctx.atr.wait_turn(base, TURN_WAIT_SLICE);
+            self.ctx.atr.wait_turn(base, self.ctx.deadline);
             self.stamp();
             if steps::gts_turn_reached(self.ctx.atr.gts(), base) {
                 let waited = self.elapsed(wait_start);

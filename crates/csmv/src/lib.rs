@@ -50,8 +50,9 @@ pub mod server;
 pub mod steps;
 pub mod variant;
 
-use gpu_sim::{AnalysisConfig, Device, FaultPlan, GpuConfig, WarpId, WarpProgram, WARP_LANES};
-use stm_core::mv_exec::{MvExec, MvExecConfig};
+use gpu_sim::{AnalysisConfig, Device, FaultPlan, GpuConfig, WarpId};
+use stm_core::launch::{self, ClientHarvest};
+use stm_core::mv_exec::MvExecConfig;
 use stm_core::{MetricsReport, RetryPolicy, RunResult, TxSource, VBoxHeap};
 
 pub use atr::SharedAtr;
@@ -313,7 +314,7 @@ where
 /// stalls reported as values instead of panics.
 pub fn run_checked<S, F>(
     cfg: &CsmvConfig,
-    mut make_source: F,
+    make_source: F,
     num_items: u64,
     initial: impl FnMut(u64) -> u64,
 ) -> Result<RunResult, RunError>
@@ -341,7 +342,7 @@ where
     let ctl = ServerControl::alloc_with_queue(&mut dev, server_sm, cfg.queue_cap());
     // next_cts starts at 1 (commit timestamps are 1-based; GTS starts at 0).
     dev.shared_write_host(server_sm, atr.next_cts_addr(), 1);
-    arm(&mut dev, &cfg.faults, cfg.max_idle_cycles, cfg.analysis);
+    launch::arm(&mut dev, &cfg.faults, cfg.max_idle_cycles, cfg.analysis);
     if cfg.analysis.invariants {
         dev.add_invariant_checker(Box::new(check::CsmvInvariantChecker::new(
             atr.clone(),
@@ -351,18 +352,17 @@ where
         )));
     }
 
-    let clients = spawn_clients(
+    let exec_cfg = MvExecConfig::new(cfg.record_history, &cfg.recovery);
+    let clients = launch::spawn_clients(
         &mut dev,
         server_sm,
         cfg.warps_per_sm,
-        cfg.record_history,
-        &cfg.recovery,
-        &mut make_source,
-        |sources, thread_base, exec_cfg, slot| {
+        make_source,
+        |_, sources, thread_base, slot| {
             let mut client = CsmvClient::new(
                 sources,
                 thread_base,
-                exec_cfg,
+                exec_cfg.clone(),
                 heap.clone(),
                 proto.clone(),
                 slot,
@@ -393,7 +393,7 @@ where
         &servers,
         &clients,
         |w: &WorkerWarp| &w.metrics,
-        |c: &mut CsmvClient<S>| &mut c.exec,
+        |c: &mut CsmvClient<S>| c.exec.harvest(),
     )
 }
 
@@ -438,77 +438,20 @@ impl Launch {
     }
 }
 
-/// Install the fault plan, the stall watchdog and the analysis layer.
-fn arm(
-    dev: &mut Device,
-    faults: &Option<FaultPlan>,
-    max_idle: Option<u64>,
-    analysis: AnalysisConfig,
-) {
-    if let Some(plan) = faults {
-        dev.set_fault_plan(plan.clone());
-    }
-    if let Some(max_idle) = max_idle {
-        dev.set_watchdog(max_idle);
-    }
-    dev.enable_analysis(analysis);
-}
-
-/// Spawn `warps_per_sm` client warps on each of SMs `0..client_sms`, in
-/// slot order; `client(sources, thread_base, exec_cfg, slot)` builds each
-/// warp from its 32 lanes' transaction sources and an execution config
-/// that records histories when `record_history` and retries by `recovery`.
-fn spawn_clients<S, P: WarpProgram + 'static>(
-    dev: &mut Device,
-    client_sms: usize,
-    warps_per_sm: usize,
-    record_history: bool,
-    recovery: &RetryPolicy,
-    make_source: &mut impl FnMut(usize) -> S,
-    mut client: impl FnMut(Vec<S>, usize, MvExecConfig, usize) -> P,
-) -> Vec<WarpId> {
-    let exec_cfg = MvExecConfig {
-        record_history,
-        retry: recovery.clone(),
-        ..MvExecConfig::default()
-    };
-    let mut ids = Vec::new();
-    for sm in 0..client_sms {
-        for _ in 0..warps_per_sm {
-            let (thread_base, slot) = (ids.len() * WARP_LANES, ids.len());
-            let sources = (0..WARP_LANES)
-                .map(|i| make_source(thread_base + i))
-                .collect();
-            let warp = client(sources, thread_base, exec_cfg.clone(), slot);
-            ids.push(dev.spawn(sm, Box::new(warp)));
-        }
-    }
-    ids
-}
-
-/// Run the device to completion, then harvest every warp into the result:
-/// server warps (workers of type `W`, or receivers) in `servers` order,
-/// then the clients' statistics, metrics and records.
-fn finish<S: TxSource + 'static, W: 'static, C: 'static>(
+/// Run the device and harvest the clients through `harvest`, then the
+/// server warps (workers of type `W`, or receivers) in `servers` order.
+fn finish<W: 'static, C: 'static>(
     mut dev: Device,
     servers: &[WarpId],
     clients: &[WarpId],
     worker_metrics: fn(&W) -> &MetricsReport,
-    client_exec: fn(&mut C) -> &mut MvExec<S>,
+    harvest: fn(&mut C) -> ClientHarvest,
 ) -> Result<RunResult, RunError> {
-    dev.run_to_completion();
-    if let Some(info) = dev.stalled() {
-        return Err(RunError::Stalled {
-            cycle: info.cycle,
-            live_warps: info.live_warps,
-        });
-    }
-    let analysis = dev.finish_analysis();
-    let mut result = RunResult {
-        elapsed_cycles: dev.elapsed_cycles(),
-        analysis,
-        ..Default::default()
-    };
+    let mut result =
+        launch::finish(&mut dev, clients, harvest).map_err(|stall| RunError::Stalled {
+            cycle: stall.cycle,
+            live_warps: stall.live_warps,
+        })?;
     for &id in servers {
         result.server_breakdown.add_warp(dev.warp_stats(id));
         match dev.take_program(id).downcast::<W>() {
@@ -520,17 +463,6 @@ fn finish<S: TxSource + 'static, W: 'static, C: 'static>(
                 result.metrics.merge(&receiver.metrics);
             }
         }
-    }
-    for &id in clients {
-        result.client_breakdown.add_warp(dev.warp_stats(id));
-        let mut client = dev
-            .take_program(id)
-            .downcast::<C>()
-            .expect("client program type");
-        let exec = client_exec(&mut client);
-        result.stats.merge(&exec.stats());
-        result.metrics.merge(&exec.metrics);
-        result.records.append(&mut exec.take_records());
     }
     Ok(result)
 }

@@ -45,7 +45,8 @@ use gpu_sim::{
 };
 use stm_core::mv_exec::{MvExec, MvExecConfig};
 use stm_core::{
-    AbortReason, FaultEvent, MetricsReport, Phase, RetryPolicy, RunResult, TxSource, VBoxHeap,
+    launch, AbortReason, FaultEvent, MetricsReport, Phase, RetryPolicy, RunResult, TxSource,
+    VBoxHeap,
 };
 
 use crate::client::{fail_lanes, ClientRound, Mailbox, Settled};
@@ -54,7 +55,7 @@ use crate::server::{
     low_lanes, BatchTx, PortNext, PortStep, ReceiverWarp, ServerControl, WorkerPort,
 };
 use crate::steps::{self, TagState};
-use crate::{arm, finish, spawn_clients, validate_launch, CsmvConfigError, Launch, RunError};
+use crate::{finish, validate_launch, CsmvConfigError, Launch, RunError};
 
 /// Configuration of a multi-server CSMV launch.
 #[derive(Debug, Clone)]
@@ -1156,7 +1157,7 @@ where
 /// panics.
 pub fn run_multi_checked<S, F>(
     cfg: &MultiCsmvConfig,
-    mut make_source: F,
+    make_source: F,
     num_items: u64,
     initial: impl FnMut(u64) -> u64,
 ) -> Result<RunResult, RunError>
@@ -1185,7 +1186,7 @@ where
     );
     let hb_base = global_cts_addr + 1;
     dev.global_mut().write(global_cts_addr, 1); // cts are 1-based
-    arm(&mut dev, &cfg.faults, cfg.max_idle_cycles, cfg.analysis);
+    launch::arm(&mut dev, &cfg.faults, cfg.max_idle_cycles, cfg.analysis);
     // Per-server header/outcome mailboxes beside the shared payload region.
     let hdr_protos: Vec<CommitProtocol> = (0..cfg.num_servers)
         .map(|_| CommitProtocol::alloc(dev.global_mut(), num_clients, 1, 1))
@@ -1235,18 +1236,17 @@ where
         )));
     }
 
-    let clients = spawn_clients(
+    let exec_cfg = MvExecConfig::new(cfg.record_history, &cfg.recovery);
+    let clients = launch::spawn_clients(
         &mut dev,
         first_server_sm,
         cfg.warps_per_sm,
-        cfg.record_history,
-        &cfg.recovery,
-        &mut make_source,
-        |sources, thread_base, exec_cfg, slot| {
+        make_source,
+        |_, sources, thread_base, slot| {
             let mut client = MultiClient::new(
                 sources,
                 thread_base,
-                exec_cfg,
+                exec_cfg.clone(),
                 heap.clone(),
                 hdr_protos.clone(),
                 &payload,
@@ -1266,7 +1266,7 @@ where
         &servers,
         &clients,
         |w: &MultiWorker| &w.metrics,
-        |c: &mut MultiClient<S>| &mut c.exec,
+        |c: &mut MultiClient<S>| c.exec.harvest(),
     )
 }
 

@@ -26,7 +26,7 @@ pub mod client;
 use gpu_sim::fault::FaultPlan;
 use gpu_sim::{AnalysisConfig, Device, GpuConfig};
 use stm_core::mv_exec::{MvExecConfig, PlainSetArea};
-use stm_core::{RetryPolicy, RunResult, TxSource, VBoxHeap};
+use stm_core::{launch, RetryPolicy, RunResult, TxSource, VBoxHeap};
 
 pub use atr::GlobalAtr;
 pub use client::JvstmGpuClient;
@@ -99,7 +99,7 @@ impl JvstmGpuConfig {
 /// * `num_items` / `initial(item)` describe the transactional heap.
 pub fn run<S, F>(
     cfg: &JvstmGpuConfig,
-    mut make_source: F,
+    make_source: F,
     num_items: u64,
     mut initial: impl FnMut(u64) -> u64,
 ) -> RunResult
@@ -116,71 +116,33 @@ where
         &mut initial,
     );
     let atr = GlobalAtr::alloc(dev.global_mut(), cfg.atr_capacity, cfg.max_ws);
-
-    dev.enable_analysis(cfg.analysis);
-    if let Some(plan) = &cfg.faults {
-        dev.set_fault_plan(plan.clone());
-    }
-    if let Some(max_idle) = cfg.max_idle_cycles {
-        dev.set_watchdog(max_idle);
-    }
-
-    let mut warp_ids = Vec::new();
-    let mut thread_id = 0usize;
-    for sm in 0..cfg.gpu.num_sms {
-        for _ in 0..cfg.warps_per_sm {
-            let sources: Vec<S> = (0..gpu_sim::WARP_LANES)
-                .map(|i| make_source(thread_id + i))
-                .collect();
+    launch::arm(&mut dev, &cfg.faults, cfg.max_idle_cycles, cfg.analysis);
+    let exec_cfg = MvExecConfig::new(cfg.record_history, &cfg.recovery);
+    let clients = launch::spawn_clients(
+        &mut dev,
+        cfg.gpu.num_sms,
+        cfg.warps_per_sm,
+        make_source,
+        |dev, sources, thread_base, _slot| {
             let area = PlainSetArea::alloc(dev.global_mut(), cfg.max_rs, cfg.max_ws);
-            let exec_cfg = MvExecConfig {
-                record_history: cfg.record_history,
-                retry: cfg.recovery.clone(),
-                ..MvExecConfig::default()
-            };
-            let client = JvstmGpuClient::new(
+            JvstmGpuClient::new(
                 sources,
-                thread_id,
-                exec_cfg,
+                thread_base,
+                exec_cfg.clone(),
                 heap.clone(),
                 atr.clone(),
                 area,
                 gts_addr,
                 cfg.validate_batch,
-            );
-            warp_ids.push(dev.spawn(sm, Box::new(client)));
-            thread_id += gpu_sim::WARP_LANES;
-        }
-    }
-
-    dev.run_to_completion();
-
+            )
+        },
+    );
     // A watchdog trip is a protocol bug (or an unsurvivable fault plan):
     // surface it loudly instead of returning a silently-short result.
-    if let Some(info) = dev.stalled() {
-        panic!(
-            "jvstm-gpu run stalled: no warp progress by cycle {} ({} live warps)",
-            info.cycle, info.live_warps
-        );
-    }
-
-    let analysis = dev.finish_analysis();
-    let mut result = RunResult {
-        elapsed_cycles: dev.elapsed_cycles(),
-        analysis,
-        ..Default::default()
-    };
-    for id in warp_ids {
-        result.client_breakdown.add_warp(dev.warp_stats(id));
-        let mut client = dev
-            .take_program(id)
-            .downcast::<JvstmGpuClient<S>>()
-            .expect("client program type");
-        result.stats.merge(&client.exec.stats());
-        result.metrics.merge(&client.exec.metrics);
-        result.records.append(&mut client.exec.take_records());
-    }
-    result
+    launch::finish(&mut dev, &clients, |c: &mut JvstmGpuClient<S>| {
+        c.exec.harvest()
+    })
+    .unwrap_or_else(|stall| panic!("jvstm-gpu run stalled: {stall:?}"))
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@ use gpu_sim::{
     full_mask, lane_count, Mask, MemOrder, StepOutcome, WarpCtx, WarpProgram, WARP_LANES,
 };
 use stm_core::history::TxRecord;
+use stm_core::launch::ClientHarvest;
 use stm_core::mv_exec::{pack_ws_entry, PlainSetArea, SetArea};
 use stm_core::stats::CommitStats;
 use stm_core::{AbortReason, MetricsReport, Phase, RetryPolicy, TxLogic, TxOp, TxSource};
@@ -265,22 +266,16 @@ impl<S: TxSource> PrstmClient<S> {
         self.retry = policy;
     }
 
-    /// Aggregate statistics over the warp.
-    pub fn stats(&self) -> CommitStats {
-        let mut s = CommitStats::default();
-        for l in &self.lanes {
-            s.merge(&l.stats);
-        }
-        s
-    }
-
-    /// Drain committed-transaction records.
-    pub fn take_records(&mut self) -> Vec<TxRecord> {
-        let mut out = Vec::new();
+    /// The warp's counters, report and committed-transaction records, for
+    /// the launcher ([`stm_core::launch::finish`]).
+    pub fn harvest(&mut self) -> ClientHarvest {
+        let mut stats = CommitStats::default();
+        let mut records = Vec::new();
         for l in self.lanes.iter_mut() {
-            out.append(&mut l.records);
+            stats.merge(&l.stats);
+            records.append(&mut l.records);
         }
-        out
+        (stats, std::mem::take(&mut self.metrics), records)
     }
 
     fn mask_of(&self, f: impl Fn(&Micro) -> bool) -> Mask {

@@ -32,6 +32,7 @@ pub mod log;
 
 use gpu_sim::fault::FaultPlan;
 use gpu_sim::{AnalysisConfig, Device, GpuConfig};
+use stm_core::launch;
 use stm_core::mv_exec::PlainSetArea;
 use stm_core::{RetryPolicy, RunResult, TxSource};
 
@@ -94,7 +95,7 @@ impl PrstmConfig {
 /// Run a workload to completion on PR-STM.
 pub fn run<S, F>(
     cfg: &PrstmConfig,
-    mut make_source: F,
+    make_source: F,
     num_items: u64,
     mut initial: impl FnMut(u64) -> u64,
 ) -> RunResult
@@ -105,71 +106,34 @@ where
     let mut dev = Device::new(cfg.gpu.clone());
     let table = LockTable::init(dev.global_mut(), num_items, &mut initial);
     let log = LockLog::new();
-
-    dev.enable_analysis(cfg.analysis);
+    launch::arm(&mut dev, &cfg.faults, cfg.max_idle_cycles, cfg.analysis);
     if cfg.analysis.invariants {
         dev.add_invariant_checker(Box::new(PrstmInvariantChecker::new(&table)));
     }
-    if let Some(plan) = &cfg.faults {
-        dev.set_fault_plan(plan.clone());
-    }
-    if let Some(max_idle) = cfg.max_idle_cycles {
-        dev.set_watchdog(max_idle);
-    }
-
-    let mut warp_ids = Vec::new();
-    let mut thread_id = 0usize;
-    let mut warp_index = 0u64;
-    for sm in 0..cfg.gpu.num_sms {
-        for _ in 0..cfg.warps_per_sm {
-            let sources: Vec<S> = (0..gpu_sim::WARP_LANES)
-                .map(|i| make_source(thread_id + i))
-                .collect();
+    let clients = launch::spawn_clients(
+        &mut dev,
+        cfg.gpu.num_sms,
+        cfg.warps_per_sm,
+        make_source,
+        |dev, sources, thread_base, slot| {
             let area = PlainSetArea::alloc(dev.global_mut(), cfg.max_rs, cfg.max_ws);
             let mut client = PrstmClient::new(
                 sources,
-                thread_id,
+                thread_base,
                 table.clone(),
                 area,
                 log.clone(),
                 cfg.record_history,
-                warp_index,
+                slot as u64,
             );
             client.set_recovery(cfg.recovery.clone());
-            warp_ids.push(dev.spawn(sm, Box::new(client)));
-            thread_id += gpu_sim::WARP_LANES;
-            warp_index += 1;
-        }
-    }
-
-    dev.run_to_completion();
-
+            client
+        },
+    );
     // A watchdog trip is a protocol bug (or an unsurvivable fault plan):
     // surface it loudly instead of returning a silently-short result.
-    if let Some(info) = dev.stalled() {
-        panic!(
-            "prstm run stalled: no warp progress by cycle {} ({} live warps)",
-            info.cycle, info.live_warps
-        );
-    }
-
-    let analysis = dev.finish_analysis();
-    let mut result = RunResult {
-        elapsed_cycles: dev.elapsed_cycles(),
-        analysis,
-        ..Default::default()
-    };
-    for id in warp_ids {
-        result.client_breakdown.add_warp(dev.warp_stats(id));
-        let mut client = dev
-            .take_program(id)
-            .downcast::<PrstmClient<S>>()
-            .expect("client program type");
-        result.stats.merge(&client.stats());
-        result.metrics.merge(&client.metrics);
-        result.records.append(&mut client.take_records());
-    }
-    result
+    launch::finish(&mut dev, &clients, PrstmClient::<S>::harvest)
+        .unwrap_or_else(|stall| panic!("prstm run stalled: {stall:?}"))
 }
 
 #[cfg(test)]

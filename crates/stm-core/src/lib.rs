@@ -13,12 +13,15 @@
 //! * [`history`] — a value-based history checker that verifies *opacity*:
 //!   every committed transaction observed exactly the committed state at its
 //!   read point, and update transactions were still valid at their commit
-//!   point. The entire test-suite funnels through this oracle.
+//!   point. The entire test-suite funnels through this oracle;
+//! * [`launch`] — the launcher every simulated STM shares: arm the device,
+//!   spawn the client warps in slot order, run, harvest.
 
 #![forbid(unsafe_code)]
 
 pub mod gc;
 pub mod history;
+pub mod launch;
 pub mod logic;
 pub mod metrics;
 pub mod mv_exec;

@@ -40,19 +40,16 @@ pub enum AbortReason {
     /// The transaction's partition is served by a quarantined (crashed)
     /// server; it fails cleanly while other partitions keep committing.
     ServerUnavailable = 8,
-    /// The server recognised the request as a duplicate of an
-    /// already-processed batch and dropped it instead of re-committing.
-    DuplicateDropped = 9,
     /// The transaction's snapshot fell below the version-GC watermark: the
     /// version it needed was reclaimed because no *registered* reader held
     /// a snapshot that old. Retriable — a fresh attempt takes a current
     /// snapshot (and may register/pin it, see `stm_core::gc`).
-    SnapshotTooOld = 10,
+    SnapshotTooOld = 9,
 }
 
 impl AbortReason {
     /// All reasons, in id order.
-    pub const ALL: [AbortReason; 11] = [
+    pub const ALL: [AbortReason; 10] = [
         AbortReason::ReadValidation,
         AbortReason::WriteWrite,
         AbortReason::AtrWindowOverflow,
@@ -62,7 +59,6 @@ impl AbortReason {
         AbortReason::ServerTimeout,
         AbortReason::RetryBudgetExhausted,
         AbortReason::ServerUnavailable,
-        AbortReason::DuplicateDropped,
         AbortReason::SnapshotTooOld,
     ];
 
@@ -84,8 +80,7 @@ impl AbortReason {
             6 => Some(AbortReason::ServerTimeout),
             7 => Some(AbortReason::RetryBudgetExhausted),
             8 => Some(AbortReason::ServerUnavailable),
-            9 => Some(AbortReason::DuplicateDropped),
-            10 => Some(AbortReason::SnapshotTooOld),
+            9 => Some(AbortReason::SnapshotTooOld),
             _ => None,
         }
     }
@@ -113,7 +108,6 @@ impl AbortReason {
             AbortReason::ServerTimeout => "server_timeout",
             AbortReason::RetryBudgetExhausted => "retry_budget_exhausted",
             AbortReason::ServerUnavailable => "server_unavailable",
-            AbortReason::DuplicateDropped => "duplicate_dropped",
             AbortReason::SnapshotTooOld => "snapshot_too_old",
         }
     }

@@ -23,6 +23,7 @@
 use gpu_sim::{Mask, MemOrder, WarpCtx, WARP_LANES};
 
 use crate::history::TxRecord;
+use crate::launch::ClientHarvest;
 use crate::logic::{TxLogic, TxOp, TxSource};
 use crate::metrics::{AbortReason, MetricsReport};
 use crate::phase::Phase;
@@ -221,6 +222,18 @@ impl Default for MvExecConfig {
             record_history: true,
             max_logic_ops_per_step: 8,
             retry: RetryPolicy::default(),
+        }
+    }
+}
+
+impl MvExecConfig {
+    /// The default engine, recording histories iff `record_history` and
+    /// retrying by `retry`.
+    pub fn new(record_history: bool, retry: &RetryPolicy) -> Self {
+        Self {
+            record_history,
+            retry: retry.clone(),
+            ..Self::default()
         }
     }
 }
@@ -613,22 +626,17 @@ impl<S: TxSource> MvExec<S> {
         self.metrics.record_commit(useful);
     }
 
-    /// Aggregate outcome counters over all lanes.
-    pub fn stats(&self) -> CommitStats {
-        let mut s = CommitStats::default();
-        for lane in &self.lanes {
-            s.merge(&lane.stats);
-        }
-        s
-    }
-
-    /// Drain all committed-transaction records.
-    pub fn take_records(&mut self) -> Vec<TxRecord> {
-        let mut out = Vec::new();
+    /// Drain the warp for the launcher ([`crate::launch::finish`]):
+    /// the outcome counters over all lanes, the metrics report and every
+    /// committed-transaction record.
+    pub fn harvest(&mut self) -> ClientHarvest {
+        let mut stats = CommitStats::default();
+        let mut records = Vec::new();
         for lane in self.lanes.iter_mut() {
-            out.append(&mut lane.records);
+            stats.merge(&lane.stats);
+            records.append(&mut lane.records);
         }
-        out
+        (stats, std::mem::take(&mut self.metrics), records)
     }
 
     /// True when every lane's source is exhausted and nothing is in flight.
@@ -946,18 +954,14 @@ mod tests {
         // Pretend a retry ran and commit it.
         prog.exec.lanes[0].reads_log = vec![(0, 0)];
         prog.exec.commit_lane(0, 2000, Some(1), 0);
-        let stats = prog.exec.stats();
+        let (stats, metrics, records) = prog.exec.harvest();
         assert_eq!(stats.update_commits, 1);
         assert_eq!(stats.update_aborts, 1);
         assert!(stats.wasted_cycles > 0);
         // Metrics mirror the outcome counters with latencies attached.
-        assert_eq!(
-            prog.exec.metrics.aborts.count(AbortReason::ReadValidation),
-            1
-        );
-        assert_eq!(prog.exec.metrics.abort_latency.count(), 1);
-        assert_eq!(prog.exec.metrics.commit_latency.count(), 1);
-        let records = prog.exec.take_records();
+        assert_eq!(metrics.aborts.count(AbortReason::ReadValidation), 1);
+        assert_eq!(metrics.abort_latency.count(), 1);
+        assert_eq!(metrics.commit_latency.count(), 1);
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].cts, Some(1));
         assert!(prog.exec.all_finished());
@@ -987,7 +991,8 @@ mod tests {
             1
         );
         // The metrics/stats consistency the STM tests rely on still holds.
-        assert_eq!(prog.exec.metrics.aborts.total(), prog.exec.stats().aborts());
+        let (stats, metrics, _) = prog.exec.harvest();
+        assert_eq!(metrics.aborts.total(), stats.aborts());
     }
 
     #[test]
@@ -1054,19 +1059,13 @@ mod tests {
             }),
         );
         dev.run_to_completion();
-        let prog = dev.take_program(id).downcast::<Churn>().unwrap();
-        let stats = prog.exec.stats();
+        let mut prog = dev.take_program(id).downcast::<Churn>().unwrap();
+        let (stats, metrics, _) = prog.exec.harvest();
         assert_eq!(stats.commits(), 0);
         assert_eq!(stats.failed, 1);
         // Two budgeted aborts plus the terminal RetryBudgetExhausted one.
         assert_eq!(stats.update_aborts, 3);
-        assert_eq!(
-            prog.exec
-                .metrics
-                .aborts
-                .count(AbortReason::RetryBudgetExhausted),
-            1
-        );
+        assert_eq!(metrics.aborts.count(AbortReason::RetryBudgetExhausted), 1);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 # behind, fails the build.
 #
 #   SIM_BINS     — simulated-GPU experiments (deterministic, thread-count
-#                  invariant; the parallel-equivalence and bench-smoke
-#                  matrices iterate these)
+#                  invariant; the bench-smoke matrix runs each at
+#                  --threads 1, 2 and 8 and demands equivalent reports)
 #   NATIVE_BINS  — checks that drive the native host-threaded backend
 #                  (the native-equivalence matrix; its performance is the
 #                  repo benchmark's job — BENCHMARK.json, native-*)
