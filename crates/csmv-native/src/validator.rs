@@ -30,7 +30,7 @@ use crate::pool::Shared;
 pub(crate) struct TxSubmit {
     /// GTS value the transaction executed against.
     pub snapshot: u64,
-    /// Read-set items (deduplicated, order irrelevant).
+    /// Read-set items (in any order; repeats are harmless).
     pub rs: Vec<u64>,
     /// Write-set items (the ATR entry payload).
     pub ws: Vec<u64>,
@@ -406,5 +406,62 @@ mod tests {
                 }
             }
         }
+
+        /// A footprint is a set: the same batch, once with each read set
+        /// sorted and deduplicated and once shuffled with up to four of its
+        /// items repeated, gets the same verdicts — the same granted
+        /// timestamps among them — on two ATRs given the same history.
+        #[test]
+        fn read_order_and_repeats_change_no_verdict(
+            capacity in 2u64..=6,
+            committed in proptest::collection::vec(keys(1..=3), 1..=12),
+            batch in proptest::collection::vec((0u64..64, keys(0..=6), keys(1..=3)), 1..=6),
+            scrambles in proptest::collection::vec((proptest::num::u64::ANY, 0usize..=4), 6),
+        ) {
+            let newest = committed.len() as u64;
+            let history = || {
+                let atr = Arc::new(NativeAtr::new(capacity, 3));
+                for (cts, ws) in (1..).zip(&committed) {
+                    atr.reserve_and_insert(cts, ws);
+                }
+                atr
+            };
+            let (mut sets, mut logs) = (Vec::new(), Vec::new());
+            for ((s, rs, ws), &(seed, repeats)) in batch.into_iter().zip(&scrambles) {
+                let snapshot = s % (newest + 1);
+                let mut set = rs.clone();
+                set.sort_unstable();
+                set.dedup();
+                let log = scrambled(rs, seed, repeats);
+                sets.push(TxSubmit { snapshot, rs: set, ws: ws.clone() });
+                logs.push(TxSubmit { snapshot, rs: log, ws });
+            }
+            let (by_set, by_log) = (history(), history());
+            let verdicts = verdicts_of(&mut validator(&by_set), &sets);
+            prop_assert_eq!(verdicts_of(&mut validator(&by_log), &logs), verdicts);
+            prop_assert_eq!(by_log.next_cts(), by_set.next_cts());
+        }
+    }
+
+    /// `items` with `repeats` of them (picked by `seed`) appended, then
+    /// shuffled (Fisher–Yates over a xorshift stream from `seed`).
+    fn scrambled(mut items: Vec<u64>, seed: u64, repeats: usize) -> Vec<u64> {
+        let mut x = seed | 1;
+        let mut next = move |bound: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % bound as u64) as usize
+        };
+        if !items.is_empty() {
+            for _ in 0..repeats {
+                let k = next(items.len());
+                items.push(items[k]);
+            }
+        }
+        for i in (1..items.len()).rev() {
+            items.swap(i, next(i + 1));
+        }
+        items
     }
 }

@@ -147,8 +147,8 @@ struct Executed {
     /// Only a [`TxRecord`] reads them, so they are kept only while the
     /// history is recorded.
     reads: Vec<(u64, u64)>,
-    /// Deduplicated read-set items, ascending (the validation footprint
-    /// of an update transaction; empty for a read-only one).
+    /// Read-set items in read order, repeats kept (the validation
+    /// footprint of an update transaction; empty for a read-only one).
     rs: Vec<u64>,
     /// `(item, value)` write-set, last write per item.
     ws: Vec<(u64, u64)>,
@@ -224,8 +224,8 @@ pub(crate) struct NativeWorker {
     now: Instant,
     /// Execution buffers not in use.
     free: Vec<Executed>,
-    /// The items the execution in progress has read; an update's
-    /// footprint is deduplicated out of it. The one buffer a full scan
+    /// The items the execution in progress has read, in read order; an
+    /// update's footprint is copied out of it. The one buffer a full scan
     /// grows, so scan-sized capacity stays out of the free list.
     read_items: Vec<u64>,
     /// The registered reader snapshots a write-back retains versions for.
@@ -601,11 +601,9 @@ impl NativeWorker {
             self.release(ex);
             Exec::Oversize
         } else {
-            // The validation footprint, by sort + dedup. Built once at the
-            // end — never per read, which would be quadratic in the read
-            // count (a full-scan ROT reads every item).
-            self.read_items.sort_unstable();
-            self.read_items.dedup();
+            // The validation footprint is the read log as read: both of
+            // its readers (pre-validation and the validator) are linear
+            // membership scans, which neither order nor repeats change.
             ex.rs.extend_from_slice(&self.read_items);
             Exec::Update(ex)
         }
@@ -1075,6 +1073,61 @@ mod tests {
             assert_eq!(executed.load(Ordering::SeqCst), 2);
             assert_eq!(out.records[0].read_point, 1, "the retry ran at the new GTS");
         }
+    }
+
+    /// A transaction body that plays back a fixed list of operations.
+    struct Script {
+        ops: Vec<TxOp>,
+        at: usize,
+    }
+
+    impl TxLogic for Script {
+        fn is_read_only(&self) -> bool {
+            false
+        }
+        fn reset(&mut self) {
+            self.at = 0;
+        }
+        fn next(&mut self, _last_read: Option<u64>) -> TxOp {
+            self.at += 1;
+            self.ops.get(self.at - 1).copied().unwrap_or(TxOp::Finish)
+        }
+    }
+
+    struct Scripts(std::vec::IntoIter<Vec<TxOp>>);
+
+    impl TxSource for Scripts {
+        type Tx = Script;
+        fn next_tx(&mut self) -> Option<Script> {
+            self.0.next().map(|ops| Script { ops, at: 0 })
+        }
+    }
+
+    /// A footprint keeps a repeated read as read, and pre-validation
+    /// still finds it: in one batch, lane 0 writes account 0 and lane 1
+    /// reads account 0 twice before writing account 5, so lane 1 is killed
+    /// once and commits on its retry.
+    #[test]
+    fn a_read_repeated_in_the_footprint_is_still_killed_by_a_batch_mate() {
+        let (w, atr) = bank_worker(8, 8, Duration::from_secs(10));
+        let out = w.run(Scripts(
+            vec![
+                vec![TxOp::Write { item: 0, value: 7 }],
+                vec![
+                    TxOp::Read { item: 0 },
+                    TxOp::Read { item: 0 },
+                    TxOp::Write { item: 5, value: 1 },
+                ],
+            ]
+            .into_iter(),
+        ));
+        assert_eq!(out.stats.update_commits, 2);
+        assert_eq!(out.stats.update_aborts, 1);
+        assert_eq!(out.metrics.aborts.count(AbortReason::PreValidationKill), 1);
+        assert_eq!(out.stats.failed, 0);
+        assert_eq!(atr.gts(), 2, "two rounds, one commit each");
+        let reread = &out.records[1];
+        assert_eq!(reread.reads, [(0, 7), (0, 7)], "the retry read the write");
     }
 
     fn full_scan(accounts: u64) -> Pending<Fire<BankTx>> {

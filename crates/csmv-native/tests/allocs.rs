@@ -1,7 +1,8 @@
 //! Heap allocations per commit, counted: a worker in steady state commits
 //! out of buffers it reuses — executions, footprints, validation slots,
 //! verdicts and the round's lanes — so a committed transaction costs no
-//! allocation of its own.
+//! allocation of its own. Bank transfers cover short footprints; the
+//! sorted list, whose updates read hundreds of items, covers long ones.
 //!
 //! The `#[global_allocator]` below — a counting wrapper over `System` — is
 //! the one piece of `unsafe` this package has, and it lives in this test
@@ -15,7 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use csmv_native::NativeConfig;
-use workloads::{BankConfig, BankSource};
+use workloads::{BankConfig, BankSource, ListConfig, ListSource};
 
 /// Calls to `alloc`/`realloc` since the process started (a statistic:
 /// `Relaxed`).
@@ -49,6 +50,10 @@ static GLOBAL: Counting = Counting;
 const THREADS: usize = 2;
 const SHORT: usize = 20_000;
 const LONG: usize = 60_000;
+/// Transactions per thread of the short and the long list run: a list
+/// update reads a few hundred items, so these take as long as Bank's.
+const LIST_SHORT: usize = 2_000;
+const LIST_LONG: usize = 6_000;
 
 /// Allocations a committed transaction may cost in steady state. Measured
 /// (EXPERIMENTS.md, "Allocation-free commit"): 6.56 per transfer and 11.16 per commit at 90 %
@@ -81,18 +86,63 @@ fn bank_run(rot_pct: u8, per_thread: usize) -> (u64, u64) {
     (allocs, result.stats.commits())
 }
 
+/// Allocations and commits of one closed-loop run of `native-contend`'s
+/// sorted-list set (30 % contains, keys 1–512), `per_thread` operations
+/// on each worker. Every run gets the same pool, sized for the long one,
+/// so the store costs the same at both lengths.
+fn list_run(per_thread: usize) -> (u64, u64) {
+    let list = ListConfig {
+        key_range: 512,
+        initial_nodes: 64,
+        contains_pct: 30,
+        pool_per_thread: LIST_LONG as u64,
+        threads: THREADS,
+    };
+    let cfg = NativeConfig {
+        client_threads: THREADS,
+        record_history: false,
+        ..NativeConfig::default()
+    };
+    let init = list.initial_state();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let result = csmv_native::run(
+        &cfg,
+        |t| ListSource::new(&list, 5, t, per_thread),
+        list.num_items(),
+        |item| *init.get(&item).unwrap_or(&0),
+    )
+    .expect("the config is valid");
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(result.stats.failed, 0);
+    assert_eq!(result.stats.commits(), (THREADS * per_thread) as u64);
+    (allocs, result.stats.commits())
+}
+
+/// Steady-state allocations per commit: the difference between a short
+/// and a long run over the commits between them, checked against
+/// [`MAX_ALLOCS_PER_COMMIT`].
+fn check(
+    what: &str,
+    (short_allocs, short_commits): (u64, u64),
+    (long_allocs, long_commits): (u64, u64),
+) {
+    let per_commit =
+        long_allocs.saturating_sub(short_allocs) as f64 / (long_commits - short_commits) as f64;
+    println!("allocations per commit, {what}: {per_commit:.3}");
+    assert!(
+        per_commit <= MAX_ALLOCS_PER_COMMIT,
+        "{per_commit:.3} allocations per commit, {what}, bound {MAX_ALLOCS_PER_COMMIT}"
+    );
+}
+
 #[test]
 fn a_commit_in_steady_state_allocates_nothing() {
     for rot_pct in [0, 90] {
-        let (short_allocs, short_commits) = bank_run(rot_pct, SHORT);
-        let (long_allocs, long_commits) = bank_run(rot_pct, LONG);
-        let per_commit =
-            long_allocs.saturating_sub(short_allocs) as f64 / (long_commits - short_commits) as f64;
-        println!("allocations per commit at {rot_pct} % read-only: {per_commit:.3}");
-        assert!(
-            per_commit <= MAX_ALLOCS_PER_COMMIT,
-            "{per_commit:.3} allocations per commit at {rot_pct} % read-only, \
-             bound {MAX_ALLOCS_PER_COMMIT}"
+        check(
+            &format!("Bank at {rot_pct} % read-only"),
+            bank_run(rot_pct, SHORT),
+            bank_run(rot_pct, LONG),
         );
     }
+    check("sorted list", list_run(LIST_SHORT), list_run(LIST_LONG));
 }

@@ -248,18 +248,26 @@ pub fn should_pin(attempts: u32, budget: Option<u32>) -> bool {
 /// Returns the loser mask. Earlier lanes and already-lost lanes are
 /// untouched, so repeated application over broadcasters yields the
 /// conflict-free survivor set the server can batch.
+///
+/// Per item, only the set bits of `committing & !losers` above the
+/// broadcaster are visited, in ascending lane order: `in_footprint` is
+/// asked exactly what a test of every lane would ask, in the same order.
 pub fn preval_losers(
     broadcaster: usize,
     ws_items: &[u64],
     committing: u32,
     mut in_footprint: impl FnMut(usize, u64) -> bool,
 ) -> u32 {
+    let later = u32::try_from(broadcaster + 1)
+        .ok()
+        .and_then(|shift| u32::MAX.checked_shl(shift))
+        .unwrap_or(0);
     let mut losers: u32 = 0;
     for &item in ws_items {
-        for j in (broadcaster + 1)..u32::BITS as usize {
-            if committing & (1 << j) == 0 || losers & (1 << j) != 0 {
-                continue;
-            }
+        let mut live = committing & later & !losers;
+        while live != 0 {
+            let j = live.trailing_zeros() as usize;
+            live &= live - 1;
             if in_footprint(j, item) {
                 losers |= 1 << j;
             }
@@ -287,6 +295,7 @@ pub fn retry_may_succeed(rejected_at: u64, gts: u64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn items_are_owned_by_their_residue_class() {
@@ -455,5 +464,58 @@ mod tests {
         // Earlier lanes never lose to a later broadcaster.
         let losers = preval_losers(2, &[7], committing, |_, _| true);
         assert_eq!(losers, 0);
+    }
+
+    /// The nested loop `preval_losers` replaced: every broadcast item
+    /// against every lane above the broadcaster, skipping idle and
+    /// already-lost lanes.
+    fn preval_losers_reference(
+        broadcaster: usize,
+        ws_items: &[u64],
+        committing: u32,
+        mut in_footprint: impl FnMut(usize, u64) -> bool,
+    ) -> u32 {
+        let mut losers: u32 = 0;
+        for &item in ws_items {
+            for j in (broadcaster + 1)..u32::BITS as usize {
+                if committing & (1 << j) == 0 || losers & (1 << j) != 0 {
+                    continue;
+                }
+                if in_footprint(j, item) {
+                    losers |= 1 << j;
+                }
+            }
+        }
+        losers
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512 })]
+
+        /// The set-bit loop returns the reference's mask and asks
+        /// `in_footprint` the same questions in the same order, so the
+        /// simulator, which charges nothing per question, is unmoved.
+        /// Lane `j`'s footprint is bit `item` of `table[j]` (a quarter of
+        /// the bits set); broadcasters run past the last lane.
+        #[test]
+        fn preval_visits_set_bits_as_the_nested_loop_did(
+            broadcaster in 0usize..=33,
+            ws_items in proptest::collection::vec(0u64..16, 0..=6),
+            committing in proptest::num::u64::ANY,
+            table in proptest::collection::vec((0u32..=0xFFFF, 0u32..=0xFFFF).prop_map(|(a, b)| a & b), 32),
+        ) {
+            let committing = committing as u32;
+            let mut calls = (Vec::new(), Vec::new());
+            let losers = preval_losers(broadcaster, &ws_items, committing, |j, item| {
+                calls.0.push((j, item));
+                table[j] & (1 << item) != 0
+            });
+            let reference = preval_losers_reference(broadcaster, &ws_items, committing, |j, item| {
+                calls.1.push((j, item));
+                table[j] & (1 << item) != 0
+            });
+            prop_assert_eq!(losers, reference);
+            prop_assert_eq!(calls.0, calls.1);
+        }
     }
 }

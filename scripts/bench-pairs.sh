@@ -24,7 +24,10 @@
 # relative move of the median, and the pairs the change won (ties count for
 # neither side). A gain may be claimed when the change wins at least nine
 # tenths of the pairs and the medians differ by more than the parent's own
-# quartile distance; the last column says which of the two holds.
+# quartile distance; the last column says which of the two holds. Under
+# MIN_PAIRS (5) pairs it says `too few pairs` instead: on a 2-vCPU host,
+# 3-pair sets against one parent have read a per-layer metric +13 % and
+# then -12 % with no change to the path it measures.
 # `failed`/`attempted` are summed per side. The raw result objects stay in
 # $OUT for the record.
 #
@@ -93,6 +96,8 @@ spec, out, workloads, trace, pairs = sys.argv[1], sys.argv[2], sys.argv[3].split
 parent_commit, change_commit = sys.argv[6], sys.argv[7]
 spec = json.load(open(spec))
 better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+# Fewer pairs than this support no verdict either way.
+MIN_PAIRS = 5
 end_to_end = [m["name"] for m in spec["end_to_end"]]
 
 def quartiles(xs):
@@ -136,7 +141,9 @@ def summarize(workload):
             quarts[name] = {"parent": [pq1, pm, pq3], "change": [cq1, cm, cq3]}
         move = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
         apart = abs(cm - pm) > (pq3 - pq1)
-        if wins * 10 >= 9 * len(ps) and apart:
+        if len(ps) < MIN_PAIRS:
+            verdict = "too few pairs"
+        elif wins * 10 >= 9 * len(ps) and apart:
             verdict = "gain"
         elif losses * 10 >= 9 * len(ps) and apart:
             verdict = "loss"
