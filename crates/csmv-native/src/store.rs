@@ -5,20 +5,21 @@
 //! is one `AtomicU64` packing `(cts << 32) | value` so a version can never
 //! tear — with a per-item head index pointing at the newest slot.
 //!
-//! ## Why the lock-free walk is sound
+//! ## Ordering
 //!
-//! Write-backs are serialized *globally* by GTS turn-taking (only the
-//! batch whose turn it is writes back, and it acquires the previous
-//! batch's stores through its `Acquire` GTS spin), so there is exactly one
-//! writer at a time and `publish` needs no CAS. Readers walk newest →
-//! oldest from a head snapshot. Every concurrently written version carries
-//! a cts strictly greater than any active reader's snapshot (the snapshot
-//! was a GTS value published *before* the writer's turn), so a reader can
-//! only ever accept a version written before its snapshot; and because the
-//! ring recycles oldest-first, any version recycled out from under a
-//! reader implies every older version was recycled first — the reader then
-//! sees only too-new timestamps and fails with a (safe, spurious)
-//! `VersionOverflow` instead of accepting a stale value.
+//! Write-backs are serialized *globally* by GTS turn-taking: a turn check
+//! is a `SeqCst` load of the value the previous holder's `SeqCst` GTS
+//! store published after its write-back. So everything one holder wrote —
+//! slots, heads, the per-item spill flags, the GC counters — happens
+//! before the next holder reads it: `publish_gated` needs no CAS, and the
+//! holder's own state is loaded and stored `Relaxed`. For readers, a slot
+//! and then its head are stored `Release` and loaded `Acquire`. A reader
+//! walks newest → oldest from a head snapshot. Every version written
+//! concurrently carries a cts above any active reader's snapshot (a GTS
+//! value published *before* the writer's turn), so a reader only accepts
+//! versions written before its snapshot; and because the ring recycles
+//! oldest-first, a reader whose version was recycled sees only too-new
+//! timestamps and fails with a safe, spurious `VersionOverflow`.
 //!
 //! ## Reader-gated recycling (version GC)
 //!
@@ -37,7 +38,9 @@
 //! needs keep deep history. The spill push happens strictly *before* the
 //! ring slot is overwritten, so a retained version is findable (ring or
 //! spill) at every instant; spill entries live under a per-item mutex, so
-//! they cannot tear either.
+//! they cannot tear either. The turn holder flags each item whose spill
+//! list is non-empty, so recycling a victim nobody needs from an item with
+//! no spill entry takes no lock; readers never read the flags.
 //!
 //! Spilled versions carry their **coverage upper bound** — the successor's
 //! cts at spill time — because retention is per-version, not prefix: the
@@ -49,7 +52,7 @@
 //! older value.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use csmv::steps;
@@ -70,12 +73,10 @@ fn unpack(word: u64) -> (u64, u64) {
     (word >> 32, word & u32::MAX as u64)
 }
 
-/// `counter += n`, by the single writer: only the holder of the write-back
-/// turn updates the store's GC counters, so a load and a store do what a
-/// read-modify-write would. `Relaxed` suffices: one turn holder's stores
-/// happen before the next holder's loads through the `SeqCst` GTS
-/// publication that the next holder's turn check reads, and every other
-/// reader wants a statistic. Lock-prefixed RMWs here cost a Bank
+/// `counter += n`, by the single writer: only the write-back turn holder
+/// updates the GC counters, so a `Relaxed` load and store do what a
+/// read-modify-write would (see the module's ordering section; every other
+/// reader wants a statistic). Lock-prefixed RMWs here cost a Bank
 /// transfer workload ≈ 4 % of its commits per second.
 #[inline]
 fn bump(counter: &AtomicU64, n: u64) {
@@ -100,10 +101,12 @@ pub struct NativeStore {
     slots: Vec<AtomicU64>,
     /// Per-item spilled versions `(cts, cover_end, value)`, ascending cts:
     /// versions recycled out of the ring while a registered reader still
-    /// needed them. `cover_end` is the successor's cts at spill time — the
-    /// entry resolves snapshots in `[cts, cover_end)` and no others (see
-    /// the module docs). Mutated only by the write-back turn holder.
+    /// needed them, each resolving the snapshots in `[cts, cover_end)`
+    /// (module docs). Mutated only by the write-back turn holder.
     spill: Vec<Mutex<Vec<(u64, u64, u64)>>>,
+    /// Per item: is its spill list non-empty? Only the turn holder reads
+    /// or writes it (module docs).
+    has_spill: Vec<AtomicBool>,
     /// Live spill entries across all items (footprint accounting).
     spill_total: AtomicU64,
     /// GC counters, updated by the single writer with relaxed stores
@@ -138,6 +141,7 @@ impl NativeStore {
             heads,
             slots,
             spill,
+            has_spill: (0..n).map(|_| AtomicBool::new(false)).collect(),
             spill_total: AtomicU64::new(0),
             reclaimed: AtomicU64::new(0),
             spilled: AtomicU64::new(0),
@@ -190,12 +194,8 @@ impl NativeStore {
     }
 
     /// Publish one version with the current registered reader snapshots
-    /// (ascending or not — only membership matters). Callers must hold the
-    /// GTS write-back turn (see the module docs); the slot store is
-    /// `Release` so the subsequent GTS publication makes it visible to
-    /// every later snapshot.
-    ///
-    /// The recycled victim is spilled — not destroyed — when some
+    /// (in any order). Callers must hold the GTS write-back turn (module
+    /// docs). The recycled victim is spilled, not destroyed, when some
     /// registered snapshot still resolves on it, and the item's spill list
     /// is pruned down to the entries registered snapshots still need.
     pub fn publish_gated(&self, item: u64, cts: u64, value: u64, readers: &[u64]) {
@@ -218,36 +218,42 @@ impl NativeStore {
                 unpack(self.slots[base + (head + 2) % vpb].load(Ordering::Relaxed)).0
             };
             let (vts, vval) = unpack(victim);
-            let mut list = self.spill[item as usize]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            if steps::version_needed(vts, successor_ts, readers.iter().copied()) {
-                // The coverage bound is fixed at spill time: the versions
-                // in [vts, successor_ts) are exactly the snapshots this
-                // entry resolves, forever (intervening history is gone).
-                list.push((vts, successor_ts, vval));
-                bump(&self.spilled, 1);
-                bump(&self.spill_total, 1);
-            } else {
+            let needed = steps::version_needed(vts, successor_ts, readers.iter().copied());
+            // Spill entries left; no lock without one or a victim to keep.
+            let mut listed = 0;
+            let has_spill = &self.has_spill[item as usize];
+            if needed || has_spill.load(Ordering::Relaxed) {
+                let mut list = self.spill[item as usize]
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner());
+                if needed {
+                    // Coverage is fixed at spill time: the entry resolves
+                    // exactly the snapshots in [vts, successor_ts).
+                    list.push((vts, successor_ts, vval));
+                    bump(&self.spilled, 1);
+                    bump(&self.spill_total, 1);
+                }
+                // Prune to the entries a registered snapshot still resolves
+                // on within their coverage: at most one per reader.
+                let before = list.len();
+                list.retain(|&(ts, cover_end, _)| {
+                    steps::version_needed(ts, cover_end, readers.iter().copied())
+                });
+                let pruned = (before - list.len()) as u64;
+                if pruned > 0 {
+                    bump(&self.spill_pruned, pruned);
+                    // Saturating: a miscount misreports, never wraps.
+                    let live = self.spill_total.load(Ordering::Relaxed);
+                    self.spill_total
+                        .store(live.saturating_sub(pruned), Ordering::Relaxed);
+                }
+                listed = list.len();
+                has_spill.store(listed > 0, Ordering::Relaxed);
+            }
+            if !needed {
                 bump(&self.reclaimed, 1);
             }
-            // Prune to the entries some registered snapshot still resolves
-            // on (within the entry's own coverage) — at most one entry per
-            // reader.
-            let before = list.len();
-            list.retain(|&(ts, cover_end, _)| {
-                steps::version_needed(ts, cover_end, readers.iter().copied())
-            });
-            let pruned = (before - list.len()) as u64;
-            if pruned > 0 {
-                bump(&self.spill_pruned, pruned);
-                // Saturating: a miscount would misreport the footprint,
-                // never wrap it.
-                let live = self.spill_total.load(Ordering::Relaxed);
-                self.spill_total
-                    .store(live.saturating_sub(pruned), Ordering::Relaxed);
-            }
-            raise(&self.max_list_len, (vpb + list.len()) as u64);
+            raise(&self.max_list_len, (vpb + listed) as u64);
         }
         self.slots[base + next].store(pack(cts, value), Ordering::Release);
         self.heads[item as usize].store(next as u64, Ordering::Release);
@@ -407,6 +413,78 @@ mod tests {
                 );
             }
             assert_eq!(longest, vpb as u64 + 1, "vpb {vpb}: the ring and one spill");
+        }
+    }
+
+    mod per_item {
+        //! The per-item spill flag: runs of publishes with no registered
+        //! reader (where an item with no spill entry is recycled without
+        //! its lock) interleaved with runs under a reader that forces
+        //! spills on the items it outlives, and prunes once it is gone.
+
+        use super::super::NativeStore;
+        use super::counted_list_len;
+        use proptest::prelude::*;
+        use std::sync::atomic::Ordering;
+
+        const ITEMS: u64 = 4;
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 64 })]
+
+            #[test]
+            fn unlocked_recycles_interleave_with_spilling_readers(
+                vpb in 1usize..=3,
+                // Per run: a reader registered at the run's first snapshot
+                // (1) or none (0), and the items the run publishes to.
+                runs in proptest::collection::vec(
+                    (0u8..=1, proptest::collection::vec(0..ITEMS, 1..=12)),
+                    1..=12,
+                ),
+            ) {
+                let s = NativeStore::new(ITEMS, vpb, |i| i);
+                // Every version ever published, per item: the reference.
+                let mut history: Vec<Vec<(u64, u64)>> = (0..ITEMS).map(|i| vec![(0, i)]).collect();
+                let (mut cts, mut recycles, mut longest) = (0, 0, 0);
+                for (reader, items) in runs {
+                    let readers: Vec<u64> = if reader == 1 { vec![cts] } else { Vec::new() };
+                    for item in items {
+                        cts += 1;
+                        let value = cts * 10 + item;
+                        let versions = &mut history[item as usize];
+                        // The initial version sits in slot 0, so the
+                        // first `vpb - 1` publishes fill empty slots.
+                        recycles += u64::from(versions.len() >= vpb);
+                        versions.push((cts, value));
+                        s.publish_gated(item, cts, value, &readers);
+                        let flagged = s.has_spill[item as usize].load(Ordering::Relaxed);
+                        let spilled = !s.spill[item as usize].lock().unwrap().is_empty();
+                        prop_assert_eq!(flagged, spilled, "item {} at cts {}", item, cts);
+                        longest = longest.max(counted_list_len(&s, item));
+                        prop_assert_eq!(s.gc_stats().max_version_list_len, longest);
+                    }
+                    for (item, versions) in (0..).zip(&history) {
+                        for snap in 0..=cts {
+                            let newest = versions.iter().rev().find(|&&(ts, _)| ts <= snap);
+                            let expected = newest.map(|&(_, v)| v);
+                            let read = s.read_at(item, snap);
+                            // An answer is never stale; the registered
+                            // snapshot and the newest one always have one.
+                            prop_assert!(read.is_none() || read == expected, "item {} snapshot {}", item, snap);
+                            if readers.contains(&snap) || snap == cts {
+                                prop_assert_eq!(read, expected, "item {} snapshot {}", item, snap);
+                            }
+                        }
+                    }
+                }
+                let gc = s.gc_stats();
+                prop_assert_eq!(gc.versions_reclaimed + gc.versions_spilled, recycles);
+                let listed: u64 = (0..ITEMS as usize)
+                    .map(|i| s.spill[i].lock().unwrap().len() as u64)
+                    .sum();
+                prop_assert_eq!(gc.versions_spilled - gc.spill_pruned, listed);
+                prop_assert_eq!(gc.footprint_bytes, ITEMS * (vpb as u64 + 1) * 8 + listed * 24);
+            }
         }
     }
 

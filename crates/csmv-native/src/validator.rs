@@ -16,6 +16,7 @@
 //! Nothing in this module may panic: the `xtask` `no-panic-in-server-path`
 //! lint covers every `impl Validator` block.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -25,7 +26,7 @@ use stm_core::metrics::{AbortReason, MetricsReport};
 use crate::atr::NativeAtr;
 use crate::pool::Shared;
 
-/// One transaction's commit submission: its snapshot and footprint.
+/// What validation reads of one transaction, where its execution keeps it.
 #[derive(Debug, Default)]
 pub(crate) struct TxSubmit {
     /// GTS value the transaction executed against.
@@ -34,6 +35,60 @@ pub(crate) struct TxSubmit {
     pub rs: Vec<u64>,
     /// Write-set items (the ATR entry payload).
     pub ws: Vec<u64>,
+}
+
+/// The footprints of a batch whose lanes carry them.
+fn footprints<L: Borrow<TxSubmit>>(txs: &[L]) -> impl Iterator<Item = &TxSubmit> {
+    txs.iter().map(Borrow::borrow)
+}
+
+/// Pre-validation's filter on a footprint: one [`bit`] per item, every
+/// bit above 32 items.
+fn signature(t: &TxSubmit) -> u64 {
+    if t.rs.len() + t.ws.len() > 32 {
+        return u64::MAX;
+    }
+    t.rs.iter()
+        .chain(&t.ws)
+        .fold(0, |sig, &item| sig | bit(item))
+}
+
+/// An item's signature bit: a Fibonacci hash's top six bits.
+fn bit(item: u64) -> u64 {
+    1 << (item.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58)
+}
+
+/// Is `item` in `t`'s footprint? Its signature `sig` only rules items
+/// out; the exact scans decide the rest.
+fn in_footprint(t: &TxSubmit, sig: u64, item: u64) -> bool {
+    sig & bit(item) != 0 && (t.rs.contains(&item) || t.ws.contains(&item))
+}
+
+/// Intra-batch pre-validation, the simulator's intra-warp broadcast round
+/// over the same pure step ([`csmv::steps::preval_losers`]): each
+/// surviving lane kills every later lane whose footprint holds an item it
+/// writes. Returns the loser mask of up to 32 lanes. A later lane whose
+/// signature shares no bit with the broadcast items' is left out of the
+/// round: none of its answers could be yes.
+pub(crate) fn prevalidate<L: Borrow<TxSubmit>>(lanes: &[L]) -> u32 {
+    let n = lanes.len().min(32);
+    let mut sigs = [0; 32];
+    for (sig, t) in sigs.iter_mut().zip(footprints(lanes)) {
+        *sig = signature(t);
+    }
+    let mut losers = 0;
+    for (b, t) in footprints(lanes).enumerate().take(n.saturating_sub(1)) {
+        let written = t.ws.iter().fold(0, |sig, &item| sig | bit(item));
+        let exposed = (b + 1..n)
+            .filter(|&j| sigs[j] & written != 0)
+            .fold(0, |mask, j| mask | 1 << j);
+        if losers & (1 << b) == 0 && exposed & !losers != 0 {
+            losers |= steps::preval_losers(b, &t.ws, exposed & !losers, |j, item| {
+                in_footprint(lanes[j].borrow(), sigs[j], item)
+            });
+        }
+    }
+    losers
 }
 
 /// Per-transaction commit verdict.
@@ -47,7 +102,7 @@ pub(crate) enum Verdict {
 }
 
 /// The window closed on the transaction's snapshot.
-const WINDOW_CLOSED: Verdict = Verdict::Rejected {
+pub(crate) const WINDOW_CLOSED: Verdict = Verdict::Rejected {
     reason: AbortReason::AtrWindowOverflow,
 };
 
@@ -57,9 +112,6 @@ pub(crate) struct Validator {
     /// The write-set of the entry being scanned; one buffer, reused for
     /// every entry read.
     entry: Vec<u64>,
-    /// Each transaction's verdict while the batch is being decided (`None`
-    /// = undecided); one buffer, reused for every batch.
-    decided: Vec<Option<Verdict>>,
 }
 
 impl Validator {
@@ -68,57 +120,52 @@ impl Validator {
             atr: ctx.atr.clone(),
             deadline: ctx.deadline,
             entry: Vec::new(),
-            decided: Vec::new(),
         }
     }
 
     /// Validate a batch against the ATR and reserve timestamps for the
     /// survivors. Replaces the contents of `verdicts` with one verdict per
-    /// transaction, in order.
+    /// transaction, in order, every one `Some`, and returns the granted
+    /// window `(base, n)`: the survivors hold `base..base + n` in batch
+    /// order (`(0, 0)` when none survived).
     ///
     /// A won reservation records the batch's size (`batch_sizes`) and the
     /// ATR occupancy right after it, this batch included
     /// (`atr_occupancy`); any stall waited out on an in-flight entry is
     /// recorded as `server_stall`. All go into `metrics`, the caller's
     /// report.
-    pub(crate) fn validate_and_reserve(
+    pub(crate) fn validate_and_reserve<L: Borrow<TxSubmit>>(
         &mut self,
-        txs: &[TxSubmit],
+        txs: &[L],
         metrics: &mut MetricsReport,
-        verdicts: &mut Vec<Verdict>,
-    ) {
-        let mut decided = std::mem::take(&mut self.decided);
-        decided.clear();
-        decided.resize(txs.len(), None);
+        verdicts: &mut Vec<Option<Verdict>>,
+    ) -> (u64, u64) {
+        verdicts.clear();
+        verdicts.resize(txs.len(), None);
         let mut scanned = 0;
         loop {
             let expected = self.atr.next_cts();
-            self.scan(txs, &mut decided, scanned, expected, metrics);
-            let live = decided.iter().filter(|v| v.is_none()).count() as u64;
+            self.scan(txs, verdicts, scanned, expected, metrics);
+            let live = verdicts.iter().filter(|v| v.is_none()).count() as u64;
             if live == 0 {
-                break;
+                return (0, 0);
             }
             match self.atr.try_reserve(expected, live) {
                 ReserveOutcome::Won { base } => {
-                    let undecided = txs.iter().zip(&mut decided).filter(|(_, v)| v.is_none());
-                    for (cts, (t, v)) in (base..).zip(undecided) {
+                    let undecided = footprints(txs).zip(verdicts.iter_mut());
+                    for (cts, (t, v)) in (base..).zip(undecided.filter(|(_, v)| v.is_none())) {
                         self.atr.insert(cts, &t.ws);
                         *v = Some(Verdict::Granted { cts });
                     }
                     metrics.batch_sizes.record(txs.len() as u64);
                     metrics.atr_occupancy.push(self.atr.occupancy());
-                    break;
+                    return (base, live);
                 }
                 // Entries [expected, target) appeared concurrently; loop
                 // around and validate that delta before retrying the CAS.
                 ReserveOutcome::Lost { .. } => scanned = expected,
             }
         }
-        // The loop only exits with every verdict filled; fail safe rather
-        // than panic.
-        verdicts.clear();
-        verdicts.extend(decided.iter().map(|v| v.unwrap_or(WINDOW_CLOSED)));
-        self.decided = decided;
     }
 
     /// Decide what the window up to `expected` (the reservation counter's
@@ -128,28 +175,25 @@ impl Validator {
     /// been tested against every transaction still undecided and are not
     /// read again.
     ///
-    /// The scan is entry-major: each entry is read once, straight off the
-    /// ring, and tested against every still-undecided transaction whose
-    /// snapshot is below it. Entries are visited in ascending cts and a
-    /// transaction's first event decides it, so every verdict and its
-    /// reason are those of scanning `(snapshot, expected)` per
-    /// transaction.
-    fn scan(
+    /// The scan is entry-major: each entry is read once and tested against
+    /// every undecided transaction whose snapshot is below it. Entries go
+    /// in ascending cts and a transaction's first event decides it, so
+    /// every verdict is that of a per-transaction scan.
+    fn scan<L: Borrow<TxSubmit>>(
         &mut self,
-        txs: &[TxSubmit],
+        txs: &[L],
         verdicts: &mut [Option<Verdict>],
         scanned: u64,
         expected: u64,
         metrics: &mut MetricsReport,
     ) {
-        for (t, v) in txs.iter().zip(verdicts.iter_mut()) {
+        for (t, v) in footprints(txs).zip(verdicts.iter_mut()) {
             if v.is_none() && !steps::snapshot_in_window(t.snapshot, expected, self.atr.capacity())
             {
                 *v = Some(WINDOW_CLOSED);
             }
         }
-        let from = txs
-            .iter()
+        let from = footprints(txs)
             .zip(verdicts.iter())
             .filter(|(_, v)| v.is_none())
             .map(|(t, _)| t.snapshot + 1)
@@ -158,11 +202,14 @@ impl Validator {
             .max(scanned);
         for cts in from..expected {
             let exposed = |t: &TxSubmit, v: &Option<Verdict>| v.is_none() && t.snapshot < cts;
-            if !txs.iter().zip(verdicts.iter()).any(|(t, v)| exposed(t, v)) {
+            if !footprints(txs)
+                .zip(verdicts.iter())
+                .any(|(t, v)| exposed(t, v))
+            {
                 continue;
             }
             let published = self.read_entry_blocking(cts, metrics);
-            for (t, v) in txs.iter().zip(verdicts.iter_mut()) {
+            for (t, v) in footprints(txs).zip(verdicts.iter_mut()) {
                 if !exposed(t, v) {
                     continue;
                 }
@@ -185,14 +232,11 @@ impl Validator {
     /// is in flight. False means recycled (or the run deadline passed
     /// while waiting).
     ///
-    /// The wait is the GTS handoff's, the one way a worker waits: park
-    /// until the GTS reaches `cts`. That is enough, because a reserved
-    /// entry is inserted before its batch writes back, and written back
-    /// before the GTS reaches it — and its inserter waits on nothing this
-    /// validator holds, since a worker validates holding no reservation.
-    /// A park ends at that publication or at the run deadline. A stall actually waited out is recorded into the
-    /// `server_stall` series, so validation waits are visible alongside
-    /// the `gts_stall` of the turn wait.
+    /// The wait is the GTS handoff's: park until the GTS reaches `cts`, or
+    /// the run deadline. A reserved entry is inserted before its batch
+    /// writes back, and its inserter waits on nothing this validator
+    /// holds (a worker validates holding no reservation). A stall waited
+    /// out is recorded into the `server_stall` series.
     fn read_entry_blocking(&mut self, cts: u64, metrics: &mut MetricsReport) -> bool {
         let mut wait_start: Option<Instant> = None;
         loop {
@@ -232,16 +276,18 @@ mod tests {
             atr: atr.clone(),
             deadline: Instant::now() + Duration::from_secs(10),
             entry: Vec::new(),
-            decided: Vec::new(),
         }
     }
 
     /// [`Validator::validate_and_reserve`] into a buffer holding stale
     /// verdicts, which the call must replace.
     fn verdicts_of(v: &mut Validator, txs: &[TxSubmit]) -> Vec<Verdict> {
-        let mut verdicts = vec![Verdict::Granted { cts: 0 }; 3];
+        let mut verdicts = vec![Some(Verdict::Granted { cts: 0 }); 3];
         v.validate_and_reserve(txs, &mut MetricsReport::default(), &mut verdicts);
         verdicts
+            .into_iter()
+            .map(|v| v.expect("every verdict is decided"))
+            .collect()
     }
 
     /// An entry reserved but not yet inserted is waited out on the GTS
@@ -277,7 +323,7 @@ mod tests {
         atr.insert(1, &[3]);
         atr.publish_gts(1);
         let (verdicts, stalls) = validating.join().expect("validator panicked");
-        assert_eq!(verdicts, [READ_VALIDATION]);
+        assert_eq!(verdicts, [Some(READ_VALIDATION)]);
         assert_eq!(stalls, 1, "one wait, one observation");
     }
 
@@ -440,6 +486,47 @@ mod tests {
             let verdicts = verdicts_of(&mut validator(&by_set), &sets);
             prop_assert_eq!(verdicts_of(&mut validator(&by_log), &logs), verdicts);
             prop_assert_eq!(by_log.next_cts(), by_set.next_cts());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256 })]
+
+        /// The signature filter changes no answer: over lanes with
+        /// footprints of 0–64 items drawn from 96, so that bits collide
+        /// and footprints above 32 items saturate, every `in_footprint`
+        /// answer is the exact scan's, and `prevalidate`'s loser mask is
+        /// `steps::preval_losers`'s over the exact scans.
+        #[test]
+        fn the_signature_filter_changes_no_prevalidation_answer(
+            lanes in proptest::collection::vec(
+                (proptest::collection::vec(0u64..96, 0..=48),
+                 proptest::collection::vec(0u64..96, 0..=16)),
+                1..=32,
+            ),
+            probes in proptest::collection::vec(0u64..96, 16),
+        ) {
+            let txs: Vec<TxSubmit> = lanes
+                .into_iter()
+                .map(|(rs, ws)| TxSubmit { snapshot: 0, rs, ws })
+                .collect();
+            let exact = |t: &TxSubmit, item: u64| t.rs.contains(&item) || t.ws.contains(&item);
+            for t in &txs {
+                let sig = signature(t);
+                for &item in probes.iter().chain(&t.rs).chain(&t.ws) {
+                    prop_assert_eq!(in_footprint(t, sig, item), exact(t, item), "item {}", item);
+                }
+            }
+            let committing = u32::MAX >> (32 - txs.len());
+            let mut losers = 0;
+            for (b, t) in txs.iter().enumerate() {
+                if losers & (1 << b) == 0 {
+                    losers |= steps::preval_losers(b, &t.ws, committing & !losers, |j, item| {
+                        exact(&txs[j], item)
+                    });
+                }
+            }
+            prop_assert_eq!(prevalidate(&txs), losers);
         }
     }
 

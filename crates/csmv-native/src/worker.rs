@@ -5,9 +5,9 @@
 //! call here), and performs the write-back when its GTS turn arrives.
 //!
 //! Every protocol decision goes through the pure [`csmv::steps`]
-//! functions: intra-batch pre-validation ([`csmv::steps::preval_losers`]),
-//! batch windows ([`csmv::steps::batch_window`] /
-//! [`csmv::steps::window_is_dense`]) and GTS turn-taking
+//! functions: intra-batch pre-validation ([`csmv::steps::preval_losers`],
+//! via [`crate::validator::prevalidate`]), the batch window (the
+//! reservation's, [`csmv::steps::reserve_outcome`]) and GTS turn-taking
 //! ([`csmv::steps::gts_turn_reached`] / [`csmv::steps::gts_publish_value`]).
 //! The one wait a commit can block in is the turn wait, a park on the
 //! ATR's event-driven handoff ([`crate::atr::NativeAtr::wait_turn`]); a
@@ -26,14 +26,15 @@
 //! into the metrics report are **nanoseconds**.
 //!
 //! In steady state a commit allocates nothing and reads the clock about
-//! once. Every buffer a round fills — executions, footprints, validation
-//! slots, verdicts, the round's lanes — is emptied and reused, never
-//! dropped ([`Lanes`], [`NativeWorker::release`]); and every time is a
-//! difference of the worker's clock stamps ([`NativeWorker::stamp`]).
+//! once. Every buffer a round fills is emptied and reused, never dropped
+//! ([`Lanes`], [`NativeWorker::release`]); an executed transaction stays
+//! in its lane until it settles; and every time is a difference of the
+//! worker's clock stamps ([`NativeWorker::stamp`]).
 //!
 //! Nothing in this module may panic: the `xtask` `no-panic-in-server-path`
 //! lint covers every `impl NativeWorker` block.
 
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::time::Instant;
 
@@ -45,7 +46,7 @@ use stm_core::{TxLogic, TxOp, TxSource};
 
 use crate::engine::{EngineJob, Intake};
 use crate::pool::Shared;
-use crate::validator::{TxSubmit, Validator, Verdict};
+use crate::validator::{prevalidate, TxSubmit, Validator, Verdict, WINDOW_CLOSED};
 
 /// How a transaction reports its terminal outcome. Closed-loop batch
 /// sources use the no-op [`Fire`] wrapper (the harness only reads the
@@ -91,23 +92,13 @@ struct Pending<T> {
     /// start of its execution or, until it first runs, the feed loop's
     /// stamp when it was taken in.
     attempt_start: Instant,
-    /// Starvation-freedom escalation (read-only transactions): the pinned
-    /// snapshot and the registry slot holding it. A pinned transaction
-    /// re-executes at this snapshot every retry; because the registration
-    /// keeps the GC from reclaiming the versions it resolves on, and ROTs
-    /// never validate, the next execution no write-back races commits. A
-    /// pin that still overflows (poisoned by the one turn that scanned
-    /// before it landed) is re-armed at a fresh snapshot, keeping the slot
-    /// (see [`NativeWorker::maybe_pin`]).
+    /// A read-only transaction's pinned snapshot and the registry slot
+    /// holding it ([`NativeWorker::maybe_pin`]): it re-executes there.
     pin: Option<(u64, usize)>,
     /// The snapshot this transaction last aborted at for a reason that is
-    /// a function of the snapshot alone: validation rejected it, or a
-    /// version it reads is gone ([`NativeWorker::overflowed`]). While the
-    /// GTS still reads that value a retry is futile
-    /// ([`csmv::steps::retry_may_succeed`]): it would execute at the same
-    /// snapshot and meet the same ATR entry, or the same missing version.
-    /// Never cleared — once the GTS has moved past it, it no longer
-    /// matters.
+    /// a function of the snapshot alone — validation rejected it, or a
+    /// version it reads is gone. While the GTS still reads it, a retry is
+    /// futile ([`csmv::steps::retry_may_succeed`]). Never cleared.
     rejected_at: Option<u64>,
 }
 
@@ -147,11 +138,22 @@ struct Executed {
     /// Only a [`TxRecord`] reads them, so they are kept only while the
     /// history is recorded.
     reads: Vec<(u64, u64)>,
-    /// Read-set items in read order, repeats kept (the validation
-    /// footprint of an update transaction; empty for a read-only one).
-    rs: Vec<u64>,
-    /// `(item, value)` write-set, last write per item.
-    ws: Vec<(u64, u64)>,
+    /// The snapshot, the read items as read (kept for an update only) and
+    /// the write-set items; `values` holds the last value written to each.
+    fp: TxSubmit,
+    values: Vec<u64>,
+}
+
+/// An executed update transaction, from its execution to its settlement.
+struct Lane<T> {
+    p: Pending<T>,
+    ex: Executed,
+}
+
+impl<T> Borrow<TxSubmit> for Lane<T> {
+    fn borrow(&self) -> &TxSubmit {
+        &self.ex.fp
+    }
 }
 
 enum Exec {
@@ -176,24 +178,15 @@ enum Next<T> {
 }
 
 /// What the feed loop owns: the work buffered behind the round, and the
-/// buffers a round passes its batch through. They are emptied, never
-/// dropped, so once they have grown to a batch a round allocates nothing.
+/// round's lanes; emptied, never dropped.
 struct Lanes<T> {
     /// Transactions waiting to run (or re-run).
     pending: VecDeque<Pending<T>>,
-    /// The round's executed update transactions, each with its snapshot.
-    execs: Vec<(Pending<T>, Executed, u64)>,
-    /// Those of `execs` that pre-validation kept.
-    survivors: Vec<(Pending<T>, Executed, u64)>,
-    /// One validation slot per survivor; slots past the batch keep their
-    /// buffers for later rounds.
-    subs: Vec<TxSubmit>,
-    /// The validator's verdicts on the survivors.
-    verdicts: Vec<Verdict>,
-    /// The survivors validation granted, each with its commit timestamp.
-    granted: Vec<(Pending<T>, Executed, u64, u64)>,
-    /// The granted commit timestamps.
-    ctss: Vec<u64>,
+    /// The round's executed update transactions, in execution order. An
+    /// abort takes its lane out; the rest settle in place.
+    execs: Vec<Lane<T>>,
+    /// The validator's verdicts on `execs`.
+    verdicts: Vec<Option<Verdict>>,
     /// Aborted attempts, back into `pending` when the round ends.
     retry: Vec<Pending<T>>,
 }
@@ -203,11 +196,7 @@ impl<T> Lanes<T> {
         Self {
             pending: VecDeque::new(),
             execs: Vec::new(),
-            survivors: Vec::new(),
-            subs: Vec::new(),
             verdicts: Vec::new(),
-            granted: Vec::new(),
-            ctss: Vec::new(),
             retry: Vec::new(),
         }
     }
@@ -224,14 +213,11 @@ pub(crate) struct NativeWorker {
     now: Instant,
     /// Execution buffers not in use.
     free: Vec<Executed>,
-    /// The items the execution in progress has read, in read order; an
-    /// update's footprint is copied out of it. The one buffer a full scan
-    /// grows, so scan-sized capacity stays out of the free list.
+    /// The items the execution in progress has read, in read order, which
+    /// an update's footprint copies: a full scan grows only this buffer.
     read_items: Vec<u64>,
     /// The registered reader snapshots a write-back retains versions for.
     readers: Vec<u64>,
-    /// Write-set-items scratch for the pre-validation broadcast.
-    scratch_ws: Vec<u64>,
 }
 
 impl NativeWorker {
@@ -248,17 +234,14 @@ impl NativeWorker {
             free: Vec::new(),
             read_items: Vec::new(),
             readers: Vec::new(),
-            scratch_ws: Vec::new(),
         }
     }
 
-    /// Read the clock into the worker's stamp. It is read once per
-    /// feed-loop iteration (after the intake answered, never before a
-    /// blocking refill: the deadline check and the arrivals' stamp), once
-    /// per execution (its end, and the next execution's start), once after
-    /// each GTS publication (the latency of the whole batch), and only
-    /// while a turn wait actually waits; and once after a validation that
-    /// rejected something, which ends those attempts.
+    /// Read the clock into the worker's stamp: once per feed-loop
+    /// iteration (after the intake answered), once per execution (its end
+    /// and the next one's start), once after each GTS publication, once
+    /// after a validation that rejected something, and while a turn wait
+    /// actually waits (DESIGN.md §13, *the clock rule*).
     fn stamp(&mut self) -> Instant {
         self.now = Instant::now();
         self.now
@@ -272,8 +255,9 @@ impl NativeWorker {
     /// Hand an execution's buffers back to the free list, emptied.
     fn release(&mut self, mut ex: Executed) {
         ex.reads.clear();
-        ex.rs.clear();
-        ex.ws.clear();
+        ex.fp.rs.clear();
+        ex.fp.ws.clear();
+        ex.values.clear();
         self.free.push(ex);
     }
 
@@ -370,11 +354,10 @@ impl NativeWorker {
     /// pre-validate the batch, validate the survivors and reserve their
     /// timestamps, write back the granted window.
     ///
-    /// The round's snapshot is registered in the reader table for the
-    /// duration of the execute phase, so concurrent write-backs retain
-    /// (spill rather than reclaim) any version this round's reads resolve
-    /// on. Pinned transactions (see [`NativeWorker::maybe_pin`]) execute
-    /// at their own pinned snapshot instead.
+    /// The round's snapshot is registered in the reader table while it
+    /// executes, so concurrent write-backs retain any version its reads
+    /// resolve on. Pinned transactions ([`NativeWorker::maybe_pin`])
+    /// execute at their own pinned snapshot instead.
     ///
     /// Transactions that validation rejected, or that could not read a
     /// version, at this very snapshot are passed over
@@ -405,8 +388,8 @@ impl NativeWorker {
             let exec = self.execute(&mut p.tx, snap);
             self.stamp();
             match exec {
-                Exec::ReadOnly(ex) => self.commit_rot(p, snap, ex),
-                Exec::Update(ex) => l.execs.push((p, ex, snap)),
+                Exec::ReadOnly(ex) => self.commit_rot(p, ex),
+                Exec::Update(ex) => l.execs.push(Lane { p, ex }),
                 Exec::Overflow => l.retry.extend(self.overflowed(p, snap)),
                 Exec::Oversize => self.fail(p, AbortReason::AtrWindowOverflow),
             }
@@ -424,37 +407,20 @@ impl NativeWorker {
             return;
         }
 
-        // Intra-batch pre-validation: the native analogue of the
-        // simulator's intra-warp broadcast round, over the same pure step.
-        // Mixed snapshots are fine — the rule is footprint intersection,
-        // independent of when each lane executed.
-        let n = l.execs.len();
-        debug_assert!(n <= 32, "max_batch must be <= 32");
-        let committing: u32 = if n == 0 {
-            0
-        } else {
-            u32::MAX >> (u32::BITS as usize - n)
-        };
-        let mut losers: u32 = 0;
-        for b in 0..n {
-            if losers & (1 << b) != 0 {
-                continue;
-            }
-            self.scratch_ws.clear();
-            self.scratch_ws
-                .extend(l.execs[b].1.ws.iter().map(|&(i, _)| i));
-            losers |= steps::preval_losers(b, &self.scratch_ws, committing & !losers, |j, item| {
-                let e = &l.execs[j].1;
-                e.rs.contains(&item) || e.ws.iter().any(|&(i, _)| i == item)
+        // Intra-batch pre-validation. Mixed snapshots are fine — the rule
+        // is footprint intersection, independent of when each lane
+        // executed. The killed lanes leave; the rest keep their order.
+        let losers = prevalidate(&l.execs);
+        if losers != 0 {
+            let mut lane = 0;
+            let killed = l.execs.extract_if(.., |_| {
+                lane += 1;
+                losers & (1 << (lane - 1)) != 0
             });
-        }
-        for (k, (p, ex, snap)) in l.execs.drain(..).enumerate() {
-            if losers & (1 << k) != 0 {
+            for Lane { p, ex } in killed {
                 self.release(ex);
                 l.retry
                     .extend(self.recycle(p, AbortReason::PreValidationKill));
-            } else {
-                l.survivors.push((p, ex, snap));
             }
         }
 
@@ -464,7 +430,7 @@ impl NativeWorker {
         if let Some(slot) = round_slot {
             self.ctx.registry.deregister(slot);
         }
-        if !l.survivors.is_empty() {
+        if !l.execs.is_empty() {
             self.commit_batch(l);
         }
         l.pending.extend(l.retry.drain(..));
@@ -472,14 +438,10 @@ impl NativeWorker {
 
     /// A read of `p` at `snapshot` found no version: recycle it with the
     /// reason [`Self::overflow_reason`] gives, pinning or re-arming a
-    /// long reader ([`Self::maybe_pin`]). Versions are only ever replaced
-    /// by newer ones, so what is unreadable at `snapshot` stays
-    /// unreadable at it: like a validation reject, the abort is recorded
-    /// in `rejected_at` and the retry waits for the GTS to move
-    /// ([`csmv::steps::retry_may_succeed`]). Without that, a transaction
-    /// reading an item whose writer has written back but not yet published
-    /// the GTS — and is not getting the CPU — burns its whole retry budget
-    /// at one snapshot.
+    /// long reader ([`Self::maybe_pin`]). What is unreadable at `snapshot`
+    /// stays so (versions are only replaced by newer ones), so like a
+    /// validation reject the abort is recorded in `rejected_at`, and the
+    /// retry waits for the GTS to move instead of burning its budget.
     fn overflowed<T: Finish>(&mut self, p: Pending<T>, snapshot: u64) -> Option<Pending<T>> {
         let reason = self.overflow_reason(snapshot);
         let mut p = self.recycle(p, reason)?;
@@ -500,31 +462,19 @@ impl NativeWorker {
         }
     }
 
-    /// Starvation-freedom escalation: once a read-only transaction has
-    /// burned half its retry budget ([`csmv::steps::should_pin`]), pin the
-    /// current snapshot — register it and keep it across retries. The
-    /// registration keeps every version the snapshot resolves on retained,
-    /// and ROTs never validate, so a pinned reader commits as soon as it
-    /// gets one execution no write-back races.
-    ///
-    /// At most one write-back turn can have scanned the registry before
-    /// the pin landed (turns are serialized by the GTS), and that turn may
-    /// reclaim a version the pinned snapshot needs — leaving the snapshot
-    /// *permanently* unreadable. So when an already-pinned transaction
-    /// overflows, the pin is **re-armed**: the held slot moves
-    /// ([`stm_core::SnapshotRegistry::update`]) to a fresh snapshot instead of
-    /// dooming the reader to retry a dead one. Every turn that scans after
-    /// the re-arm retains the new snapshot's versions. Overflows while
-    /// pinned are also exempt from the retry budget (see
-    /// [`NativeWorker::recycle`]): each one implies a racing turn
-    /// poisoned the (re-)registration, which is bounded to one per turn,
-    /// so a pinned reader never terminates with `RetryBudgetExhausted` —
-    /// it commits once one execution goes unraced (the run-deadline
-    /// watchdog still bounds the total wait).
+    /// Starvation-freedom escalation (DESIGN.md §15): once a read-only
+    /// transaction has burned half its retry budget
+    /// ([`csmv::steps::should_pin`]), register the current snapshot and
+    /// keep it across retries, so the versions it resolves on are
+    /// retained. The one turn that may have scanned the registry before
+    /// the pin landed can leave the snapshot permanently unreadable, so an
+    /// already-pinned transaction that overflows is **re-armed**: the held
+    /// slot moves to a fresh snapshot ([`stm_core::SnapshotRegistry::update`]).
+    /// Such overflows are not charged ([`NativeWorker::recycle`]).
     ///
     /// No-op when the registry is full (the reader stays on ordinary
-    /// retries) or for update transactions (their validation can fail
-    /// regardless of version retention, so pinning buys them nothing).
+    /// retries) or for update transactions (validation can fail them
+    /// regardless of retention).
     fn maybe_pin<T: TxLogic>(&mut self, p: &mut Pending<T>) {
         if !p.tx.is_read_only() {
             return;
@@ -559,16 +509,17 @@ impl NativeWorker {
     #[inline(never)]
     fn execute<T: TxLogic>(&mut self, tx: &mut T, snapshot: u64) -> Exec {
         let mut ex = self.free.pop().unwrap_or_default();
+        ex.fp.snapshot = snapshot;
         self.read_items.clear();
         let mut last: Option<u64> = None;
         loop {
             match tx.next(last) {
                 TxOp::Read { item } => {
-                    if let Some(&(_, v)) = ex.ws.iter().find(|&&(i, _)| i == item) {
+                    if let Some(k) = ex.fp.ws.iter().position(|&i| i == item) {
                         // Read-own-write: served from the private buffer,
                         // excluded from the recorded reads (it never
                         // touched shared state).
-                        last = Some(v);
+                        last = ex.values.get(k).copied();
                     } else {
                         match self.ctx.store.read_at(item, snapshot) {
                             Some(v) => {
@@ -586,103 +537,89 @@ impl NativeWorker {
                     }
                 }
                 TxOp::Write { item, value } => {
-                    match ex.ws.iter_mut().find(|(i, _)| *i == item) {
-                        Some(entry) => entry.1 = value,
-                        None => ex.ws.push((item, value)),
+                    match ex.fp.ws.iter().position(|&i| i == item) {
+                        Some(k) => ex.values[k] = value,
+                        None => {
+                            ex.fp.ws.push(item);
+                            ex.values.push(value);
+                        }
                     }
                     last = None;
                 }
                 TxOp::Finish => break,
             }
         }
-        if ex.ws.is_empty() {
+        if ex.fp.ws.is_empty() {
             Exec::ReadOnly(ex)
-        } else if ex.ws.len() > self.ctx.atr.max_ws() {
+        } else if ex.fp.ws.len() > self.ctx.atr.max_ws() {
             self.release(ex);
             Exec::Oversize
         } else {
             // The validation footprint is the read log as read: both of
             // its readers (pre-validation and the validator) are linear
             // membership scans, which neither order nor repeats change.
-            ex.rs.extend_from_slice(&self.read_items);
+            ex.fp.rs.extend_from_slice(&self.read_items);
             Exec::Update(ex)
         }
     }
 
     /// Validate the surviving batch and reserve its timestamps in place
     /// and, for what was granted, perform the in-order write-back and
-    /// single GTS publication.
+    /// single GTS publication. The lanes are read where they are: the
+    /// rejected leave, and the granted hold `base..base + n` in lane order.
     fn commit_batch<T: Finish>(&mut self, l: &mut Lanes<T>) {
-        let n = l.survivors.len();
-        if l.subs.len() < n {
-            l.subs.resize_with(n, TxSubmit::default);
-        }
-        for ((_, ex, snap), sub) in l.survivors.iter_mut().zip(&mut l.subs) {
-            sub.snapshot = *snap;
-            // Nothing reads a survivor's footprint after validation, so it
-            // moves into the slot; the slot's old buffer circulates back.
-            std::mem::swap(&mut sub.rs, &mut ex.rs);
-            sub.ws.clear();
-            sub.ws.extend(ex.ws.iter().map(|&(i, _)| i));
-        }
-        self.validator
-            .validate_and_reserve(&l.subs[..n], &mut self.metrics, &mut l.verdicts);
-        if l.verdicts
-            .iter()
-            .any(|v| matches!(v, Verdict::Rejected { .. }))
-        {
+        let (base, nw) =
+            self.validator
+                .validate_and_reserve(&l.execs, &mut self.metrics, &mut l.verdicts);
+        if nw < l.execs.len() as u64 {
             // The rejected attempts end here, not at their executions' end.
             self.stamp();
-        }
-        for ((p, ex, snap), &v) in l.survivors.drain(..).zip(&l.verdicts) {
-            match v {
-                Verdict::Granted { cts } => l.granted.push((p, ex, snap, cts)),
-                Verdict::Rejected { reason } => {
-                    self.release(ex);
-                    if let Some(mut p) = self.recycle(p, reason) {
-                        p.rejected_at = Some(snap);
-                        l.retry.push(p);
-                    }
+            let verdicts = || l.verdicts.iter().map(|v| v.unwrap_or(WINDOW_CLOSED));
+            let mut granted = verdicts().map(|v| matches!(v, Verdict::Granted { .. }));
+            let reasons = verdicts().filter_map(|v| match v {
+                Verdict::Rejected { reason } => Some(reason),
+                Verdict::Granted { .. } => None,
+            });
+            let rejected = l.execs.extract_if(.., |_| granted.next() == Some(false));
+            for (Lane { p, ex }, reason) in rejected.zip(reasons) {
+                let snap = ex.fp.snapshot;
+                self.release(ex);
+                if let Some(mut p) = self.recycle(p, reason) {
+                    p.rejected_at = Some(snap);
+                    l.retry.push(p);
                 }
             }
         }
-        if l.granted.is_empty() {
+        if nw == 0 {
             return;
         }
-        l.ctss.clear();
-        l.ctss.extend(l.granted.iter().map(|&(_, _, _, c)| c));
-        let (base, nw) = steps::batch_window(&l.ctss);
-        debug_assert!(steps::window_is_dense(&l.ctss));
         if !self.await_turn(base) {
             // Deadline while waiting: nothing was written back, so the
             // committed history stays consistent (the GTS hole just
             // stalls everyone else until their own deadline).
-            for (p, ex, _, _) in l.granted.drain(..) {
+            for Lane { p, ex } in l.execs.drain(..) {
                 self.release(ex);
                 self.fail(p, AbortReason::ServerTimeout);
             }
             return;
         }
-        // Timestamps are unique, so the unstable sort (which, unlike the
-        // stable one, never allocates) keeps nothing out of order.
-        l.granted.sort_unstable_by_key(|&(_, _, _, c)| c);
         // One registry scan per batch: the write-back's GC pass retains
         // every version a currently registered reader resolves on. A
         // registration landing mid-write-back can miss this scan — that
         // reader's one spurious abort is the documented race window.
         self.ctx.registry.registered_into(&mut self.readers);
-        for (_, ex, _, cts) in &l.granted {
-            for &(item, value) in &ex.ws {
+        for (cts, lane) in (base..).zip(&l.execs) {
+            for (&item, &value) in lane.ex.fp.ws.iter().zip(&lane.ex.values) {
                 self.ctx
                     .store
-                    .publish_gated(item, *cts, value, &self.readers);
+                    .publish_gated(item, cts, value, &self.readers);
             }
         }
         self.ctx.atr.publish_gts(steps::gts_publish_value(base, nw));
         // One stamp ends every attempt of the batch: latency runs from
         // each attempt's start to the publication.
         self.stamp();
-        for (p, mut ex, snap, cts) in l.granted.drain(..) {
+        for (cts, Lane { p, mut ex }) in (base..).zip(l.execs.drain(..)) {
             let latency = self.elapsed(p.attempt_start);
             self.stats.update_commits += 1;
             self.stats.useful_cycles += latency;
@@ -690,10 +627,16 @@ impl NativeWorker {
             if self.ctx.record_history {
                 self.records.push(TxRecord {
                     thread: self.id,
-                    read_point: snap,
+                    read_point: ex.fp.snapshot,
                     cts: Some(cts),
                     reads: std::mem::take(&mut ex.reads),
-                    writes: std::mem::take(&mut ex.ws),
+                    writes: ex
+                        .fp
+                        .ws
+                        .iter()
+                        .copied()
+                        .zip(ex.values.iter().copied())
+                        .collect(),
                 });
             }
             self.release(ex);
@@ -703,11 +646,8 @@ impl NativeWorker {
 
     /// Wait until it is `base`'s turn to publish
     /// ([`csmv::steps::gts_turn_reached`]); false on deadline. The worker
-    /// parks on the ATR's turn handoff and is woken by the publisher the
-    /// moment its predecessor's window lands, or at the run deadline.
-    ///
-    /// A turn that is already there costs no clock read and records
-    /// nothing: only a wait is timed and recorded into `gts_stall`.
+    /// parks on the ATR's turn handoff until its predecessor's window
+    /// lands or the run deadline. Only a wait is timed, into `gts_stall`.
     fn await_turn(&mut self, base: u64) -> bool {
         if steps::gts_turn_reached(self.ctx.atr.gts(), base) {
             return true;
@@ -729,7 +669,7 @@ impl NativeWorker {
 
     /// Commit a read-only transaction: consistent at its snapshot by
     /// construction, no validation (as in the paper).
-    fn commit_rot<T: Finish>(&mut self, mut p: Pending<T>, snapshot: u64, mut ex: Executed) {
+    fn commit_rot<T: Finish>(&mut self, mut p: Pending<T>, mut ex: Executed) {
         if p.pin.is_some() {
             self.metrics.gc.pinned_commits += 1;
         }
@@ -741,7 +681,7 @@ impl NativeWorker {
         if self.ctx.record_history {
             self.records.push(TxRecord {
                 thread: self.id,
-                read_point: snapshot,
+                read_point: ex.fp.snapshot,
                 cts: None,
                 reads: std::mem::take(&mut ex.reads),
                 writes: Vec::new(),
@@ -756,14 +696,11 @@ impl NativeWorker {
     /// terminally with `RetryBudgetExhausted` and return `None`. The
     /// attempt ends at the worker's latest stamp.
     ///
-    /// Aborts of an already-pinned reader are recorded in the stats but
-    /// **not** charged against the budget: the re-arm bounds them to one
-    /// per racing write-back turn (see [`NativeWorker::maybe_pin`]), and
-    /// not charging them is what makes the pinned commit a guarantee
-    /// rather than best-effort — a repeatedly-poisoned pin can no longer
-    /// burn down to `RetryBudgetExhausted` while waiting out the race.
-    /// (Only read-only transactions pin, and they only abort on overflow,
-    /// so this never shields a validation failure.)
+    /// Aborts of an already-pinned reader are recorded but **not**
+    /// charged: the re-arm bounds them to one per racing write-back turn
+    /// ([`NativeWorker::maybe_pin`]), so a pinned commit is a guarantee.
+    /// Only read-only transactions pin, so no validation failure is
+    /// shielded.
     fn recycle<T: Finish>(&mut self, mut p: Pending<T>, reason: AbortReason) -> Option<Pending<T>> {
         let latency = self.elapsed(p.attempt_start);
         if p.tx.is_read_only() {

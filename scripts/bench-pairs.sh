@@ -20,24 +20,25 @@
 # pairs the change. Read-only use of benchmark/ and BENCHMARK.json: nothing
 # there is edited.
 #
-# Printed per workload and metric: each side's median [q1 .. q3], the
-# relative move of the median, and the pairs the change won (ties count for
-# neither side). A gain may be claimed when the change wins at least nine
-# tenths of the pairs and the medians differ by more than the parent's own
-# quartile distance; the last column says which of the two holds. Under
-# MIN_PAIRS (5) pairs it says `too few pairs` instead: on a 2-vCPU host,
-# 3-pair sets against one parent have read a per-layer metric +13 % and
-# then -12 % with no change to the path it measures.
-# `failed`/`attempted` are summed per side. The raw result objects stay in
-# $OUT for the record.
+# The summary is scripts/bench-pairs-summary.py's, which can be run again
+# on a saved $OUT. Printed per workload and metric: each side's median
+# [q1 .. q3], the relative move of the median, and the pairs the change won
+# (ties count for neither side). A gain may be claimed when the change wins
+# at least nine tenths of the pairs and the medians differ by more than the
+# parent's own quartile distance; the last column says which of the two
+# holds. Under MIN_PAIRS (5) pairs it says `too few pairs` instead. A pass
+# that failed a correctness gate (`"correct": false`) is named and its pair
+# left out of every median and count, and a workload with such a pass on
+# the change side gets no `gain`. `failed`/`attempted` are summed per side.
+# The raw result objects stay in $OUT for the record.
 #
 # The last lines printed are JSON records for the BENCH_native.json /
 # BENCH_service.json trajectory, one per workload in the order given
 # (append each as a line): both checkouts' commits (`git describe --always
 # --dirty`), the host's nproc, the workload, the complete pairs, each
 # end-to-end metric BENCHMARK.json names (commit_tps, setup_s, peak_rss_mb)
-# as {"parent": [q1, median, q3], "change": [...]}, and the summed
-# failed/attempted per side.
+# as {"parent": [q1, median, q3], "change": [...]}, the summed
+# failed/attempted per side, and the incorrect passes per side.
 #
 # Env: PAIRS (or 4th argument, default 10), SEED (first seed, default 1),
 #      TRACE (0 = end-to-end metrics, 1 = per-layer; default 0),
@@ -87,81 +88,7 @@ for workload in "${WORKLOADS[@]}"; do
   done
 done
 
-python3 - "$CHANGE/BENCHMARK.json" "$OUT" "$3" "$TRACE" "$PAIRS" \
-  "$(git -C "$PARENT" describe --always --dirty)" "$(git -C "$CHANGE" describe --always --dirty)" <<'PY'
-import json, os, sys
-from statistics import median, quantiles
-
-spec, out, workloads, trace, pairs = sys.argv[1], sys.argv[2], sys.argv[3].split(","), sys.argv[4], int(sys.argv[5])
-parent_commit, change_commit = sys.argv[6], sys.argv[7]
-spec = json.load(open(spec))
-better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
-# Fewer pairs than this support no verdict either way.
-MIN_PAIRS = 5
-end_to_end = [m["name"] for m in spec["end_to_end"]]
-
-def quartiles(xs):
-    if len(xs) < 2:
-        return xs[0], xs[0]
-    q = quantiles(xs, n=4, method="inclusive")
-    return q[0], q[2]
-
-def summarize(workload):
-    """Print one workload's comparison; return its trajectory record."""
-    def load(label, k):
-        try:
-            return json.load(open(f"{out}/{workload}.t{trace}.{label}.{k}.json"))
-        except (OSError, ValueError):
-            return None
-
-    runs = [(load("parent", k), load("change", k)) for k in range(1, pairs + 1)]
-    complete = [(p, c) for p, c in runs if p and c]
-    print(f"{workload}: {len(complete)} of {pairs} pairs complete, trace {trace}")
-    failed, attempted = {}, {}
-    for label, i in (("parent", 0), ("change", 1)):
-        side = [r[i] for r in runs if r[i]]
-        failed[label] = sum(r['failed'] for r in side)
-        attempted[label] = sum(r['attempted'] for r in side)
-        print(f"  {label}: failed {failed[label]} of {attempted[label]} attempted; "
-              f"{sum(not r['correct'] for r in side)} passes failed a correctness gate")
-
-    names = sorted({n for p, c in complete for n in p["metrics"] if n in c["metrics"]})
-    quarts = {}
-    for name in names:
-        # A per-layer metric may be missing from a pass; keep the pairs that have it on both sides.
-        both = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
-                for p, c in complete if name in p["metrics"] and name in c["metrics"]]
-        ps, cs = [p for p, _ in both], [c for _, c in both]
-        sign = -1 if better.get(name) == "lower" else 1
-        wins = sum(sign * (c - p) > 0 for p, c in both)
-        losses = sum(sign * (c - p) < 0 for p, c in both)
-        (pq1, pq3), (cq1, cq3) = quartiles(ps), quartiles(cs)
-        pm, cm = median(ps), median(cs)
-        if name in end_to_end:
-            quarts[name] = {"parent": [pq1, pm, pq3], "change": [cq1, cm, cq3]}
-        move = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
-        apart = abs(cm - pm) > (pq3 - pq1)
-        if len(ps) < MIN_PAIRS:
-            verdict = "too few pairs"
-        elif wins * 10 >= 9 * len(ps) and apart:
-            verdict = "gain"
-        elif losses * 10 >= 9 * len(ps) and apart:
-            verdict = "loss"
-        else:
-            verdict = "no claim"
-        print(f"  {name} ({better.get(name, '?')} is better)")
-        print(f"    parent {pm:.6g} [{pq1:.6g} .. {pq3:.6g}]  runs {' '.join(f'{x:.6g}' for x in ps)}")
-        print(f"    change {cm:.6g} [{cq1:.6g} .. {cq3:.6g}]  runs {' '.join(f'{x:.6g}' for x in cs)}")
-        print(f"    median {move}; change won {wins}, lost {losses} of {len(ps)}; "
-              f"medians {'more' if apart else 'less'} than the parent's quartile distance apart: {verdict}")
-    return {
-        "commit": change_commit, "parent": parent_commit, "nproc": os.cpu_count(),
-        "workload": workload, "pairs": len(complete),
-        **{name: quarts.get(name) for name in end_to_end},
-        "failed": failed, "attempted": attempted,
-    }
-
-records = [summarize(w) for w in workloads]
-for record in records:
-    print(json.dumps(record))
-PY
+python3 "$(dirname "$0")/bench-pairs-summary.py" "$CHANGE/BENCHMARK.json" "$OUT" "$3" \
+  --trace "$TRACE" --pairs "$PAIRS" --seed "$SEED" \
+  --parent-commit "$(git -C "$PARENT" describe --always --dirty)" \
+  --change-commit "$(git -C "$CHANGE" describe --always --dirty)"
