@@ -9,10 +9,10 @@
 //! | `table5`      | Table V — memory & abort rate vs versions per VBox |
 //! | `multiserver` | extension (§V): Bank throughput vs commit-server count |
 //!
-//! plus `native_equiv` (simulator ↔ `csmv-native` equivalence lanes),
-//! `loadgen` (open-loop driver for a live `csmv-service`) and `bench-gate`
-//! (baseline comparison). Native and service *performance* is measured by
-//! the repo benchmark (`BENCHMARK.json`, `benchmark/`), not here.
+//! plus `loadgen` (open-loop driver for a live `csmv-service`) and
+//! `bench-gate` (baseline comparison). Native and service *performance* is
+//! measured by the repo benchmark (`BENCHMARK.json`, `benchmark/`), not
+//! here.
 //!
 //! The sim binaries share one command line ([`cli`]); `--quick` selects a
 //! reduced geometry for smoke runs, the default is the paper-faithful
@@ -417,14 +417,6 @@ pub fn bank_jvstm_cpu(scale: &Scale, rot_pct: u8) -> Row {
         wall_clock: true,
         metrics: MetricsReport::default(),
     }
-}
-
-/// Per-worker transaction quota for a `native_equiv` lane: the same total
-/// work as a GPU bank run at this scale, split over `clients` threads, so
-/// every thread count checks the same amount of work.
-pub fn native_txs(scale: &Scale, clients: usize) -> usize {
-    let gpu_threads = scale.sms * 2 * gpu_sim::WARP_LANES;
-    (scale.bank_txs * gpu_threads / clients.max(1)).max(1)
 }
 
 // ---------------------------------------------------------------------------

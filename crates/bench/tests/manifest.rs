@@ -100,9 +100,8 @@ fn every_bench_bin_is_classified_in_the_manifest() {
     let groups = read_manifest(root);
     assert!(
         groups.iter().any(|(n, _)| n == "SIM_BINS")
-            && groups.iter().any(|(n, _)| n == "NATIVE_BINS")
             && groups.iter().any(|(n, _)| n == "SERVICE_BINS"),
-        "manifest must define SIM_BINS, NATIVE_BINS and SERVICE_BINS"
+        "manifest must define SIM_BINS and SERVICE_BINS"
     );
 
     let mut listed: BTreeSet<String> = BTreeSet::new();
@@ -131,7 +130,7 @@ fn every_bench_bin_is_classified_in_the_manifest() {
     assert!(
         unlisted.is_empty(),
         "bench bins missing from scripts/bench-bins.sh: {unlisted:?} — \
-         classify each as SIM, NATIVE, SERVICE or TOOL"
+         classify each as SIM, SERVICE or TOOL"
     );
     let phantom: Vec<&String> = listed.difference(&on_disk).collect();
     assert!(

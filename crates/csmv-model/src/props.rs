@@ -1,5 +1,9 @@
 //! Checked properties of the model.
 //!
+//! The correctness definition itself (opacity, MVSG acyclicity) is stated
+//! once, in DESIGN.md §7.1; the first two properties below check it, the
+//! rest are the protocol steps its argument leans on.
+//!
 //! Safety is checked on every transition and every reached state:
 //!
 //! - **Opacity** of the committed history (plus the snapshots of live

@@ -173,7 +173,7 @@ mod real {
         }
         dev.enable_analysis(cfg.analysis);
         if cfg.analysis.invariants {
-            dev.add_invariant_checker(Box::new(CsmvInvariantChecker::new(
+            dev.add_invariant_checker(Box::new(CsmvInvariantChecker::single(
                 atr.clone(),
                 heap.clone(),
                 gts_addr,

@@ -106,56 +106,61 @@ fn bank_native_matches_sequential_final_state_when_commutative() {
 
 #[test]
 fn list_on_native_keeps_the_chain_sorted() {
-    let cfg = ListConfig {
+    // Two inputs. The short list runs through `run`: the O(n log n) opacity
+    // oracle is covered by every other test in this file, and scan
+    // consistency is asserted linearly below. The longer one runs through
+    // `run_checked`, so one list run must pass the oracle *and* fail
+    // nothing (the hot-list test below lets budgets run out).
+    let short = ListConfig {
         key_range: 64,
         initial_nodes: 12,
         contains_pct: 30,
         pool_per_thread: 2,
         threads: 4,
     };
-    let init = cfg.initial_state();
-    // `run`, not `run_checked`: the O(n log n) opacity oracle is covered
-    // by every other test in this file; at this scan length it would
-    // dominate the test's runtime. Scan consistency is asserted linearly
-    // below.
-    let res = csmv_native::run(
-        &NativeConfig {
-            client_threads: 4,
-            max_run: Duration::from_secs(20),
-            ..Default::default()
-        },
-        |t| ListSource::new(&cfg, 13, t, 4),
-        cfg.num_items(),
-        {
-            let init = init.clone();
-            move |item| *init.get(&item).unwrap_or(&0)
-        },
-    )
-    .expect("list run must pass the history oracle");
-    assert_eq!(res.stats.failed, 0);
-    assert_eq!(res.stats.commits(), 4 * 4);
-    // Walk the committed chain: strictly sorted, unique, terminating.
-    let heap = &res.final_state;
-    let mut keys = Vec::new();
-    let mut n = heap[&ListConfig::next_item(0)];
-    let mut hops = 0;
-    while n != 1 {
-        keys.push(heap[&ListConfig::key_item(n)]);
-        n = heap[&ListConfig::next_item(n)];
-        hops += 1;
-        assert!(hops < 10_000, "cycle in committed list chain");
+    let checked = ListConfig {
+        key_range: 256,
+        initial_nodes: 64,
+        contains_pct: 30,
+        pool_per_thread: 128,
+        threads: 4,
+    };
+    for (cfg, txs, oracle) in [(short, 4, false), (checked, 128, true)] {
+        let init = cfg.initial_state();
+        let native = native_cfg(4);
+        let source = |t| ListSource::new(&cfg, 13, t, txs);
+        let initial = |item| *init.get(&item).unwrap_or(&0);
+        let res = if oracle {
+            csmv_native::run_checked(&native, source, cfg.num_items(), initial)
+                .expect("list run must pass the history oracle")
+        } else {
+            csmv_native::run(&native, source, cfg.num_items(), initial).expect("config is valid")
+        };
+        assert_eq!(res.stats.failed, 0);
+        assert_eq!(res.stats.commits(), 4 * txs as u64);
+        // Walk the committed chain: strictly sorted, unique, terminating.
+        let heap = &res.final_state;
+        let mut keys = Vec::new();
+        let mut n = heap[&ListConfig::next_item(0)];
+        let mut hops = 0;
+        while n != 1 {
+            keys.push(heap[&ListConfig::key_item(n)]);
+            n = heap[&ListConfig::next_item(n)];
+            hops += 1;
+            assert!(hops < 10_000, "cycle in committed list chain");
+        }
+        let mut sorted = keys.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(keys, sorted, "committed chain must be strictly sorted");
+        // Replay consistency, as for bank. The workload's initial state only
+        // names chain items; the store holds every item, so compare over the
+        // full item space.
+        let full_init: HashMap<u64, u64> = (0..cfg.num_items())
+            .map(|i| (i, *init.get(&i).unwrap_or(&0)))
+            .collect();
+        assert_eq!(replay_committed(&res.records, &full_init), res.final_state);
     }
-    let mut sorted = keys.clone();
-    sorted.sort_unstable();
-    sorted.dedup();
-    assert_eq!(keys, sorted, "committed chain must be strictly sorted");
-    // Replay consistency, as for bank. The workload's initial state only
-    // names chain items; the store holds every item, so compare over the
-    // full item space.
-    let full_init: HashMap<u64, u64> = (0..cfg.num_items())
-        .map(|i| (i, *init.get(&i).unwrap_or(&0)))
-        .collect();
-    assert_eq!(replay_committed(&res.records, &full_init), res.final_state);
 }
 
 /// A source whose every transaction yields the CPU once its body has

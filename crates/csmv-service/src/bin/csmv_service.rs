@@ -17,12 +17,11 @@ csmv-service — RESP front-end for the native CSMV engine
 
 USAGE:
   csmv-service [--addr HOST:PORT] [--keys N] [--clients N]
-               [--max-batch N] [--channel-depth N] [--retry-budget N]
-               [--versions-per-box N] [--reader-slots N]
+               [--retry-budget N] [--versions-per-box N] [--reader-slots N]
                [--max-run-secs N] [--check-history]
 
-Defaults: --addr 127.0.0.1:7379 --keys 1024 --clients 8 --channel-depth 128
-          --retry-budget 64 --max-run-secs 3600";
+Defaults: --addr 127.0.0.1:7379 --keys 1024 --clients 8 --retry-budget 64
+          --versions-per-box 8 --reader-slots 64 --max-run-secs 3600";
 
 struct Args {
     addr: String,
@@ -45,10 +44,6 @@ fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
             "--addr" => args.addr = argv.next().ok_or("--addr needs a value")?,
             "--keys" => args.cfg.keys = parse_num("--keys", argv.next())?,
             "--clients" => args.cfg.engine.client_threads = parse_num("--clients", argv.next())?,
-            "--max-batch" => args.cfg.engine.max_batch = parse_num("--max-batch", argv.next())?,
-            "--channel-depth" => {
-                args.cfg.engine.channel_depth = parse_num("--channel-depth", argv.next())?
-            }
             "--versions-per-box" => {
                 args.cfg.engine.versions_per_box = parse_num("--versions-per-box", argv.next())?
             }

@@ -1,55 +1,49 @@
-//! CSMV-specific protocol-invariant checker for the simulator's analysis
-//! layer.
+//! The CSMV protocol-invariant checker for the simulator's analysis layer.
 //!
-//! [`CsmvInvariantChecker`] watches the raw memory-event stream of a
-//! **single-server** CSMV run and re-derives the commit protocol's
-//! obligations from §III-B of the paper:
+//! [`CsmvInvariantChecker`] watches the raw memory-event stream of a CSMV
+//! launch and re-derives the obligations of the commit protocol (§III-B of
+//! the paper). One type serves both hosts: [`CsmvInvariantChecker::single`]
+//! the single-server design, [`CsmvInvariantChecker::multi`] the
+//! multi-server extension. A small decoder per host turns its memory words
+//! into protocol steps, and every obligation is written once:
 //!
-//! 1. **Reservation order** — commit timestamps are handed out by CAS on
-//!    the shared `next_cts` counter; every successful CAS must extend the
-//!    counter gap-free (the batch `[expected, new)` follows directly after
-//!    the previous one).
-//! 2. **ATR publication** — a cts tag written into an ATR slot must land
-//!    in the slot the ring mapping assigns it (`slot_of(cts)`), must have
-//!    been reserved first, must be strictly increasing per slot (ring
-//!    recycling only moves forward), and is published at most once.
-//! 3. **GTS turn-taking** — the GTS is bumped once per reserved batch, in
-//!    reservation order, to that batch's last cts. A client that skips the
-//!    turn-taking wait publishes out of order and trips this check.
-//! 4. **No write-back before validation** — a version word installed in a
-//!    VBox must carry a cts that the server already published to the ATR;
-//!    writing back with an unreserved/unpublished timestamp means the
-//!    write skipped validation.
-//! 5. **End-of-run density** — the published cts set is exactly
-//!    `1..=count` (the turn-taking protocol relies on it).
+//! 1. **Reservation** — a reservation is a non-empty batch that starts at
+//!    the checker's mirror of the counter, so batches are gap-free and in
+//!    order.
+//! 2. **Publication** — a published ring tag lands in the slot the ring maps
+//!    it to, and tags strictly increase per slot (ring recycling only moves
+//!    forward). The tag's cts was reserved before it is published, and it
+//!    is published exactly once.
+//! 3. **Write-back** — a version installed in a VBox carries a published
+//!    cts (writing back an unpublished one skipped validation), and a head
+//!    index stays inside the version ring.
+//! 4. **End of run** — a complete run ends with the published set dense
+//!    over `1..=reserved`.
 //!
-//! The multi-server variant publishes the GTS progressively (a run of
-//! consecutive ctss at a time) and reserves from a *global* counter, which
-//! relaxes assumptions 1 and 3. [`MultiCsmvInvariantChecker`] re-derives
-//! the weakened obligations that remain:
+//! Each host adds only its own rules:
 //!
-//! 1'. **Reservation order (relaxed)** — timestamps come from one global
-//!     `fetch-add` per batch, so gap-freedom is structural; what must
-//!     still hold is that every reservation takes at least one timestamp,
-//!     the observed counter value mirrors the reservation history, and —
-//!     the multi design's load-bearing invariant — each partition's
-//!     *local* publication order agrees with *global* cts order (the
-//!     validator's backward walk stops early on that assumption).
-//! 2'. **ATR publication** — per-slot *seq tags* strictly increase and
-//!     land in the slot the local ring maps them to; a published entry's
-//!     cts was reserved first and is published exactly once device-wide;
-//!     the local seq line is gap-free.
-//! 3'. **GTS publication (relaxed)** — there is no batch turn-taking:
-//!     clients publish progressively, so the GTS may advance by arbitrary
-//!     runs (and two clients that observed the same run may legally write
-//!     the same value back-to-back). What must hold is that it never
-//!     *regresses* and never overtakes the reservation counter. Under
-//!     partition crashes a quarantine CAS may additionally skip a dead
-//!     partition's hole one cts at a time; a checker built with
-//!     `expect_complete = false` skips the end-of-run completeness checks
-//!     that crashes legitimately break.
-//! 4'. **No write-back before publication** — unchanged: an installed
-//!     version's cts must already be published in some partition's ATR.
+//! * **Single server** (violations named `csmv`). Timestamps are reserved
+//!   by CAS on the server's shared `next_cts` word, and the tag *is* the
+//!   cts. The GTS moves only when `T.CTS == GTS`: every GTS write publishes
+//!   the next reserved batch's last cts, starting from `base − 1`, and by
+//!   the end of the run every batch is bumped. A client that skips the
+//!   turn-taking wait trips this rule.
+//! * **Multi-server** (violations named `csmv-multi`). Timestamps come from
+//!   one global fetch-add per batch; a partition publishes a seq tag
+//!   (`local_seq + 1`) after the slot's cts word. Seq tags follow global cts
+//!   order (the validator's backward walk stops early on that), and the
+//!   local seq line (`next_local`) is gap-free. Publication is progressive,
+//!   so there is no batch turn: the GTS never regresses and never overtakes
+//!   the reservation counter, and two publishers that saw the same run may
+//!   write the same value. Kill/crash fault plans build the checker with
+//!   `expect_complete = false`, which skips the end-of-run checks that a
+//!   crash legitimately breaks (quarantined holes, reserved timestamps that
+//!   never publish).
+//!
+//! These are protocol steps, not the correctness definition: what makes a
+//! committed history correct (opacity, an acyclic multiversion
+//! serialization graph) is stated once in DESIGN.md §7.1 and checked by
+//! `stm_core::check_history`.
 
 use std::collections::{HashMap, HashSet};
 
@@ -60,215 +54,402 @@ use stm_core::VBoxHeap;
 use crate::multi::PartitionedAtr;
 use crate::SharedAtr;
 
-/// One reserved commit-timestamp batch: the half-open range `[base, last]`
-/// handed out by a successful CAS on `next_cts`.
-#[derive(Debug, Clone, Copy)]
-struct Batch {
-    base: u64,
-    last: u64,
+/// Where one ATR ring keeps its tag words. The rings keep their bases
+/// private; slot 0's tag address and the per-slot stride recover the map.
+/// Both hosts map tag `t` to slot `(t − 1) mod capacity`.
+struct Ring {
+    tag0: u64,
+    stride: u64,
+    capacity: u64,
 }
 
-/// Protocol-invariant checker for single-server CSMV (all variants).
+impl Ring {
+    /// The slot `addr` lies in, and the word's offset inside the slot.
+    fn locate(&self, addr: u64) -> Option<(u64, u64)> {
+        let off = addr.checked_sub(self.tag0)?;
+        let slot = off / self.stride;
+        (slot < self.capacity).then_some((slot, off % self.stride))
+    }
+}
+
+/// A multi-server partition's local seq line.
+#[derive(Default)]
+struct SeqLine {
+    next_local_addr: u64,
+    /// Latest cts word written per slot (a candidate until the tag publishes).
+    slot_cts: HashMap<u64, u64>,
+    /// cts by published seq tag: the local-order/global-order alignment.
+    cts_by_tag: HashMap<u64, u64>,
+    max_tag: u64,
+    /// Mirror of the `next_local` word.
+    next_local: u64,
+}
+
+/// The state only one host's rules need.
+enum Host {
+    /// Reserved batches `[base, last]` in reservation order, and the index
+    /// of the next one due to bump the GTS.
+    Single {
+        batches: Vec<(u64, u64)>,
+        turn: usize,
+    },
+    /// One seq line per partition.
+    Multi(Vec<SeqLine>),
+}
+
+/// One protocol step, decoded from a memory event.
+enum Step {
+    /// A batch of `n` timestamps reserved from counter value `base`.
+    Reserve { base: u64, n: u64 },
+    /// `tag` stored into `slot` of ring `ring`.
+    Publish { ring: usize, slot: u64, tag: u64 },
+    /// A multi-server slot's cts word.
+    SlotCts { ring: usize, slot: u64, cts: u64 },
+    /// A multi-server partition's `next_local` word.
+    NextLocal { ring: usize, value: u64 },
+    /// A write, or successful CAS, on the GTS.
+    Gts(u64),
+    /// A store into the VBox heap.
+    WriteBack,
+}
+
+/// Protocol-invariant checker for CSMV: every single-server variant, and
+/// the multi-server extension.
 pub struct CsmvInvariantChecker {
-    atr: SharedAtr,
+    host: Host,
+    /// Ring `i` lives in the shared memory of SM `first_sm + i`.
+    rings: Vec<Ring>,
+    first_sm: usize,
     heap: VBoxHeap,
-    gts_addr: u64,
-    server_sm: usize,
-    // Derived ATR geometry (`SharedAtr` keeps its base private; slot 0's
-    // cts-tag address plus the per-slot stride recover the full map).
-    cts0: u64,
-    stride: u64,
-    // Derived VBox geometry.
     h0: u64,
     words_per_box: u64,
-    // Reservation state: `next` mirrors the shared counter (host-initialised
-    // to 1), `batches` the reserved-but-not-yet-GTS-published queue.
+    gts_addr: u64,
+    /// The reservation counter: shared memory of the server SM on a single
+    /// server, global memory on several.
+    cts_addr: u64,
+    /// Mirror of the counter (host-initialised to 1) and of the GTS
+    /// (initialised to 0).
     next: u64,
-    batches: Vec<Batch>,
-    // Publication state.
-    published: HashSet<u64>,
-    last_tag: HashMap<u64, u64>,
-    // GTS state: current value and index of the next batch due to publish.
     gts: u64,
-    gts_batch: usize,
+    published: HashSet<u64>,
+    /// Latest tag per `(ring, slot)`.
+    last_tag: HashMap<(usize, u64), u64>,
+    expect_complete: bool,
+}
+
+fn violation(checker: &'static str, at: Option<&MemEvent>, message: String) -> Violation {
+    Violation {
+        checker,
+        warp: at.map_or(usize::MAX, |e| e.warp),
+        clock: at.map_or(u64::MAX, |e| e.clock),
+        addr: at.map_or(u64::MAX, |e| e.addr),
+        message,
+    }
 }
 
 impl CsmvInvariantChecker {
-    /// Build a checker for one CSMV launch. `server_sm` scopes the shared
-    /// ATR addresses; `gts_addr` is the global GTS word (assumed to start
-    /// at 0, as `run` initialises it).
-    pub fn new(atr: SharedAtr, heap: VBoxHeap, gts_addr: u64, server_sm: usize) -> Self {
-        let cts0 = atr.slot_cts_addr(0);
-        let stride = 2 + atr.max_ws() as u64;
-        let h0 = heap.head_addr(0);
-        let words_per_box = 1 + heap.versions_per_box();
-        Self {
-            atr,
+    /// The single-server form. `server_sm` scopes the shared ATR addresses;
+    /// `gts_addr` is the global GTS word.
+    pub fn single(atr: SharedAtr, heap: VBoxHeap, gts_addr: u64, server_sm: usize) -> Self {
+        let ring = Ring {
+            tag0: atr.slot_cts_addr(0),
+            stride: 2 + atr.max_ws() as u64,
+            capacity: atr.capacity(),
+        };
+        let host = Host::Single {
+            batches: Vec::new(),
+            turn: 0,
+        };
+        let cts_addr = atr.next_cts_addr();
+        Self::new(host, vec![ring], server_sm, heap, gts_addr, cts_addr, true)
+    }
+
+    /// The multi-server form. `atrs[i]` is the ring of the server on SM
+    /// `first_server_sm + i`; `expect_complete` is false when the fault plan
+    /// kills warps or crashes SMs.
+    pub fn multi(
+        atrs: Vec<PartitionedAtr>,
+        heap: VBoxHeap,
+        gts_addr: u64,
+        global_cts_addr: u64,
+        first_server_sm: usize,
+        expect_complete: bool,
+    ) -> Self {
+        let rings = atrs.iter().map(|a| {
+            let (tag0, capacity) = (a.slot_seq_addr(0), a.capacity());
+            Ring {
+                tag0,
+                stride: a.slot_seq_addr(1) - tag0,
+                capacity,
+            }
+        });
+        let lines = atrs.iter().map(|a| SeqLine {
+            next_local_addr: a.next_local_addr(),
+            ..SeqLine::default()
+        });
+        let host = Host::Multi(lines.collect());
+        Self::new(
+            host,
+            rings.collect(),
+            first_server_sm,
             heap,
             gts_addr,
-            server_sm,
-            cts0,
-            stride,
-            h0,
-            words_per_box,
+            global_cts_addr,
+            expect_complete,
+        )
+    }
+
+    fn new(
+        host: Host,
+        rings: Vec<Ring>,
+        first_sm: usize,
+        heap: VBoxHeap,
+        gts_addr: u64,
+        cts_addr: u64,
+        expect_complete: bool,
+    ) -> Self {
+        Self {
+            host,
+            rings,
+            first_sm,
+            h0: heap.head_addr(0),
+            words_per_box: 1 + heap.versions_per_box(),
+            heap,
+            gts_addr,
+            cts_addr,
             next: 1,
-            batches: Vec::new(),
+            gts: 0,
             published: HashSet::new(),
             last_tag: HashMap::new(),
-            gts: 0,
-            gts_batch: 0,
+            expect_complete,
         }
     }
 
-    fn violation(ev: &MemEvent, message: String) -> Violation {
-        Violation {
-            checker: "csmv",
-            warp: ev.warp,
-            clock: ev.clock,
-            addr: ev.addr,
-            message,
+    /// Turn one memory event into a protocol step, if it is one. The GTS
+    /// and the heap are global words on both hosts.
+    fn decode(&self, ev: &MemEvent) -> Option<Step> {
+        if ev.space == Space::Global && ev.addr == self.gts_addr {
+            return match ev.kind {
+                AccessKind::Write => Some(Step::Gts(ev.value)),
+                AccessKind::Cas {
+                    new, success: true, ..
+                } => Some(Step::Gts(new)),
+                _ => None,
+            };
+        }
+        let heap_end = self.h0 + self.heap.num_items() * self.words_per_box;
+        if ev.space == Space::Global
+            && ev.kind == AccessKind::Write
+            && (self.h0..heap_end).contains(&ev.addr)
+        {
+            return Some(Step::WriteBack);
+        }
+        match &self.host {
+            Host::Single { .. } => self.decode_single(ev),
+            Host::Multi(lines) => self.decode_multi(lines, ev),
         }
     }
 
-    /// Successful CAS on the shared `next_cts` counter: a batch reservation.
-    fn on_reserve(&mut self, ev: &MemEvent, expected: u64, new: u64, out: &mut Vec<Violation>) {
-        if expected != self.next {
-            out.push(Self::violation(
-                ev,
-                format!(
-                    "cts reservation CAS succeeded from {expected} but the counter \
-                     should be {} — reservations must be gap-free",
-                    self.next
-                ),
-            ));
+    /// Single server: the `next_cts` CAS and the cts-tag stores, in the
+    /// server SM's shared memory.
+    fn decode_single(&self, ev: &MemEvent) -> Option<Step> {
+        if ev.space != Space::Shared || ev.sm != self.first_sm {
+            return None;
         }
-        if new <= expected {
-            out.push(Self::violation(
-                ev,
-                format!("cts reservation moved the counter backwards ({expected} -> {new})"),
-            ));
-            return;
+        match ev.kind {
+            AccessKind::Cas {
+                expected,
+                new,
+                success: true,
+            } if ev.addr == self.cts_addr => Some(Step::Reserve {
+                base: expected,
+                n: new.saturating_sub(expected),
+            }),
+            AccessKind::Write => match self.rings[0].locate(ev.addr)? {
+                (slot, 0) => Some(Step::Publish {
+                    ring: 0,
+                    slot,
+                    tag: ev.value,
+                }),
+                _ => None,
+            },
+            _ => None,
         }
-        self.batches.push(Batch {
-            base: expected,
-            last: new - 1,
-        });
-        self.next = new;
     }
 
-    /// A cts tag written into an ATR slot (publication of one entry).
-    fn on_tag_write(&mut self, ev: &MemEvent, slot: u64, cts: u64, out: &mut Vec<Violation>) {
-        if cts == 0 {
-            out.push(Self::violation(
-                ev,
-                "published cts 0 (timestamps are 1-based)".into(),
-            ));
-            return;
-        }
-        if cts >= self.next {
-            out.push(Self::violation(
-                ev,
-                format!(
-                    "published cts {cts} before it was reserved (next_cts is {})",
-                    self.next
-                ),
-            ));
-        }
-        if self.atr.slot_of(cts) != slot {
-            out.push(Self::violation(
-                ev,
-                format!(
-                    "cts {cts} published into ATR slot {slot}, but the ring maps it to slot {}",
-                    self.atr.slot_of(cts)
-                ),
-            ));
-        }
-        if let Some(&prev) = self.last_tag.get(&slot) {
-            if cts <= prev {
-                out.push(Self::violation(
-                    ev,
-                    format!(
-                        "ATR slot {slot} tag went from {prev} to {cts} — per-slot tags must \
-                         strictly increase (ring recycling only moves forward)"
-                    ),
-                ));
+    /// Multi-server: the global fetch-add, and per partition the seq and cts
+    /// words and `next_local`.
+    fn decode_multi(&self, lines: &[SeqLine], ev: &MemEvent) -> Option<Step> {
+        let value = ev.value;
+        match (ev.space, ev.kind) {
+            (Space::Global, AccessKind::Add { operand }) if ev.addr == self.cts_addr => {
+                Some(Step::Reserve {
+                    base: value,
+                    n: operand,
+                })
             }
-        }
-        self.last_tag.insert(slot, cts);
-        if !self.published.insert(cts) {
-            out.push(Self::violation(ev, format!("cts {cts} published twice")));
+            (Space::Shared, AccessKind::Write) => {
+                let ring = ev.sm.checked_sub(self.first_sm)?;
+                if ev.addr == lines.get(ring)?.next_local_addr {
+                    return (value != 0).then_some(Step::NextLocal { ring, value });
+                }
+                match self.rings[ring].locate(ev.addr)? {
+                    (slot, 0) => Some(Step::Publish {
+                        ring,
+                        slot,
+                        tag: value,
+                    }),
+                    (slot, 1) => Some(Step::SlotCts {
+                        ring,
+                        slot,
+                        cts: value,
+                    }),
+                    _ => None,
+                }
+            }
+            _ => None,
         }
     }
 
-    /// A write to the global GTS word (batch publication).
-    fn on_gts_write(&mut self, ev: &MemEvent, value: u64, out: &mut Vec<Violation>) {
-        if value <= self.gts {
-            out.push(Self::violation(
-                ev,
-                format!(
-                    "GTS moved from {} to {value} — it must strictly increase",
-                    self.gts
-                ),
+    /// Reservation: a non-empty batch that starts at the counter's mirror.
+    fn reserve(&mut self, base: u64, n: u64, flag: &mut dyn FnMut(String)) {
+        if n == 0 {
+            flag(format!(
+                "empty cts reservation at counter {base} — a reservation takes at least \
+                 one timestamp (workers skip all-abort batches)"
             ));
         }
-        match self.batches.get(self.gts_batch) {
-            None => out.push(Self::violation(
-                ev,
-                format!("GTS bumped to {value} with no reserved batch outstanding"),
-            )),
-            Some(b) => {
-                if value != b.last {
-                    out.push(Self::violation(
-                        ev,
-                        format!(
-                            "GTS bumped to {value}, but the next batch in reservation order \
-                             is [{}, {}] and must publish {} — a batch published out of turn",
-                            b.base, b.last, b.last
-                        ),
+        if base != self.next {
+            flag(format!(
+                "cts reservation from counter {base}, but the reservation history says {} \
+                 — reservations must be gap-free",
+                self.next
+            ));
+        }
+        match &mut self.host {
+            Host::Single { batches, .. } if n > 0 => batches.push((base, base + n - 1)),
+            _ => {}
+        }
+        self.next = base.wrapping_add(n);
+    }
+
+    /// Publication of one ATR entry: `tag` stored into `slot` of `ring`.
+    fn publish(&mut self, ring: usize, slot: u64, tag: u64, flag: &mut dyn FnMut(String)) {
+        if tag == 0 {
+            return flag(format!(
+                "ATR {ring} slot {slot}: published tag 0 (tags are 1-based, so 0 means unset)"
+            ));
+        }
+        let home = (tag - 1) % self.rings[ring].capacity;
+        if home != slot {
+            flag(format!(
+                "ATR {ring}: tag {tag} published into slot {slot}, but the ring maps it \
+                 to slot {home}"
+            ));
+        }
+        if let Some(prev) = self
+            .last_tag
+            .insert((ring, slot), tag)
+            .filter(|&prev| tag <= prev)
+        {
+            flag(format!(
+                "ATR {ring} slot {slot} tag went from {prev} to {tag} — per-slot tags must \
+                 strictly increase (ring recycling only moves forward)"
+            ));
+        }
+        let cts = match &mut self.host {
+            Host::Single { .. } => tag,
+            Host::Multi(lines) => {
+                let line = &mut lines[ring];
+                line.max_tag = line.max_tag.max(tag);
+                let Some(&cts) = line.slot_cts.get(&slot) else {
+                    return flag(format!(
+                        "partition {ring} published seq tag {tag} before writing the slot's \
+                         cts word"
                     ));
-                } else if self.gts != b.base - 1 {
-                    out.push(Self::violation(
-                        ev,
-                        format!(
-                            "batch [{}, {}] published while GTS was {} (expected {}) — \
-                             the turn-taking wait was skipped",
-                            b.base,
-                            b.last,
-                            self.gts,
-                            b.base - 1
-                        ),
+                };
+                if let Some(&prev) = line.cts_by_tag.get(&(tag - 1)).filter(|&&p| cts <= p) {
+                    flag(format!(
+                        "partition {ring} local order diverged from global cts order: seq \
+                         tag {} carries cts {prev}, tag {tag} carries cts {cts}",
+                        tag - 1
+                    ));
+                }
+                line.cts_by_tag.insert(tag, cts);
+                cts
+            }
+        };
+        if cts == 0 || cts >= self.next {
+            flag(format!(
+                "published cts {cts}, which was never reserved (the counter is {})",
+                self.next
+            ));
+        }
+        if !self.published.insert(cts) {
+            flag(format!("cts {cts} published twice"));
+        }
+    }
+
+    /// A GTS update: a host rule on each host.
+    fn on_gts(&mut self, value: u64, flag: &mut dyn FnMut(String)) {
+        match &mut self.host {
+            Host::Single { batches, turn } => {
+                match batches.get(*turn) {
+                    None => flag(format!(
+                        "GTS bumped to {value} with no reserved batch outstanding"
+                    )),
+                    Some(&(base, last)) if value != last => flag(format!(
+                        "GTS bumped to {value}, but the next batch in reservation order is \
+                         [{base}, {last}] and must publish {last} — a batch published out \
+                         of turn"
+                    )),
+                    Some(&(base, last)) if self.gts != base - 1 => flag(format!(
+                        "batch [{base}, {last}] published while GTS was {} (expected {}) — \
+                         the turn-taking wait was skipped",
+                        self.gts,
+                        base - 1
+                    )),
+                    Some(_) => {}
+                }
+                *turn += 1;
+            }
+            Host::Multi(_) => {
+                if value < self.gts {
+                    flag(format!(
+                        "GTS moved from {} to {value} — progressive publication must not \
+                         regress",
+                        self.gts
+                    ));
+                }
+                if value >= self.next {
+                    flag(format!(
+                        "GTS bumped to {value}, overtaking the reservation counter ({})",
+                        self.next
                     ));
                 }
             }
         }
-        self.gts = value;
-        self.gts_batch += 1;
+        self.gts = self.gts.max(value);
     }
 
-    /// A write into the VBox heap region (write-back).
-    fn on_heap_write(&mut self, ev: &MemEvent, out: &mut Vec<Violation>) {
+    /// Write-back: a store into the VBox heap.
+    fn write_back(&self, ev: &MemEvent, flag: &mut dyn FnMut(String)) {
         let off = ev.addr - self.h0;
         let item = off / self.words_per_box;
         if off.is_multiple_of(self.words_per_box) {
             if ev.value >= self.heap.versions_per_box() {
-                out.push(Self::violation(
-                    ev,
-                    format!(
-                        "VBox {item} head set to {} but only {} version slots exist",
-                        ev.value,
-                        self.heap.versions_per_box()
-                    ),
+                flag(format!(
+                    "VBox {item} head set to {} but only {} version slots exist",
+                    ev.value,
+                    self.heap.versions_per_box()
                 ));
             }
         } else {
             let (ts, _) = unpack_version(ev.value);
             if !self.published.contains(&ts) {
-                out.push(Self::violation(
-                    ev,
-                    format!(
-                        "VBox {item} version installed with cts {ts}, which the server \
-                         never published — write-back before validation"
-                    ),
+                flag(format!(
+                    "VBox {item} version installed with cts {ts}, which was never \
+                     published — write-back before validation"
                 ));
             }
         }
@@ -277,429 +458,39 @@ impl CsmvInvariantChecker {
 
 impl InvariantChecker for CsmvInvariantChecker {
     fn name(&self) -> &'static str {
-        "csmv"
+        match self.host {
+            Host::Single { .. } => "csmv",
+            Host::Multi(_) => "csmv-multi",
+        }
     }
 
     fn on_event(&mut self, ev: &MemEvent, out: &mut Vec<Violation>) {
-        match ev.space {
-            Space::Shared => {
-                if ev.sm != self.server_sm {
-                    return;
-                }
-                if ev.addr == self.atr.next_cts_addr() {
-                    if let AccessKind::Cas {
-                        expected,
-                        new,
-                        success: true,
-                    } = ev.kind
-                    {
-                        self.on_reserve(ev, expected, new, out);
-                    }
-                    return;
-                }
-                // A plain store to a cts-tag word publishes an ATR entry.
-                if ev.kind == AccessKind::Write && ev.addr >= self.cts0 {
-                    let off = ev.addr - self.cts0;
-                    let slot = off / self.stride;
-                    if off.is_multiple_of(self.stride) && slot < self.atr.capacity() {
-                        self.on_tag_write(ev, slot, ev.value, out);
-                    }
-                }
-            }
-            Space::Global => {
-                if ev.addr == self.gts_addr {
-                    if ev.kind == AccessKind::Write {
-                        self.on_gts_write(ev, ev.value, out);
-                    }
-                    return;
-                }
-                let heap_end = self.h0 + self.heap.num_items() * self.words_per_box;
-                if ev.kind == AccessKind::Write && ev.addr >= self.h0 && ev.addr < heap_end {
-                    self.on_heap_write(ev, out);
-                }
-            }
-        }
-    }
-
-    fn finish(&mut self, out: &mut Vec<Violation>) {
-        let reserved = self.next - 1;
-        for cts in 1..=reserved {
-            if !self.published.contains(&cts) {
-                out.push(Violation {
-                    checker: "csmv",
-                    warp: usize::MAX,
-                    clock: u64::MAX,
-                    addr: u64::MAX,
-                    message: format!(
-                        "cts {cts} was reserved but never published to the ATR — \
-                         the published set must be dense 1..={reserved}"
-                    ),
-                });
-            }
-        }
-        if self.published.len() as u64 != reserved {
-            out.push(Violation {
-                checker: "csmv",
-                warp: usize::MAX,
-                clock: u64::MAX,
-                addr: u64::MAX,
-                message: format!(
-                    "{} distinct ctss published but only {reserved} were reserved",
-                    self.published.len()
-                ),
-            });
-        }
-        if self.gts_batch != self.batches.len() {
-            out.push(Violation {
-                checker: "csmv",
-                warp: usize::MAX,
-                clock: u64::MAX,
-                addr: u64::MAX,
-                message: format!(
-                    "{} batches reserved but the GTS was only bumped {} times",
-                    self.batches.len(),
-                    self.gts_batch
-                ),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Multi-server checker
-// ---------------------------------------------------------------------------
-
-/// Per-partition publication state tracked by [`MultiCsmvInvariantChecker`].
-struct PartitionState {
-    atr: PartitionedAtr,
-    /// Slot 0's seq-tag address and the per-slot stride (the ring keeps its
-    /// base private; two slot addresses recover the layout).
-    seq0: u64,
-    stride: u64,
-    /// Latest seq tag per slot (tags are `local_seq + 1`, so 0 = unset).
-    last_tag: HashMap<u64, u64>,
-    /// Latest cts word written per slot (candidate until the tag publishes).
-    slot_cts: HashMap<u64, u64>,
-    /// cts by published seq tag — the local-order/global-order alignment.
-    cts_by_tag: HashMap<u64, u64>,
-    /// Highest published seq tag.
-    max_tag: u64,
-    /// Mirror of the `next_local` word.
-    next_local: u64,
-}
-
-/// Protocol-invariant checker for the multi-server variant. See the module
-/// docs for the relaxed obligations (1'–4') it enforces.
-pub struct MultiCsmvInvariantChecker {
-    heap: VBoxHeap,
-    gts_addr: u64,
-    global_cts_addr: u64,
-    first_server_sm: usize,
-    parts: Vec<PartitionState>,
-    // Derived VBox geometry.
-    h0: u64,
-    words_per_box: u64,
-    /// Mirror of the global reservation counter (host-initialised to 1).
-    next_global: u64,
-    gts: u64,
-    /// cts values published device-wide (tag written in some partition).
-    published: HashSet<u64>,
-    /// When false (kill/crash fault plans), the GTS may be held flat by a
-    /// quarantine hole-skip and reserved timestamps may never publish, so
-    /// only the per-event ordering obligations are enforced.
-    expect_complete: bool,
-}
-
-impl MultiCsmvInvariantChecker {
-    /// Build a checker for one multi-server launch. `atrs[i]` is the ring
-    /// of the server on SM `first_server_sm + i`; `expect_complete` is
-    /// false when the fault plan kills warps or crashes SMs.
-    pub fn new(
-        atrs: Vec<PartitionedAtr>,
-        heap: VBoxHeap,
-        gts_addr: u64,
-        global_cts_addr: u64,
-        first_server_sm: usize,
-        expect_complete: bool,
-    ) -> Self {
-        let h0 = heap.head_addr(0);
-        let words_per_box = 1 + heap.versions_per_box();
-        let parts = atrs
-            .into_iter()
-            .map(|atr| {
-                let seq0 = atr.slot_seq_addr(0);
-                let stride = atr.slot_seq_addr(1) - seq0;
-                PartitionState {
-                    atr,
-                    seq0,
-                    stride,
-                    last_tag: HashMap::new(),
-                    slot_cts: HashMap::new(),
-                    cts_by_tag: HashMap::new(),
-                    max_tag: 0,
-                    next_local: 0,
-                }
-            })
-            .collect();
-        Self {
-            heap,
-            gts_addr,
-            global_cts_addr,
-            first_server_sm,
-            parts,
-            h0,
-            words_per_box,
-            next_global: 1,
-            gts: 0,
-            published: HashSet::new(),
-            expect_complete,
-        }
-    }
-
-    fn violation(ev: &MemEvent, message: String) -> Violation {
-        Violation {
-            checker: "csmv-multi",
-            warp: ev.warp,
-            clock: ev.clock,
-            addr: ev.addr,
-            message,
-        }
-    }
-
-    /// Obligation 1': a batch reservation on the global counter.
-    fn on_reserve(&mut self, ev: &MemEvent, base: u64, n: u64, out: &mut Vec<Violation>) {
-        if n == 0 {
-            out.push(Self::violation(
-                ev,
-                "empty cts reservation (fetch-add of 0) — workers must skip \
-                 all-abort batches"
-                    .into(),
-            ));
-        }
-        if base != self.next_global {
-            out.push(Self::violation(
-                ev,
-                format!(
-                    "cts reservation observed counter {base} but the reservation \
-                     history says {}",
-                    self.next_global
-                ),
-            ));
-        }
-        self.next_global = base.wrapping_add(n);
-    }
-
-    /// Obligation 2' (and the alignment half of 1'): a seq-tag write
-    /// publishing one ATR entry.
-    fn on_tag_write(
-        &mut self,
-        ev: &MemEvent,
-        srv: usize,
-        slot: u64,
-        tag: u64,
-        out: &mut Vec<Violation>,
-    ) {
-        let p = &mut self.parts[srv];
-        if tag == 0 {
-            out.push(Self::violation(
-                ev,
-                "published seq tag 0 (tags are local_seq + 1, so 0 means unset)".into(),
-            ));
+        let Some(step) = self.decode(ev) else {
             return;
-        }
-        if p.atr.slot_of(tag - 1) != slot {
-            out.push(Self::violation(
-                ev,
-                format!(
-                    "seq tag {tag} published into slot {slot}, but the ring maps \
-                     local seq {} to slot {}",
-                    tag - 1,
-                    p.atr.slot_of(tag - 1)
-                ),
-            ));
-        }
-        if let Some(&prev) = p.last_tag.get(&slot) {
-            if tag <= prev {
-                out.push(Self::violation(
-                    ev,
-                    format!(
-                        "partition {srv} slot {slot} seq tag went from {prev} to {tag} — \
-                         per-slot tags must strictly increase (ring recycling only \
-                         moves forward)"
-                    ),
-                ));
-            }
-        }
-        p.last_tag.insert(slot, tag);
-        p.max_tag = p.max_tag.max(tag);
-
-        // The entry's cts: written to the slot before the tag, reserved
-        // before that, published exactly once device-wide, and — the
-        // multi-server alignment invariant — strictly above the cts of the
-        // previous local seq.
-        match p.slot_cts.get(&slot).copied() {
-            None => out.push(Self::violation(
-                ev,
-                format!(
-                    "partition {srv} published seq tag {tag} before writing the \
-                     slot's cts word"
-                ),
-            )),
-            Some(cts) => {
-                if cts == 0 || cts >= self.next_global {
-                    out.push(Self::violation(
-                        ev,
-                        format!(
-                            "partition {srv} published cts {cts} which was never \
-                             reserved (global counter is {})",
-                            self.next_global
-                        ),
-                    ));
+        };
+        let checker = self.name();
+        let flag = &mut |message| out.push(violation(checker, Some(ev), message));
+        match step {
+            Step::Reserve { base, n } => self.reserve(base, n, flag),
+            Step::Publish { ring, slot, tag } => self.publish(ring, slot, tag, flag),
+            Step::Gts(value) => self.on_gts(value, flag),
+            Step::WriteBack => self.write_back(ev, flag),
+            Step::SlotCts { ring, slot, cts } => {
+                if let Host::Multi(lines) = &mut self.host {
+                    lines[ring].slot_cts.insert(slot, cts);
                 }
-                if let Some(&prev_cts) = p.cts_by_tag.get(&(tag - 1)) {
-                    if cts <= prev_cts {
-                        out.push(Self::violation(
-                            ev,
-                            format!(
-                                "partition {srv} local order diverged from global cts \
-                                 order: seq tag {} carries cts {prev_cts}, tag {tag} \
-                                 carries cts {cts}",
-                                tag - 1
-                            ),
+            }
+            Step::NextLocal { ring, value } => {
+                if let Host::Multi(lines) = &mut self.host {
+                    let line = &mut lines[ring];
+                    if value <= line.next_local {
+                        flag(format!(
+                            "partition {ring} next_local went from {} to {value} — the \
+                             local seq line must strictly increase",
+                            line.next_local
                         ));
                     }
-                }
-                p.cts_by_tag.insert(tag, cts);
-                if !self.published.insert(cts) {
-                    out.push(Self::violation(
-                        ev,
-                        format!("cts {cts} published twice across partitions"),
-                    ));
-                }
-            }
-        }
-    }
-
-    /// Obligation 3': a write (or quarantine hole-skip CAS) on the GTS.
-    fn on_gts_update(&mut self, ev: &MemEvent, value: u64, out: &mut Vec<Violation>) {
-        // Two publishers that observed the same run may both write the same
-        // value; only outright regression is a violation.
-        if value < self.gts {
-            out.push(Self::violation(
-                ev,
-                format!(
-                    "GTS moved from {} to {value} — progressive publication must \
-                     not regress",
-                    self.gts
-                ),
-            ));
-        }
-        if value >= self.next_global {
-            out.push(Self::violation(
-                ev,
-                format!(
-                    "GTS bumped to {value}, overtaking the reservation counter ({})",
-                    self.next_global
-                ),
-            ));
-        }
-        self.gts = self.gts.max(value);
-    }
-
-    /// Obligation 4': a write into the VBox heap region.
-    fn on_heap_write(&mut self, ev: &MemEvent, out: &mut Vec<Violation>) {
-        let off = ev.addr - self.h0;
-        let item = off / self.words_per_box;
-        if off.is_multiple_of(self.words_per_box) {
-            if ev.value >= self.heap.versions_per_box() {
-                out.push(Self::violation(
-                    ev,
-                    format!(
-                        "VBox {item} head set to {} but only {} version slots exist",
-                        ev.value,
-                        self.heap.versions_per_box()
-                    ),
-                ));
-            }
-        } else {
-            let (ts, _) = unpack_version(ev.value);
-            if !self.published.contains(&ts) {
-                out.push(Self::violation(
-                    ev,
-                    format!(
-                        "VBox {item} version installed with cts {ts}, which no \
-                         partition ever published — write-back before validation"
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-impl InvariantChecker for MultiCsmvInvariantChecker {
-    fn name(&self) -> &'static str {
-        "csmv-multi"
-    }
-
-    fn on_event(&mut self, ev: &MemEvent, out: &mut Vec<Violation>) {
-        match ev.space {
-            Space::Shared => {
-                let Some(srv) = ev.sm.checked_sub(self.first_server_sm) else {
-                    return;
-                };
-                if srv >= self.parts.len() {
-                    return;
-                }
-                let p = &mut self.parts[srv];
-                if ev.addr == p.atr.next_local_addr() {
-                    if ev.kind == AccessKind::Write && ev.value != 0 {
-                        if ev.value <= p.next_local {
-                            out.push(Self::violation(
-                                ev,
-                                format!(
-                                    "partition {srv} next_local went from {} to {} — \
-                                     the local seq line must strictly increase",
-                                    p.next_local, ev.value
-                                ),
-                            ));
-                        }
-                        p.next_local = ev.value;
-                    }
-                    return;
-                }
-                if ev.kind == AccessKind::Write && ev.addr >= p.seq0 {
-                    let off = ev.addr - p.seq0;
-                    let slot = off / p.stride;
-                    if slot < p.atr.capacity() {
-                        let word = off % p.stride;
-                        if word == 0 {
-                            self.on_tag_write(ev, srv, slot, ev.value, out);
-                        } else if word == 1 {
-                            self.parts[srv].slot_cts.insert(slot, ev.value);
-                        }
-                    }
-                }
-            }
-            Space::Global => {
-                if ev.addr == self.global_cts_addr {
-                    if let AccessKind::Add { operand } = ev.kind {
-                        self.on_reserve(ev, ev.value, operand, out);
-                    }
-                    return;
-                }
-                if ev.addr == self.gts_addr {
-                    match ev.kind {
-                        AccessKind::Write => self.on_gts_update(ev, ev.value, out),
-                        AccessKind::Cas {
-                            new, success: true, ..
-                        } => self.on_gts_update(ev, new, out),
-                        _ => {}
-                    }
-                    return;
-                }
-                let heap_end = self.h0 + self.heap.num_items() * self.words_per_box;
-                if ev.kind == AccessKind::Write && ev.addr >= self.h0 && ev.addr < heap_end {
-                    self.on_heap_write(ev, out);
+                    line.next_local = value;
                 }
             }
         }
@@ -709,39 +500,42 @@ impl InvariantChecker for MultiCsmvInvariantChecker {
         if !self.expect_complete {
             return;
         }
-        let end_violation = |message: String| Violation {
-            checker: "csmv-multi",
-            warp: usize::MAX,
-            clock: u64::MAX,
-            addr: u64::MAX,
-            message,
-        };
-        for (srv, p) in self.parts.iter().enumerate() {
-            for tag in 1..=p.max_tag {
-                if !p.cts_by_tag.contains_key(&tag) {
-                    out.push(end_violation(format!(
-                        "partition {srv} seq tag {tag} was never published — the \
-                         local seq line must be gap-free up to {}",
-                        p.max_tag
-                    )));
+        let checker = self.name();
+        let mut flag = |message| out.push(violation(checker, None, message));
+        match &self.host {
+            Host::Single { batches, turn } => {
+                if *turn != batches.len() {
+                    flag(format!(
+                        "{} batches reserved but the GTS was only bumped {turn} times",
+                        batches.len()
+                    ));
                 }
             }
-            if p.next_local != p.max_tag {
-                out.push(end_violation(format!(
-                    "partition {srv} next_local ended at {} but the highest \
-                     published seq tag is {}",
-                    p.next_local, p.max_tag
-                )));
+            Host::Multi(lines) => {
+                for (ring, line) in lines.iter().enumerate() {
+                    for tag in (1..=line.max_tag).filter(|t| !line.cts_by_tag.contains_key(t)) {
+                        flag(format!(
+                            "partition {ring} seq tag {tag} was never published — the local \
+                             seq line must be gap-free up to {}",
+                            line.max_tag
+                        ));
+                    }
+                    if line.next_local != line.max_tag {
+                        flag(format!(
+                            "partition {ring} next_local ended at {} but the highest \
+                             published seq tag is {}",
+                            line.next_local, line.max_tag
+                        ));
+                    }
+                }
             }
         }
-        let reserved = self.next_global - 1;
-        for cts in 1..=reserved {
-            if !self.published.contains(&cts) {
-                out.push(end_violation(format!(
-                    "cts {cts} was reserved but never published — the published \
-                     set must be dense 1..={reserved}"
-                )));
-            }
+        let reserved = self.next.saturating_sub(1);
+        for cts in (1..=reserved).filter(|c| !self.published.contains(c)) {
+            flag(format!(
+                "cts {cts} was reserved but never published — the published set must be \
+                 dense 1..={reserved}"
+            ));
         }
     }
 }
@@ -851,7 +645,7 @@ mod tests {
         let ctl = ServerControl::alloc(&mut dev, server_sm, num_clients);
         dev.shared_write_host(server_sm, atr.next_cts_addr(), 1);
         dev.enable_analysis(cfg.analysis);
-        dev.add_invariant_checker(Box::new(CsmvInvariantChecker::new(
+        dev.add_invariant_checker(Box::new(CsmvInvariantChecker::single(
             atr.clone(),
             heap.clone(),
             gts_addr,
@@ -962,7 +756,7 @@ mod tests {
         let ctl = ServerControl::alloc(&mut dev, server_sm, num_clients);
         dev.shared_write_host(server_sm, atr.next_cts_addr(), 1);
         dev.enable_analysis(cfg.analysis);
-        dev.add_invariant_checker(Box::new(CsmvInvariantChecker::new(
+        dev.add_invariant_checker(Box::new(CsmvInvariantChecker::single(
             atr.clone(),
             heap.clone(),
             gts_addr,
@@ -1022,13 +816,13 @@ mod tests {
         use gpu_sim::MemOrder;
         use stm_core::vbox::pack_version;
 
-        fn fixture(expect_complete: bool) -> (MultiCsmvInvariantChecker, PartitionedAtr, VBoxHeap) {
+        fn fixture(expect_complete: bool) -> (CsmvInvariantChecker, PartitionedAtr, VBoxHeap) {
             let mut dev = Device::new(GpuConfig::default());
             let gts = dev.alloc_global(1);
             let cts = dev.alloc_global(1);
             let heap = VBoxHeap::init(dev.global_mut(), 4, 4, &mut |_| 0);
             let atr = PartitionedAtr::alloc(&mut dev, 0, 4, 2);
-            let chk = MultiCsmvInvariantChecker::new(
+            let chk = CsmvInvariantChecker::multi(
                 vec![atr.clone()],
                 heap.clone(),
                 gts,
@@ -1039,7 +833,7 @@ mod tests {
             (chk, atr, heap)
         }
 
-        fn ev(space: Space, addr: u64, kind: AccessKind, value: u64) -> MemEvent {
+        pub(super) fn ev(space: Space, addr: u64, kind: AccessKind, value: u64) -> MemEvent {
             MemEvent {
                 warp: 0,
                 sm: 0,
@@ -1052,7 +846,7 @@ mod tests {
             }
         }
 
-        fn drive(chk: &mut MultiCsmvInvariantChecker, evs: &[MemEvent]) -> Vec<Violation> {
+        pub(super) fn drive(chk: &mut CsmvInvariantChecker, evs: &[MemEvent]) -> Vec<Violation> {
             let mut out = Vec::new();
             for e in evs {
                 chk.on_event(e, &mut out);
@@ -1080,7 +874,7 @@ mod tests {
         }
 
         fn reserve(
-            chk: &mut MultiCsmvInvariantChecker,
+            chk: &mut CsmvInvariantChecker,
             cts_addr: u64,
             base: u64,
             n: u64,
@@ -1099,7 +893,7 @@ mod tests {
         #[test]
         fn healthy_synthetic_stream_is_clean() {
             let (mut chk, atr, _heap) = fixture(true);
-            let cts_addr = chk.global_cts_addr;
+            let cts_addr = chk.cts_addr;
             let gts_addr = chk.gts_addr;
             assert!(reserve(&mut chk, cts_addr, 1, 2).is_empty());
             let mut evs = Vec::new();
@@ -1122,7 +916,7 @@ mod tests {
         #[test]
         fn gts_regression_is_flagged() {
             let (mut chk, atr, _heap) = fixture(true);
-            let cts_addr = chk.global_cts_addr;
+            let cts_addr = chk.cts_addr;
             let gts_addr = chk.gts_addr;
             reserve(&mut chk, cts_addr, 1, 3);
             let mut evs = Vec::new();
@@ -1141,7 +935,7 @@ mod tests {
         #[test]
         fn gts_overtaking_reservations_is_flagged() {
             let (mut chk, _atr, _heap) = fixture(true);
-            let cts_addr = chk.global_cts_addr;
+            let cts_addr = chk.cts_addr;
             let gts_addr = chk.gts_addr;
             reserve(&mut chk, cts_addr, 1, 1);
             // A successful quarantine CAS that skips past the counter.
@@ -1173,7 +967,7 @@ mod tests {
         #[test]
         fn local_order_diverging_from_cts_order_is_flagged() {
             let (mut chk, atr, _heap) = fixture(true);
-            let cts_addr = chk.global_cts_addr;
+            let cts_addr = chk.cts_addr;
             reserve(&mut chk, cts_addr, 1, 2);
             let mut evs = Vec::new();
             evs.extend(publish(&atr, 0, 2));
@@ -1186,7 +980,7 @@ mod tests {
         #[test]
         fn stale_per_slot_tag_is_flagged() {
             let (mut chk, atr, _heap) = fixture(true);
-            let cts_addr = chk.global_cts_addr;
+            let cts_addr = chk.cts_addr;
             reserve(&mut chk, cts_addr, 1, 2);
             // Re-publishing the same tag into slot 0 (a stale recycled
             // entry) must trip the per-slot tag monotonicity.
@@ -1203,7 +997,7 @@ mod tests {
         #[test]
         fn writeback_of_unpublished_cts_is_flagged() {
             let (mut chk, atr, heap) = fixture(true);
-            let cts_addr = chk.global_cts_addr;
+            let cts_addr = chk.cts_addr;
             reserve(&mut chk, cts_addr, 1, 2);
             let mut evs: Vec<MemEvent> = publish(&atr, 0, 1).into();
             // cts 2 is reserved but not yet published: installing a version
@@ -1226,7 +1020,7 @@ mod tests {
         #[test]
         fn finish_flags_reserved_but_unpublished_cts() {
             let (mut chk, atr, _heap) = fixture(true);
-            let cts_addr = chk.global_cts_addr;
+            let cts_addr = chk.cts_addr;
             reserve(&mut chk, cts_addr, 1, 2);
             let mut evs: Vec<MemEvent> = publish(&atr, 0, 1).into();
             evs.push(ev(
@@ -1245,13 +1039,110 @@ mod tests {
         #[test]
         fn incomplete_runs_skip_end_of_run_checks() {
             let (mut chk, atr, _heap) = fixture(false);
-            let cts_addr = chk.global_cts_addr;
+            let cts_addr = chk.cts_addr;
             reserve(&mut chk, cts_addr, 1, 2);
             let evs: Vec<MemEvent> = publish(&atr, 0, 1).into();
             assert!(drive(&mut chk, &evs).is_empty());
             let mut out = Vec::new();
             chk.finish(&mut out);
             assert!(out.is_empty(), "{out:?}");
+        }
+    }
+
+    // -- single-server checker (synthetic event streams) --------------------
+
+    mod single_checker {
+        use super::multi_checker::{drive, ev};
+        use super::*;
+        use stm_core::vbox::pack_version;
+
+        /// One row per single-server obligation: an event stream that breaks
+        /// it, and a phrase of the violation it must raise (the first row is
+        /// the healthy stream, which raises none).
+        #[test]
+        fn each_broken_obligation_is_flagged() {
+            let mut dev = Device::new(GpuConfig::default());
+            let gts = dev.alloc_global(1);
+            let heap = VBoxHeap::init(dev.global_mut(), 4, 4, &mut |_| 0);
+            let atr = SharedAtr::alloc(&mut dev, 0, 4, 2);
+            let reserve = |base: u64, n: u64| {
+                let kind = AccessKind::Cas {
+                    expected: base,
+                    new: base + n,
+                    success: true,
+                };
+                ev(Space::Shared, atr.next_cts_addr(), kind, base)
+            };
+            let tag = |slot, cts| {
+                ev(
+                    Space::Shared,
+                    atr.slot_cts_addr(slot),
+                    AccessKind::Write,
+                    cts,
+                )
+            };
+            let publish = |cts| tag(atr.slot_of(cts), cts);
+            let bump = |value| ev(Space::Global, gts, AccessKind::Write, value);
+            let install = |cts| {
+                let word = heap.head_addr(1) + 1;
+                ev(Space::Global, word, AccessKind::Write, pack_version(cts, 7))
+            };
+            let rows = [
+                (
+                    "healthy",
+                    vec![reserve(1, 2), publish(1), publish(2), bump(2), install(2)],
+                    "",
+                ),
+                (
+                    "reservation gap",
+                    vec![reserve(1, 2), reserve(4, 1)],
+                    "gap-free",
+                ),
+                (
+                    "wrong ring slot",
+                    vec![reserve(1, 1), tag(1, 1)],
+                    "ring maps it to slot 0",
+                ),
+                (
+                    "stale per-slot tag",
+                    vec![reserve(1, 5), publish(5), publish(1)],
+                    "strictly increase",
+                ),
+                (
+                    "double publish",
+                    vec![reserve(1, 1), publish(1), publish(1)],
+                    "published twice",
+                ),
+                (
+                    "out-of-turn GTS bump",
+                    vec![reserve(1, 2), reserve(3, 2), bump(4)],
+                    "out of turn",
+                ),
+                (
+                    "write-back of an unpublished cts",
+                    vec![reserve(1, 2), publish(1), install(2)],
+                    "write-back before validation",
+                ),
+                (
+                    "reserved but unpublished at finish",
+                    vec![reserve(1, 2), publish(1), bump(2)],
+                    "reserved but never published",
+                ),
+            ];
+            for (row, events, expect) in rows {
+                let mut chk = CsmvInvariantChecker::single(atr.clone(), heap.clone(), gts, 0);
+                let mut out = drive(&mut chk, &events);
+                chk.finish(&mut out);
+                if expect.is_empty() {
+                    assert!(out.is_empty(), "{row}: {out:?}");
+                } else {
+                    assert!(
+                        out.iter()
+                            .any(|v| v.checker == "csmv" && v.message.contains(expect)),
+                        "{row}: expected a violation containing `{expect}`, got {out:?}"
+                    );
+                }
+            }
         }
     }
 }

@@ -56,7 +56,7 @@ use stm_core::mv_exec::MvExecConfig;
 use stm_core::{MetricsReport, RetryPolicy, RunResult, TxSource, VBoxHeap};
 
 pub use atr::SharedAtr;
-pub use check::{CsmvInvariantChecker, MultiCsmvInvariantChecker};
+pub use check::CsmvInvariantChecker;
 pub use client::CsmvClient;
 pub use multi::{run_multi, run_multi_checked, MultiCsmvConfig};
 pub use protocol::CommitProtocol;
@@ -344,7 +344,7 @@ where
     dev.shared_write_host(server_sm, atr.next_cts_addr(), 1);
     launch::arm(&mut dev, &cfg.faults, cfg.max_idle_cycles, cfg.analysis);
     if cfg.analysis.invariants {
-        dev.add_invariant_checker(Box::new(check::CsmvInvariantChecker::new(
+        dev.add_invariant_checker(Box::new(check::CsmvInvariantChecker::single(
             atr.clone(),
             heap.clone(),
             gts_addr,

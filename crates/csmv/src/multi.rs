@@ -78,11 +78,11 @@ pub struct MultiCsmvConfig {
     pub atr_capacity: u64,
     /// Record per-transaction histories.
     pub record_history: bool,
-    /// Analysis layer. With `invariants` on, a
-    /// [`crate::check::MultiCsmvInvariantChecker`] re-derives the relaxed
-    /// multi-server obligations (progressive GTS publication, per-partition
-    /// seq lines aligned with global cts order) alongside the race
-    /// detector.
+    /// Analysis layer. With `invariants` on, the multi-server form of
+    /// [`crate::check::CsmvInvariantChecker`] checks the shared commit
+    /// obligations plus this host's rules (progressive GTS publication,
+    /// per-partition seq lines aligned with global cts order) alongside the
+    /// race detector.
     pub analysis: AnalysisConfig,
     /// Client-side failure recovery (response timeouts, backoff, retry
     /// budget). The default policy is inert.
@@ -1226,7 +1226,7 @@ where
             .faults
             .as_ref()
             .is_none_or(|p| p.spec().kills.is_empty() && p.spec().crash_sms.is_empty());
-        dev.add_invariant_checker(Box::new(crate::check::MultiCsmvInvariantChecker::new(
+        dev.add_invariant_checker(Box::new(crate::check::CsmvInvariantChecker::multi(
             atrs,
             heap.clone(),
             gts_addr,

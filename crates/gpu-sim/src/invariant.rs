@@ -4,7 +4,8 @@
 //! Every memory operation a kernel performs through [`crate::WarpCtx`] is
 //! (when analysis is enabled) reported as a [`MemEvent`] to every registered
 //! [`InvariantChecker`]. Checkers are protocol-specific — the CSMV crate
-//! registers one that knows the ATR/GTS layout, PR-STM one that knows the
+//! registers one that knows the ATR/GTS layout (one type, in a
+//! single-server and a multi-server form), PR-STM one that knows the
 //! lock-word encoding — while this module only defines the protocol-agnostic
 //! event vocabulary and the reporting types.
 //!
@@ -115,9 +116,10 @@ impl fmt::Display for Violation {
 
 /// A pluggable protocol-invariant checker.
 ///
-/// Implementations live next to the protocol they check (see
-/// `csmv::CsmvInvariantChecker`, `prstm::PrstmInvariantChecker`) and are
-/// registered with [`crate::Device::add_invariant_checker`].
+/// Implementations live next to the protocol they check and are registered
+/// with [`crate::Device::add_invariant_checker`]. Two ship:
+/// `csmv::CsmvInvariantChecker` (built by `single` for one commit server,
+/// by `multi` for several) and `prstm::PrstmInvariantChecker`.
 pub trait InvariantChecker {
     /// Short name used in violation reports.
     fn name(&self) -> &'static str;

@@ -127,7 +127,9 @@ impl VersionHistory {
     }
 }
 
-/// Verify a committed history.
+/// Verify a committed history against the repository's one correctness
+/// definition (opacity: conditions (1)–(2) of DESIGN.md §7.1, which make
+/// the multiversion serialization graph acyclic).
 ///
 /// * `records` — one entry per committed transaction (aborted attempts must
 ///   not be recorded);

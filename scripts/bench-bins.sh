@@ -10,14 +10,10 @@
 #   SIM_BINS     — simulated-GPU experiments (deterministic, thread-count
 #                  invariant; the bench-smoke matrix runs each at
 #                  --threads 1, 2 and 8 and demands equivalent reports)
-#   NATIVE_BINS  — checks that drive the native host-threaded backend
-#                  (the native-equivalence matrix; its performance is the
-#                  repo benchmark's job — BENCHMARK.json, native-*)
 #   SERVICE_BINS — network-facing tools driving a live csmv-service
 #                  (the service-smoke job runs these against localhost)
 #   TOOL_BINS    — non-experiment utilities (never run as benches)
 
 SIM_BINS="table5 bank_suite mc_suite multiserver"
-NATIVE_BINS="native_equiv"
 SERVICE_BINS="loadgen"
 TOOL_BINS="bench-gate"

@@ -1,14 +1,16 @@
-//! Serial equivalence for the native backend.
+//! Serial equivalence for the native backend and the simulator.
 //!
 //! The obligation is bit-equal final states: on a commutative bank
 //! configuration (a balance floor the transfer clamp can never reach) the
 //! final state is a function of the transaction multiset alone, so a
 //! native run must land exactly where a serial execution of the same
-//! seeded sources does, and where its own committed records replay to.
+//! seeded sources does, where its own committed records replay to, and
+//! where the simulated GPU lands on the same multiset.
 
 use std::time::Duration;
 
 use csmv_native::NativeConfig;
+use gpu_sim::GpuConfig;
 use proptest::prelude::*;
 use stm_core::history::replay_committed;
 use stm_core::logic::run_sequential;
@@ -34,7 +36,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 8 })]
 
     /// A native run of a seeded commutative workload commits
-    /// everything and lands on the serial execution's final state.
+    /// everything and lands on the serial execution's final state, and so
+    /// does a simulated run of the same transactions.
     #[test]
     fn native_run_agrees_with_serial_execution_on_commutative_bank(
         seed in proptest::num::u64::ANY,
@@ -71,6 +74,24 @@ proptest! {
         prop_assert_eq!(
             &replay_committed(&res.records, &bank.initial_state()), &res.final_state,
             "the store must hold exactly what the committed records wrote"
+        );
+
+        // The simulator on the same multiset: its first `clients` threads
+        // get the native workers' sources, every other thread an empty one.
+        let sim_cfg = csmv::CsmvConfig {
+            gpu: GpuConfig { num_sms: 2, ..Default::default() },
+            ..Default::default()
+        };
+        let sim = csmv::run(
+            &sim_cfg,
+            |t| BankSource::new(&bank, seed, t, if t < clients { txs } else { 0 }),
+            bank.accounts,
+            |_| bank.initial_balance,
+        );
+        prop_assert_eq!(sim.stats.commits(), (clients * txs) as u64);
+        prop_assert_eq!(
+            &replay_committed(&sim.records, &bank.initial_state()), &serial,
+            "the simulator must reach the same final state on the same multiset"
         );
     }
 }
